@@ -25,6 +25,7 @@ import (
 	"time"
 
 	"cash/internal/alloc"
+	"cash/internal/cost"
 	"cash/internal/daemon"
 	daemonclient "cash/internal/daemon/client"
 	"cash/internal/experiment"
@@ -213,6 +214,35 @@ func BenchmarkOracle_ColdSweep(b *testing.B) {
 			}
 			b.ReportMetric(float64(workers), "workers")
 		})
+	}
+}
+
+// BenchmarkOracleQueries measures the warm oracle queries every Fig 7 /
+// Table III / Fig 10 cell makes before its run (the figs harness's
+// per-cell set-up): the sweep check, the QoS target, the optimal cost,
+// race-to-idle's worst-case configuration and the per-phase optimum,
+// for x264 on a database already holding all 64 characterisations.
+// Query cost depends on the phase count, not the scale, so the app is
+// swept small; only the queries are timed.
+func BenchmarkOracleQueries(b *testing.B) {
+	app := workload.X264().Scale(0.05 * benchScale())
+	db := oracle.NewDB()
+	db.CharacterizeApp(app)
+	m := cost.Default()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		db.CharacterizeApp(app)
+		target := db.QoSTarget(app)
+		if _, err := db.OptimalCost(app, target, m); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := db.WorstCaseConfig(app, target, m); err != nil {
+			b.Fatal(err)
+		}
+		if _, _, err := db.BestPerPhase(app, target, m); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -14,10 +14,9 @@
 package oracle
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/fnv"
 	"math"
+	"strconv"
 	"sync"
 
 	"cash/internal/cost"
@@ -124,17 +123,30 @@ func NewDB() *DB {
 // entirely, which let distinct workloads collide and serve each other's
 // cached characterisations; cache files keyed that way carry the old
 // magic and are discarded on load.)
-func appKey(app workload.App) string {
-	h := fnv.New64a()
-	var b [8]byte
+func appKey(app workload.App) string { return string(appendAppKey(nil, app)) }
+
+// appendAppKey appends appKey(app) to dst without allocating (beyond
+// growing dst): the FNV-1a state is a local, not a hash.Hash.
+func appendAppKey(dst []byte, app workload.App) []byte {
+	const (
+		offset64 = 14695981039346656037
+		prime64  = 1099511628211
+	)
+	h := uint64(offset64)
 	u64 := func(v uint64) {
-		binary.LittleEndian.PutUint64(b[:], v)
-		h.Write(b[:])
+		for i := 0; i < 8; i++ {
+			h ^= v & 0xff
+			h *= prime64
+			v >>= 8
+		}
 	}
 	f64 := func(v float64) { u64(math.Float64bits(v)) }
 	str := func(s string) {
 		u64(uint64(len(s)))
-		h.Write([]byte(s))
+		for i := 0; i < len(s); i++ {
+			h ^= uint64(s[i])
+			h *= prime64
+		}
 	}
 	str(app.Name)
 	u64(uint64(len(app.Phases)))
@@ -162,8 +174,15 @@ func appKey(app workload.App) string {
 		f64(p.MispredictRate)
 		u64(uint64(p.RegionID))
 	}
-	// Keep the name readable in front of the digest for debuggability.
-	return fmt.Sprintf("%s#%016x", app.Name, h.Sum64())
+	// Keep the name readable in front of the digest for debuggability:
+	// "<name>#<16 lower-case hex digits>".
+	const hex = "0123456789abcdef"
+	dst = append(dst, app.Name...)
+	dst = append(dst, '#')
+	for shift := 60; shift >= 0; shift -= 4 {
+		dst = append(dst, hex[(h>>uint(shift))&0xf])
+	}
+	return dst
 }
 
 // key identifies one measurement cell: application digest,
@@ -175,10 +194,19 @@ func appKey(app workload.App) string {
 // approximations to the paper figures (and vice versa); the cross-tier
 // collision regression test in key_test.go pins the separation.
 func (db *DB) key(app workload.App, cfg vcore.Config) string {
-	k := appKey(app) + "@" + cfg.String()
+	k := appendAppKey(nil, app)
+	k = append(k, '@')
+	k = append(k, cfg.String()...)
+	return string(db.appendTier(k))
+}
+
+// appendTier appends the tier tag of db's cells to dst: nothing for the
+// cycle tier, "@tier=interval", or "@tier=sampled/w<W>/s<S>" with zero
+// geometry resolved to the isim defaults.
+func (db *DB) appendTier(dst []byte) []byte {
 	switch db.Tier {
 	case isim.TierInterval:
-		k += "@tier=interval"
+		dst = append(dst, "@tier=interval"...)
 	case isim.TierSampled:
 		w, s := db.SampleWindow, db.SampleStride
 		if w <= 0 {
@@ -187,9 +215,83 @@ func (db *DB) key(app workload.App, cfg vcore.Config) string {
 		if s <= 0 {
 			s = isim.DefaultSampleStride
 		}
-		k += fmt.Sprintf("@tier=sampled/w%d/s%d", w, s)
+		dst = append(dst, "@tier=sampled/w"...)
+		dst = strconv.AppendInt(dst, w, 10)
+		dst = append(dst, "/s"...)
+		dst = strconv.AppendInt(dst, s, 10)
 	}
-	return k
+	return dst
+}
+
+// space is vcore.Space(), and cfgSuffix[i] the "@<cfg>" key part of
+// space[i]: computed once, so a table fetch formats no configuration.
+var (
+	space     = vcore.Space()
+	cfgSuffix = func() []string {
+		out := make([]string, len(space))
+		for i, cfg := range space {
+			out[i] = "@" + cfg.String()
+		}
+		return out
+	}()
+)
+
+// spaceSize is the number of configurations; appTable sizes its arrays
+// with it and tracks filled cells in a uint64 (init checks it against
+// vcore.Space()).
+const spaceSize = 64
+
+func init() {
+	if len(space) != spaceSize {
+		panic(fmt.Sprintf("oracle: configuration space has %d points, table holds %d", len(space), spaceSize))
+	}
+}
+
+// appTable is one application's characterisations on every
+// configuration, indexed like vcore.Space() (vcore.Config.Index). It is
+// filled from the cache under one lock; cells still absent are
+// characterised lazily, one at a time through Characterize's
+// singleflight, the first time a query reads them — so a cold query
+// measures exactly the cells (and in exactly the order) it did when
+// every read was a Characterize call.
+type appTable struct {
+	db    *DB
+	app   workload.App
+	chars [spaceSize]Char
+	have  uint64 // bit i set: chars[i] is filled
+}
+
+// table fetches app's cached characterisations at db's tier. The
+// application digest and tier tag are derived once and joined with the
+// precomputed configuration suffixes in a stack buffer; the map lookup
+// converts it to a string without allocating.
+func (db *DB) table(app workload.App) appTable {
+	t := appTable{db: db, app: app}
+	var kb [128]byte
+	k := appendAppKey(kb[:0], app)
+	n := len(k)
+	var tb [64]byte
+	tier := db.appendTier(tb[:0])
+	db.mu.Lock()
+	for i, suffix := range cfgSuffix {
+		k = append(append(k[:n], suffix...), tier...)
+		if c, ok := db.cache[string(k)]; ok {
+			t.chars[i] = c
+			t.have |= 1 << uint(i)
+		}
+	}
+	db.mu.Unlock()
+	return t
+}
+
+// at returns the characterisation of space[i], measuring it on first
+// use.
+func (t *appTable) at(i int) *Char {
+	if t.have&(1<<uint(i)) == 0 {
+		t.chars[i] = t.db.Characterize(t.app, space[i])
+		t.have |= 1 << uint(i)
+	}
+	return &t.chars[i]
 }
 
 // Characterize returns the characterisation of app on cfg, measuring it
@@ -343,23 +445,31 @@ func (db *DB) measureApp(app workload.App, cfg vcore.Config) Char {
 // order, so every artifact downstream of the sweep is byte-identical
 // whatever the worker count. Concurrent sweeps of the same app compose
 // through Characterize's singleflight: the overlapping cells are
-// measured once and shared.
+// measured once and shared. On a warm database the sweep is one table
+// fetch.
 func (db *DB) CharacterizeApp(app workload.App) {
-	space := vcore.Space()
-	par.Resolve(db.Pool).ForEach(len(space), func(i int) {
-		db.Characterize(app, space[i])
+	t := db.table(app)
+	var missing []int
+	for i := range space {
+		if t.have&(1<<uint(i)) == 0 {
+			missing = append(missing, i)
+		}
+	}
+	par.Resolve(db.Pool).ForEach(len(missing), func(i int) {
+		db.Characterize(app, space[missing[i]])
 	})
 }
 
 // Grid returns the 8×8 IPC surface of one phase: grid[s-1][l2Idx]
 // (Fig 1's contour data).
 func (db *DB) Grid(app workload.App, phaseIdx int) [][]float64 {
+	t := db.table(app)
 	steps := vcore.L2Steps()
 	grid := make([][]float64, vcore.MaxSlices)
 	for si := range grid {
 		grid[si] = make([]float64, len(steps))
-		for li, l2 := range steps {
-			grid[si][li] = db.IPC(app, phaseIdx, vcore.Config{Slices: si + 1, L2KB: l2})
+		for li := range steps {
+			grid[si][li] = t.at(si*len(steps) + li).Avg[phaseIdx]
 		}
 	}
 	return grid
@@ -368,9 +478,10 @@ func (db *DB) Grid(app workload.App, phaseIdx int) [][]float64 {
 // MaxIPC returns the best achievable IPC for a phase and the achieving
 // configuration.
 func (db *DB) MaxIPC(app workload.App, phaseIdx int) (float64, vcore.Config) {
+	t := db.table(app)
 	best, bestCfg := -1.0, vcore.Config{}
-	for _, cfg := range vcore.Space() {
-		if v := db.IPC(app, phaseIdx, cfg); v > best {
+	for i, cfg := range space {
+		if v := t.at(i).Avg[phaseIdx]; v > best {
 			best, bestCfg = v, cfg
 		}
 	}
@@ -388,11 +499,11 @@ const QoSTargetSlack = 0.95
 // "highest worst case IPC seen" — the best quantum-level IPC that some
 // single configuration can guarantee across every phase — with slack.
 func (db *DB) QoSTarget(app workload.App) float64 {
+	t := db.table(app)
 	best := 0.0
-	for _, cfg := range vcore.Space() {
-		ch := db.Characterize(app, cfg)
+	for i := range space {
 		worst := math.Inf(1)
-		for _, q := range ch.MinQ {
+		for _, q := range t.at(i).MinQ {
 			if q < worst {
 				worst = q
 			}
@@ -407,8 +518,9 @@ func (db *DB) QoSTarget(app workload.App) float64 {
 // CheapestFeasible returns the lowest-rate configuration whose IPC
 // meets the target in the given phase, or an error when none does.
 func (db *DB) CheapestFeasible(app workload.App, phaseIdx int, target float64, m cost.Model) (vcore.Config, error) {
+	t := db.table(app)
 	for _, cfg := range m.CheapestFirst() {
-		if db.MinQuantumIPC(app, phaseIdx, cfg) >= target {
+		if t.at(cfg.Index()).MinQ[phaseIdx] >= target {
 			return cfg, nil
 		}
 	}
@@ -422,14 +534,15 @@ func (db *DB) CheapestFeasible(app workload.App, phaseIdx int, target float64, m
 // rate(c)·instrs/IPC(c), so the optimum minimises rate/IPC among
 // feasible configurations.
 func (db *DB) BestPerPhase(app workload.App, target float64, m cost.Model) ([]vcore.Config, []float64, error) {
+	t := db.table(app)
 	cfgs := make([]vcore.Config, len(app.Phases))
 	qos := make([]float64, len(app.Phases))
 	for pi := range app.Phases {
 		best := vcore.Config{}
 		bestEff := math.Inf(1)
 		bestIPC := 0.0
-		for _, cfg := range vcore.Space() {
-			ch := db.Characterize(app, cfg)
+		for i, cfg := range space {
+			ch := t.at(i)
 			if ch.MinQ[pi] < target {
 				continue
 			}
@@ -451,9 +564,10 @@ func (db *DB) BestPerPhase(app workload.App, target float64, m cost.Model) ([]vc
 // WorstCaseConfig returns the cheapest configuration that meets the
 // target in *every* phase — race-to-idle's a-priori knowledge (§II-B).
 func (db *DB) WorstCaseConfig(app workload.App, target float64, m cost.Model) (vcore.Config, error) {
+	t := db.table(app)
 	for _, cfg := range m.CheapestFirst() {
 		ok := true
-		ch := db.Characterize(app, cfg)
+		ch := t.at(cfg.Index())
 		for pi := range app.Phases {
 			if ch.MinQ[pi] < target {
 				ok = false
@@ -487,11 +601,12 @@ func (db *DB) OptimalCost(app workload.App, target float64, m cost.Model) (float
 // speedup for each configuration, relative to the minimal
 // configuration — the offline calibration the convex baseline gets.
 func (db *DB) AvgSpeedup(app workload.App) func(vcore.Config) float64 {
+	t := db.table(app)
 	total := float64(app.TotalInstrs())
-	baseIPC := db.PhaseIPC(app, vcore.Min())
-	avg := make(map[vcore.Config]float64, len(vcore.Space()))
-	for _, cfg := range vcore.Space() {
-		ipc := db.PhaseIPC(app, cfg)
+	baseIPC := t.at(vcore.Min().Index()).Avg
+	avg := make(map[vcore.Config]float64, len(space))
+	for i, cfg := range space {
+		ipc := t.at(i).Avg
 		s := 0.0
 		for pi, p := range app.Phases {
 			if baseIPC[pi] <= 0 {

@@ -3,6 +3,7 @@ package oracle
 import (
 	"testing"
 
+	"cash/internal/cost"
 	"cash/internal/isim"
 	"cash/internal/vcore"
 )
@@ -73,5 +74,60 @@ func TestTierCacheSeparation(t *testing.T) {
 	// entry.
 	if cycle.Avg[0] == fast.Avg[0] {
 		t.Error("cycle and interval tiers characterised bit-identically — cache served the wrong entry")
+	}
+}
+
+// TestQueriesReadOnlyTheirTier fills one DB with cycle-tier cells at IPC
+// 1 and interval-tier cells at IPC 2 for the same app, then queries at
+// each tier. A query reading even one cell of the other tier shows: the
+// QoS target, the race-to-idle configuration's feasibility or the
+// per-phase optimum's IPC would move. Nothing may be measured — every
+// cell a query needs is cached at its own tier.
+func TestQueriesReadOnlyTheirTier(t *testing.T) {
+	app := tinyApp()
+	m := cost.Default()
+	db := NewDB()
+	for _, c := range []struct {
+		tier isim.Tier
+		ipc  float64
+	}{{isim.TierCycle, 1}, {isim.TierInterval, 2}} {
+		db.Tier = c.tier
+		for _, cfg := range vcore.Space() {
+			ch := Char{Avg: make([]float64, len(app.Phases)), MinQ: make([]float64, len(app.Phases))}
+			for pi := range app.Phases {
+				ch.Avg[pi], ch.MinQ[pi] = c.ipc, c.ipc
+			}
+			db.cache[db.key(app, cfg)] = ch
+		}
+	}
+
+	for _, c := range []struct {
+		tier isim.Tier
+		ipc  float64
+	}{{isim.TierCycle, 1}, {isim.TierInterval, 2}} {
+		db.Tier = c.tier
+		if got, want := db.QoSTarget(app), c.ipc*QoSTargetSlack; got != want {
+			t.Errorf("tier %v: QoSTarget = %v, want %v", c.tier, got, want)
+		}
+		// 1.5 splits the tiers: only the interval tier meets it.
+		wc, err := db.WorstCaseConfig(app, 1.5, m)
+		if c.tier == isim.TierCycle && err == nil {
+			t.Errorf("cycle tier: WorstCaseConfig met 1.5 with %v — it read an interval-tier cell", wc)
+		}
+		if c.tier == isim.TierInterval && (err != nil || wc != vcore.Min()) {
+			t.Errorf("interval tier: WorstCaseConfig = %v, %v; want %v", wc, err, vcore.Min())
+		}
+		_, qos, err := db.BestPerPhase(app, 0.5, m)
+		if err != nil {
+			t.Fatalf("tier %v: BestPerPhase: %v", c.tier, err)
+		}
+		for pi, q := range qos {
+			if q != c.ipc {
+				t.Errorf("tier %v: BestPerPhase phase %d IPC %v, want %v", c.tier, pi, q, c.ipc)
+			}
+		}
+	}
+	if db.measured != 0 {
+		t.Errorf("queries measured %d cells; every cell was cached at its own tier", db.measured)
 	}
 }

@@ -54,7 +54,7 @@ func (c Config) Validate() error {
 // Space returns the full 8×8 configuration grid in canonical order:
 // slices ascending, then L2 ascending.
 func Space() []Config {
-	var out []Config
+	out := make([]Config, 0, (MaxSlices-MinSlices+1)*numL2Steps)
 	for s := MinSlices; s <= MaxSlices; s++ {
 		for l2 := MinL2KB; l2 <= MaxL2KB; l2 *= 2 {
 			out = append(out, Config{Slices: s, L2KB: l2})
@@ -62,6 +62,9 @@ func Space() []Config {
 	}
 	return out
 }
+
+// numL2Steps is len(L2Steps()).
+var numL2Steps = len(L2Steps())
 
 // L2Steps returns the valid L2 sizes in ascending order.
 func L2Steps() []int {
@@ -81,7 +84,7 @@ func (c Config) Index() int {
 	for l2 := MinL2KB; l2 < c.L2KB; l2 *= 2 {
 		l2Idx++
 	}
-	return (c.Slices-1)*len(L2Steps()) + l2Idx
+	return (c.Slices-1)*numL2Steps + l2Idx
 }
 
 // Min returns the smallest configuration (1 Slice, 64KB) — the paper's
