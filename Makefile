@@ -64,7 +64,7 @@ daemon-smoke:
 
 # calib runs the fast-tier calibration gate the way CI does: record the
 # golden cycle-level characterisation of the calibration corpus, then
-# replay both fast tiers (interval + sampled) over all 64 configurations
+# replay the fast tier (interval) over all 64 configurations
 # and assert every (app, config, phase) cell within the 2% IPC
 # tolerance. The per-cell delta table lands in calib-report.txt on
 # failure — that file is the artifact CI uploads. CALIB_GOLDEN persists

@@ -246,40 +246,29 @@ func BenchmarkOracleQueries(b *testing.B) {
 	}
 }
 
-// fastTierSweep is the shared body of the fast-tier sweep benchmarks:
+// BenchmarkIntervalSweep measures interval-tier oracle sweep
+// throughput (the calibration-gated analytic model; isim.TierInterval):
 // a cold-cache oracle characterisation of the calibration-corpus fit
-// app — full-scale 2M-instruction phases, the sweep shape the fast
-// tiers exist for — over the full 64-configuration space, serial sweep.
+// app — full-scale 2M-instruction phases, the sweep shape the fast tier
+// exists for — over the full 64-configuration space, serial sweep.
 // Minstr/s is instructions characterised per wall second (app
 // instructions × 64 configs over elapsed time), directly comparable to
 // the cycle-level BenchmarkAblation_SimThroughput headline; the target
 // is ≥10x it. The suite apps at bench scale would be useless here:
-// their phases are shorter than the tiers' pilot/probe geometry, so
-// every fast tier degrades to detailed execution by design.
-func fastTierSweep(b *testing.B, tier string) {
+// their phases are shorter than the tier's pilot/probe geometry, so
+// the interval tier degrades to detailed execution by design.
+func BenchmarkIntervalSweep(b *testing.B) {
 	app := calib.Corpus()[0] // calib-fit: 3 phases × 2M instructions
-	parsed, err := isim.ParseTier(tier)
-	if err != nil {
-		b.Fatal(err)
-	}
 	covered := app.TotalInstrs() * int64(len(vcore.Space()))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		db := oracle.NewDB()
-		db.Tier = parsed
+		db.Tier = isim.TierInterval
 		db.Pool = par.Serial()
 		db.CharacterizeApp(app)
 	}
 	b.ReportMetric(float64(covered)*float64(b.N)/b.Elapsed().Seconds()/1e6, "Minstr/s")
 }
-
-// BenchmarkIntervalSweep measures interval-tier oracle sweep throughput
-// (the calibration-gated analytic model; isim.TierInterval).
-func BenchmarkIntervalSweep(b *testing.B) { fastTierSweep(b, "interval") }
-
-// BenchmarkSampledSweep measures sampled-tier oracle sweep throughput
-// (detailed windows + functional fast-forward; isim.TierSampled).
-func BenchmarkSampledSweep(b *testing.B) { fastTierSweep(b, "sampled") }
 
 // BenchmarkAblation_Steering compares the dependence-aware steering
 // policy against blind round-robin on a high-ILP phase.

@@ -371,34 +371,23 @@ type ReproduceOptions struct {
 
 	// Tier selects the simulation fidelity of oracle characterisation
 	// sweeps: "cycle" (the default — the authoritative tier every paper
-	// figure is produced on), "interval" or "sampled". Fast tiers trade
+	// figure is produced on) or "interval". The interval tier trades
 	// the calibration-gated IPC tolerance for an order of magnitude of
 	// sweep throughput; the on-disk characterisation cache keys encode
 	// the tier, so runs at different tiers never poison each other.
 	Tier string
-	// SampleWindow and SampleStride are the sampled tier's detailed
-	// window length and window-start spacing in instructions (0 = the
-	// isim defaults). Ignored by the other tiers.
-	SampleWindow, SampleStride int64
 }
 
 // DefaultJournalPath returns the conventional location of the result
 // journal ($CASH_JOURNAL, else the user cache directory).
 func DefaultJournalPath() string { return supervise.DefaultJournalPath() }
 
-// ValidateTier checks a -tier flag value ("cycle", "interval",
-// "sampled") without building anything.
+// ValidateTier checks a -tier flag value ("cycle" or "interval")
+// without building anything.
 func ValidateTier(s string) error {
 	_, err := isim.ParseTier(s)
 	return err
 }
-
-// Default sampled-tier geometry (instructions), re-exported for flag
-// defaults.
-const (
-	DefaultSampleWindow = isim.DefaultSampleWindow
-	DefaultSampleStride = isim.DefaultSampleStride
-)
 
 // RecordCalibGolden runs the golden cycle-level characterisation of the
 // calibration corpus over the full configuration space and writes it to
@@ -408,7 +397,7 @@ func RecordCalibGolden(path string, sweepPar int) error {
 	return calib.RecordGolden(calibPool(sweepPar)).Save(path)
 }
 
-// RunCalibGate replays the calibration corpus on every fast tier
+// RunCalibGate replays the calibration corpus on the interval tier
 // against the goldens recorded at goldenPath and enforces the
 // CalibTolerance contract, writing a summary (and, on failure, the full
 // per-cell delta table) to w. It returns the gate error when any
@@ -459,8 +448,6 @@ func ReproduceWith(w io.Writer, artifact string, o ReproduceOptions) error {
 			return fmt.Errorf("cash: %w", err)
 		}
 		h.DB.Tier = tier
-		h.DB.SampleWindow = o.SampleWindow
-		h.DB.SampleStride = o.SampleStride
 	}
 	if o.Scale > 0 {
 		h.Scale = o.Scale

@@ -78,7 +78,7 @@ type fastTier struct {
 
 // fastTierBenchmarks are the sweep benchmarks summarised into the
 // fast_tiers section when present.
-var fastTierBenchmarks = []string{"BenchmarkIntervalSweep", "BenchmarkSampledSweep"}
+var fastTierBenchmarks = []string{"BenchmarkIntervalSweep"}
 
 // report is the BENCH.json document.
 type report struct {

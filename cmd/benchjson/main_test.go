@@ -62,7 +62,6 @@ func TestBuildHeadlineBestOf(t *testing.T) {
 
 const fastTierSample = sample + `BenchmarkIntervalSweep-8   	       2	5100000000 ns/op	        84.000 Minstr/s
 BenchmarkIntervalSweep-8   	       2	5000000000 ns/op	        86.100 Minstr/s
-BenchmarkSampledSweep-8    	       1	15000000000 ns/op	        25.200 Minstr/s
 `
 
 // The fast-tier sweep benchmarks fold into the fast_tiers section:
@@ -73,8 +72,8 @@ func TestBuildFastTiers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.FastTiers) != 2 {
-		t.Fatalf("got %d fast_tiers entries, want 2: %+v", len(rep.FastTiers), rep.FastTiers)
+	if len(rep.FastTiers) != 1 {
+		t.Fatalf("got %d fast_tiers entries, want 1: %+v", len(rep.FastTiers), rep.FastTiers)
 	}
 	iv := rep.FastTiers[0]
 	if iv.Benchmark != "BenchmarkIntervalSweep" || iv.MinstrPerS != 86.1 {
@@ -83,9 +82,6 @@ func TestBuildFastTiers(t *testing.T) {
 	// 86.1 / 8.4 (the headline's best-of) = 10.25.
 	if iv.SpeedupVsCycle != 10.25 {
 		t.Fatalf("interval speedup = %v, want 10.25", iv.SpeedupVsCycle)
-	}
-	if sm := rep.FastTiers[1]; sm.Benchmark != "BenchmarkSampledSweep" || sm.MinstrPerS != 25.2 {
-		t.Fatalf("sampled entry = %+v, want 25.2", sm)
 	}
 }
 

@@ -5,7 +5,7 @@
 //
 //	cashsim [-scale f] [-out file] [-fault-rate r] [-fault-seed n]
 //	        [-jobs n] [-sweep-par n] [-cell-timeout d] [-max-retries n]
-//	        [-tier cycle|interval|sampled] [-sample-window n] [-sample-stride n]
+//	        [-tier cycle|interval]
 //	        [-journal file] [-resume] [-v]
 //	        [-stream s] [-queue-cap n] [-shed p] [-tail-target n]
 //	        [-chips n] [-tenants n] [-kill n]
@@ -13,16 +13,15 @@
 //
 // -tier selects the simulation fidelity of the oracle characterisation
 // sweeps: cycle (the default — the authoritative tier every paper
-// figure is produced on), interval (analytic per-phase model) or
-// sampled (detailed windows + functional fast-forward; -sample-window
-// and -sample-stride set its geometry in instructions). Fast tiers are
-// held to the |IPC_fast − IPC_cycle| < 2% calibration contract
-// (internal/isim/calib); the on-disk characterisation cache keys encode
-// the tier, so runs at different tiers never poison each other.
+// figure is produced on) or interval (analytic per-phase model). The
+// interval tier is held to the |IPC_fast − IPC_cycle| < 2% calibration
+// contract (internal/isim/calib); the on-disk characterisation cache
+// keys encode the tier, so runs at different tiers never poison each
+// other.
 //
 // -calib-record runs the golden cycle-level characterisation of the
-// calibration corpus and writes it to a file; -calib replays the fast
-// tiers against a recorded golden file and enforces the 2% gate,
+// calibration corpus and writes it to a file; -calib replays the
+// interval tier against a recorded golden file and enforces the 2% gate,
 // printing the per-cell delta table on failure. Both run instead of an
 // artifact; giving both in one invocation records then gates.
 //
@@ -142,15 +141,13 @@ func main() {
 	drainTimeout := flag.Duration("drain-timeout", 10*time.Second, "daemon subcommands and soak: wait budget (must be positive)")
 	daemonSeeds := flag.Int("daemon-seeds", 2, "chaos: daemon soak seeds (0 skips the daemon soak)")
 	daemonKills := flag.Int("daemon-kills", 2, "chaos: daemon kill -9 + restart cycles per seed")
-	tier := flag.String("tier", "cycle", "oracle sweep simulation tier: cycle, interval or sampled (figures stay authoritative on cycle)")
-	sampleWindow := flag.Int64("sample-window", cash.DefaultSampleWindow, "sampled tier: detailed window length in instructions (must be positive and <= -sample-stride)")
-	sampleStride := flag.Int64("sample-stride", cash.DefaultSampleStride, "sampled tier: window-start spacing in instructions (must be positive)")
+	tier := flag.String("tier", "cycle", "oracle sweep simulation tier: cycle or interval (figures stay authoritative on cycle)")
 	calibGate := flag.String("calib", "", "run the fast-tier calibration gate against golden runs recorded at this path (instead of an artifact)")
 	calibRecord := flag.String("calib-record", "", "record the golden cycle-level calibration runs to this path (instead of an artifact)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to a file (go tool pprof)")
 	memProfile := flag.String("memprofile", "", "write a heap profile at exit to a file (go tool pprof)")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: cashsim [-scale f] [-out file] [-fault-rate r] [-fault-seed n] [-jobs n] [-sweep-par n] [-tier cycle|interval|sampled] [-sample-window n] [-sample-stride n] [-cell-timeout d] [-max-retries n] [-journal file] [-resume] [-v] [-cpuprofile file] [-memprofile file] <artifact>\n")
+		fmt.Fprintf(os.Stderr, "usage: cashsim [-scale f] [-out file] [-fault-rate r] [-fault-seed n] [-jobs n] [-sweep-par n] [-tier cycle|interval] [-cell-timeout d] [-max-retries n] [-journal file] [-resume] [-v] [-cpuprofile file] [-memprofile file] <artifact>\n")
 		fmt.Fprintf(os.Stderr, "       cashsim -chaos [-chaos-seeds n] [-chaos-quanta n] [-chaos-guard=false] [-daemon-seeds n] [-daemon-kills n] [-out file]\n")
 		fmt.Fprintf(os.Stderr, "       cashsim -calib-record golden.gob | -calib golden.gob [-sweep-par n] [-out file]\n")
 		fmt.Fprintf(os.Stderr, "       cashsim [-socket path] [-idem key] [-tenant name] [-cells n] [-drain-timeout d] <daemon-command>\n\n")
@@ -176,8 +173,7 @@ func main() {
 		socket: *socket, drainTimeout: *drainTimeout,
 		daemonCmd:   !*chaosMode && flag.NArg() == 1 && isDaemonArtifact(flag.Arg(0)),
 		daemonSeeds: *daemonSeeds, daemonKills: *daemonKills,
-		tier: *tier, sampleWindow: *sampleWindow, sampleStride: *sampleStride,
-		calibGate: *calibGate, calibRecord: *calibRecord,
+		tier: *tier, calibGate: *calibGate, calibRecord: *calibRecord,
 	}); err != nil {
 		fmt.Fprintf(os.Stderr, "cashsim: %v\nrun 'cashsim -h' for usage\n", err)
 		os.Exit(2)
@@ -304,7 +300,7 @@ func main() {
 		JournalPath: *journal, Resume: *resume, Log: log,
 		Stream: *stream, QueueCap: *queueCap, Shed: *shed, TailTarget: *tailTarget,
 		FleetChips: *chips, FleetTenants: *tenants, FleetKill: *kill,
-		Tier: *tier, SampleWindow: *sampleWindow, SampleStride: *sampleStride,
+		Tier: *tier,
 	}
 	if err := cash.ReproduceWith(w, flag.Arg(0), opts); err != nil {
 		fail(err)
@@ -332,11 +328,9 @@ type flagValues struct {
 	daemonSeeds  int
 	daemonKills  int
 
-	tier         string
-	sampleWindow int64
-	sampleStride int64
-	calibGate    string
-	calibRecord  string
+	tier        string
+	calibGate   string
+	calibRecord string
 }
 
 // validateFlags rejects flag combinations that would otherwise fail
@@ -380,16 +374,6 @@ func validateFlags(v flagValues) error {
 	if v.tier != "" {
 		if err := cash.ValidateTier(v.tier); err != nil {
 			return err
-		}
-	}
-	if v.tier == "sampled" {
-		// The sampled tier is the only reader of the window geometry; a
-		// bad value elsewhere must not block a run that never uses it.
-		if v.sampleWindow <= 0 || v.sampleStride <= 0 {
-			return fmt.Errorf("-sample-window/-sample-stride must be positive instruction counts, got %d/%d", v.sampleWindow, v.sampleStride)
-		}
-		if v.sampleWindow > v.sampleStride {
-			return fmt.Errorf("-sample-window %d exceeds -sample-stride %d: windows would overlap; the stride is the spacing between window starts", v.sampleWindow, v.sampleStride)
 		}
 	}
 	if v.calibGate != "" && v.calibRecord == "" {

@@ -18,8 +18,6 @@ func TestValidateFlagsAccepts(t *testing.T) {
 		{queueCap: 128, stream: "bursts", shed: "deadline"},
 		{tier: "cycle"},
 		{tier: "interval"},
-		{tier: "sampled", sampleWindow: 50_000, sampleStride: 1_000_000},
-		{tier: "sampled", sampleWindow: 1_000_000, sampleStride: 1_000_000}, // window == stride: back-to-back windows
 		{calibGate: goldenPath}, // goldens present
 		{calibGate: "/no/such/golden.gob", calibRecord: "/no/such/golden.gob"}, // record-then-gate creates them
 		{calibRecord: filepath.Join(t.TempDir(), "new.gob")},
@@ -61,12 +59,8 @@ func TestValidateFlagsRejects(t *testing.T) {
 		{flagValues{daemonKills: -2, drainTimeout: time.Second}, "-daemon-kills"},
 		{flagValues{chaos: true, chaosSeeds: 1, daemonSeeds: 1, kill: 2, drainTimeout: time.Second}, "-daemon-kills"},
 		{flagValues{tier: "fast"}, "tier"},
-		{flagValues{tier: "Cycle"}, "tier"}, // names are case-sensitive
-		{flagValues{tier: "sampled"}, "-sample-window"},
-		{flagValues{tier: "sampled", sampleWindow: -1, sampleStride: 1_000_000}, "-sample-window"},
-		{flagValues{tier: "sampled", sampleWindow: 50_000, sampleStride: 0}, "-sample-window"},
-		{flagValues{tier: "sampled", sampleWindow: 50_000, sampleStride: -7}, "-sample-window"},
-		{flagValues{tier: "sampled", sampleWindow: 2_000_000, sampleStride: 1_000_000}, "-sample-window 2000000 exceeds"},
+		{flagValues{tier: "Cycle"}, "tier"},                     // names are case-sensitive
+		{flagValues{tier: "sampled"}, "want cycle or interval"}, // the removed tier names the valid ones
 		{flagValues{calibGate: "/no/such/golden.gob"}, "record them first"},
 	}
 	for _, c := range cases {
@@ -77,16 +71,6 @@ func TestValidateFlagsRejects(t *testing.T) {
 		}
 		if !strings.Contains(err.Error(), c.want) {
 			t.Errorf("validateFlags(%+v) = %q, want mention of %q", c.v, err, c.want)
-		}
-	}
-}
-
-func TestValidateFlagsSamplingRulesIgnoredOutsideSampledTier(t *testing.T) {
-	// Only the sampled tier reads the window geometry; a bad value must
-	// not block a cycle- or interval-tier run that never uses it.
-	for _, tier := range []string{"", "cycle", "interval"} {
-		if err := validateFlags(flagValues{tier: tier, sampleWindow: -1}); err != nil {
-			t.Errorf("sample-window validated at tier %q: %v", tier, err)
 		}
 	}
 }

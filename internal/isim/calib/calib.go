@@ -1,21 +1,21 @@
 // Package calib is the fast-tier calibration contract: it replays a
 // golden cycle-level characterisation of a fixed corpus and asserts
-// that each fast tier reproduces every per-(app, config, phase) IPC
+// that the interval tier reproduces every per-(app, config, phase) IPC
 // within isim.CalibTolerance.
 //
 // The corpus is purpose-built, not sampled from the benchmark suite.
 // The gate must hold on all 64 configurations, and the 64 L2 points
 // span 64KB–8MB; any workload whose working set lands near one of
 // those capacities has a genuinely non-stationary golden reference
-// there (periodic thrash, drifting residency), which no sparse-sampling
-// tier can reproduce to 2% — and nearly every suite app lands near
+// there (periodic thrash, drifting residency), which no analytic tier
+// can reproduce to 2% — and nearly every suite app lands near
 // capacity somewhere (hmmer at 256KB, mcf at 8MB, x264 at 2MB, ...).
 // The calibration workloads instead pin the two stationary extremes —
 // a footprint that fits every L2 and a stream that overflows every L2 —
-// while still exercising every fast-tier mechanism: phase transitions
-// with cold-start pricing, prefill, shared-region re-entry, mid/hot
-// working-set layers, ILP and branch variation across the Slices axis,
-// and bandwidth-bound streaming. Accuracy on the real suite is
+// while still exercising every interval-tier mechanism: phase
+// transitions with cold-start pricing, prefill, shared-region re-entry,
+// mid/hot working-set layers, ILP and branch variation across the
+// Slices axis, and bandwidth-bound streaming. Accuracy on the real suite is
 // characterised (not gated) in EXPERIMENTS.md.
 package calib
 
@@ -104,22 +104,21 @@ func Corpus() []workload.App {
 // every `make check`.
 const CorpusScale = 0.5
 
-// Cell is one (app, config, phase) comparison between a fast tier and
-// the golden cycle-level reference.
+// Cell is one (app, config, phase) comparison between the interval
+// tier and the golden cycle-level reference.
 type Cell struct {
 	App    string
 	Config vcore.Config
-	Phase  int // 0-based phase index
-	Tier   isim.Tier
+	Phase  int     // 0-based phase index
 	Golden float64 // cycle-level IPC
-	Fast   float64 // fast-tier IPC
+	Fast   float64 // interval-tier IPC
 }
 
 // RelErr is (fast − golden)/golden.
 func (c Cell) RelErr() float64 { return (c.Fast - c.Golden) / c.Golden }
 
-// Report holds a full calibration replay: every corpus cell for every
-// fast tier against the golden reference.
+// Report holds a full calibration replay: every corpus cell at the
+// interval tier against the golden reference.
 type Report struct {
 	Cells []Cell
 }
@@ -153,7 +152,7 @@ func characterise(apps []workload.App, tier isim.Tier, pool *par.Pool) map[strin
 }
 
 // Golden holds the cycle-level reference IPCs for the corpus: the runs
-// the fast tiers are replayed against. It can be recorded once and
+// the interval tier is replayed against. It can be recorded once and
 // persisted (Save/LoadGolden), so repeated gate runs skip the expensive
 // cycle-level sweep.
 type Golden struct {
@@ -203,23 +202,21 @@ func LoadGolden(path string) (*Golden, error) {
 	return &g, nil
 }
 
-// Compare characterises the corpus on every fast tier and returns the
-// per-cell comparison against the goldens.
+// Compare characterises the corpus at the interval tier and returns the
+// per-cell comparison against the goldens, in vcore.Space() order per
+// app.
 func (g *Golden) Compare(pool *par.Pool) *Report {
 	apps := scaledCorpus()
-	space := vcore.Space()
+	fast := characterise(apps, isim.TierInterval, pool)
 	rep := &Report{}
-	for _, tier := range []isim.Tier{isim.TierInterval, isim.TierSampled} {
-		fast := characterise(apps, tier, pool)
-		for _, a := range apps {
-			for _, c := range space {
-				gp, f := g.IPC[a.Name][c], fast[a.Name][c]
-				for pi := range gp {
-					rep.Cells = append(rep.Cells, Cell{
-						App: a.Name, Config: c, Phase: pi, Tier: tier,
-						Golden: gp[pi], Fast: f[pi],
-					})
-				}
+	for _, a := range apps {
+		for _, c := range vcore.Space() {
+			gp, f := g.IPC[a.Name][c], fast[a.Name][c]
+			for pi := range gp {
+				rep.Cells = append(rep.Cells, Cell{
+					App: a.Name, Config: c, Phase: pi,
+					Golden: gp[pi], Fast: f[pi],
+				})
 			}
 		}
 	}
@@ -227,10 +224,9 @@ func (g *Golden) Compare(pool *par.Pool) *Report {
 }
 
 // Run replays the calibration corpus at CorpusScale: a golden
-// cycle-level characterisation over all of vcore.Space(), then one
-// characterisation per fast tier, returning the per-cell comparison.
-// Tiers run with default geometry; pool bounds oracle worker
-// parallelism (nil selects the shared pool).
+// cycle-level characterisation over all of vcore.Space(), then an
+// interval-tier characterisation, returning the per-cell comparison.
+// pool bounds oracle worker parallelism (nil selects the shared pool).
 func Run(pool *par.Pool) *Report {
 	return RecordGolden(pool).Compare(pool)
 }
@@ -265,57 +261,25 @@ func (r *Report) Gate(tol float64) error {
 		return nil
 	}
 	w := v[0]
-	return fmt.Errorf("calib: %d/%d cells exceed %.1f%%: worst %s %s p%d %s %+.2f%% (golden %.4f fast %.4f)",
-		len(v), len(r.Cells), 100*tol, w.App, w.Config, w.Phase+1, w.Tier, 100*w.RelErr(), w.Golden, w.Fast)
+	return fmt.Errorf("calib: %d/%d cells exceed %.1f%%: worst %s %s p%d %+.2f%% (golden %.4f interval %.4f)",
+		len(v), len(r.Cells), 100*tol, w.App, w.Config, w.Phase+1, 100*w.RelErr(), w.Golden, w.Fast)
 }
 
 // Table renders the per-cell delta report: one line per (app, config,
-// phase) with both tiers' relative errors, violations flagged. This is
-// the artifact CI uploads when the gate fails.
+// phase) in report order, with the interval tier's relative error,
+// violations flagged. This is the artifact CI uploads when the gate
+// fails.
 func (r *Report) Table(tol float64) string {
-	type key struct {
-		app   string
-		cfg   vcore.Config
-		phase int
-	}
-	rows := map[key]map[isim.Tier]Cell{}
-	var order []key
-	for _, c := range r.Cells {
-		k := key{c.App, c.Config, c.Phase}
-		if rows[k] == nil {
-			rows[k] = map[isim.Tier]Cell{}
-			order = append(order, k)
-		}
-		rows[k][c.Tier] = c
-	}
-	sort.Slice(order, func(i, j int) bool {
-		a, b := order[i], order[j]
-		if a.app != b.app {
-			return a.app < b.app
-		}
-		if a.cfg.Slices != b.cfg.Slices {
-			return a.cfg.Slices < b.cfg.Slices
-		}
-		if a.cfg.L2KB != b.cfg.L2KB {
-			return a.cfg.L2KB < b.cfg.L2KB
-		}
-		return a.phase < b.phase
-	})
 	var b strings.Builder
-	fmt.Fprintf(&b, "%-14s %-10s %-6s %10s %10s %8s %10s %8s\n",
-		"app", "config", "phase", "golden", "interval", "d%", "sampled", "d%")
-	for _, k := range order {
-		iv, sm := rows[k][isim.TierInterval], rows[k][isim.TierSampled]
-		flag := func(c Cell) string {
-			if e := c.RelErr(); e > tol || e < -tol {
-				return "*"
-			}
-			return " "
+	fmt.Fprintf(&b, "%-14s %-10s %-6s %10s %10s %8s\n",
+		"app", "config", "phase", "golden", "interval", "d%")
+	for _, c := range r.Cells {
+		flag := " "
+		if e := c.RelErr(); e > tol || e < -tol {
+			flag = "*"
 		}
-		fmt.Fprintf(&b, "%-14s %-10s p%-5d %10.4f %10.4f %+7.2f%s %10.4f %+7.2f%s\n",
-			k.app, iv.Config, k.phase+1, iv.Golden,
-			iv.Fast, 100*iv.RelErr(), flag(iv),
-			sm.Fast, 100*sm.RelErr(), flag(sm))
+		fmt.Fprintf(&b, "%-14s %-10s p%-5d %10.4f %10.4f %+7.2f%s\n",
+			c.App, c.Config, c.Phase+1, c.Golden, c.Fast, 100*c.RelErr(), flag)
 	}
 	return b.String()
 }

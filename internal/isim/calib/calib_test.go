@@ -10,7 +10,7 @@ import (
 	"cash/internal/vcore"
 )
 
-// TestCalibrationGate is the calibration contract: every fast tier
+// TestCalibrationGate is the calibration contract: the interval tier
 // reproduces the golden cycle-level per-phase IPC within
 // isim.CalibTolerance on every (app, config, phase) cell — all 64
 // configurations, both corpus apps. On failure the full per-cell delta
@@ -20,12 +20,12 @@ func TestCalibrationGate(t *testing.T) {
 		t.Skip("calibration gate replays golden cycle-level runs; skipped in -short")
 	}
 	if raceEnabled {
-		t.Skip("640-cell gate exceeds the race-mode test budget; the accuracy " +
+		t.Skip("320-cell gate exceeds the race-mode test budget; the accuracy " +
 			"contract is enforced non-race by `go test ./...`, `make calib` and CI's calib-smoke job")
 	}
 	rep := Run(nil)
-	if want := 2 * len(vcore.Space()) * 5; len(rep.Cells) != want {
-		// 2 tiers × 64 configs × (3 fit phases + 2 stream phases).
+	if want := len(vcore.Space()) * 5; len(rep.Cells) != want {
+		// 64 configs × (3 fit phases + 2 stream phases).
 		t.Fatalf("report has %d cells, want %d — corpus or space changed without updating the gate", len(rep.Cells), want)
 	}
 	if err := rep.Gate(isim.CalibTolerance); err != nil {
@@ -76,9 +76,9 @@ func TestGoldenRoundTrip(t *testing.T) {
 }
 
 // TestFastTierDeterminism is the fast-tier half of the byte-identity
-// contract (DESIGN.md §3e): a fast-tier characterisation sweep must
+// contract (DESIGN.md §3e): an interval-tier characterisation sweep must
 // produce bit-identical IPCs regardless of oracle worker parallelism.
-// The fast tiers wrap the pooled detailed simulator, so any hidden
+// The interval tier wraps the pooled detailed simulator, so any hidden
 // shared state or iteration-order dependence would surface here.
 func TestFastTierDeterminism(t *testing.T) {
 	if testing.Short() {
@@ -94,21 +94,19 @@ func TestFastTierDeterminism(t *testing.T) {
 			apps = append(apps, a.Scale(CorpusScale/10))
 		}
 	}
-	for _, tier := range []isim.Tier{isim.TierInterval, isim.TierSampled} {
-		serial := characterise(apps, tier, par.Serial())
-		wide := characterise(apps, tier, par.New(4))
-		for app, byCfg := range serial {
-			for cfg, want := range byCfg {
-				have := wide[app][cfg]
-				if len(have) != len(want) {
-					t.Fatalf("%s %s %s: phase count differs across worker counts: %d vs %d",
-						tier, app, cfg, len(want), len(have))
-				}
-				for pi := range want {
-					if math.Float64bits(have[pi]) != math.Float64bits(want[pi]) {
-						t.Errorf("%s %s %s p%d: IPC differs across worker counts: %v (serial) vs %v (4 workers)",
-							tier, app, cfg, pi+1, want[pi], have[pi])
-					}
+	serial := characterise(apps, isim.TierInterval, par.Serial())
+	wide := characterise(apps, isim.TierInterval, par.New(4))
+	for app, byCfg := range serial {
+		for cfg, want := range byCfg {
+			have := wide[app][cfg]
+			if len(have) != len(want) {
+				t.Fatalf("%s %s: phase count differs across worker counts: %d vs %d",
+					app, cfg, len(want), len(have))
+			}
+			for pi := range want {
+				if math.Float64bits(have[pi]) != math.Float64bits(want[pi]) {
+					t.Errorf("%s %s p%d: IPC differs across worker counts: %v (serial) vs %v (4 workers)",
+						app, cfg, pi+1, want[pi], have[pi])
 				}
 			}
 		}

@@ -1,26 +1,21 @@
-// Package isim is the fast simulation tier: drop-in replacements for
-// the cycle-level simulator's RunBudget that trade per-instruction
+// Package isim is the fast simulation tier: a drop-in replacement for
+// the cycle-level simulator's RunBudget that trades per-instruction
 // timing fidelity for one to two orders of magnitude of throughput.
 //
-// Two modes are provided. Interval simulation (TierInterval) measures a
-// short detailed pilot and a functional cache/branch probe at each
-// phase entry, builds an analytic CPI model — the measured base rate
-// corrected by per-miss-event penalties, floored at the Table I
-// structural dispatch limit — and charges the rest of the phase against
-// it without executing instructions. Systematic sampling (TierSampled)
-// keeps executing the stream, but only pays detailed timing inside
-// periodic measurement windows; the spans between windows are
-// fast-forwarded with the stream position intact and charged at the
-// running mean of the measured window CPIs, with a short functional
-// re-warm ahead of each window to keep cache recency honest.
+// Interval simulation (TierInterval) measures a short detailed pilot
+// and a functional cache/branch probe at each phase entry, builds an
+// analytic CPI model — the measured base rate corrected by
+// per-miss-event penalties, floored at the Table I structural dispatch
+// limit — and charges the rest of the phase against it without
+// executing instructions.
 //
-// Both modes satisfy the Sim interface the oracle consumes, so
+// It satisfies the Sim interface the oracle consumes, so
 // oracle.Characterize can select a tier per call. Accuracy against the
 // cycle-level tier is a tested contract, not an aspiration: the
 // calibration harness (isim/calib) replays golden cycle-level runs and
 // gates |IPC_fast − IPC_cycle|/IPC_cycle < CalibTolerance per
 // (app, config) cell. Paper figures stay on the cycle-level tier; the
-// fast tiers exist to make bulk characterisation sweeps affordable
+// fast tier exists to make bulk characterisation sweeps affordable
 // (ROADMAP items 1, 2, 4).
 package isim
 
@@ -40,8 +35,6 @@ const (
 	TierCycle Tier = iota
 	// TierInterval is the analytic interval model.
 	TierInterval
-	// TierSampled is systematic sampling with detailed windows.
-	TierSampled
 )
 
 // ParseTier maps a flag value to a Tier.
@@ -51,10 +44,8 @@ func ParseTier(s string) (Tier, error) {
 		return TierCycle, nil
 	case "interval":
 		return TierInterval, nil
-	case "sampled":
-		return TierSampled, nil
 	}
-	return 0, fmt.Errorf("unknown simulation tier %q (want cycle, interval or sampled)", s)
+	return 0, fmt.Errorf("unknown simulation tier %q (want cycle or interval)", s)
 }
 
 func (t Tier) String() string {
@@ -63,28 +54,26 @@ func (t Tier) String() string {
 		return "cycle"
 	case TierInterval:
 		return "interval"
-	case TierSampled:
-		return "sampled"
 	}
 	return fmt.Sprintf("tier(%d)", int(t))
 }
 
 // CalibTolerance is the calibration contract: the maximum relative IPC
-// error a fast tier may show against the cycle-level tier on any golden
+// error the fast tier may show against the cycle-level tier on any golden
 // (app, config) cell. The gate in isim/calib enforces it in make check
 // and CI.
 const CalibTolerance = 0.02
 
 // Sim is the simulator shape the oracle's measurement loop consumes;
-// *ssim.Sim, *Interval and *Sampled all satisfy it.
+// *ssim.Sim and *Interval both satisfy it.
 type Sim interface {
 	RunBudget(src ssim.InstrSource, maxInstrs, maxCycles int64) (instrs, cycles int64)
 }
 
-// Source is the instruction stream contract the fast tiers need beyond
+// Source is the instruction stream contract the fast tier needs beyond
 // plain generation: skipping spans without drawing them, and exposing
 // the current phase so the per-phase models know when to rebuild.
-// workload.Gen and workload.PhaseGen both satisfy it. A fast tier fed a
+// workload.Gen and workload.PhaseGen both satisfy it. The fast tier fed a
 // source without these capabilities degrades to pure detailed
 // execution.
 type Source interface {
@@ -102,33 +91,20 @@ type Source interface {
 	PhaseRemaining() int64
 }
 
-// Options carries the tunables a tier exposes to the command line.
-type Options struct {
-	// SampleWindow and SampleStride are the sampled tier's detailed
-	// window length and window-start spacing, in instructions.
-	// Zero values select the defaults.
-	SampleWindow, SampleStride int64
-}
-
 // New wraps the detailed simulator in the requested tier. TierCycle
 // returns the simulator itself: the cycle-level tier *is* the detailed
 // simulator, byte-for-byte.
-func New(t Tier, det *ssim.Sim, opt Options) Sim {
-	switch t {
-	case TierInterval:
+func New(t Tier, det *ssim.Sim) Sim {
+	if t == TierInterval {
 		return NewInterval(det)
-	case TierSampled:
-		return NewSampled(det, opt.SampleWindow, opt.SampleStride)
-	default:
-		return det
 	}
+	return det
 }
 
 // Interface conformance, pinned at compile time.
 var (
 	_ Sim    = (*ssim.Sim)(nil)
 	_ Sim    = (*Interval)(nil)
-	_ Sim    = (*Sampled)(nil)
 	_ Source = (*workload.Gen)(nil)
 	_ Source = (*workload.PhaseGen)(nil)
 )

@@ -8,7 +8,7 @@ import (
 	"cash/internal/workload"
 )
 
-// Cold-start accounting, shared by both fast tiers.
+// Cold-start accounting for the interval tier.
 //
 // An in-context cycle-level run pays a cache-warming transition at
 // every phase entry: each phase lives in its own 256MB address regions,

@@ -36,17 +36,24 @@ func TestAppKeyGolden(t *testing.T) {
 	}
 }
 
+// legacySampledTag is the tier suffix the removed sampled tier wrote at
+// its default geometry. Cache files already on disk may hold cells under
+// it; the golden keeps writing them so the pinned bytes still cover a
+// file with such entries.
+const legacySampledTag = "@tier=sampled/w50000/s1000000"
+
 // TestSaveCacheGolden pins the CRC32 of a SaveCache file over a fixed
-// entry set spanning two apps, several configurations and the cycle,
-// interval and sampled tiers.
+// entry set spanning two apps, several configurations, the cycle and
+// interval tiers and legacy sampled-tier rows, then loads the file into
+// a fresh DB and reads one cycle cell and one interval cell from it
+// without measuring: a file holding legacy sampled entries still loads.
 func TestSaveCacheGolden(t *testing.T) {
 	const want = 0x73eb078c
 	db := NewDB()
 	x264, _ := workload.ByName("x264")
 	apps := []workload.App{x264, tinyApp()}
 	v := 0.0
-	for _, tier := range []isim.Tier{isim.TierCycle, isim.TierInterval, isim.TierSampled} {
-		db.Tier = tier
+	for _, tier := range []string{"cycle", "interval", "sampled"} {
 		for _, app := range apps {
 			for i, cfg := range vcore.Space() {
 				if i%9 != 0 {
@@ -58,7 +65,18 @@ func TestSaveCacheGolden(t *testing.T) {
 					ch.Avg[pi] = v
 					ch.MinQ[pi] = v / 3
 				}
-				db.cache[db.key(app, cfg)] = ch
+				var k string
+				switch tier {
+				case "cycle":
+					db.Tier = isim.TierCycle
+					k = db.key(app, cfg)
+				case "interval":
+					db.Tier = isim.TierInterval
+					k = db.key(app, cfg)
+				default:
+					k = appKey(app) + "@" + cfg.String() + legacySampledTag
+				}
+				db.cache[k] = ch
 			}
 		}
 	}
@@ -72,5 +90,25 @@ func TestSaveCacheGolden(t *testing.T) {
 	}
 	if got := crc32.ChecksumIEEE(raw); got != want {
 		t.Errorf("SaveCache file CRC32 = %#08x over %d entries, want %#08x — the CASHORACLE3 bytes changed", got, db.Entries(), uint32(want))
+	}
+
+	loaded := NewDB()
+	if err := loaded.LoadCache(path); err != nil {
+		t.Fatalf("LoadCache of a file with legacy sampled entries: %v", err)
+	}
+	if loaded.Entries() != db.Entries() {
+		t.Errorf("loaded %d entries, saved %d", loaded.Entries(), db.Entries())
+	}
+	cfg := vcore.Space()[0]
+	for _, tier := range []isim.Tier{isim.TierCycle, isim.TierInterval} {
+		db.Tier, loaded.Tier = tier, tier
+		want := db.cache[db.key(x264, cfg)]
+		got := loaded.Characterize(x264, cfg)
+		if got.Avg[0] != want.Avg[0] || got.MinQ[0] != want.MinQ[0] {
+			t.Errorf("%v cell read back as %v/%v, saved %v/%v", tier, got.Avg[0], got.MinQ[0], want.Avg[0], want.MinQ[0])
+		}
+	}
+	if loaded.measured != 0 {
+		t.Errorf("reading cached cells measured %d; both must hit the loaded cache", loaded.measured)
 	}
 }

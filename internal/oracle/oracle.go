@@ -16,7 +16,6 @@ package oracle
 import (
 	"fmt"
 	"math"
-	"strconv"
 	"sync"
 
 	"cash/internal/cost"
@@ -53,15 +52,12 @@ type DB struct {
 
 	// Tier selects the simulation fidelity every measurement runs at.
 	// The zero value is isim.TierCycle — the authoritative cycle-level
-	// tier paper figures are produced on. Fast tiers trade the
+	// tier paper figures are produced on. The interval tier trades the
 	// calibration-gated IPC tolerance (isim.CalibTolerance) for an
-	// order of magnitude of sweep throughput; their MinQ is biased
+	// order of magnitude of sweep throughput; its MinQ is biased
 	// toward Avg because modelled spans have no window-to-window
 	// variance.
 	Tier isim.Tier
-	// SampleWindow/SampleStride configure the sampled tier's geometry
-	// in instructions (zero: isim defaults). Ignored by other tiers.
-	SampleWindow, SampleStride int64
 
 	// Pool bounds the worker budget of the parallel configuration sweep
 	// (CharacterizeApp). nil means the process-wide shared pool
@@ -201,24 +197,12 @@ func (db *DB) key(app workload.App, cfg vcore.Config) string {
 }
 
 // appendTier appends the tier tag of db's cells to dst: nothing for the
-// cycle tier, "@tier=interval", or "@tier=sampled/w<W>/s<S>" with zero
-// geometry resolved to the isim defaults.
+// cycle tier, "@tier=interval" for the interval tier. Files written
+// before the sampled tier was removed may also hold
+// "@tier=sampled/w<W>/s<S>" cells; they load but no DB reads them.
 func (db *DB) appendTier(dst []byte) []byte {
-	switch db.Tier {
-	case isim.TierInterval:
+	if db.Tier == isim.TierInterval {
 		dst = append(dst, "@tier=interval"...)
-	case isim.TierSampled:
-		w, s := db.SampleWindow, db.SampleStride
-		if w <= 0 {
-			w = isim.DefaultSampleWindow
-		}
-		if s <= 0 {
-			s = isim.DefaultSampleStride
-		}
-		dst = append(dst, "@tier=sampled/w"...)
-		dst = strconv.AppendInt(dst, w, 10)
-		dst = append(dst, "/s"...)
-		dst = strconv.AppendInt(dst, s, 10)
 	}
 	return dst
 }
@@ -386,17 +370,11 @@ func (db *DB) measureApp(app workload.App, cfg vcore.Config) Char {
 	gen := db.gens.Get().(*workload.Gen)
 	gen.ResetTo(app, db.Seed)
 	defer db.gens.Put(gen)
-	// Fast tiers wrap the pooled detailed simulator per measurement; the
-	// wrapper holds only the per-phase model state, so pooling semantics
-	// (and the tier-1 byte-identity contract for TierCycle) are
-	// untouched.
-	var runner isim.Sim = sim
-	if db.Tier != isim.TierCycle {
-		runner = isim.New(db.Tier, sim, isim.Options{
-			SampleWindow: db.SampleWindow,
-			SampleStride: db.SampleStride,
-		})
-	}
+	// The fast tier wraps the pooled detailed simulator per measurement;
+	// the wrapper holds only the per-phase model state, so pooling
+	// semantics (and the tier-1 byte-identity contract for TierCycle,
+	// which isim.New returns unwrapped) are untouched.
+	runner := isim.New(db.Tier, sim)
 	ch := Char{
 		Avg:  make([]float64, len(app.Phases)),
 		MinQ: make([]float64, len(app.Phases)),

@@ -13,24 +13,23 @@ import (
 // a cycle-level run produced identical keys for the same (app, config)
 // cell, so whichever ran first silently served its result to the other
 // — approximations into paper figures, or golden cycles into
-// calibration baselines. Every tier (and, for the sampled tier, every
-// window geometry) must key separately; the cycle tier keeps the bare
-// legacy key so existing CASHORACLE3 cache files stay valid.
+// calibration baselines. Every tier must key separately, and apart from
+// the legacy sampled-tier cells old cache files may still hold, so no
+// tier reads them; the cycle tier keeps the bare legacy key so existing
+// CASHORACLE3 cache files stay valid.
 func TestTierKeyCollisionRegression(t *testing.T) {
 	app := tinyApp()
 	cfg := vcore.Config{Slices: 2, L2KB: 128}
 
-	dbAt := func(tier isim.Tier, window, stride int64) *DB {
+	dbAt := func(tier isim.Tier) *DB {
 		db := NewDB()
 		db.Tier = tier
-		db.SampleWindow, db.SampleStride = window, stride
 		return db
 	}
 	keys := map[string]string{
-		"cycle":           dbAt(isim.TierCycle, 0, 0).key(app, cfg),
-		"interval":        dbAt(isim.TierInterval, 0, 0).key(app, cfg),
-		"sampled-default": dbAt(isim.TierSampled, 0, 0).key(app, cfg),
-		"sampled-wide":    dbAt(isim.TierSampled, 80_000, 2_000_000).key(app, cfg),
+		"cycle":          dbAt(isim.TierCycle).key(app, cfg),
+		"interval":       dbAt(isim.TierInterval).key(app, cfg),
+		"sampled-legacy": appKey(app) + "@" + cfg.String() + legacySampledTag,
 	}
 	seen := map[string]string{}
 	for name, k := range keys {
@@ -45,13 +44,6 @@ func TestTierKeyCollisionRegression(t *testing.T) {
 	// such.
 	if legacy := appKey(app) + "@" + cfg.String(); keys["cycle"] != legacy {
 		t.Errorf("cycle-tier key %q differs from the legacy key %q — existing cache files would be orphaned", keys["cycle"], legacy)
-	}
-
-	// Explicit default geometry and zero geometry must agree: both run
-	// the identical sampled simulation, so splitting their keys would
-	// duplicate measurements.
-	if a, b := dbAt(isim.TierSampled, 0, 0).key(app, cfg), dbAt(isim.TierSampled, isim.DefaultSampleWindow, isim.DefaultSampleStride).key(app, cfg); a != b {
-		t.Errorf("zero and explicit-default sampled geometry key differently: %q vs %q", a, b)
 	}
 }
 

@@ -16,9 +16,9 @@ import (
 // mode, so the tag arrays, LRU stamps and dirty bits evolve
 // bit-identically to a detailed run of the same stream while skipping
 // all per-instruction timing work. The equivalence is pinned by
-// TestFuncRunMatchesDetailedCacheState; it is what lets the sampled
-// fast tier keep caches warm across fast-forwarded spans and the
-// interval tier measure miss rates without paying for timing.
+// TestFuncRunMatchesDetailedCacheState; it is what lets the interval
+// tier measure miss rates, and burn in cache recency after a prefill,
+// without paying for timing.
 
 // FuncStats summarises one functional span: the instruction-class mix
 // and the cache/branch events the interval model's penalty terms

@@ -96,13 +96,13 @@ func (s *Sim) PrefillL1I(base, size uint64) (missed, missedL1I int) {
 //
 // Prefill alone still cannot reproduce a warmed cache's recency
 // interleaving; callers that need the first measured window to match a
-// long-warmed run (the sampled fast tier) follow WarmPhase with a short
-// FuncRun of the real stream. The combination is pinned against a long
-// detailed warm by TestWarmPhaseMatchesLongWarmedRun.
+// long-warmed run follow WarmPhase with a short FuncRun of the real
+// stream (the interval tier's recency burn). The combination is pinned
+// against a long detailed warm by TestWarmPhaseMatchesLongWarmedRun.
 //
 // The returned count is the number of L2 lines the prefill installed
 // that were not already resident — the phase's residency deficit at the
-// moment of the call, which is what the fast tiers' cold-start model
+// moment of the call, which is what the interval tier's cold-start model
 // charges for. (Measuring the deficit as the change in L2 ValidLines is
 // wrong for every phase but the first: once earlier phases have filled
 // the L2, prefill replaces stale lines and ValidLines never moves.)
@@ -113,7 +113,7 @@ func (s *Sim) WarmPhase(rg workload.Regions) (missed int) {
 
 // WarmStats breaks a WarmPhase prefill's installed-line count down by
 // region, so a consumer that knows the regions' re-reference behaviour
-// (the fast tiers' cold-start model) can weigh each region's compulsory
+// (the interval tier's cold-start model) can weigh each region's compulsory
 // misses separately. CodeI is the L1I-side deficit: instruction blocks
 // the prefill installed into the composed L1I that the fetch path had
 // not yet pulled in. It is tracked separately from the L2 counts

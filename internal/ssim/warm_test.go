@@ -30,7 +30,7 @@ func winProfile(s *Sim, src InstrSource, n int64) (ipc float64, i1, d1, l2m int6
 }
 
 // TestFuncRunMatchesDetailedCacheState pins the load-bearing equivalence
-// behind the fast tiers: executing a span functionally (FuncRun) leaves
+// behind the interval tier: executing a span functionally (FuncRun) leaves
 // the caches in the same state as executing it in the detailed timing
 // model, because ssim's cache probes happen in program order and are
 // independent of timing. Two simulators consume the same stream — one

@@ -142,7 +142,7 @@ func (g *Gen) CurrentRegions() Regions {
 }
 
 // PhaseRemaining returns how many instructions are left in the current
-// phase; the fast tiers use it to bound their cold-start charge to what
+// phase; the interval tier uses it to bound its cold-start charge to what
 // a cycle-level run could actually incur before the phase ends.
 func (g *Gen) PhaseRemaining() int64 {
 	if g.Done() {
