@@ -271,33 +271,6 @@ const (
 	cellKeyPrefix   = "cell "
 )
 
-// cellState is the core's ledger entry for one cell.
-type cellState struct {
-	duration int64
-	price    fleet.Nanos // nominal execution price, consumed on landing
-	grant    fleet.Nanos // outstanding reservation while running
-	// remaining and chip track execution (chip -1 = not placed).
-	remaining int64
-	chip      int
-	landed    bool
-	value     string
-}
-
-// tenantState is one admitted tenant.
-type tenantState struct {
-	spec   TenantSpec
-	work   fleet.SyntheticWork
-	env    *fleet.Envelope
-	cells  []cellState
-	landed int
-}
-
-// cellRef points into a tenant's cell slice.
-type cellRef struct {
-	t *tenantState
-	i int
-}
-
 // coreReq is one admitted request awaiting the core.
 type coreReq struct {
 	req Request
@@ -326,15 +299,13 @@ type Server struct {
 	drainOnce sync.Once
 
 	// Core-owned state: touched only by the core goroutine (after
-	// Start's synchronous rebuild).
-	root      *fleet.Envelope
-	tenants   []*tenantState
-	byName    map[string]*tenantState
+	// Start's synchronous rebuild). fleet executes the cells; tenants
+	// maps its tenant indices back to the submitted specs.
+	fleet     *fleet.Core
+	tenants   []TenantSpec
+	byName    map[string]int
 	submitted map[string]SubmitResult
-	chipUsed  []int
-	pending   []cellRef
 	watchers  map[*connState]uint64
-	tick      int64
 	draining  bool
 	err       error
 }
@@ -354,12 +325,17 @@ func Start(opts Options) (*Server, error) {
 		killCh:    make(chan struct{}),
 		doneCh:    make(chan struct{}),
 		conns:     make(map[*connState]struct{}),
-		byName:    make(map[string]*tenantState),
+		byName:    make(map[string]int),
 		submitted: make(map[string]SubmitResult),
-		chipUsed:  make([]int, opts.Chips),
 		watchers:  make(map[*connState]uint64),
-		root:      fleet.NewRootEnvelope("cashd", opts.Funds),
 	}
+	core, err := fleet.NewCore(fleet.Options{
+		Chips: opts.Chips, SlotsPerChip: opts.SlotsPerChip, Funds: opts.Funds, Model: opts.Model,
+	}, s.recordCell)
+	if err != nil {
+		return nil, err
+	}
+	s.fleet = core
 	if opts.WireFaults.Enabled() {
 		fw, err := fault.NewWireFaults(opts.WireFaults)
 		if err != nil {
@@ -461,26 +437,9 @@ func (s *Server) logf(format string, args ...any) {
 // from cell records, everything else pending re-execution.
 func (s *Server) rebuild() error {
 	finals := s.journal.Finals()
-	// Keys sort "cell ..." before "submit ...", so register tenants in
-	// a first pass.
-	for _, e := range finals {
-		if e.Status != supervise.StatusOK || !strings.HasPrefix(e.Key, submitKeyPrefix) {
-			continue
-		}
-		var rec submitRecord
-		if err := json.Unmarshal(e.Value, &rec); err != nil {
-			return fmt.Errorf("daemon: corrupt submit record %q: %w", e.Key, err)
-		}
-		ts, err := s.registerTenant(rec.Spec)
-		if err != nil {
-			return err
-		}
-		idem := strings.TrimPrefix(e.Key, submitKeyPrefix)
-		s.submitted[idem] = SubmitResult{
-			Name: ts.spec.Name, Cells: ts.spec.Cells,
-			EstimateNanos: tenantEstimate(ts), Resubmitted: true,
-		}
-	}
+	// Keys sort "cell ..." before "submit ...": gather each tenant's
+	// landed cells first, then admit the tenants with them.
+	done := make(map[string][]fleet.Landing)
 	for _, e := range finals {
 		if e.Status != supervise.StatusOK || !strings.HasPrefix(e.Key, cellKeyPrefix) {
 			continue
@@ -490,87 +449,85 @@ func (s *Server) rebuild() error {
 		if sp < 0 {
 			return fmt.Errorf("daemon: malformed cell key %q", e.Key)
 		}
-		name := rest[:sp]
 		var idx int
 		if _, err := fmt.Sscanf(rest[sp+1:], "c%04d", &idx); err != nil {
 			return fmt.Errorf("daemon: malformed cell key %q: %w", e.Key, err)
-		}
-		ts := s.byName[name]
-		if ts == nil || idx < 0 || idx >= len(ts.cells) {
-			return fmt.Errorf("daemon: cell record %q has no admitted tenant", e.Key)
 		}
 		var rec cellRecord
 		if err := json.Unmarshal(e.Value, &rec); err != nil {
 			return fmt.Errorf("daemon: corrupt cell record %q: %w", e.Key, err)
 		}
-		cell := &ts.cells[idx]
-		if cell.landed {
+		name := rest[:sp]
+		done[name] = append(done[name], fleet.Landing{Cell: idx, Value: rec.Value, Consumed: rec.Consumed})
+	}
+	for _, e := range finals {
+		if e.Status != supervise.StatusOK || !strings.HasPrefix(e.Key, submitKeyPrefix) {
 			continue
 		}
-		cell.landed = true
-		cell.value = rec.Value
-		ts.landed++
-		// Re-book the settled spend so the billing identity holds in
-		// this process too: granted = consumed + refunded, with the
-		// consumption exactly what the record says was charged.
-		if err := ts.env.Grant(rec.Consumed); err != nil {
-			return fmt.Errorf("daemon: re-booking %q: %w", e.Key, err)
+		var rec submitRecord
+		if err := json.Unmarshal(e.Value, &rec); err != nil {
+			return fmt.Errorf("daemon: corrupt submit record %q: %w", e.Key, err)
 		}
-		if err := ts.env.Settle(rec.Consumed, rec.Consumed); err != nil {
-			return fmt.Errorf("daemon: re-booking %q: %w", e.Key, err)
+		if err := s.admit(rec.Spec, done[rec.Spec.Name]); err != nil {
+			return err
+		}
+		delete(done, rec.Spec.Name)
+		idem := strings.TrimPrefix(e.Key, submitKeyPrefix)
+		s.submitted[idem] = SubmitResult{
+			Name: rec.Spec.Name, Cells: rec.Spec.Cells,
+			EstimateNanos: ExpectedSpend(rec.Spec, s.opts.Model), Resubmitted: true,
 		}
 	}
-	// Everything admitted but not landed re-executes.
-	for _, ts := range s.tenants {
-		for i := range ts.cells {
-			if !ts.cells[i].landed {
-				s.pending = append(s.pending, cellRef{t: ts, i: i})
-			}
-		}
+	if len(done) > 0 {
+		return fmt.Errorf("daemon: cell records of %d tenants have no submit record", len(done))
 	}
 	if n := len(s.tenants); n > 0 {
 		s.logf("resumed %d tenants, %d cells landed, %d pending",
-			n, s.landedCells(), len(s.pending))
+			n, s.fleet.Landed(), s.fleet.Pending())
 	}
 	return nil
 }
 
-// registerTenant admits a tenant: budget envelope, priced cell ledger.
-func (s *Server) registerTenant(spec TenantSpec) (*tenantState, error) {
+// admit hands a tenant to the fleet core: its own envelope, its cells
+// priced and queued, the cells in done re-booked as landed.
+func (s *Server) admit(spec TenantSpec, done []fleet.Landing) error {
 	if err := spec.Validate(); err != nil {
-		return nil, err
+		return err
 	}
-	if s.byName[spec.Name] != nil {
-		return nil, fmt.Errorf("daemon: tenant %q already admitted", spec.Name)
+	if _, dup := s.byName[spec.Name]; dup {
+		return fmt.Errorf("daemon: tenant %q already admitted", spec.Name)
 	}
-	work := fleet.SyntheticWork{TenantCount: 1, CellsPerTenant: spec.Cells, Seed: spec.Seed}
-	ts := &tenantState{
-		spec:  spec,
-		work:  work,
-		env:   s.root.Child(spec.Name, s.opts.TenantFunds),
-		cells: make([]cellState, spec.Cells),
+	t, err := s.fleet.Admit(spec.Name, s.opts.TenantFunds, specWork(spec), 0, done)
+	if err != nil {
+		return err
 	}
-	for i := range ts.cells {
-		dur := work.Duration(0, i)
-		cfg := work.Config(0, i)
-		ts.cells[i] = cellState{
-			duration: dur,
-			price:    fleet.PriceTick(s.opts.Model, cfg) * dur,
-			chip:     -1,
-		}
-	}
-	s.tenants = append(s.tenants, ts)
-	s.byName[spec.Name] = ts
-	return ts, nil
+	s.tenants = append(s.tenants, spec)
+	s.byName[spec.Name] = t
+	return nil
 }
 
-// tenantEstimate is the nominal price of a tenant's whole grid.
-func tenantEstimate(ts *tenantState) int64 {
-	var sum fleet.Nanos
-	for i := range ts.cells {
-		sum += ts.cells[i].price
+// recordCell is the core's landing path: a cell's value and charge are
+// journaled, and synced, before the core bills them.
+func (s *Server) recordCell(l fleet.Landing) (bool, error) {
+	rec, err := json.Marshal(cellRecord{Value: l.Value, Consumed: l.Consumed})
+	if err != nil {
+		return false, err
 	}
-	return sum
+	won, err := s.journal.RecordOnce(supervise.Entry{
+		Status: supervise.StatusOK,
+		Key:    cellKey(s.tenants[l.Tenant].Name, l.Cell),
+		Value:  rec,
+	})
+	if err != nil {
+		return false, fmt.Errorf("journaling cell: %w", err)
+	}
+	return won, nil
+}
+
+// specWork is a tenant's grid as fleet work: one tenant whose cells are
+// pure functions of (Seed, cell index).
+func specWork(spec TenantSpec) fleet.SyntheticWork {
+	return fleet.SyntheticWork{TenantCount: 1, CellsPerTenant: spec.Cells, Seed: spec.Seed}
 }
 
 // ExpectedSpend computes, without a daemon, what executing a spec costs
@@ -580,12 +537,7 @@ func ExpectedSpend(spec TenantSpec, m cost.Model) fleet.Nanos {
 	if m == (cost.Model{}) {
 		m = cost.Default()
 	}
-	work := fleet.SyntheticWork{TenantCount: 1, CellsPerTenant: spec.Cells, Seed: spec.Seed}
-	var sum fleet.Nanos
-	for i := 0; i < spec.Cells; i++ {
-		sum += fleet.PriceTick(m, work.Config(0, i)) * work.Duration(0, i)
-	}
-	return sum
+	return fleet.Nominal(m, specWork(spec), 0)
 }
 
 // core is the single goroutine that owns all mutable daemon state.
@@ -605,7 +557,7 @@ func (s *Server) core() {
 				s.logf("draining (timeout %v)", s.opts.DrainTimeout)
 			}
 		case <-drainDeadline:
-			s.logf("drain timeout: abandoning %d running, %d pending cells", s.runningCells(), len(s.pending))
+			s.logf("drain timeout: abandoning %d running, %d pending cells", s.fleet.Running(), s.fleet.Pending())
 			s.finishDrain()
 			return
 		case r := <-s.reqs:
@@ -675,7 +627,7 @@ func (s *Server) handleSubmit(r coreReq) {
 		r.c.send(Response{ID: r.req.ID, Code: CodeBadRequest, Error: err.Error()})
 		return
 	}
-	if s.byName[spec.Name] != nil {
+	if _, dup := s.byName[spec.Name]; dup {
 		r.c.send(Response{ID: r.req.ID, Code: CodeBadRequest,
 			Error: fmt.Sprintf("tenant %q already admitted under a different idempotency key", spec.Name)})
 		return
@@ -701,172 +653,35 @@ func (s *Server) handleSubmit(r coreReq) {
 		r.c.send(Response{ID: r.req.ID, Code: CodeError, Error: "idempotency key collision"})
 		return
 	}
-	ts, err := s.registerTenant(spec)
-	if err != nil {
+	if err := s.admit(spec, nil); err != nil {
 		r.c.send(Response{ID: r.req.ID, Code: CodeError, Error: err.Error()})
 		return
 	}
-	for i := range ts.cells {
-		s.pending = append(s.pending, cellRef{t: ts, i: i})
-	}
-	ack := SubmitResult{Name: spec.Name, Cells: spec.Cells, EstimateNanos: tenantEstimate(ts)}
+	ack := SubmitResult{Name: spec.Name, Cells: spec.Cells, EstimateNanos: ExpectedSpend(spec, s.opts.Model)}
 	s.submitted[r.req.Idem] = ack
 	s.logf("admitted tenant %q: %d cells, estimate %d nanos", spec.Name, spec.Cells, ack.EstimateNanos)
 	s.replyOK(r, ack)
 }
 
-// tickEpoch advances the hosted fleet one tick: admit pending cells to
-// free slots, execute, land finished cells, stream the decision.
+// tickEpoch steps the hosted fleet one tick and streams the decision.
 func (s *Server) tickEpoch() {
-	s.tick++
-	placed := s.place()
-	completed := s.advance()
-	s.emit(s.epochEvent(placed, completed))
-}
-
-// place admits pending cells onto free chip slots in FIFO order.
-func (s *Server) place() int {
-	if len(s.pending) == 0 {
-		return 0
+	placed, landed, err := s.fleet.Step()
+	if err != nil {
+		s.fatal(err)
+		return
 	}
-	placed := 0
-	var deferred []cellRef
-	for _, ref := range s.pending {
-		cell := &ref.t.cells[ref.i]
-		chip := s.freeChip()
-		if chip < 0 {
-			deferred = append(deferred, ref)
-			continue
-		}
-		// The grant carries the fleet's 1/8 headroom so a landing always
-		// exercises a partial refund and reconciliation stays honest.
-		grant := cell.price + cell.price/8
-		if err := ref.t.env.Grant(grant); err != nil {
-			deferred = append(deferred, ref)
-			continue
-		}
-		cell.grant = grant
-		cell.remaining = cell.duration
-		cell.chip = chip
-		s.chipUsed[chip]++
-		placed++
-	}
-	s.pending = deferred
-	return placed
-}
-
-// freeChip returns the lowest-index chip with a free slot, or -1.
-func (s *Server) freeChip() int {
-	for i, used := range s.chipUsed {
-		if used < s.opts.SlotsPerChip {
-			return i
-		}
-	}
-	return -1
-}
-
-// advance runs every placed cell one tick and lands the finished ones:
-// result journaled exactly-once, grant settled for the actual price.
-func (s *Server) advance() int {
-	completed := 0
-	for _, ts := range s.tenants {
-		for i := range ts.cells {
-			cell := &ts.cells[i]
-			if cell.chip < 0 || cell.landed {
-				continue
-			}
-			cell.remaining--
-			if cell.remaining > 0 {
-				continue
-			}
-			value, err := ts.work.Run(0, i)
-			if err != nil {
-				// SyntheticWork cannot fail; guard future work types.
-				s.fatal(fmt.Errorf("cell %s: %w", cellKey(ts.spec.Name, i), err))
-				return completed
-			}
-			rec, merr := json.Marshal(cellRecord{Value: value, Consumed: cell.price})
-			if merr != nil {
-				s.fatal(merr)
-				return completed
-			}
-			won, jerr := s.journal.RecordOnce(supervise.Entry{
-				Status: supervise.StatusOK,
-				Key:    cellKey(ts.spec.Name, i),
-				Value:  rec,
-			})
-			if jerr != nil {
-				s.fatal(fmt.Errorf("journaling cell: %w", jerr))
-				return completed
-			}
-			if won {
-				if err := ts.env.Settle(cell.grant, cell.price); err != nil {
-					s.fatal(err)
-					return completed
-				}
-			} else {
-				// The journal already held this cell (a pre-crash landing
-				// this life should have resumed); charge nothing twice.
-				if err := ts.env.Refund(cell.grant); err != nil {
-					s.fatal(err)
-					return completed
-				}
-			}
-			cell.grant = 0
-			s.chipUsed[cell.chip]--
-			cell.chip = -1
-			cell.landed = true
-			cell.value = value
-			ts.landed++
-			completed++
-		}
-	}
-	return completed
+	s.emit(s.epochEvent(placed, landed))
 }
 
 // quiesced reports whether no work is pending or running.
-func (s *Server) quiesced() bool { return len(s.pending) == 0 && s.runningCells() == 0 }
-
-func (s *Server) runningCells() int {
-	n := 0
-	for _, used := range s.chipUsed {
-		n += used
-	}
-	return n
-}
-
-func (s *Server) landedCells() int {
-	n := 0
-	for _, ts := range s.tenants {
-		n += ts.landed
-	}
-	return n
-}
-
-func (s *Server) totalCells() int {
-	n := 0
-	for _, ts := range s.tenants {
-		n += len(ts.cells)
-	}
-	return n
-}
+func (s *Server) quiesced() bool { return s.fleet.Pending() == 0 && s.fleet.Running() == 0 }
 
 // finishDrain settles the world and exits: running grants refunded
 // (their cells re-execute on the next restart), journal compacted to
 // one record per key and closed, watchers told the stream is over.
 func (s *Server) finishDrain() {
-	for _, ts := range s.tenants {
-		for i := range ts.cells {
-			cell := &ts.cells[i]
-			if cell.chip >= 0 && !cell.landed {
-				if err := ts.env.Refund(cell.grant); err != nil {
-					s.logf("drain refund: %v", err)
-				}
-				cell.grant = 0
-				s.chipUsed[cell.chip]--
-				cell.chip = -1
-			}
-		}
+	if err := s.fleet.Drain(); err != nil {
+		s.logf("drain refund: %v", err)
 	}
 	ev := s.epochEvent(0, 0)
 	ev.Final = true
@@ -880,7 +695,7 @@ func (s *Server) finishDrain() {
 	s.ln.Close()
 	s.closeConns()
 	os.Remove(s.opts.Socket)
-	s.logf("drained at tick %d: %d/%d cells landed", s.tick, s.landedCells(), s.totalCells())
+	s.logf("drained at tick %d: %d/%d cells landed", s.fleet.Tick(), s.fleet.Landed(), s.fleet.Cells())
 }
 
 // fatal records a terminal error and forces shutdown.
@@ -897,12 +712,12 @@ func (s *Server) fatal(err error) {
 // epochEvent snapshots the stream event for the current tick.
 func (s *Server) epochEvent(placed, completed int) Epoch {
 	return Epoch{
-		Tick:          s.tick,
+		Tick:          s.fleet.Tick(),
 		Placed:        placed,
 		Completed:     completed,
-		CellsLanded:   s.landedCells(),
-		CellsTotal:    s.totalCells(),
-		ConsumedNanos: s.root.Consumed(),
+		CellsLanded:   s.fleet.Landed(),
+		CellsTotal:    s.fleet.Cells(),
+		ConsumedNanos: s.fleet.Root().Consumed(),
 		Draining:      s.draining,
 	}
 }
@@ -926,27 +741,24 @@ func (s *Server) emit(ev Epoch) {
 }
 
 func (s *Server) spendResult() SpendResult {
+	root := s.fleet.Root()
 	res := SpendResult{
-		RootGranted:     s.root.Granted(),
-		RootConsumed:    s.root.Consumed(),
-		RootRefunded:    s.root.Refunded(),
-		RootOutstanding: s.root.Outstanding(),
+		RootGranted:     root.Granted(),
+		RootConsumed:    root.Consumed(),
+		RootRefunded:    root.Refunded(),
+		RootOutstanding: root.Outstanding(),
 	}
-	names := make([]string, 0, len(s.tenants))
-	for _, ts := range s.tenants {
-		names = append(names, ts.spec.Name)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		ts := s.byName[n]
+	for _, n := range s.sortedNames() {
+		t := s.byName[n]
+		env, landed := s.fleet.Tenant(t)
 		res.Tenants = append(res.Tenants, TenantSpend{
 			Name:        n,
-			Granted:     ts.env.Granted(),
-			Consumed:    ts.env.Consumed(),
-			Refunded:    ts.env.Refunded(),
-			Outstanding: ts.env.Outstanding(),
-			Landed:      ts.landed,
-			Cells:       len(ts.cells),
+			Granted:     env.Granted(),
+			Consumed:    env.Consumed(),
+			Refunded:    env.Refunded(),
+			Outstanding: env.Outstanding(),
+			Landed:      landed,
+			Cells:       s.tenants[t].Cells,
 		})
 	}
 	return res
@@ -954,20 +766,16 @@ func (s *Server) spendResult() SpendResult {
 
 func (s *Server) allocResult() AllocResult {
 	res := AllocResult{
-		Tick:         s.tick,
+		Tick:         s.fleet.Tick(),
 		Chips:        s.opts.Chips,
 		SlotsPerChip: s.opts.SlotsPerChip,
-		Pending:      len(s.pending),
+		Pending:      s.fleet.Pending(),
 		Draining:     s.draining,
 	}
-	for _, ts := range s.tenants {
-		for i := range ts.cells {
-			if c := &ts.cells[i]; c.chip >= 0 && !c.landed {
-				res.Running = append(res.Running, RunningCell{
-					Tenant: ts.spec.Name, Cell: i, Chip: c.chip, Remaining: c.remaining,
-				})
-			}
-		}
+	for _, a := range s.fleet.Attempts() {
+		res.Running = append(res.Running, RunningCell{
+			Tenant: s.tenants[a.Tenant].Name, Cell: a.Cell, Chip: a.Chip, Remaining: a.Remaining,
+		})
 	}
 	sort.Slice(res.Running, func(i, j int) bool {
 		a, b := res.Running[i], res.Running[j]
@@ -981,17 +789,27 @@ func (s *Server) allocResult() AllocResult {
 
 func (s *Server) healthResult() HealthResult {
 	return HealthResult{
-		Tick:          s.tick,
+		Tick:          s.fleet.Tick(),
 		Tenants:       len(s.tenants),
-		CellsLanded:   s.landedCells(),
-		CellsTotal:    s.totalCells(),
-		Pending:       len(s.pending),
-		Running:       s.runningCells(),
+		CellsLanded:   s.fleet.Landed(),
+		CellsTotal:    s.fleet.Cells(),
+		Pending:       s.fleet.Pending(),
+		Running:       s.fleet.Running(),
 		Draining:      s.draining,
-		ConsumedNanos: s.root.Consumed(),
+		ConsumedNanos: s.fleet.Root().Consumed(),
 		Digest:        fmt.Sprintf("%016x", s.digest()),
 		Shed:          s.shed.Load(),
 	}
+}
+
+// sortedNames lists the admitted tenants by name.
+func (s *Server) sortedNames() []string {
+	names := make([]string, 0, len(s.tenants))
+	for _, spec := range s.tenants {
+		names = append(names, spec.Name)
+	}
+	sort.Strings(names)
+	return names
 }
 
 // digest fingerprints the daemon's durable state: admitted tenant
@@ -1001,21 +819,17 @@ func (s *Server) healthResult() HealthResult {
 // replay must agree bit for bit once both complete.
 func (s *Server) digest() uint64 {
 	h := fnv.New64a()
-	names := make([]string, 0, len(s.tenants))
-	for _, ts := range s.tenants {
-		names = append(names, ts.spec.Name)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		ts := s.byName[n]
-		fmt.Fprintf(h, "tenant %s cells=%d seed=%d ", n, ts.spec.Cells, ts.spec.Seed)
-		for i := range ts.cells {
-			if c := &ts.cells[i]; c.landed {
-				fmt.Fprintf(h, "c%04d v=%q n=%d ", i, c.value, c.price)
+	for _, n := range s.sortedNames() {
+		t := s.byName[n]
+		spec := s.tenants[t]
+		fmt.Fprintf(h, "tenant %s cells=%d seed=%d ", n, spec.Cells, spec.Seed)
+		for i := 0; i < spec.Cells; i++ {
+			if value, price, landed := s.fleet.Cell(t, i); landed {
+				fmt.Fprintf(h, "c%04d v=%q n=%d ", i, value, price)
 			}
 		}
 	}
-	fmt.Fprintf(h, "consumed=%d", s.root.Consumed())
+	fmt.Fprintf(h, "consumed=%d", s.fleet.Root().Consumed())
 	return h.Sum64()
 }
 

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"cash/internal/cost"
+	"cash/internal/supervise"
 )
 
 func testOptions(t *testing.T) Options {
@@ -225,6 +226,43 @@ func TestDaemonCrashResumeMatchesCleanRun(t *testing.T) {
 	hc := cl3.waitLanded(spec.Cells)
 	if hc.Digest != h.Digest {
 		t.Fatalf("crash-resumed digest %s != clean digest %s", h.Digest, hc.Digest)
+	}
+}
+
+// TestDaemonPlacesThroughFleetCore steps the daemon one epoch on a fake
+// clock: the fleet core places the cells on the chips with the most
+// free slots, and they start executing on the next epoch.
+func TestDaemonPlacesThroughFleetCore(t *testing.T) {
+	clock := supervise.NewFakeClock()
+	opts := testOptions(t)
+	opts.Clock, opts.Epoch = clock, time.Second
+	srv, err := Start(opts)
+	if err != nil {
+		t.Fatalf("Start: %v", err)
+	}
+	defer srv.Kill()
+	cl := dialRaw(t, opts.Socket)
+	if resp := cl.call(MethodSubmit, "k", TenantSpec{Name: "spread", Cells: 3, Seed: 9}); resp.Code != CodeOK {
+		t.Fatalf("submit: %s %s", resp.Code, resp.Error)
+	}
+	clock.BlockUntil(1)
+	clock.Advance(time.Second)
+	for cl.health().Tick < 1 {
+		time.Sleep(time.Millisecond)
+	}
+	resp := cl.call(MethodAlloc, "", nil)
+	var alloc AllocResult
+	if err := json.Unmarshal(resp.Result, &alloc); err != nil {
+		t.Fatalf("alloc decode: %v", err)
+	}
+	work := specWork(TenantSpec{Name: "spread", Cells: 3, Seed: 9})
+	if alloc.Tick != 1 || alloc.Pending != 0 || len(alloc.Running) != 3 {
+		t.Fatalf("after one epoch: %+v", alloc)
+	}
+	for i, r := range alloc.Running {
+		if r.Cell != i || r.Chip != i || r.Remaining != work.Duration(0, i) {
+			t.Errorf("cell %d: %+v, want chip %d with all %d ticks to run", i, r, i, work.Duration(0, i))
+		}
 	}
 }
 

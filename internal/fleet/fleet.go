@@ -10,21 +10,19 @@
 // chips die under it. The whole simulation is a single-threaded
 // discrete-tick loop over a fake clock (one tick = one simulated
 // second), so a run is a pure function of its options and replays
-// byte-identically.
+// byte-identically. The executor is the steppable Core (core.go): Run
+// drives it over a fixed grid, and the cashd daemon drives the same
+// Core from its epoch timer.
 package fleet
 
 import (
 	"fmt"
 	"hash/fnv"
-	"math"
-	"sort"
 	"time"
 
 	"cash/internal/cost"
 	"cash/internal/fault"
-	"cash/internal/stats"
 	"cash/internal/supervise"
-	"cash/internal/vcore"
 )
 
 // TickCycles is how many core cycles one fleet tick represents: 1e9,
@@ -87,8 +85,9 @@ type Stats struct {
 	Placements   int64
 	ReExecutions int64
 	// Revocations splits by cause: confirmed chip death, lease deadline
-	// expiry, redundant attempts cancelled after an orphan landed their
-	// cell, and the end-of-run drain of still-outstanding leases.
+	// expiry, redundant attempts cancelled because their cell landed
+	// elsewhere (through an orphan, or in the journal of an earlier
+	// run), and the end-of-run drain of still-outstanding leases.
 	Revocations       int64
 	DeathRevocations  int64
 	ExpiryRevocations int64
@@ -151,594 +150,98 @@ type Result struct {
 	Digest uint64
 }
 
-// attempt is one executing placement: a lease plus remaining work.
-type attempt struct {
-	lease     *Lease
-	remaining int64
-}
-
-// chipRun is a chip's ground-truth state (what actually happens, as
-// opposed to what the detector believes).
-type chipRun struct {
-	up        bool  // not crashed
-	rebootAt  int64 // when a rebooting crash comes back (0 = none pending)
-	hungUntil int64
-	hbOffTill int64
-	slots     []*attempt
-}
-
-func (c *chipRun) executing(tick int64) bool { return c.up && tick >= c.hungUntil }
-func (c *chipRun) beating(tick int64) bool {
-	return c.executing(tick) && tick >= c.hbOffTill
-}
-
-// cellTrack is the controller's ledger entry for one cell.
-type cellTrack struct {
-	tenant, cell int
-	duration     int64
-	cfg          vcore.Config
-	perTick      Nanos
-
-	placedOnce  bool
-	lease       *Lease // active lease, nil when pending or landed
-	landed      bool
-	value       string
-	landings    int   // ledger exactly-once count (should end at 1)
-	displacedAt int64 // tick the current displacement began (-1 = none)
-	crashedAt   int64 // ground-truth failure tick for TTR (-1 = none)
-}
-
-// Fleet is one run's controller state. Build with New, drive with Run.
-type Fleet struct {
-	opts  Options
-	clock *supervise.FakeClock
-	det   *Detector
-	inj   *fault.ChipInjector
-
-	root    *Envelope
-	tenants []*Envelope
-
-	chips   []chipRun
-	cells   []*cellTrack // all cells in (tenant, cell) order
-	pending []int        // indices into cells awaiting placement
-	leases  map[int64]*Lease
-	nextID  int64
-
-	tick       int64
-	upTicks    int64
-	ttr        stats.Histogram
-	stats      Stats
-	journalHit int // cells already final in an attached (resumed) journal
-}
-
-// New validates options and builds a fleet ready to Run.
-func New(opts Options) (*Fleet, error) {
+// Run drives a fleet over opts.Work to completion (all cells landed)
+// or MaxTicks, then drains it.
+func Run(opts Options) (Result, error) {
 	opts = opts.withDefaults()
-	if opts.Chips <= 0 {
-		return nil, fmt.Errorf("fleet: invalid fleet size %d", opts.Chips)
-	}
-	if opts.SlotsPerChip <= 0 {
-		return nil, fmt.Errorf("fleet: invalid slots per chip %d", opts.SlotsPerChip)
-	}
 	if opts.Work == nil {
-		return nil, fmt.Errorf("fleet: no work")
+		return Result{}, fmt.Errorf("fleet: no work")
 	}
 	if opts.MaxTicks <= 0 {
-		return nil, fmt.Errorf("fleet: invalid max ticks %d", opts.MaxTicks)
+		return Result{}, fmt.Errorf("fleet: invalid max ticks %d", opts.MaxTicks)
 	}
-	if err := opts.Model.Validate(); err != nil {
-		return nil, err
-	}
-	inj, err := fault.NewChipInjector(opts.Faults, opts.Chips)
-	if err != nil {
-		return nil, err
-	}
-
-	f := &Fleet{
-		opts:   opts,
-		clock:  supervise.NewFakeClock(),
-		inj:    inj,
-		chips:  make([]chipRun, opts.Chips),
-		leases: make(map[int64]*Lease),
-	}
-	for i := range f.chips {
-		f.chips[i].up = true
-	}
-	f.det = NewDetector(opts.Chips, opts.Detector, f.clock.Now())
-
-	// Build the cell ledger in deterministic (tenant, cell) order and
-	// size the default funds from the grid's nominal price.
-	var nominal Nanos
-	for t := 0; t < opts.Work.Tenants(); t++ {
-		for c := 0; c < opts.Work.Cells(t); c++ {
-			dur := opts.Work.Duration(t, c)
-			if dur <= 0 {
-				return nil, fmt.Errorf("fleet: cell %s has duration %d", CellKey(t, c), dur)
+	w := opts.Work
+	if opts.Funds == 0 {
+		for t := 0; t < w.Tenants(); t++ {
+			for cell := 0; cell < w.Cells(t); cell++ {
+				opts.Funds += 4 * grantFor(priceTick(opts.Model, w.Config(t, cell))*w.Duration(t, cell))
 			}
-			cfg := opts.Work.Config(t, c)
-			if err := cfg.Validate(); err != nil {
-				return nil, fmt.Errorf("fleet: cell %s: %w", CellKey(t, c), err)
-			}
-			ct := &cellTrack{
-				tenant: t, cell: c,
-				duration:    dur,
-				cfg:         cfg,
-				perTick:     priceTick(opts.Model, cfg),
-				displacedAt: -1,
-				crashedAt:   -1,
-			}
-			nominal += grantFor(ct)
-			f.cells = append(f.cells, ct)
-			f.pending = append(f.pending, len(f.cells)-1)
 		}
 	}
-	if len(f.cells) == 0 {
-		return nil, fmt.Errorf("fleet: empty work grid")
+	if opts.TenantFunds == 0 {
+		opts.TenantFunds = opts.Funds
 	}
 
-	funds := opts.Funds
-	if funds == 0 {
-		funds = 4 * nominal
+	c, err := NewCore(opts, journalRecorder(opts.Journal))
+	if err != nil {
+		return Result{}, err
 	}
-	tenantFunds := opts.TenantFunds
-	if tenantFunds == 0 {
-		tenantFunds = funds
+	for t := 0; t < w.Tenants(); t++ {
+		if _, err := c.Admit(fmt.Sprintf("tenant%02d", t), opts.TenantFunds, w, t, nil); err != nil {
+			return Result{}, err
+		}
 	}
-	f.root = NewRootEnvelope("fleet", funds)
-	for t := 0; t < opts.Work.Tenants(); t++ {
-		f.tenants = append(f.tenants, f.root.Child(fmt.Sprintf("tenant%02d", t), tenantFunds))
+	if len(c.cells) == 0 {
+		return Result{}, fmt.Errorf("fleet: empty work grid")
 	}
 	// Resolve paper oversubscription structurally before admission.
-	f.stats.Cuts = len(f.root.CutToFit())
-	return f, nil
-}
+	c.stats.Cuts = len(c.root.CutToFit())
 
-// priceTick converts the model's $/cycle pricing into nanodollars per
-// fleet tick for a configuration.
-func priceTick(m cost.Model, cfg vcore.Config) Nanos {
-	return Nanos(math.Round(m.Charge(cfg, TickCycles) * 1e9))
-}
-
-// PriceTick is the per-tick rental price of a configuration in
-// nanodollars — exported so the cashd daemon bills its cells with
-// exactly the fleet's arithmetic and spend reconciles across the two.
-func PriceTick(m cost.Model, cfg vcore.Config) Nanos { return priceTick(m, cfg) }
-
-// grantFor is the lease grant for a cell: the nominal execution price
-// plus ~12.5% headroom, so a clean landing still exercises a partial
-// refund.
-func grantFor(ct *cellTrack) Nanos {
-	nominal := ct.perTick * ct.duration
-	return nominal + nominal/8
-}
-
-// deadlineFor is the lease deadline: nominal duration plus 50% slack
-// plus a constant floor absorbing detector latency.
-func (f *Fleet) deadlineFor(ct *cellTrack) int64 {
-	return f.tick + ct.duration + ct.duration/2 + 6
-}
-
-// Run drives the fleet to completion (all cells landed) or MaxTicks.
-func Run(opts Options) (Result, error) {
-	f, err := New(opts)
-	if err != nil {
-		return Result{}, err
-	}
-	return f.run()
-}
-
-func (f *Fleet) run() (Result, error) {
 	// Tick 0 placements let the run start full.
-	if err := f.place(); err != nil {
+	c.place()
+	for c.tick < opts.MaxTicks && c.landed < len(c.cells) {
+		if _, _, err := c.Step(); err != nil {
+			return Result{}, err
+		}
+	}
+	if err := c.Drain(); err != nil {
 		return Result{}, err
 	}
-	for f.tick < f.opts.MaxTicks && !f.done() {
-		f.tick++
-		f.clock.Advance(tickLen)
-		now := f.clock.Now()
-
-		f.applyFaults()
-		for i := range f.chips {
-			if f.chips[i].up {
-				f.upTicks++
-			}
-			if f.chips[i].beating(f.tick) {
-				f.det.Heartbeat(i, now)
-			}
-		}
-		if err := f.execute(); err != nil {
-			return Result{}, err
-		}
-		for _, chip := range f.det.Check(now) {
-			if err := f.revokeChip(chip); err != nil {
-				return Result{}, err
-			}
-		}
-		if err := f.expireLeases(); err != nil {
-			return Result{}, err
-		}
-		if err := f.place(); err != nil {
-			return Result{}, err
-		}
-	}
-	if err := f.drain(); err != nil {
-		return Result{}, err
-	}
-	return f.result(), nil
+	return c.result(), nil
 }
 
-// done reports whether every cell has landed.
-func (f *Fleet) done() bool {
-	for _, ct := range f.cells {
-		if !ct.landed {
-			return false
-		}
+// journalRecorder lands each cell in j under CellKey; with no journal
+// every landing wins.
+func journalRecorder(j *supervise.Journal) Recorder {
+	if j == nil {
+		return func(Landing) (bool, error) { return true, nil }
 	}
-	return true
-}
-
-// applyFaults delivers due chip-fault events and reboots.
-func (f *Fleet) applyFaults() {
-	for i := range f.chips {
-		c := &f.chips[i]
-		if !c.up && c.rebootAt != 0 && f.tick >= c.rebootAt {
-			// Reboot: chip returns empty. Attempts it held are gone; their
-			// leases are (or will be) revoked by the detector or expiry.
-			c.up, c.rebootAt = true, 0
-			c.slots = c.slots[:0]
-		}
-	}
-	for _, e := range f.inj.Advance(f.tick) {
-		c := &f.chips[e.Chip]
-		switch e.Kind {
-		case fault.ChipCrash:
-			if !c.up {
-				continue
-			}
-			c.up = false
-			if e.Duration > 0 {
-				c.rebootAt = f.tick + e.Duration
-			}
-			// In-flight work is lost the instant the chip dies; that tick
-			// is the ground truth a cell's time-to-recovery is measured
-			// from, even though the controller only learns of it later.
-			for _, a := range c.slots {
-				ct := f.cells[f.cellIndex(a.lease.Tenant, a.lease.Cell)]
-				if !ct.landed && ct.crashedAt < 0 {
-					ct.crashedAt = f.tick
-				}
-			}
-			c.slots = c.slots[:0]
-		case fault.ChipHang:
-			if until := f.tick + e.Duration; until > c.hungUntil {
-				c.hungUntil = until
-			}
-		case fault.ChipHBLoss:
-			if until := f.tick + e.Duration; until > c.hbOffTill {
-				c.hbOffTill = until
-			}
-		}
-	}
-}
-
-// cellIndex maps (tenant, cell) to the ledger index.
-func (f *Fleet) cellIndex(tenant, cell int) int {
-	// Cells were appended tenant-major; binary search keeps this O(log n)
-	// without a map (deterministic iteration is free on slices).
-	return sort.Search(len(f.cells), func(i int) bool {
-		ct := f.cells[i]
-		return ct.tenant > tenant || (ct.tenant == tenant && ct.cell >= cell)
-	})
-}
-
-// execute advances every running attempt one tick and handles
-// deliveries.
-func (f *Fleet) execute() error {
-	for i := range f.chips {
-		c := &f.chips[i]
-		if !c.executing(f.tick) {
-			continue
-		}
-		kept := c.slots[:0]
-		for _, a := range c.slots {
-			a.remaining--
-			if a.remaining > 0 {
-				kept = append(kept, a)
-				continue
-			}
-			if err := f.deliver(a); err != nil {
-				return err
-			}
-		}
-		c.slots = kept
-	}
-	return nil
-}
-
-// deliver lands (or deduplicates) one finished attempt's result.
-func (f *Fleet) deliver(a *attempt) error {
-	f.stats.Deliveries++
-	l := a.lease
-	ct := f.cells[f.cellIndex(l.Tenant, l.Cell)]
-
-	if ct.landed {
-		// The cell already landed through another attempt: pure
-		// duplicate. If this lease is somehow still active, refund it in
-		// full — the tenant pays at most once per cell.
-		f.stats.DupDeliveries++
-		if l.State == LeaseActive {
-			if err := f.revokeLease(l, &f.stats.RedundantCancels); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-
-	// First landing wins, whoever delivers it.
-	value, err := f.opts.Work.Run(l.Tenant, l.Cell)
-	if err != nil {
-		return err
-	}
-	ct.landed = true
-	ct.value = value
-	ct.landings++
-	if f.opts.Journal != nil {
-		won, jerr := f.opts.Journal.RecordOnce(supervise.Entry{
+	return func(l Landing) (bool, error) {
+		return j.RecordOnce(supervise.Entry{
 			Status: supervise.StatusOK,
 			Key:    CellKey(l.Tenant, l.Cell),
-			Value:  []byte(fmt.Sprintf("%q", value)),
+			Value:  []byte(fmt.Sprintf("%q", l.Value)),
 		})
-		if jerr != nil {
-			return jerr
-		}
-		if !won {
-			f.journalHit++
-		}
 	}
-
-	if l.State == LeaseActive {
-		// The winning attempt settles: consumed is the actual execution
-		// price, the headroom refunds.
-		consumed := ct.perTick * ct.duration
-		if consumed > l.Grant {
-			consumed = l.Grant
-		}
-		if err := l.settle(consumed); err != nil {
-			return err
-		}
-		if l.Grant > consumed {
-			f.stats.Refunds++
-		}
-		ct.lease = nil
-		delete(f.leases, l.ID)
-	} else {
-		// An orphan delivery: the lease was revoked (and refunded) when
-		// the chip was suspected dead or the deadline passed, but the
-		// attempt kept running and finished first. The result lands; the
-		// tenant is charged nothing for it.
-		f.stats.OrphanDeliveries++
-		// Any replacement attempt still running for this cell is now
-		// redundant: cancel it so it cannot double-charge.
-		if r := ct.lease; r != nil && r.State == LeaseActive {
-			if err := f.revokeLease(r, &f.stats.RedundantCancels); err != nil {
-				return err
-			}
-			f.removeAttempt(r)
-			ct.lease = nil
-		}
-	}
-	ct.displacedAt = -1
-	return nil
-}
-
-// removeAttempt drops the attempt bound to a lease from its chip.
-func (f *Fleet) removeAttempt(l *Lease) {
-	c := &f.chips[l.Chip]
-	kept := c.slots[:0]
-	for _, a := range c.slots {
-		if a.lease != l {
-			kept = append(kept, a)
-		}
-	}
-	c.slots = kept
-}
-
-// revokeLease refunds a lease in full and counts it against cause.
-func (f *Fleet) revokeLease(l *Lease, cause *int64) error {
-	if err := l.revoke(); err != nil {
-		return err
-	}
-	f.stats.Revocations++
-	f.stats.Refunds++
-	*cause++
-	delete(f.leases, l.ID)
-	return nil
-}
-
-// revokeChip handles a confirmed chip death: every active lease bound
-// to the chip is revoked and its cell re-queued. Attempts physically
-// still on the chip (a hang or partition mistaken for death) are left
-// running — if they finish they deliver as orphans.
-func (f *Fleet) revokeChip(chip int) error {
-	for _, l := range f.sortedActiveLeases() {
-		if l.Chip != chip {
-			continue
-		}
-		if err := f.revokeLease(l, &f.stats.DeathRevocations); err != nil {
-			return err
-		}
-		f.requeue(l)
-	}
-	return nil
-}
-
-// expireLeases revokes active leases past their deadline and re-queues
-// their cells.
-func (f *Fleet) expireLeases() error {
-	for _, l := range f.sortedActiveLeases() {
-		if l.Deadline > f.tick {
-			continue
-		}
-		if err := f.revokeLease(l, &f.stats.ExpiryRevocations); err != nil {
-			return err
-		}
-		f.requeue(l)
-	}
-	return nil
-}
-
-// requeue marks a revoked lease's cell displaced and pending again.
-func (f *Fleet) requeue(l *Lease) {
-	ct := f.cells[f.cellIndex(l.Tenant, l.Cell)]
-	ct.lease = nil
-	if ct.landed {
-		return
-	}
-	if ct.displacedAt < 0 {
-		// TTR is measured from the ground-truth failure when there is
-		// one (the chip crash that actually lost the work); revocation
-		// time otherwise.
-		if ct.crashedAt >= 0 {
-			ct.displacedAt = ct.crashedAt
-			ct.crashedAt = -1
-		} else {
-			ct.displacedAt = f.tick
-		}
-	}
-	f.pending = append(f.pending, f.cellIndex(l.Tenant, l.Cell))
-}
-
-// sortedActiveLeases snapshots active leases in ID order so iteration
-// is deterministic while revocation mutates the map.
-func (f *Fleet) sortedActiveLeases() []*Lease {
-	out := make([]*Lease, 0, len(f.leases))
-	for _, l := range f.leases {
-		if l.State == LeaseActive {
-			out = append(out, l)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
-}
-
-// place admits pending cells onto chips the detector believes alive,
-// most-free-slots first.
-func (f *Fleet) place() error {
-	if len(f.pending) == 0 {
-		return nil
-	}
-	sort.Slice(f.pending, func(i, j int) bool {
-		a, b := f.cells[f.pending[i]], f.cells[f.pending[j]]
-		if a.tenant != b.tenant {
-			return a.tenant < b.tenant
-		}
-		return a.cell < b.cell
-	})
-	var deferred []int
-	for _, idx := range f.pending {
-		ct := f.cells[idx]
-		if ct.landed || ct.lease != nil {
-			continue
-		}
-		chip := f.pickChip()
-		if chip < 0 {
-			deferred = append(deferred, idx)
-			continue
-		}
-		grant := grantFor(ct)
-		if err := f.tenants[ct.tenant].Grant(grant); err != nil {
-			f.stats.GrantDenials++
-			deferred = append(deferred, idx)
-			continue
-		}
-		f.nextID++
-		l := &Lease{
-			ID:     f.nextID,
-			Tenant: ct.tenant, Cell: ct.cell,
-			Chip:     chip,
-			Grant:    grant,
-			Deadline: f.deadlineFor(ct),
-			State:    LeaseActive,
-			envelope: f.tenants[ct.tenant],
-		}
-		f.leases[l.ID] = l
-		ct.lease = l
-		f.chips[chip].slots = append(f.chips[chip].slots, &attempt{lease: l, remaining: ct.duration})
-		f.stats.Placements++
-		if ct.placedOnce {
-			f.stats.ReExecutions++
-		}
-		ct.placedOnce = true
-		if ct.displacedAt >= 0 {
-			f.ttr.Record(f.tick - ct.displacedAt)
-			ct.displacedAt = -1
-		}
-	}
-	f.pending = deferred
-	return nil
-}
-
-// pickChip returns the believed-alive chip with the most free slots
-// (ties to the lowest index), or -1 when none has room. The controller
-// trusts the detector here: a crashed-but-unconfirmed chip can still be
-// picked, and the misplacement is recovered through the usual
-// death/expiry path.
-func (f *Fleet) pickChip() int {
-	best, bestFree := -1, 0
-	for i := range f.chips {
-		if f.det.State(i) == Dead {
-			continue
-		}
-		if free := f.opts.SlotsPerChip - len(f.chips[i].slots); free > bestFree {
-			best, bestFree = i, free
-		}
-	}
-	return best
-}
-
-// drain revokes every still-active lease at end of run so the budget
-// identity holds even on an incomplete (MaxTicks) exit.
-func (f *Fleet) drain() error {
-	for _, l := range f.sortedActiveLeases() {
-		if err := f.revokeLease(l, &f.stats.DrainRevocations); err != nil {
-			return err
-		}
-		f.cells[f.cellIndex(l.Tenant, l.Cell)].lease = nil
-	}
-	return nil
 }
 
 // result assembles the report and digest.
-func (f *Fleet) result() Result {
-	f.stats.Ticks = f.tick
-	f.stats.Detector = f.det.Stats
-	f.stats.GrantedNanos = f.root.Granted()
-	f.stats.ConsumedNanos = f.root.Consumed()
-	f.stats.RefundedNanos = f.root.Refunded()
+func (c *Core) result() Result {
+	c.stats.Ticks = c.tick
+	c.stats.Detector = c.det.Stats
+	c.stats.GrantedNanos = c.root.Granted()
+	c.stats.ConsumedNanos = c.root.Consumed()
+	c.stats.RefundedNanos = c.root.Refunded()
 
 	res := Result{
-		Stats:     f.stats,
-		Cells:     len(f.cells),
-		CostNanos: f.root.Consumed(),
-		TTRp50:    int64(f.ttr.Quantile(0.50)),
-		TTRp99:    int64(f.ttr.Quantile(0.99)),
-		TTRMax:    f.ttr.Max(),
+		Stats:     c.stats,
+		Cells:     len(c.cells),
+		Landed:    c.landed,
+		CostNanos: c.root.Consumed(),
+		TTRp50:    int64(c.ttr.Quantile(0.50)),
+		TTRp99:    int64(c.ttr.Quantile(0.99)),
+		TTRMax:    c.ttr.Max(),
 	}
-	res.ExactlyOnce = true
-	for _, ct := range f.cells {
-		if ct.landed {
-			res.Landed++
-		}
+	res.Complete = res.Landed == res.Cells
+	res.ExactlyOnce = res.Complete
+	for _, ct := range c.cells {
 		if ct.landings != 1 {
 			res.ExactlyOnce = false
 		}
 	}
-	res.Complete = res.Landed == res.Cells
-	if !res.Complete {
-		res.ExactlyOnce = false
-	}
-	res.Reconciled = f.root.Reconciled()
-	for t, env := range f.tenants {
+	res.Reconciled = c.root.Reconciled()
+	for t, tt := range c.tenants {
+		env := tt.env
 		if !env.Reconciled() {
 			res.Reconciled = false
 		}
@@ -749,19 +252,19 @@ func (f *Fleet) result() Result {
 			Refunded: env.Refunded(),
 		})
 	}
-	if f.tick > 0 {
-		res.Availability = float64(f.upTicks) / float64(int64(len(f.chips))*f.tick)
+	if c.tick > 0 {
+		res.Availability = float64(c.upTicks) / float64(int64(len(c.chips))*c.tick)
 	} else {
 		res.Availability = 1
 	}
-	res.Digest = f.digest(res)
+	res.Digest = c.digest(res)
 	return res
 }
 
 // digest fingerprints the run: every stat, bill and cell value feeds an
 // FNV-1a hash through a fixed-format serialisation, so two runs with
 // equal digests behaved identically tick for tick.
-func (f *Fleet) digest(res Result) uint64 {
+func (c *Core) digest(res Result) uint64 {
 	h := fnv.New64a()
 	w := func(format string, args ...any) { fmt.Fprintf(h, format, args...) }
 	s := res.Stats
@@ -779,7 +282,7 @@ func (f *Fleet) digest(res Result) uint64 {
 	for _, b := range res.Bills {
 		w("t%02d=%d/%d/%d ", b.Tenant, b.Granted, b.Consumed, b.Refunded)
 	}
-	for _, ct := range f.cells {
+	for _, ct := range c.cells {
 		w("%s n=%d v=%q ", CellKey(ct.tenant, ct.cell), ct.landings, ct.value)
 	}
 	return h.Sum64()

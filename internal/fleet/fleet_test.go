@@ -196,6 +196,57 @@ func TestJournalLandsEveryCellOnce(t *testing.T) {
 	}
 }
 
+// TestResumedJournalChargesOnlyNewLandings runs a fleet over a journal
+// that already holds some of its cells. Those cells re-execute, but
+// their landings lose the journal race and are refunded in full: the
+// run charges only for the cells it journaled itself.
+func TestResumedJournalChargesOnlyNewLandings(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "fleet.jsonl")
+	j, err := supervise.OpenJournal(path, "fleet-test", false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := testOptions(8)
+	opts.Journal = j
+	opts.MaxTicks = 6 // cut short: some cells land, the rest are drained
+	first := mustRun(t, opts)
+	if first.Landed == 0 || first.Complete {
+		t.Fatalf("first run landed %d/%d cells, want some but not all", first.Landed, first.Cells)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	j2, err := supervise.OpenJournal(path, "fleet-test", true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j2.Close()
+	var want Nanos
+	w := opts.Work
+	for tn := 0; tn < w.Tenants(); tn++ {
+		for c := 0; c < w.Cells(tn); c++ {
+			if _, final := j2.Lookup(CellKey(tn, c)); !final {
+				want += priceTick(cost.Default(), w.Config(tn, c)) * w.Duration(tn, c)
+			}
+		}
+	}
+	opts.Journal = j2
+	opts.MaxTicks = 2_000
+	res := mustRun(t, opts)
+	assertContract(t, res)
+	if res.Stats.ConsumedNanos != want || res.CostNanos != want {
+		t.Fatalf("consumed %d nanos, want %d: the price of the %d cells this run journaled",
+			res.Stats.ConsumedNanos, want, res.Cells-first.Landed)
+	}
+	if got := res.Stats.RedundantCancels; got != int64(first.Landed) {
+		t.Fatalf("%d attempts refunded as already journaled, want %d", got, first.Landed)
+	}
+	if got := j2.Completed(); got != res.Cells {
+		t.Fatalf("journal holds %d final records, want %d", got, res.Cells)
+	}
+}
+
 // uniformWork gives every tenant identical cells so envelope arithmetic
 // is exact in the test.
 type uniformWork struct {
