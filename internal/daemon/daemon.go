@@ -301,7 +301,7 @@ type Server struct {
 	// Core-owned state: touched only by the core goroutine (after
 	// Start's synchronous rebuild). fleet executes the cells; tenants
 	// maps its tenant indices back to the submitted specs.
-	fleet     *fleet.Core
+	fleet     *fleet.Fleet
 	tenants   []TenantSpec
 	byName    map[string]int
 	submitted map[string]SubmitResult
@@ -329,13 +329,13 @@ func Start(opts Options) (*Server, error) {
 		submitted: make(map[string]SubmitResult),
 		watchers:  make(map[*connState]uint64),
 	}
-	core, err := fleet.NewCore(fleet.Options{
+	f, err := fleet.New(fleet.Options{
 		Chips: opts.Chips, SlotsPerChip: opts.SlotsPerChip, Funds: opts.Funds, Model: opts.Model,
 	}, s.recordCell)
 	if err != nil {
 		return nil, err
 	}
-	s.fleet = core
+	s.fleet = f
 	if opts.WireFaults.Enabled() {
 		fw, err := fault.NewWireFaults(opts.WireFaults)
 		if err != nil {
@@ -488,7 +488,7 @@ func (s *Server) rebuild() error {
 	return nil
 }
 
-// admit hands a tenant to the fleet core: its own envelope, its cells
+// admit hands a tenant to the fleet: its own envelope, its cells
 // priced and queued, the cells in done re-booked as landed.
 func (s *Server) admit(spec TenantSpec, done []fleet.Landing) error {
 	if err := spec.Validate(); err != nil {
@@ -506,8 +506,8 @@ func (s *Server) admit(spec TenantSpec, done []fleet.Landing) error {
 	return nil
 }
 
-// recordCell is the core's landing path: a cell's value and charge are
-// journaled, and synced, before the core bills them.
+// recordCell is the fleet's landing path: a cell's value and charge are
+// journaled, and synced, before the fleet bills them.
 func (s *Server) recordCell(l fleet.Landing) (bool, error) {
 	rec, err := json.Marshal(cellRecord{Value: l.Value, Consumed: l.Consumed})
 	if err != nil {
