@@ -224,8 +224,9 @@ type tenantTrack struct {
 	landed int
 }
 
-// Fleet is one fleet's controller state. Build with New, feed with
-// Admit, drive with Step.
+// Fleet is one fleet's controller state: chips, ledger, leases and
+// books. Build with New, feed with Admit, drive with Step; Run does all
+// three over a fixed grid.
 type Fleet struct {
 	opts   Options
 	record Recorder
