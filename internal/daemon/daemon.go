@@ -437,49 +437,49 @@ func (s *Server) logf(format string, args ...any) {
 // from cell records, everything else pending re-execution.
 func (s *Server) rebuild() error {
 	finals := s.journal.Finals()
-	// Keys sort "cell ..." before "submit ...": gather each tenant's
-	// landed cells first, then admit the tenants with them.
-	done := make(map[string][]fleet.Landing)
+	var cellRecords, rebooked int
+	var done []fleet.Landing // reused: Admit does not keep it
 	for _, e := range finals {
-		if e.Status != supervise.StatusOK || !strings.HasPrefix(e.Key, cellKeyPrefix) {
+		if e.Status != supervise.StatusOK {
 			continue
 		}
-		rest := strings.TrimPrefix(e.Key, cellKeyPrefix)
-		sp := strings.LastIndexByte(rest, ' ')
-		if sp < 0 {
-			return fmt.Errorf("daemon: malformed cell key %q", e.Key)
+		if strings.HasPrefix(e.Key, cellKeyPrefix) {
+			cellRecords++
+			continue
 		}
-		var idx int
-		if _, err := fmt.Sscanf(rest[sp+1:], "c%04d", &idx); err != nil {
-			return fmt.Errorf("daemon: malformed cell key %q: %w", e.Key, err)
-		}
-		var rec cellRecord
-		if err := json.Unmarshal(e.Value, &rec); err != nil {
-			return fmt.Errorf("daemon: corrupt cell record %q: %w", e.Key, err)
-		}
-		name := rest[:sp]
-		done[name] = append(done[name], fleet.Landing{Cell: idx, Value: rec.Value, Consumed: rec.Consumed})
-	}
-	for _, e := range finals {
-		if e.Status != supervise.StatusOK || !strings.HasPrefix(e.Key, submitKeyPrefix) {
+		if !strings.HasPrefix(e.Key, submitKeyPrefix) {
 			continue
 		}
 		var rec submitRecord
 		if err := json.Unmarshal(e.Value, &rec); err != nil {
 			return fmt.Errorf("daemon: corrupt submit record %q: %w", e.Key, err)
 		}
-		if err := s.admit(rec.Spec, done[rec.Spec.Name]); err != nil {
+		// The tenant's cells the journal already holds land again with
+		// their recorded charge instead of re-executing.
+		done = done[:0]
+		for i := 0; i < rec.Spec.Cells; i++ {
+			ce, ok := s.journal.Lookup(cellKey(rec.Spec.Name, i))
+			if !ok || ce.Status != supervise.StatusOK {
+				continue
+			}
+			var cr cellRecord
+			if err := json.Unmarshal(ce.Value, &cr); err != nil {
+				return fmt.Errorf("daemon: corrupt cell record %q: %w", ce.Key, err)
+			}
+			done = append(done, fleet.Landing{Cell: i, Value: cr.Value, Consumed: cr.Consumed})
+		}
+		if err := s.admit(rec.Spec, done); err != nil {
 			return err
 		}
-		delete(done, rec.Spec.Name)
+		rebooked += len(done)
 		idem := strings.TrimPrefix(e.Key, submitKeyPrefix)
 		s.submitted[idem] = SubmitResult{
 			Name: rec.Spec.Name, Cells: rec.Spec.Cells,
 			EstimateNanos: ExpectedSpend(rec.Spec, s.opts.Model), Resubmitted: true,
 		}
 	}
-	if len(done) > 0 {
-		return fmt.Errorf("daemon: cell records of %d tenants have no submit record", len(done))
+	if rebooked != cellRecords {
+		return fmt.Errorf("daemon: %d cell records have no admitted tenant", cellRecords-rebooked)
 	}
 	if n := len(s.tenants); n > 0 {
 		s.logf("resumed %d tenants, %d cells landed, %d pending",
