@@ -6,6 +6,8 @@ import (
 	"os"
 	"reflect"
 	"testing"
+
+	"cash/internal/supervise"
 )
 
 // cashd1Fixture is a cashd/1 journal written by the daemon before its
@@ -95,5 +97,31 @@ func TestResumesCashd1Journal(t *testing.T) {
 	}
 	if n := bytes.Count(compacted, []byte(`"key":"`+cellKeyPrefix)); n != 15 {
 		t.Fatalf("compacted journal holds %d cell records, want 15", n)
+	}
+}
+
+// TestRebuildRejectsUnclaimedCellRecords: a cell record whose tenant
+// was never admitted means the journal is not one this daemon wrote,
+// and restarting on it must fail rather than drop the record's spend.
+func TestRebuildRejectsUnclaimedCellRecords(t *testing.T) {
+	opts := testOptions(t)
+	j, err := supervise.OpenJournal(opts.Journal, journalMeta, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range []supervise.Entry{
+		{Status: supervise.StatusOK, Key: submitKeyPrefix + "k", Value: []byte(`{"spec":{"name":"real","cells":2,"seed":1}}`)},
+		{Status: supervise.StatusOK, Key: cellKey("real", 5), Value: []byte(`{"value":"x","consumed":1}`)},
+	} {
+		if err := j.Record(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if srv, err := Start(opts); err == nil {
+		srv.Kill()
+		t.Fatal("restarted on a journal with a cell record outside every admitted tenant")
 	}
 }
