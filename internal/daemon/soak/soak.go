@@ -283,12 +283,20 @@ func runScenario(opts Options, idx int, seed uint64, chaos bool) (digest string,
 		return "", 0, 0, kills, fmt.Errorf("root consumed %d nanos, want %d", spend.RootConsumed, want)
 	}
 
-	// Graceful drain: the daemon settles, compacts and exits clean.
-	if err := cl.Drain(); err != nil {
-		return "", 0, 0, kills, fmt.Errorf("drain: %w", err)
-	}
-	if err := srv.Wait(); err != nil {
-		return "", 0, 0, kills, fmt.Errorf("daemon exited dirty: %w", err)
+	// Graceful drain: the daemon settles, compacts and exits clean. A
+	// quiesced daemon exits as soon as it has sent the drain ack, so a
+	// wire fault on that ack leaves the client's retries nothing to dial;
+	// the daemon's exit, not the ack, is the evidence that it drained.
+	drainErr := cl.Drain()
+	exited := make(chan error, 1)
+	go func() { exited <- srv.Wait() }()
+	select {
+	case err := <-exited:
+		if err != nil {
+			return "", 0, 0, kills, fmt.Errorf("daemon exited dirty: %w", err)
+		}
+	case <-time.After(30 * time.Second):
+		return "", 0, 0, kills, fmt.Errorf("daemon still running after drain (drain: %v)", drainErr)
 	}
 	return health.Digest, health.CellsLanded, health.ConsumedNanos, kills, nil
 }
