@@ -42,11 +42,11 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzArrivalStream -fuzztime=$(FUZZTIME) ./internal/workload/
 	$(GO) test -run='^$$' -fuzz=FuzzReqQueue -fuzztime=$(FUZZTIME) ./internal/experiment/
 
-# chaos runs the guardrail and fleet soaks the way CI does: every
-# scenario, the default seed counts, guardrails armed. CHAOS_FLAGS
-# passes extra cashsim flags through (CI shrinks the seed counts with
-# it; locally e.g. CHAOS_FLAGS='-chaos-seeds 50 -fleet-seeds 10' for a
-# longer hunt, or '-fleet-journal-dir /tmp/fleet' to keep the journals).
+# chaos runs the chaos soak: every guard, fleet and daemon scenario
+# over 20 seeds each. CHAOS_FLAGS passes extra cashsim flags through
+# (CI uses '-chaos-seeds 8 -chaos-dir chaos-evidence' to shrink the seed
+# count and keep every journal; locally e.g. CHAOS_FLAGS='-chaos-seeds 50'
+# for a longer hunt, or '-chaos-dir /tmp/soak' to keep the journals).
 CHAOS_FLAGS ?=
 
 chaos: build

@@ -37,18 +37,17 @@ import (
 	"cash/internal/cost"
 	"cash/internal/daemon"
 	"cash/internal/daemon/client"
-	daemonsoak "cash/internal/daemon/soak"
 	"cash/internal/experiment"
 	"cash/internal/fault"
 	"cash/internal/figs"
 	"cash/internal/fleet"
 	"cash/internal/guard"
-	"cash/internal/guard/chaos"
 	"cash/internal/isim"
 	"cash/internal/isim/calib"
 	"cash/internal/oracle"
 	"cash/internal/par"
 	"cash/internal/slice"
+	"cash/internal/soak"
 	"cash/internal/ssim"
 	"cash/internal/supervise"
 	"cash/internal/vcore"
@@ -143,12 +142,6 @@ type (
 	GuardConfig = guard.Config
 	// GuardStats counts guardrail trips and recoveries over a run.
 	GuardStats = guard.Stats
-	// ChaosOptions configure the chaos soak harness.
-	ChaosOptions = chaos.Options
-	// ChaosReport is a completed soak with per-seed outcomes.
-	ChaosReport = chaos.Report
-	// ChaosSeedResult is one (scenario, seed) run of the soak.
-	ChaosSeedResult = chaos.SeedResult
 )
 
 // Fleet control-plane types (robustness study). A fleet is N simulated
@@ -166,10 +159,6 @@ type (
 	FleetStats = fleet.Stats
 	// FleetWork is the work a fleet hosts: M tenants × cells.
 	FleetWork = fleet.Work
-	// FleetSoakOptions configure the fleet chaos soak.
-	FleetSoakOptions = fleet.SoakOptions
-	// FleetSoakReport is a completed fleet soak.
-	FleetSoakReport = fleet.SoakReport
 	// ChipFaultSchedule is a deterministic list of chip-level fault
 	// events (crashes, hangs, heartbeat loss).
 	ChipFaultSchedule = fault.ChipSchedule
@@ -180,15 +169,6 @@ type (
 // RunFleet executes one fleet run: admission against budget envelopes,
 // leased placement, failure detection and exactly-once re-execution.
 func RunFleet(opts FleetOptions) (FleetResult, error) { return fleet.Run(opts) }
-
-// RunFleetSoak executes the fleet chaos soak: chip crashes, hangs and
-// heartbeat partitions across many seeds, asserting completion,
-// exactly-once delivery, budget reconciliation and byte-identical
-// replay on every run.
-func RunFleetSoak(opts FleetSoakOptions) (FleetSoakReport, error) { return fleet.Soak(opts) }
-
-// FleetSoakScenarios lists the fleet soak's built-in scenario names.
-func FleetSoakScenarios() []string { return fleet.SoakScenarios() }
 
 // KillK returns a chip fault schedule that crashes k of n chips at the
 // given tick, spread evenly across the fleet.
@@ -215,10 +195,6 @@ type (
 	DaemonClient = client.Client
 	// DaemonClientOptions configure a DaemonClient.
 	DaemonClientOptions = client.Options
-	// DaemonSoakOptions configure the daemon chaos soak.
-	DaemonSoakOptions = daemonsoak.Options
-	// DaemonSoakReport is a completed daemon chaos soak.
-	DaemonSoakReport = daemonsoak.Report
 	// WireFaultSpec parameterises deterministic wire-level fault
 	// injection (drop/delay/duplicate/truncate/reorder).
 	WireFaultSpec = fault.WireSpec
@@ -230,12 +206,6 @@ func StartDaemon(opts DaemonOptions) (*DaemonServer, error) { return daemon.Star
 
 // DialDaemon creates a retrying client for a cashd socket.
 func DialDaemon(opts DaemonClientOptions) (*DaemonClient, error) { return client.Dial(opts) }
-
-// RunDaemonSoak executes the daemon chaos soak: seeded wire faults,
-// kill -9 + restart cycles on a shared journal, exactly-once tenant
-// execution, nanodollar-exact spend reconciliation and digest-identical
-// replay.
-func RunDaemonSoak(opts DaemonSoakOptions) (DaemonSoakReport, error) { return daemonsoak.Run(opts) }
 
 // DefaultDaemonSocketPath returns the conventional cashd socket
 // location ($CASHD_SOCKET, else the user cache directory).
@@ -249,15 +219,28 @@ func DefaultDaemonJournalPath() string { return daemon.DefaultJournalPath() }
 // seed: 5% drop, 5% delay, 4% duplicate, 3% truncate, 3% reorder.
 func DefaultWireFaultSpec(seed uint64) WireFaultSpec { return fault.DefaultWireSpec(seed) }
 
-// RunChaos executes the chaos soak: adversarial workloads (phase
-// storms, load spikes, all-miss memory phases), injected tile faults
-// and deliberate runtime-state corruption across many seeds, asserting
-// no panics, no NaN in runtime state, breaker-bounded QoS-violation
-// streaks and byte-identical replay per seed.
-func RunChaos(opts ChaosOptions) (ChaosReport, error) { return chaos.Run(opts) }
+// The chaos soak runs three suites over one seeds × scenarios grid:
+// guard (adversarial workloads, tile faults and runtime-state
+// corruption under the guarded control loop), fleet (chip crashes,
+// hangs and heartbeat partitions) and daemon (cashd kill -9 + restart
+// under wire faults). Each (scenario, seed) runs twice and every
+// replay must reach the same digest.
+type (
+	// SoakOptions configure a soak: seeds per scenario, the directory
+	// for journals and sockets, and an optional scenario filter.
+	SoakOptions = soak.Options
+	// SoakReport is a completed soak with per-run outcomes.
+	SoakReport = soak.Report
+)
 
-// ChaosScenarios lists the soak's built-in scenario names.
-func ChaosScenarios() []string { return chaos.Scenarios() }
+// RunSoak executes the chaos soak, asserting no panics, no NaN in
+// runtime state, breaker-bounded QoS-violation streaks, a bounded
+// shedding server queue, exactly-once execution, nanodollar-exact
+// books, clean daemon drains and identical replay on every run.
+func RunSoak(opts SoakOptions) (SoakReport, error) { return soak.Run(opts) }
+
+// SoakScenarios lists the soak's scenarios as suite/name.
+func SoakScenarios() []string { return soak.Scenarios() }
 
 // ConfigSpace returns the full 8×8 virtual-core configuration grid.
 func ConfigSpace() []Config { return vcore.Space() }

@@ -33,11 +33,15 @@
 // -tenant/-cells/-tenant-seed describe a daemon-submit grid, -idem
 // supplies its idempotency key (retried and duplicated submissions
 // under the same key apply exactly once), and -drain-timeout bounds
-// waits. -chaos additionally runs the cashd chaos soak after the fleet
-// soak: -daemon-seeds scenarios, each with seeded wire faults and
-// -daemon-kills kill -9 + restart cycles, asserting exactly-once tenant
-// execution, nanodollar-exact spend reconciliation and digest-identical
-// replay.
+// waits.
+//
+// -chaos runs the chaos soak instead of an artifact: the guard suite
+// (adversarial workloads, tile faults, runtime-state corruption), the
+// fleet suite (chip crashes, hangs, heartbeat partitions) and the
+// daemon suite (cashd kill -9 + restart under wire faults), each
+// scenario over -chaos-seeds seeds and each run replayed to an
+// identical digest. -chaos-dir keeps the runs' journals (default: a
+// temporary directory, removed afterwards).
 //
 // The fleet artifact is the fleet-scale control-plane study: N
 // simulated chips host M tenants of real CASH experiments under
@@ -127,20 +131,15 @@ func main() {
 	chips := flag.Int("chips", 0, "fleet study: simulated chips (0 = default, 6)")
 	tenants := flag.Int("tenants", 0, "fleet study: admitted tenants (0 = default, 6)")
 	kill := flag.Int("kill", 0, "fleet study: chips the crash-K scenario kills (0 = default, 2)")
-	chaosMode := flag.Bool("chaos", false, "run the chaos soaks (guardrail + fleet) instead of an artifact")
+	chaosMode := flag.Bool("chaos", false, "run the chaos soak (guard, fleet and daemon suites) instead of an artifact")
 	chaosSeeds := flag.Int("chaos-seeds", 20, "chaos soak: seeds per scenario (must be positive)")
-	chaosQuanta := flag.Int("chaos-quanta", 0, "chaos soak: control quanta per run (0 = default)")
-	chaosGuard := flag.Bool("chaos-guard", true, "chaos soak: arm the guardrails (false = hazard baseline)")
-	fleetSeeds := flag.Int("fleet-seeds", 5, "fleet chaos soak: seeds per scenario (0 skips the fleet soak)")
-	fleetJournalDir := flag.String("fleet-journal-dir", "", "fleet chaos soak: journal every run under this directory")
+	chaosDir := flag.String("chaos-dir", "", "chaos soak: keep the runs' journals in this directory (default: a removed temp dir)")
 	socket := flag.String("socket", "", "daemon subcommands: cashd unix socket (default $CASHD_SOCKET or the user cache directory)")
 	idem := flag.String("idem", "", "daemon-submit: idempotency key (default derived from -tenant)")
 	tenant := flag.String("tenant", "", "daemon-submit: tenant name")
 	cells := flag.Int("cells", 0, "daemon-submit: cells in the tenant grid (0 = default, 4)")
 	tenantSeed := flag.Uint64("tenant-seed", 0, "daemon-submit: tenant workload seed")
-	drainTimeout := flag.Duration("drain-timeout", 10*time.Second, "daemon subcommands and soak: wait budget (must be positive)")
-	daemonSeeds := flag.Int("daemon-seeds", 2, "chaos: daemon soak seeds (0 skips the daemon soak)")
-	daemonKills := flag.Int("daemon-kills", 2, "chaos: daemon kill -9 + restart cycles per seed")
+	drainTimeout := flag.Duration("drain-timeout", 10*time.Second, "daemon subcommands: wait budget (must be positive)")
 	tier := flag.String("tier", "cycle", "oracle sweep simulation tier: cycle or interval (figures stay authoritative on cycle)")
 	calibGate := flag.String("calib", "", "run the fast-tier calibration gate against golden runs recorded at this path (instead of an artifact)")
 	calibRecord := flag.String("calib-record", "", "record the golden cycle-level calibration runs to this path (instead of an artifact)")
@@ -148,7 +147,7 @@ func main() {
 	memProfile := flag.String("memprofile", "", "write a heap profile at exit to a file (go tool pprof)")
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: cashsim [-scale f] [-out file] [-fault-rate r] [-fault-seed n] [-jobs n] [-sweep-par n] [-tier cycle|interval] [-cell-timeout d] [-max-retries n] [-journal file] [-resume] [-v] [-cpuprofile file] [-memprofile file] <artifact>\n")
-		fmt.Fprintf(os.Stderr, "       cashsim -chaos [-chaos-seeds n] [-chaos-quanta n] [-chaos-guard=false] [-daemon-seeds n] [-daemon-kills n] [-out file]\n")
+		fmt.Fprintf(os.Stderr, "       cashsim -chaos [-chaos-seeds n] [-chaos-dir dir] [-out file]\n")
 		fmt.Fprintf(os.Stderr, "       cashsim -calib-record golden.gob | -calib golden.gob [-sweep-par n] [-out file]\n")
 		fmt.Fprintf(os.Stderr, "       cashsim [-socket path] [-idem key] [-tenant name] [-cells n] [-drain-timeout d] <daemon-command>\n\n")
 		fmt.Fprintf(os.Stderr, "artifacts: fig1 fig2 table1 table2 overhead fig7 table3 fig8 fig9 fig10 ablations reliability tail fleet all\n")
@@ -168,12 +167,11 @@ func main() {
 	}
 	if err := validateFlags(flagValues{
 		queueCap: *queueCap, stream: *stream, shed: *shed,
-		chaos: *chaosMode, chaosSeeds: *chaosSeeds, fleetSeeds: *fleetSeeds,
+		chaos: *chaosMode, chaosSeeds: *chaosSeeds,
 		chips: *chips, tenants: *tenants, kill: *kill,
 		socket: *socket, drainTimeout: *drainTimeout,
-		daemonCmd:   !*chaosMode && flag.NArg() == 1 && isDaemonArtifact(flag.Arg(0)),
-		daemonSeeds: *daemonSeeds, daemonKills: *daemonKills,
-		tier: *tier, calibGate: *calibGate, calibRecord: *calibRecord,
+		daemonCmd: !*chaosMode && flag.NArg() == 1 && isDaemonArtifact(flag.Arg(0)),
+		tier:      *tier, calibGate: *calibGate, calibRecord: *calibRecord,
 	}); err != nil {
 		fmt.Fprintf(os.Stderr, "cashsim: %v\nrun 'cashsim -h' for usage\n", err)
 		os.Exit(2)
@@ -235,55 +233,14 @@ func main() {
 
 	if *chaosMode {
 		start := time.Now()
-		rep, err := cash.RunChaos(cash.ChaosOptions{
-			Seeds: *chaosSeeds, Quanta: *chaosQuanta, Guardrails: *chaosGuard,
-		})
+		rep, err := cash.RunSoak(cash.SoakOptions{Seeds: *chaosSeeds, Dir: *chaosDir})
 		if err != nil {
 			fail(err)
 		}
 		fmt.Fprint(w, rep.Summary())
-		for _, r := range rep.Results {
-			if len(r.Violations) == 0 {
-				continue
-			}
-			fmt.Fprintf(w, "  FAIL %s seed %d: %v\n", r.Scenario, r.Seed, r.Violations)
-		}
-		passed := !*chaosGuard || rep.Passed()
-		if *fleetSeeds > 0 {
-			frep, err := cash.RunFleetSoak(cash.FleetSoakOptions{
-				Seeds: *fleetSeeds, JournalDir: *fleetJournalDir,
-			})
-			if err != nil {
-				fail(err)
-			}
-			fmt.Fprint(w, frep.Summary())
-			for _, r := range frep.Runs {
-				for _, v := range r.Violations {
-					fmt.Fprintf(w, "  FAIL %s seed %d: %s\n", r.Scenario, r.Seed, v)
-				}
-			}
-			passed = passed && frep.Passed()
-		}
-		if *daemonSeeds > 0 {
-			dir, err := os.MkdirTemp("", "cashd-soak-*")
-			if err != nil {
-				fail(err)
-			}
-			defer os.RemoveAll(dir)
-			drep, err := cash.RunDaemonSoak(cash.DaemonSoakOptions{
-				Seeds: *daemonSeeds, Kills: *daemonKills, Dir: dir,
-			})
-			if err != nil {
-				fmt.Fprintf(w, "daemon soak: FAIL: %v\n", err)
-				passed = false
-			} else {
-				fmt.Fprintf(w, "daemon soak: %d seeds, %d kills, %d cells exactly-once, %d nanos reconciled, replay digests identical\n",
-					drep.Seeds, drep.Kills, drep.CellsLanded, drep.ConsumedNanos)
-			}
-		}
 		fmt.Fprintf(os.Stderr, "cashsim: chaos soak done in %v\n", time.Since(start).Round(time.Millisecond))
 		stopProf()
-		if !passed {
+		if !rep.Passed() {
 			os.Exit(1)
 		}
 		return
@@ -317,7 +274,6 @@ type flagValues struct {
 	shed       string
 	chaos      bool
 	chaosSeeds int
-	fleetSeeds int
 	chips      int
 	tenants    int
 	kill       int
@@ -325,8 +281,6 @@ type flagValues struct {
 	socket       string
 	drainTimeout time.Duration
 	daemonCmd    bool
-	daemonSeeds  int
-	daemonKills  int
 
 	tier        string
 	calibGate   string
@@ -346,9 +300,6 @@ func validateFlags(v flagValues) error {
 	if v.chaos && v.chaosSeeds <= 0 {
 		return fmt.Errorf("-chaos needs -chaos-seeds >= 1, got %d", v.chaosSeeds)
 	}
-	if v.fleetSeeds < 0 {
-		return fmt.Errorf("-fleet-seeds %d is negative (0 skips the fleet soak)", v.fleetSeeds)
-	}
 	if v.chips < 0 || v.tenants < 0 || v.kill < 0 {
 		return fmt.Errorf("-chips/-tenants/-kill must be non-negative, got %d/%d/%d", v.chips, v.tenants, v.kill)
 	}
@@ -362,14 +313,8 @@ func validateFlags(v flagValues) error {
 			}
 		}
 	}
-	if v.daemonSeeds < 0 || v.daemonKills < 0 {
-		return fmt.Errorf("-daemon-seeds/-daemon-kills must be non-negative, got %d/%d", v.daemonSeeds, v.daemonKills)
-	}
-	if (v.daemonCmd || (v.chaos && v.daemonSeeds > 0)) && v.drainTimeout <= 0 {
-		return fmt.Errorf("-drain-timeout %v must be positive: daemon commands and the daemon soak wait on it", v.drainTimeout)
-	}
-	if v.chaos && v.daemonSeeds > 0 && v.kill > 0 {
-		return fmt.Errorf("-kill sizes the fleet study's crash scenario, not the daemon soak; use -daemon-kills for kill+restart cycles during -chaos")
+	if v.daemonCmd && v.drainTimeout <= 0 {
+		return fmt.Errorf("-drain-timeout %v must be positive: daemon commands wait on it", v.drainTimeout)
 	}
 	if v.tier != "" {
 		if err := cash.ValidateTier(v.tier); err != nil {

@@ -21,13 +21,12 @@ func TestValidateFlagsAccepts(t *testing.T) {
 		{calibGate: goldenPath}, // goldens present
 		{calibGate: "/no/such/golden.gob", calibRecord: "/no/such/golden.gob"}, // record-then-gate creates them
 		{calibRecord: filepath.Join(t.TempDir(), "new.gob")},
-		{chaos: true, chaosSeeds: 20, fleetSeeds: 5},
-		{chaos: true, chaosSeeds: 1, fleetSeeds: 0}, // fleet soak skipped
+		{chaos: true, chaosSeeds: 20},
 		{chips: 8, tenants: 12, kill: 3},
 		{stream: "flash"}, // stream without shed compares both policies
 		{daemonCmd: true, drainTimeout: time.Second},
-		{chaos: true, chaosSeeds: 1, daemonSeeds: 2, daemonKills: 3, drainTimeout: time.Second},
-		{chaos: true, chaosSeeds: 1, daemonSeeds: 0, kill: 0}, // daemon soak skipped
+		{chaos: true, chaosSeeds: 1},          // the soak never reads -drain-timeout
+		{chaos: true, chaosSeeds: 1, kill: 2}, // nor -kill
 		{socket: filepath.Join(t.TempDir(), "cashd.sock"), daemonCmd: true, drainTimeout: time.Second},
 	}
 	for _, v := range cases {
@@ -46,7 +45,6 @@ func TestValidateFlagsRejects(t *testing.T) {
 		{flagValues{shed: "deadline"}, "-shed"},
 		{flagValues{chaos: true, chaosSeeds: 0}, "-chaos-seeds"},
 		{flagValues{chaos: true, chaosSeeds: -5}, "-chaos-seeds"},
-		{flagValues{fleetSeeds: -1}, "-fleet-seeds"},
 		{flagValues{chips: -2}, "non-negative"},
 		{flagValues{kill: -1}, "non-negative"},
 		{flagValues{chips: 4, kill: 4}, "-kill"},
@@ -54,10 +52,6 @@ func TestValidateFlagsRejects(t *testing.T) {
 		{flagValues{socket: "/no/such/parent/cashd.sock", daemonCmd: true, drainTimeout: time.Second}, "-socket"},
 		{flagValues{daemonCmd: true}, "-drain-timeout"},
 		{flagValues{daemonCmd: true, drainTimeout: -time.Second}, "-drain-timeout"},
-		{flagValues{chaos: true, chaosSeeds: 1, daemonSeeds: 2}, "-drain-timeout"},
-		{flagValues{daemonSeeds: -1, drainTimeout: time.Second}, "-daemon-seeds"},
-		{flagValues{daemonKills: -2, drainTimeout: time.Second}, "-daemon-kills"},
-		{flagValues{chaos: true, chaosSeeds: 1, daemonSeeds: 1, kill: 2, drainTimeout: time.Second}, "-daemon-kills"},
 		{flagValues{tier: "fast"}, "tier"},
 		{flagValues{tier: "Cycle"}, "tier"},                     // names are case-sensitive
 		{flagValues{tier: "sampled"}, "want cycle or interval"}, // the removed tier names the valid ones
@@ -99,7 +93,7 @@ func TestValidateFlagsDaemonRulesIgnoredOutsideDaemonModes(t *testing.T) {
 	if err := validateFlags(flagValues{drainTimeout: 0}); err != nil {
 		t.Fatalf("drain-timeout validated outside daemon modes: %v", err)
 	}
-	if err := validateFlags(flagValues{chips: 4, kill: 2, daemonSeeds: 2, drainTimeout: time.Second}); err != nil {
-		t.Fatalf("-kill flagged as a daemon knob outside -chaos: %v", err)
+	if err := validateFlags(flagValues{chips: 4, kill: 2, drainTimeout: time.Second}); err != nil {
+		t.Fatalf("-kill flagged as a daemon knob: %v", err)
 	}
 }

@@ -74,6 +74,17 @@ func (c DetectorConfig) withDefaults() DetectorConfig {
 	return c
 }
 
+// AggressiveDetector is a trigger-happy tuning for tests, the fleet
+// study and the soak: a chip is suspected after 3 silent ticks and
+// confirmed dead one recheck later, so 16-tick outages are reliably
+// (mis)classified as deaths.
+var AggressiveDetector = DetectorConfig{
+	Suspect:     3 * tickLen,
+	BackoffBase: 1 * tickLen,
+	BackoffCap:  4 * tickLen,
+	Confirm:     2,
+}
+
 // DetectorStats counts detector transitions for the run report.
 type DetectorStats struct {
 	// Suspicions counts Alive→Suspected transitions.

@@ -307,40 +307,3 @@ func TestOptionsValidation(t *testing.T) {
 		t.Fatal("out-of-range fault schedule accepted")
 	}
 }
-
-func TestSoakSmall(t *testing.T) {
-	rep, err := Soak(SoakOptions{
-		Seeds: 2, Chips: 5, Tenants: 6, CellsPerTenant: 3,
-		JournalDir: t.TempDir(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.Passed() {
-		for _, r := range rep.Runs {
-			for _, v := range r.Violations {
-				t.Errorf("%s seed %d: %s", r.Scenario, r.Seed, v)
-			}
-		}
-		t.Fatalf("fleet soak failed:\n%s", rep.Summary())
-	}
-	if len(rep.Runs) != 2*len(SoakScenarios()) {
-		t.Fatalf("ran %d runs, want %d", len(rep.Runs), 2*len(SoakScenarios()))
-	}
-	// The soak must actually exercise recovery: at least one scenario
-	// re-executed work and at least one produced orphan deliveries.
-	var reexec, orphan int64
-	for _, r := range rep.Runs {
-		reexec += r.Result.Stats.ReExecutions
-		orphan += r.Result.Stats.OrphanDeliveries
-	}
-	if reexec == 0 {
-		t.Fatal("soak exercised no re-executions")
-	}
-	if orphan == 0 {
-		t.Fatal("soak exercised no orphan deliveries")
-	}
-	if _, err := Soak(SoakOptions{Scenarios: []string{"nope"}}); err == nil {
-		t.Fatal("unknown scenario accepted")
-	}
-}

@@ -3,11 +3,13 @@ package fleet
 import (
 	"fmt"
 	"testing"
+
+	"cash/internal/fault"
 )
 
 // goldenRuns pin fleet.Run's observable behaviour: the digest and every
 // Stats counter of the healthy fleet and of each soak scenario, built
-// exactly as the soak builds them, at one seed each (seed 14 for mixed, whose random schedule
+// as the fleet soak first built them, at one seed each (seed 14 for mixed, whose random schedule
 // at that seed produces re-executions, orphans and duplicates). The values were
 // recorded before the executor became a steppable core shared with
 // cashd; any drift means the refactor changed what the fleet does.
@@ -31,24 +33,42 @@ var goldenRuns = []struct {
 
 func goldenOptions(t *testing.T, scenario string, seed uint64) Options {
 	t.Helper()
-	so := SoakOptions{}.withDefaults()
+	const chips = 6
 	opts := Options{
-		Chips:        so.Chips,
-		SlotsPerChip: so.SlotsPerChip,
+		Chips:        chips,
+		SlotsPerChip: 2,
 		Detector:     AggressiveDetector,
-		Work:         SyntheticWork{TenantCount: so.Tenants, CellsPerTenant: so.CellsPerTenant, Seed: seed},
+		Work:         SyntheticWork{TenantCount: 10, CellsPerTenant: 4, Seed: seed},
 		MaxTicks:     2_000,
 	}
-	if scenario == "" {
-		return opts
-	}
-	for _, s := range soakScenarios {
-		if s.name == scenario {
-			opts.Faults = s.sched(so, seed)
-			return opts
+	switch scenario {
+	case "":
+	case "kill-k":
+		opts.Faults = fault.KillK(chips, 2, 6)
+		opts.Faults.Events = append(opts.Faults.Events, fault.ChipEvent{
+			Tick: 14, Chip: (chips - 1) - int(seed%chips), Kind: fault.ChipCrash, Duration: 25,
+		})
+	case "hang":
+		for i := 0; i < chips; i += 2 {
+			opts.Faults.Events = append(opts.Faults.Events, fault.ChipEvent{
+				Tick: 5 + int64(i), Chip: i, Kind: fault.ChipHang, Duration: 18 + int64(seed%5),
+			})
 		}
+	case "hbloss":
+		for i := 1; i < chips; i += 2 {
+			opts.Faults.Events = append(opts.Faults.Events, fault.ChipEvent{
+				Tick: 4 + int64(i), Chip: i, Kind: fault.ChipHBLoss, Duration: 16 + int64(seed%4),
+			})
+		}
+	case "mixed":
+		sched, err := fault.GenerateChipFaults(fault.ChipSpec{Chips: chips, Horizon: 60, Rate: 2.5, Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts.Faults = sched
+	default:
+		t.Fatalf("no soak scenario %q", scenario)
 	}
-	t.Fatalf("no soak scenario %q", scenario)
 	return opts
 }
 

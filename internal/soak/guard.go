@@ -1,168 +1,47 @@
-// Package chaos is the soak harness for the guardrail subsystem: it
-// composes the fault-injection machinery (package fault), adversarial
-// synthetic workloads (phase storms, load spikes, all-miss memory
-// phases) and deliberate runtime-state corruption, and drives the full
-// CASH stack through them across many seeds, asserting the invariants
-// the guardrails exist to protect:
-//
-//   - no panics anywhere in the stack,
-//   - no NaN/Inf in runtime state after any control quantum,
-//   - QoS-violation streaks bounded by the circuit-breaker threshold
-//     while optimization is active,
-//   - byte-identical replay: the same seed produces the same samples,
-//     the same trips and the same digest every time.
-//
-// With guardrails disabled the same scenarios are expected to violate
-// at least the state invariant — the harness records rather than hides
-// this, because the delta between the two modes is the evidence that
-// the guardrails do real work.
-package chaos
+package soak
 
 import (
 	"fmt"
 	"hash/fnv"
 	"math"
-	"sort"
 
 	"cash/internal/cashrt"
 	"cash/internal/cost"
 	"cash/internal/experiment"
 	"cash/internal/fault"
 	"cash/internal/guard"
-	"cash/internal/par"
 	"cash/internal/slice"
 	"cash/internal/ssim"
 	"cash/internal/workload"
 )
 
-// Options configure a soak. Zero values select the defaults noted.
-type Options struct {
-	// Seeds is how many seeds each scenario runs under (default 20).
-	Seeds int
-	// Quanta bounds each run's length in control quanta (default 120).
-	Quanta int
-	// Guardrails toggles the guard subsystem in the runtime under test
-	// (the soak's acceptance mode is on; off is the hazard baseline).
-	Guardrails bool
-	// Target is the QoS floor the runtime chases (default 0.22 — low
-	// enough that the largest configuration meets it outside the
-	// deliberately impossible phases).
-	Target float64
-	// Tau is the control quantum in cycles (default 100_000).
-	Tau int64
-	// Scenarios restricts the soak to the named scenarios (nil = all).
-	Scenarios []string
-	// Pool bounds how many (scenario, seed) runs execute concurrently.
-	// nil draws from the process-wide shared budget, so a soak launched
-	// next to other parallel work (figs cells, oracle sweeps) cannot
-	// oversubscribe the host. The report is byte-identical at any
-	// setting: results land in canonical (scenario, seed) order.
-	Pool *par.Pool
-}
+// The guard suite drives the full CASH stack through adversarial
+// workloads (phase storms, load spikes, all-miss memory phases), tile
+// faults and deliberate runtime-state corruption, asserting what the
+// guardrails exist to protect:
+//
+//   - no NaN/Inf in runtime or simulator state after any quantum,
+//   - QoS-violation streaks bounded by the breaker threshold while
+//     optimization is active,
+//   - under overload (load-spike), a bounded server queue that sheds
+//     and a tail breaker that trips.
+//
+// The replay is an identical re-run. With guardrails off the same
+// scenarios violate the state invariant; the tests keep that hazard
+// baseline, because the delta is the evidence the guardrails work.
 
-func (o Options) withDefaults() Options {
-	if o.Seeds == 0 {
-		o.Seeds = 20
-	}
-	if o.Quanta == 0 {
-		o.Quanta = 120
-	}
-	if o.Target == 0 {
-		o.Target = 0.22
-	}
-	if o.Tau == 0 {
-		o.Tau = 100_000
-	}
-	return o
-}
+// Each guard run is guardQuanta control quanta of guardTau cycles,
+// chasing a QoS floor of guardTarget — low enough that the largest
+// configuration meets it outside the deliberately impossible phases.
+const (
+	guardQuanta = 120
+	guardTarget = 0.22
+	guardTau    = 100_000
+)
 
-// SeedResult is one (scenario, seed) run's outcome.
-type SeedResult struct {
-	Scenario string
-	Seed     uint64
-	Quanta   int
-	// Digest fingerprints the run's full sample stream and guard stats;
-	// two runs of the same seed must agree bit for bit.
-	Digest uint64
-	// ReplayIdentical records whether the immediate re-run of this seed
-	// reproduced Digest exactly.
-	ReplayIdentical bool
-	// Violations lists every invariant violated during the run (empty
-	// on a clean run). With guardrails on, any entry fails the soak.
-	Violations []string
-	// Guard is the runtime's guardrail trip counters for the run.
-	Guard guard.Stats
-	// QoSViolations and MaxSampleStreak summarize delivered QoS at the
-	// sample level (informational; pinned-safe-config quanta during
-	// impossible phases still count here).
-	QoSViolations   int
-	MaxSampleStreak int
-	Panicked        bool
-
-	// Server-overload evidence (load-spike scenario only): the same
-	// seed also drives an open-loop serving run through a flash-crowd
-	// arrival stream that oversubscribes the fabric, asserting that the
-	// bounded queue sheds instead of growing and that the tail breaker
-	// sees the overload the per-quantum means miss.
-	ServerShed           int64
-	ServerTimedOut       int64
-	ServerMeanViolations int // quanta violating by mean latency
-	ServerTailViolations int // quanta violating by p99/pending age
-	ServerStarved        int // quanta that completed nothing under load
-	ServerTailTrips      int64
-	ServerMaxQueueDepth  int
-}
-
-// Report is a completed soak.
-type Report struct {
-	Guardrails bool
-	Scenarios  []string
-	Results    []SeedResult
-	// Failures counts runs with at least one invariant violation (or a
-	// panic, or a replay divergence).
-	Failures int
-}
-
-// Passed reports whether the soak met its acceptance criteria: every
-// run clean and every replay identical. Only meaningful with
-// guardrails on; the guard-off baseline is expected to fail.
-func (r Report) Passed() bool { return r.Failures == 0 }
-
-// Summary renders a one-line-per-scenario digest of the soak.
-func (r Report) Summary() string {
-	type agg struct {
-		runs, fails int
-		trips       int64
-	}
-	byScen := map[string]*agg{}
-	for _, res := range r.Results {
-		a := byScen[res.Scenario]
-		if a == nil {
-			a = &agg{}
-			byScen[res.Scenario] = a
-		}
-		a.runs++
-		a.trips += res.Guard.Trips()
-		if len(res.Violations) > 0 || !res.ReplayIdentical {
-			a.fails++
-		}
-	}
-	names := make([]string, 0, len(byScen))
-	for n := range byScen {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	out := fmt.Sprintf("chaos soak: guardrails=%v, %d runs, %d failures\n", r.Guardrails, len(r.Results), r.Failures)
-	for _, n := range names {
-		a := byScen[n]
-		out += fmt.Sprintf("  %-14s %3d seeds, %3d failures, %5d guard trips\n", n, a.runs, a.fails, a.trips)
-	}
-	return out
-}
-
-// scenario couples an adversarial workload with a fault schedule and an
-// optional state-corruption plan.
-type scenario struct {
+// guardScenario couples an adversarial workload with a fault schedule
+// and an optional state-corruption plan.
+type guardScenario struct {
 	name string
 	app  func(seed uint64) workload.App
 	// faultRate is strikes per million cycles on the hosting fabric.
@@ -173,20 +52,21 @@ type scenario struct {
 	corrupt bool
 }
 
-// Scenarios returns the names of all built-in scenarios.
-func Scenarios() []string {
-	out := make([]string, len(scenarios))
-	for i, s := range scenarios {
-		out[i] = s.name
-	}
-	return out
-}
-
-var scenarios = []scenario{
+var guardScenarios = []guardScenario{
 	{name: "phase-storm", app: phaseStormApp, faultRate: 0.4},
 	{name: "load-spike", app: loadSpikeApp, faultRate: 0.2},
 	{name: "all-miss", app: allMissApp, faultRate: 0.2},
 	{name: "corruption", app: steadyApp, faultRate: 0.4, corrupt: true},
+}
+
+// guardSuite registers every guard scenario at the given run length.
+func guardSuite(quanta int, guardrails bool) []scenario {
+	var out []scenario
+	for _, g := range guardScenarios {
+		out = append(out, scenario{suite: "guard", name: g.name, seed: spreadSeed,
+			run: func(seed uint64, _ string, _ bool) outcome { return runGuard(g, seed, quanta, guardrails) }})
+	}
+	return out
 }
 
 // phaseStormApp alternates violently between a serial cache-thrashing
@@ -295,97 +175,27 @@ func rng(seed uint64) func() uint64 {
 	}
 }
 
-// Run executes the soak and returns the per-seed report. Each
-// (scenario, seed) pair runs twice and the two digests are compared:
-// any divergence is reported as a replay violation.
-func Run(opts Options) (Report, error) {
-	opts = opts.withDefaults()
-	if opts.Seeds < 0 || opts.Quanta < 0 {
-		return Report{}, fmt.Errorf("chaos: seeds (%d) and quanta (%d) must be non-negative", opts.Seeds, opts.Quanta)
-	}
-	selected := scenarios
-	if len(opts.Scenarios) > 0 {
-		selected = nil
-		for _, want := range opts.Scenarios {
-			found := false
-			for _, s := range scenarios {
-				if s.name == want {
-					selected = append(selected, s)
-					found = true
-				}
-			}
-			if !found {
-				return Report{}, fmt.Errorf("chaos: unknown scenario %q (have %v)", want, Scenarios())
-			}
-		}
-	}
-	rep := Report{Guardrails: opts.Guardrails}
-	// Flatten the (scenario, seed) grid into independent jobs: runSeed is
-	// deterministic per (scenario, seed) and panic-barriered, so the runs
-	// can execute in any order. Each job writes its outcome into its own
-	// slot and the report is assembled serially in canonical grid order —
-	// the output is byte-identical to the sequential loop.
-	type job struct {
-		s    scenario
-		seed uint64
-	}
-	jobs := make([]job, 0, len(selected)*opts.Seeds)
-	for _, s := range selected {
-		rep.Scenarios = append(rep.Scenarios, s.name)
-		for i := 0; i < opts.Seeds; i++ {
-			jobs = append(jobs, job{s: s, seed: uint64(i)*0x9e3779b97f4a7c15 + 1})
-		}
-	}
-	results := make([]SeedResult, len(jobs))
-	par.Resolve(opts.Pool).ForEach(len(jobs), func(i int) {
-		j := jobs[i]
-		first := runSeed(j.s, j.seed, opts)
-		second := runSeed(j.s, j.seed, opts)
-		first.ReplayIdentical = first.Digest == second.Digest &&
-			first.Panicked == second.Panicked
-		if !first.ReplayIdentical {
-			first.Violations = append(first.Violations,
-				fmt.Sprintf("replay diverged: digest %016x vs %016x", first.Digest, second.Digest))
-		}
-		results[i] = first
-	})
-	for _, res := range results {
-		if len(res.Violations) > 0 {
-			rep.Failures++
-		}
-	}
-	rep.Results = results
-	return rep, nil
-}
-
-// runSeed executes one (scenario, seed) run under a panic barrier.
-func runSeed(s scenario, seed uint64, opts Options) (res SeedResult) {
-	res = SeedResult{Scenario: s.name, Seed: seed, ReplayIdentical: true}
-	defer func() {
-		if p := recover(); p != nil {
-			res.Panicked = true
-			res.Violations = append(res.Violations, fmt.Sprintf("panic: %v", p))
-		}
-	}()
-
-	rt, err := cashrt.New(opts.Target, cost.Default(), cashrt.Options{
+// runGuard executes one run of a guard scenario; its one counter is
+// the guardrail trips.
+func runGuard(s guardScenario, seed uint64, quanta int, guardrails bool) (o outcome) {
+	rt, err := cashrt.New(guardTarget, cost.Default(), cashrt.Options{
 		Seed:       seed,
-		Guardrails: opts.Guardrails,
+		Guardrails: guardrails,
 	})
 	if err != nil {
-		res.Violations = append(res.Violations, fmt.Sprintf("constructing runtime: %v", err))
-		return res
+		o.violations = append(o.violations, fmt.Sprintf("constructing runtime: %v", err))
+		return o
 	}
 
 	sch, err := fault.Generate(fault.Spec{
 		Rate:    s.faultRate,
-		Horizon: int64(opts.Quanta+1) * opts.Tau,
+		Horizon: int64(quanta+1) * guardTau,
 		Width:   16, Height: 16,
 		Seed: seed ^ 0xc6a4a7935bd1e995,
 	})
 	if err != nil {
-		res.Violations = append(res.Violations, fmt.Sprintf("generating faults: %v", err))
-		return res
+		o.violations = append(o.violations, fmt.Sprintf("generating faults: %v", err))
+		return o
 	}
 
 	// Corruption plan: three deterministic strikes spread over the run,
@@ -394,7 +204,7 @@ func runSeed(s scenario, seed uint64, opts Options) (res SeedResult) {
 	if s.corrupt {
 		r := rng(seed ^ 0xff51afd7ed558ccd)
 		for k := 0; k < 3; k++ {
-			q := 10 + int(r()%uint64(maxInt(opts.Quanta-20, 1)))
+			q := 10 + int(r()%uint64(max(quanta-20, 1)))
 			corruptAt[q] = k
 		}
 	}
@@ -425,32 +235,17 @@ func runSeed(s scenario, seed uint64, opts Options) (res SeedResult) {
 	}
 
 	result, err := experiment.Run(s.app(seed), rt, experiment.Opts{
-		Target:    opts.Target,
-		Tau:       opts.Tau,
-		MaxQuanta: opts.Quanta,
+		Target:    guardTarget,
+		Tau:       guardTau,
+		MaxQuanta: quanta,
 		Seed:      seed | 1,
 		Faults:    &sch,
 		EpochHook: hook,
 		Sims:      simPool,
 	})
 	if err != nil {
-		res.Violations = append(res.Violations, fmt.Sprintf("run failed: %v", err))
-		return res
-	}
-
-	res.Quanta = len(result.Samples)
-	res.Guard = result.Guard
-	streak := 0
-	for _, sm := range result.Samples {
-		if sm.Violated {
-			res.QoSViolations++
-			streak++
-			if streak > res.MaxSampleStreak {
-				res.MaxSampleStreak = streak
-			}
-		} else {
-			streak = 0
-		}
+		o.violations = append(o.violations, fmt.Sprintf("run failed: %v", err))
+		return o
 	}
 
 	// Cap the recorded state violations (a guard-off corruption run
@@ -459,21 +254,20 @@ func runSeed(s scenario, seed uint64, opts Options) (res SeedResult) {
 		invariantErrs = append(invariantErrs[:3],
 			fmt.Sprintf("... and %d more", len(invariantErrs)-3))
 	}
-	res.Violations = append(res.Violations, invariantErrs...)
+	o.violations = append(o.violations, invariantErrs...)
 
 	// Bounded-streak invariant: while optimization is active the
 	// breaker trips at K consecutive violating epochs, so the recorded
 	// maximum streak must never exceed the configured threshold.
-	if opts.Guardrails {
+	if guardrails {
 		if limit := int64(guard.New(guard.Config{}).Config().BreakerK); result.Guard.MaxViolationStreak > limit {
-			res.Violations = append(res.Violations, fmt.Sprintf(
+			o.violations = append(o.violations, fmt.Sprintf(
 				"unpinned QoS-violation streak %d exceeds breaker threshold %d",
 				result.Guard.MaxViolationStreak, limit))
 		}
 	}
 
-	res.Digest = digest(result)
-
+	d, trips := digest(result), result.Guard.Trips()
 	// The load-spike scenario also soaks the serving path: an open-loop
 	// flash-crowd stream that oversubscribes the fabric by construction.
 	// The run must complete with bounded queue memory (the cap is the
@@ -481,28 +275,33 @@ func runSeed(s scenario, seed uint64, opts Options) (res SeedResult) {
 	// overload — the per-quantum mean signal largely cannot, because a
 	// saturated quantum completes few or no requests.
 	if s.name == "load-spike" {
-		serverOverload(&res, seed, opts)
+		sd, tailTrips, violations := serverOverload(seed, quanta, guardrails)
+		d ^= sd
+		trips += tailTrips
+		o.violations = append(o.violations, violations...)
 	}
-	return res
+	o.digest = fmt.Sprintf("%016x", d)
+	o.counters = []Counter{{"guard trips", trips}}
+	return o
 }
 
 // serverQueueCap bounds the overload sub-run's pending queue; small
 // enough that flash crowds overflow it within a quantum.
 const serverQueueCap = 64
 
-// serverOverload drives one guarded serving run through sustained
-// overload and folds its outcome into the seed's result and digest.
-func serverOverload(res *SeedResult, seed uint64, opts Options) {
+// serverOverload drives one serving run through sustained overload and
+// returns its digest, its tail-breaker trips and the invariants it
+// broke.
+func serverOverload(seed uint64, quanta int, guardrails bool) (d uint64, tailTrips int64, violations []string) {
 	rt, err := cashrt.New(1.0, cost.Default(), cashrt.Options{
 		Seed:         seed | 1,
 		SingleConfig: true,
 		GuardStyle:   cashrt.GuardCommitted,
 		Margin:       0.15,
-		Guardrails:   opts.Guardrails,
+		Guardrails:   guardrails,
 	})
 	if err != nil {
-		res.Violations = append(res.Violations, fmt.Sprintf("constructing server runtime: %v", err))
-		return
+		return 0, 0, []string{fmt.Sprintf("constructing server runtime: %v", err)}
 	}
 	// Demand: 40 req/Mcycle × 60K instrs ≈ IPC 2.4 sustained before the
 	// 7× flash crowds land — beyond what the fabric delivers, so the
@@ -519,40 +318,28 @@ func serverOverload(res *SeedResult, seed uint64, opts Options) {
 		}},
 	}
 	sres, err := experiment.RunServer(rt, experiment.ServerOpts{
-		Opts:     experiment.Opts{Tau: opts.Tau, Seed: seed | 1, Sims: simPool},
+		Opts:     experiment.Opts{Tau: guardTau, Seed: seed | 1, Sims: simPool},
 		Arrivals: stream,
-		Horizon:  int64(opts.Quanta) * opts.Tau,
+		Horizon:  int64(quanta) * guardTau,
 		QueueCap: serverQueueCap,
 		Shed:     experiment.ShedDeadline,
 	})
 	if err != nil {
-		res.Violations = append(res.Violations, fmt.Sprintf("server overload run failed: %v", err))
-		return
+		return 0, 0, []string{fmt.Sprintf("server overload run failed: %v", err)}
 	}
-	res.ServerShed = sres.Shed
-	res.ServerTimedOut = sres.TimedOut
-	res.ServerMeanViolations = sres.Violations
-	res.ServerTailViolations = sres.TailViolations
-	res.ServerStarved = sres.StarvedSamples
-	res.ServerTailTrips = sres.Guard.TailTrips
-	res.ServerMaxQueueDepth = sres.MaxQueueDepth
-	res.Guard.TailTrips += sres.Guard.TailTrips
-	res.Guard.TailRecoveries += sres.Guard.TailRecoveries
-	res.Guard.TailPinnedEpochs += sres.Guard.TailPinnedEpochs
-
 	if sres.MaxQueueDepth > serverQueueCap {
-		res.Violations = append(res.Violations, fmt.Sprintf(
+		violations = append(violations, fmt.Sprintf(
 			"server queue depth %d exceeded cap %d", sres.MaxQueueDepth, serverQueueCap))
 	}
 	if sres.Shed == 0 {
-		res.Violations = append(res.Violations,
+		violations = append(violations,
 			"overload run shed nothing: the arrival stream no longer oversubscribes the fabric")
 	}
-	if opts.Guardrails && sres.Guard.TailTrips == 0 {
-		res.Violations = append(res.Violations,
+	if guardrails && sres.Guard.TailTrips == 0 {
+		violations = append(violations,
 			"tail breaker never tripped under sustained overload")
 	}
-	res.Digest = res.Digest ^ serverDigest(sres)
+	return serverDigest(sres), sres.Guard.TailTrips, violations
 }
 
 // serverDigest fingerprints a serving run the way digest fingerprints a
@@ -586,11 +373,4 @@ func digest(r experiment.Result) uint64 {
 	w(fmt.Sprintf("%+v|%+v|%d|%d|%x\n", r.Guard, r.FaultStats, r.TotalCycles, r.TotalInstrs,
 		math.Float64bits(r.TotalCost)))
 	return h.Sum64()
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -32,19 +32,12 @@ var soakPins = []struct {
 // suite/scenario/seed.
 func soakDigests(t *testing.T) map[string]string {
 	got := map[string]string{}
-	grep, err := RunChaos(ChaosOptions{Seeds: 2, Guardrails: true})
+	rep, err := RunSoak(SoakOptions{Seeds: 2, Scenarios: []string{"guard", "daemon"}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, r := range grep.Results {
-		got[fmt.Sprintf("guard/%s/%d", r.Scenario, r.Seed)] = fmt.Sprintf("%016x", r.Digest)
-	}
-	drep, err := RunDaemonSoak(DaemonSoakOptions{Seeds: 2, Dir: t.TempDir()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, d := range drep.Digests {
-		got[fmt.Sprintf("daemon/kill-restart/%d", 1000+17*i)] = d
+	for _, r := range rep.Results {
+		got[fmt.Sprintf("%s/%s/%d", r.Suite, r.Scenario, r.Seed)] = r.Digest
 	}
 	return got
 }
