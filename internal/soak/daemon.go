@@ -26,6 +26,8 @@ type daemonShape struct {
 	tenants, cells, kills int
 }
 
+var daemonDefault = daemonShape{tenants: 6, cells: 4, kills: 2}
+
 // daemonEpoch is the daemon tick interval: fast enough to finish, slow
 // enough that kills land mid-execution.
 const daemonEpoch = 2 * time.Millisecond

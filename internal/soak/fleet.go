@@ -27,6 +27,8 @@ type fleetShape struct {
 	chips, slots, tenants, cells, kill int
 }
 
+var fleetDefault = fleetShape{chips: 6, slots: 2, tenants: 10, cells: 4, kill: 2}
+
 // fleetScenario builds a run's chip-fault schedule. With
 // ~tenants×cells×meanDuration serial ticks of work over chips×slots
 // slots, tick 6 lands well inside the first wave of leases.
@@ -68,8 +70,11 @@ var fleetScenarios = []fleetScenario{
 		return s
 	}},
 	{name: "mixed", sched: func(sh fleetShape, seed uint64) fault.ChipSchedule {
+		// Random crashes, hangs and partitions. A run lands its cells in
+		// ~20-30 ticks, so 25 faults per 1000 chip-ticks (one every ~7
+		// ticks on 6 chips) strikes while leases are live.
 		s, err := fault.GenerateChipFaults(fault.ChipSpec{
-			Chips: sh.chips, Horizon: 60, Rate: 2.5, Seed: seed,
+			Chips: sh.chips, Horizon: 60, Rate: 25, Seed: seed,
 		})
 		if err != nil {
 			panic(err) // unreachable: the spec is valid by construction

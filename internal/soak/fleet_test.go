@@ -26,3 +26,27 @@ func TestFleetSoakSmall(t *testing.T) {
 		t.Fatalf("soak exercised %d re-executions and %d orphan deliveries; want both", reexec, orphan)
 	}
 }
+
+// TestFleetScenariosExerciseRecovery: a fault scenario whose faults
+// miss every lease proves nothing about exactly-once, so at the soak's
+// shape each one must make the executor recover — re-execute a cell,
+// or absorb an orphan or duplicate delivery — on at least half its
+// seeds.
+func TestFleetScenariosExerciseRecovery(t *testing.T) {
+	const seeds = 8
+	for _, f := range fleetScenarios {
+		exercised := 0
+		for i := 0; i < seeds; i++ {
+			res, o := runFleet(f, fleetDefault, spreadSeed(i), "")
+			if len(o.violations) > 0 {
+				t.Fatalf("%s seed %d: %v", f.name, spreadSeed(i), o.violations)
+			}
+			if st := res.Stats; st.ReExecutions+st.OrphanDeliveries+st.DupDeliveries > 0 {
+				exercised++
+			}
+		}
+		if 2*exercised < seeds {
+			t.Errorf("%s exercised recovery on %d of %d seeds, want at least half", f.name, exercised, seeds)
+		}
+	}
+}

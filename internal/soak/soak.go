@@ -59,8 +59,8 @@ func spreadSeed(i int) uint64 { return uint64(i)*0x9e3779b97f4a7c15 + 1 }
 // scenario, as registered, each at its suite's fixed shape.
 var registry = slices.Concat(
 	guardSuite(guardQuanta, true),
-	fleetSuite(fleetShape{chips: 6, slots: 2, tenants: 10, cells: 4, kill: 2}),
-	daemonSuite(daemonShape{tenants: 6, cells: 4, kills: 2}),
+	fleetSuite(fleetDefault),
+	daemonSuite(daemonDefault),
 )
 
 // Options configure a soak.
