@@ -219,12 +219,8 @@ func DefaultDaemonJournalPath() string { return daemon.DefaultJournalPath() }
 // seed: 5% drop, 5% delay, 4% duplicate, 3% truncate, 3% reorder.
 func DefaultWireFaultSpec(seed uint64) WireFaultSpec { return fault.DefaultWireSpec(seed) }
 
-// The chaos soak runs three suites over one seeds × scenarios grid:
-// guard (adversarial workloads, tile faults and runtime-state
-// corruption under the guarded control loop), fleet (chip crashes,
-// hangs and heartbeat partitions) and daemon (cashd kill -9 + restart
-// under wire faults). Each (scenario, seed) runs twice and every
-// replay must reach the same digest.
+// Chaos soak: guard, fleet and daemon suites over one seeds ×
+// scenarios grid, each run replayed to an identical digest.
 type (
 	// SoakOptions configure a soak: seeds per scenario, the directory
 	// for journals and sockets, and an optional scenario filter.
@@ -233,10 +229,10 @@ type (
 	SoakReport = soak.Report
 )
 
-// RunSoak executes the chaos soak, asserting no panics, no NaN in
-// runtime state, breaker-bounded QoS-violation streaks, a bounded
-// shedding server queue, exactly-once execution, nanodollar-exact
-// books, clean daemon drains and identical replay on every run.
+// RunSoak executes the chaos soak, asserting on every run no panics,
+// no NaN in runtime state, breaker-bounded QoS-violation streaks, a
+// bounded shedding server queue, exactly-once execution,
+// nanodollar-exact books, a clean daemon drain and identical replay.
 func RunSoak(opts SoakOptions) (SoakReport, error) { return soak.Run(opts) }
 
 // SoakScenarios lists the soak's scenarios as suite/name.

@@ -33,15 +33,9 @@
 // -tenant/-cells/-tenant-seed describe a daemon-submit grid, -idem
 // supplies its idempotency key (retried and duplicated submissions
 // under the same key apply exactly once), and -drain-timeout bounds
-// waits.
-//
-// -chaos runs the chaos soak instead of an artifact: the guard suite
-// (adversarial workloads, tile faults, runtime-state corruption), the
-// fleet suite (chip crashes, hangs, heartbeat partitions) and the
-// daemon suite (cashd kill -9 + restart under wire faults), each
-// scenario over -chaos-seeds seeds and each run replayed to an
-// identical digest. -chaos-dir keeps the runs' journals (default: a
-// temporary directory, removed afterwards).
+// waits. -chaos runs the chaos soak instead of an artifact: every
+// guard, fleet and daemon scenario over -chaos-seeds seeds, each run
+// replayed to an identical digest; -chaos-dir keeps the runs' journals.
 //
 // The fleet artifact is the fleet-scale control-plane study: N
 // simulated chips host M tenants of real CASH experiments under

@@ -36,25 +36,17 @@ const daemonEpoch = 2 * time.Millisecond
 func daemonSuite(sh daemonShape) []scenario {
 	return []scenario{{suite: "daemon", name: "kill-restart",
 		seed: func(i int) uint64 { return uint64(1000 + 17*i) },
-		run: func(seed uint64, dir string, replay bool) outcome {
-			return runDaemon(sh, seed, dir, !replay)
+		run: func(seed uint64, dir string, replay bool) Result {
+			health, kills, err := runDaemon(sh, seed, dir, !replay)
+			if err != nil {
+				return Result{Violations: []string{err.Error()}}
+			}
+			return Result{Digest: health.Digest, Counters: []Counter{
+				{"kills", int64(kills)},
+				{"cells", int64(health.CellsLanded)},
+				{"nanos", health.ConsumedNanos},
+			}}
 		}}}
-}
-
-// runDaemon executes one daemon run; with chaos the wire injects
-// faults and the daemon is killed and restarted sh.kills times. Its
-// counters are the kills, the cells landed and the nanodollars
-// consumed.
-func runDaemon(sh daemonShape, seed uint64, dir string, chaos bool) outcome {
-	health, kills, err := driveDaemon(sh, seed, dir, chaos)
-	if err != nil {
-		return outcome{violations: []string{err.Error()}}
-	}
-	return outcome{digest: health.Digest, counters: []Counter{
-		{"kills", int64(kills)},
-		{"cells", int64(health.CellsLanded)},
-		{"nanos", health.ConsumedNanos},
-	}}
 }
 
 func dial(socket string, seed uint64) (*client.Client, error) {
@@ -68,9 +60,11 @@ func dial(socket string, seed uint64) (*client.Client, error) {
 	})
 }
 
-// driveDaemon runs one daemon to completion and returns its final
-// health and the kills executed, or the first invariant it broke.
-func driveDaemon(sh daemonShape, seed uint64, dir string, chaos bool) (health daemon.HealthResult, kills int, err error) {
+// runDaemon runs one daemon to completion and returns its final health
+// and the kills executed, or the first invariant it broke. With chaos
+// the wire injects faults and the daemon is killed and restarted
+// sh.kills times.
+func runDaemon(sh daemonShape, seed uint64, dir string, chaos bool) (health daemon.HealthResult, kills int, err error) {
 	suffix := "replay"
 	if chaos {
 		suffix = "chaos"

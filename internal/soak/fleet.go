@@ -88,7 +88,7 @@ func fleetSuite(sh fleetShape) []scenario {
 	var out []scenario
 	for _, f := range fleetScenarios {
 		out = append(out, scenario{suite: "fleet", name: f.name, seed: spreadSeed,
-			run: func(seed uint64, dir string, replay bool) outcome {
+			run: func(seed uint64, dir string, replay bool) Result {
 				journal := ""
 				if !replay {
 					journal = filepath.Join(dir, fmt.Sprintf("fleet-%s-%d.jsonl", f.name, seed))
@@ -102,7 +102,7 @@ func fleetSuite(sh fleetShape) []scenario {
 
 // runFleet executes one fleet run, journaling to journal when it is
 // non-empty. Its counters are the re-executions and orphan deliveries.
-func runFleet(s fleetScenario, sh fleetShape, seed uint64, journal string) (res fleet.Result, o outcome) {
+func runFleet(s fleetScenario, sh fleetShape, seed uint64, journal string) (res fleet.Result, o Result) {
 	opts := fleet.Options{
 		Chips:        sh.chips,
 		SlotsPerChip: sh.slots,
@@ -123,7 +123,7 @@ func runFleet(s fleetScenario, sh fleetShape, seed uint64, journal string) (res 
 		meta := fmt.Sprintf("fleet-soak v1 %s seed=%d chips=%d", s.name, seed, sh.chips)
 		j, err := supervise.OpenJournal(journal, meta, false)
 		if err != nil {
-			o.violations = append(o.violations, fmt.Sprintf("journal open: %v", err))
+			o.Violations = append(o.Violations, fmt.Sprintf("journal open: %v", err))
 			return res, o
 		}
 		defer j.Close()
@@ -131,27 +131,25 @@ func runFleet(s fleetScenario, sh fleetShape, seed uint64, journal string) (res 
 	}
 	res, err := fleet.Run(opts)
 	if err != nil {
-		o.violations = append(o.violations, fmt.Sprintf("run: %v", err))
+		o.Violations = append(o.Violations, fmt.Sprintf("run: %v", err))
 		return res, o
 	}
 	if !res.Complete {
-		o.violations = append(o.violations,
+		o.Violations = append(o.Violations,
 			fmt.Sprintf("incomplete: %d/%d cells landed in %d ticks", res.Landed, res.Cells, res.Stats.Ticks))
 	}
 	if !res.ExactlyOnce {
-		o.violations = append(o.violations, "exactly-once violated: a cell landed != 1 times")
+		o.Violations = append(o.Violations, "exactly-once violated: a cell landed != 1 times")
 	}
 	if !res.Reconciled {
-		o.violations = append(o.violations, "budget unreconciled: granted != consumed + refunded")
+		o.Violations = append(o.Violations, "budget unreconciled: granted != consumed + refunded")
 	}
-	if opts.Journal != nil {
-		if got := opts.Journal.Completed(); got != res.Cells {
-			o.violations = append(o.violations,
-				fmt.Sprintf("journal holds %d final records, want %d", got, res.Cells))
-		}
+	if opts.Journal != nil && opts.Journal.Completed() != res.Cells {
+		o.Violations = append(o.Violations,
+			fmt.Sprintf("journal holds %d final records, want %d", opts.Journal.Completed(), res.Cells))
 	}
-	o.digest = fmt.Sprintf("%016x", res.Digest)
-	o.counters = []Counter{
+	o.Digest = fmt.Sprintf("%016x", res.Digest)
+	o.Counters = []Counter{
 		{"re-executions", res.Stats.ReExecutions},
 		{"orphan deliveries", res.Stats.OrphanDeliveries},
 	}

@@ -38,8 +38,8 @@ func TestFleetScenariosExerciseRecovery(t *testing.T) {
 		exercised := 0
 		for i := 0; i < seeds; i++ {
 			res, o := runFleet(f, fleetDefault, spreadSeed(i), "")
-			if len(o.violations) > 0 {
-				t.Fatalf("%s seed %d: %v", f.name, spreadSeed(i), o.violations)
+			if len(o.Violations) > 0 {
+				t.Fatalf("%s seed %d: %v", f.name, spreadSeed(i), o.Violations)
 			}
 			if st := res.Stats; st.ReExecutions+st.OrphanDeliveries+st.DupDeliveries > 0 {
 				exercised++

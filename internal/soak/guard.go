@@ -64,7 +64,7 @@ func guardSuite(quanta int, guardrails bool) []scenario {
 	var out []scenario
 	for _, g := range guardScenarios {
 		out = append(out, scenario{suite: "guard", name: g.name, seed: spreadSeed,
-			run: func(seed uint64, _ string, _ bool) outcome { return runGuard(g, seed, quanta, guardrails) }})
+			run: func(seed uint64, _ string, _ bool) Result { return runGuard(g, seed, quanta, guardrails) }})
 	}
 	return out
 }
@@ -177,13 +177,13 @@ func rng(seed uint64) func() uint64 {
 
 // runGuard executes one run of a guard scenario; its one counter is
 // the guardrail trips.
-func runGuard(s guardScenario, seed uint64, quanta int, guardrails bool) (o outcome) {
+func runGuard(s guardScenario, seed uint64, quanta int, guardrails bool) (o Result) {
 	rt, err := cashrt.New(guardTarget, cost.Default(), cashrt.Options{
 		Seed:       seed,
 		Guardrails: guardrails,
 	})
 	if err != nil {
-		o.violations = append(o.violations, fmt.Sprintf("constructing runtime: %v", err))
+		o.Violations = append(o.Violations, fmt.Sprintf("constructing runtime: %v", err))
 		return o
 	}
 
@@ -194,7 +194,7 @@ func runGuard(s guardScenario, seed uint64, quanta int, guardrails bool) (o outc
 		Seed: seed ^ 0xc6a4a7935bd1e995,
 	})
 	if err != nil {
-		o.violations = append(o.violations, fmt.Sprintf("generating faults: %v", err))
+		o.Violations = append(o.Violations, fmt.Sprintf("generating faults: %v", err))
 		return o
 	}
 
@@ -244,7 +244,7 @@ func runGuard(s guardScenario, seed uint64, quanta int, guardrails bool) (o outc
 		Sims:      simPool,
 	})
 	if err != nil {
-		o.violations = append(o.violations, fmt.Sprintf("run failed: %v", err))
+		o.Violations = append(o.Violations, fmt.Sprintf("run failed: %v", err))
 		return o
 	}
 
@@ -254,14 +254,14 @@ func runGuard(s guardScenario, seed uint64, quanta int, guardrails bool) (o outc
 		invariantErrs = append(invariantErrs[:3],
 			fmt.Sprintf("... and %d more", len(invariantErrs)-3))
 	}
-	o.violations = append(o.violations, invariantErrs...)
+	o.Violations = append(o.Violations, invariantErrs...)
 
 	// Bounded-streak invariant: while optimization is active the
 	// breaker trips at K consecutive violating epochs, so the recorded
 	// maximum streak must never exceed the configured threshold.
 	if guardrails {
 		if limit := int64(guard.New(guard.Config{}).Config().BreakerK); result.Guard.MaxViolationStreak > limit {
-			o.violations = append(o.violations, fmt.Sprintf(
+			o.Violations = append(o.Violations, fmt.Sprintf(
 				"unpinned QoS-violation streak %d exceeds breaker threshold %d",
 				result.Guard.MaxViolationStreak, limit))
 		}
@@ -278,10 +278,10 @@ func runGuard(s guardScenario, seed uint64, quanta int, guardrails bool) (o outc
 		sd, tailTrips, violations := serverOverload(seed, quanta, guardrails)
 		d ^= sd
 		trips += tailTrips
-		o.violations = append(o.violations, violations...)
+		o.Violations = append(o.Violations, violations...)
 	}
-	o.digest = fmt.Sprintf("%016x", d)
-	o.counters = []Counter{{"guard trips", trips}}
+	o.Digest = fmt.Sprintf("%016x", d)
+	o.Counters = []Counter{{"guard trips", trips}}
 	return o
 }
 

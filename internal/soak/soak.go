@@ -1,18 +1,12 @@
 // Package soak is the one chaos soak. Three suites register their
-// scenarios here — guard (the guarded control loop under adversarial
-// workloads, tile faults and state corruption), fleet (chip crashes,
-// hangs and heartbeat partitions under the lease executor) and daemon
-// (cashd killed and restarted under a faulty wire) — and Run drives
-// them all through one seeds × scenarios grid.
-//
-// Every (scenario, seed) pair runs twice under a panic barrier: a
-// first run, then a replay that must reach the same digest. A digest
-// folds a run's whole observable outcome, so two equal digests are the
-// byte-identical-replay proof. What the replay is depends on the suite:
-// an identical re-run (guard), a re-run without the journal (fleet) or
-// a clean run with no faults and no kills (daemon). Every invariant a
-// run breaks is recorded as a violation rather than aborting the soak,
-// so one report carries every failing seed.
+// scenarios — guard (the guarded control loop under adversarial
+// workloads, tile faults and state corruption), fleet (chip faults
+// under the lease executor) and daemon (cashd killed and restarted
+// under a faulty wire) — and Run drives them through one seeds ×
+// scenarios grid. Every (scenario, seed) runs twice under a panic
+// barrier, a first run and a suite-defined replay, and the two digests
+// must match. Broken invariants are recorded, not fatal, so one report
+// carries every failing seed.
 package soak
 
 import (
@@ -31,21 +25,13 @@ type Counter struct {
 	Value int64
 }
 
-// outcome is one run of one (scenario, seed): its digest, every
-// invariant it broke and its activity counters.
-type outcome struct {
-	digest     string
-	violations []string
-	counters   []Counter
-}
-
 // scenario is one registry entry. seed derives the scenario's i-th
 // seed; run executes one run of it, writing any journals or sockets
-// under dir, and replay selects the replay variant.
+// under dir, and returns its Digest, Violations and Counters.
 type scenario struct {
 	suite, name string
 	seed        func(i int) uint64
-	run         func(seed uint64, dir string, replay bool) outcome
+	run         func(seed uint64, dir string, replay bool) Result
 }
 
 // is reports whether name selects the scenario: its suite, or
@@ -75,7 +61,8 @@ type Options struct {
 	Scenarios []string
 }
 
-// Result is one (scenario, seed) pair's first run, with the replay's
+// Result is one (scenario, seed) pair's first run — its digest, every
+// invariant it broke and its activity counters — with the replay's
 // verdict folded into Violations.
 type Result struct {
 	Suite, Scenario string
@@ -136,21 +123,12 @@ func run(reg []scenario, opts Options, pool *par.Pool) (Report, error) {
 		return Report{}, err
 	}
 
-	// Each job writes its own slot, so the report is in canonical grid
-	// order however the pool schedules the runs.
-	type job struct {
-		s    scenario
-		seed uint64
-	}
-	jobs := make([]job, 0, len(selected)*opts.Seeds)
-	for _, s := range selected {
-		for i := 0; i < opts.Seeds; i++ {
-			jobs = append(jobs, job{s, s.seed(i)})
-		}
-	}
-	rep := Report{Results: make([]Result, len(jobs))}
-	par.Resolve(pool).ForEach(len(jobs), func(i int) {
-		rep.Results[i] = runTwice(jobs[i].s, jobs[i].seed, opts.Dir)
+	// Slot i holds scenario i/Seeds at seed index i%Seeds, so the report
+	// is in canonical grid order however the pool schedules the runs.
+	rep := Report{Results: make([]Result, len(selected)*opts.Seeds)}
+	par.Resolve(pool).ForEach(len(rep.Results), func(i int) {
+		s := selected[i/opts.Seeds]
+		rep.Results[i] = runTwice(s, s.seed(i%opts.Seeds), opts.Dir)
 	})
 	for _, r := range rep.Results {
 		if len(r.Violations) > 0 {
@@ -164,29 +142,26 @@ func run(reg []scenario, opts Options, pool *par.Pool) (Report, error) {
 // replay's violations are reported only where they differ from the
 // first run's, so an identical re-run does not list each one twice.
 func runTwice(s scenario, seed uint64, dir string) Result {
-	first := guarded(s, seed, dir, false)
+	res := guarded(s, seed, dir, false)
 	replay := guarded(s, seed, dir, true)
-	res := Result{
-		Suite: s.suite, Scenario: s.name, Seed: seed,
-		Digest: first.digest, Violations: first.violations, Counters: first.counters,
-	}
-	if !slices.Equal(first.violations, replay.violations) {
-		for _, v := range replay.violations {
+	res.Suite, res.Scenario, res.Seed = s.suite, s.name, seed
+	if !slices.Equal(res.Violations, replay.Violations) {
+		for _, v := range replay.Violations {
 			res.Violations = append(res.Violations, "replay: "+v)
 		}
 	}
-	if first.digest != replay.digest {
+	if res.Digest != replay.Digest {
 		res.Violations = append(res.Violations,
-			fmt.Sprintf("replay diverged: digest %s vs %s", first.digest, replay.digest))
+			fmt.Sprintf("replay diverged: digest %s vs %s", res.Digest, replay.Digest))
 	}
 	return res
 }
 
 // guarded is the panic barrier: a panicking run becomes a violation.
-func guarded(s scenario, seed uint64, dir string, replay bool) (o outcome) {
+func guarded(s scenario, seed uint64, dir string, replay bool) (r Result) {
 	defer func() {
 		if p := recover(); p != nil {
-			o.violations = append(o.violations, fmt.Sprintf("panic: %v", p))
+			r.Violations = append(r.Violations, fmt.Sprintf("panic: %v", p))
 		}
 	}()
 	return s.run(seed, dir, replay)
@@ -218,11 +193,11 @@ func (r Report) Summary() string {
 		if len(res.Violations) > 0 {
 			a.fails++
 		}
-		for _, c := range res.Counters {
-			i := slices.IndexFunc(a.counters, func(have Counter) bool { return have.Name == c.Name })
-			if i < 0 {
+		// A suite reports the same counters in the same order every run
+		// (or none, from a run that failed early).
+		for i, c := range res.Counters {
+			if i == len(a.counters) {
 				a.counters = append(a.counters, Counter{Name: c.Name})
-				i = len(a.counters) - 1
 			}
 			a.counters[i].Value += c.Value
 		}

@@ -12,17 +12,17 @@ import (
 
 // fake registers a scenario whose runs are pure functions of the seed
 // and the replay flag.
-func fake(suite, name string, run func(seed uint64, replay bool) outcome) scenario {
+func fake(suite, name string, run func(seed uint64, replay bool) Result) scenario {
 	return scenario{suite: suite, name: name, seed: func(i int) uint64 { return uint64(i) },
-		run: func(seed uint64, _ string, replay bool) outcome { return run(seed, replay) }}
+		run: func(seed uint64, _ string, replay bool) Result { return run(seed, replay) }}
 }
 
-func clean(seed uint64, _ bool) outcome {
-	return outcome{digest: fmt.Sprintf("d%d", seed), counters: []Counter{{"ops", int64(seed)}}}
+func clean(seed uint64, _ bool) Result {
+	return Result{Digest: fmt.Sprintf("d%d", seed), Counters: []Counter{{"ops", int64(seed)}}}
 }
 
 func TestPanickingRunIsAViolation(t *testing.T) {
-	reg := []scenario{fake("s", "boom", func(seed uint64, replay bool) outcome {
+	reg := []scenario{fake("s", "boom", func(seed uint64, replay bool) Result {
 		if seed == 1 {
 			panic("injected")
 		}
@@ -44,11 +44,11 @@ func TestPanickingRunIsAViolation(t *testing.T) {
 }
 
 func TestReplayDivergenceReportsBothDigests(t *testing.T) {
-	reg := []scenario{fake("s", "drift", func(seed uint64, replay bool) outcome {
+	reg := []scenario{fake("s", "drift", func(seed uint64, replay bool) Result {
 		if replay {
-			return outcome{digest: "bbbb", violations: []string{"late"}}
+			return Result{Digest: "bbbb", Violations: []string{"late"}}
 		}
-		return outcome{digest: "aaaa"}
+		return Result{Digest: "aaaa"}
 	})}
 	rep, err := run(reg, Options{Seeds: 1, Dir: t.TempDir()}, nil)
 	if err != nil {
@@ -73,7 +73,7 @@ func TestUnknownScenarioRejected(t *testing.T) {
 
 func TestResultsInCanonicalOrder(t *testing.T) {
 	// Later seeds finish first, so completion order is not grid order.
-	slow := func(seed uint64, replay bool) outcome {
+	slow := func(seed uint64, replay bool) Result {
 		time.Sleep(time.Duration(5-seed) * time.Millisecond)
 		return clean(seed, replay)
 	}
@@ -100,9 +100,9 @@ func TestResultsInCanonicalOrder(t *testing.T) {
 }
 
 func TestSummaryMentionsEveryScenario(t *testing.T) {
-	reg := []scenario{fake("a", "x", clean), fake("b", "y", func(seed uint64, replay bool) outcome {
+	reg := []scenario{fake("a", "x", clean), fake("b", "y", func(seed uint64, replay bool) Result {
 		o := clean(seed, replay)
-		o.violations = []string{"broken"}
+		o.Violations = []string{"broken"}
 		return o
 	})}
 	rep, err := run(reg, Options{Seeds: 3, Dir: t.TempDir()}, nil)
