@@ -60,11 +60,14 @@ func TestReplayDivergenceReportsBothDigests(t *testing.T) {
 	}
 }
 
-func TestUnknownScenarioRejected(t *testing.T) {
+func TestRunRejectsBadOptions(t *testing.T) {
 	for _, name := range []string{"nope", "guard/nope", "fleet/corruption"} {
 		if _, err := Run(Options{Scenarios: []string{name}}); err == nil {
 			t.Errorf("scenario %q accepted", name)
 		}
+	}
+	if _, err := Run(Options{Seeds: -1}); err == nil {
+		t.Error("negative seed count accepted")
 	}
 	if got := Scenarios(); !slices.Contains(got, "guard/corruption") || !slices.Contains(got, "daemon/kill-restart") {
 		t.Fatalf("Scenarios() = %v", got)
