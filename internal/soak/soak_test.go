@@ -60,17 +60,22 @@ func TestReplayDivergenceReportsBothDigests(t *testing.T) {
 	}
 }
 
-func TestRunRejectsBadOptions(t *testing.T) {
+func TestUnknownScenarioRejected(t *testing.T) {
 	for _, name := range []string{"nope", "guard/nope", "fleet/corruption"} {
 		if _, err := Run(Options{Scenarios: []string{name}}); err == nil {
 			t.Errorf("scenario %q accepted", name)
 		}
 	}
-	if _, err := Run(Options{Seeds: -1}); err == nil {
-		t.Error("negative seed count accepted")
-	}
 	if got := Scenarios(); !slices.Contains(got, "guard/corruption") || !slices.Contains(got, "daemon/kill-restart") {
 		t.Fatalf("Scenarios() = %v", got)
+	}
+}
+
+// TestSoakRejectsBadShape: the seed count is the one shape a caller
+// still sets, and a negative one must not run.
+func TestSoakRejectsBadShape(t *testing.T) {
+	if _, err := Run(Options{Seeds: -1}); err == nil {
+		t.Fatal("negative seed count accepted")
 	}
 }
 
