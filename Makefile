@@ -43,14 +43,14 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzReqQueue -fuzztime=$(FUZZTIME) ./internal/experiment/
 
 # chaos runs the chaos soak: every guard, fleet and daemon scenario
-# over 20 seeds each. CHAOS_FLAGS passes extra cashsim flags through
-# (CI uses '-chaos-seeds 8 -chaos-dir chaos-evidence' to shrink the seed
-# count and keep every journal; locally e.g. CHAOS_FLAGS='-chaos-seeds 50'
-# for a longer hunt, or '-chaos-dir /tmp/soak' to keep the journals).
+# over the soak's default seed count. CHAOS_FLAGS passes `cashsim chaos`
+# flags through (CI uses '-seeds 8 -dir chaos-evidence' to shrink the
+# seed count and keep every journal; locally e.g. CHAOS_FLAGS='-seeds 50'
+# for a longer hunt, or '-dir /tmp/soak' to keep the journals).
 CHAOS_FLAGS ?=
 
 chaos: build
-	$(GO) run ./cmd/cashsim -chaos $(CHAOS_FLAGS)
+	$(GO) run ./cmd/cashsim chaos $(CHAOS_FLAGS)
 
 # daemon-smoke exercises cashd's crash-safety end to end with real
 # processes: start, submit, kill -9, restart on the same journal,
@@ -76,9 +76,9 @@ CALIB_GOLDEN ?= /tmp/cash-calib-golden.gob
 
 calib: build
 	@if [ ! -f $(CALIB_GOLDEN) ]; then \
-		$(GO) run ./cmd/cashsim -calib-record $(CALIB_GOLDEN); \
+		$(GO) run ./cmd/cashsim calib -record $(CALIB_GOLDEN); \
 	fi
-	$(GO) run ./cmd/cashsim -calib $(CALIB_GOLDEN) -out calib-report.txt
+	$(GO) run ./cmd/cashsim calib -gate $(CALIB_GOLDEN) -out calib-report.txt
 
 # bench runs the throughput-critical benchmarks and refreshes
 # BENCH.json (headline: best Minstr/s from

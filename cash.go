@@ -29,8 +29,6 @@ package cash
 import (
 	"fmt"
 	"io"
-	"math"
-	"time"
 
 	"cash/internal/alloc"
 	"cash/internal/cashrt"
@@ -289,84 +287,16 @@ func Run(app App, policy Allocator, opts RunOptions) (Result, error) {
 // defaults. Use LoadCache/SaveCache to persist the brute-force sweep.
 func NewOracle() *Oracle { return oracle.NewDB() }
 
-// ReproduceOptions tune Reproduce beyond the workload scale.
-type ReproduceOptions struct {
-	// Scale shrinks the workloads (0 or 1.0 = the full evaluation).
-	Scale float64
-	// FaultRate and FaultSeed parameterise the "reliability" artifact's
-	// injected-fault schedule (0 = that study's defaults).
-	FaultRate float64
-	FaultSeed uint64
-
-	// Stream, QueueCap, Shed and TailTarget parameterise the "tail"
-	// artifact's serving study: the arrival shape (see
-	// workload.StreamNames), the bounded-queue capacity, the shed
-	// policy ("drop-newest" or "deadline"; "" compares both) and the
-	// SLO tail budget in cycles. Zero values select the study defaults.
-	Stream     string
-	QueueCap   int
-	Shed       string
-	TailTarget int64
-
-	// FleetChips, FleetTenants and FleetKill parameterise the "fleet"
-	// artifact's control-plane study: fleet size, tenant count and how
-	// many chips the crash-K scenario kills mid-run. Zero values select
-	// the study defaults (6 chips, 6 tenants, kill 2).
-	FleetChips   int
-	FleetTenants int
-	FleetKill    int
-
-	// Supervision: every (app, policy) cell of every artifact runs under
-	// a supervised executor — a panicking, erroring or hanging cell
-	// renders as FAILED(reason) while the rest of the report completes.
-
-	// Jobs bounds how many cells run in parallel (0 or 1 = sequential).
-	// The report is byte-identical regardless of Jobs.
-	Jobs int
-	// SweepPar bounds the oracle characterisation sweep's intra-cell
-	// worker budget: 0 draws from the process-wide shared pool (which
-	// Jobs-level parallelism also draws from, so the two compose without
-	// oversubscribing the host), 1 forces a serial sweep, any other value
-	// builds a dedicated budget of that size. The report and the on-disk
-	// characterisation cache are byte-identical at every setting.
-	SweepPar int
-	// CellTimeout is the per-cell wall-clock budget (0 = none).
-	CellTimeout time.Duration
-	// MaxRetries grants failing cells extra attempts with jittered
-	// exponential backoff.
-	MaxRetries int
-	// JournalPath is the crash-safe result journal ("" = no journal;
-	// DefaultJournalPath returns the conventional location). Completed
-	// cells are appended as checksummed JSONL records.
-	JournalPath string
-	// Resume replays journal-completed cells from an interrupted run
-	// instead of re-running them; the journal is discarded when its
-	// scale/seed fingerprint does not match this run.
-	Resume bool
-	// Log receives diagnostics (characterisation timing, journal reuse,
-	// retry notices) that are kept out of the report for
-	// byte-reproducibility. nil discards them.
-	Log io.Writer
-
-	// Tier selects the simulation fidelity of oracle characterisation
-	// sweeps: "cycle" (the default — the authoritative tier every paper
-	// figure is produced on) or "interval". The interval tier trades
-	// the calibration-gated IPC tolerance for an order of magnitude of
-	// sweep throughput; the on-disk characterisation cache keys encode
-	// the tier, so runs at different tiers never poison each other.
-	Tier string
-}
+// ReproduceOptions tune Reproduce beyond the workload scale: the
+// reliability, tail and fleet study knobs, the simulation tier, and the
+// supervision of every artifact's cells (parallelism, timeouts,
+// retries, the crash-safe result journal). A resumed journal is
+// discarded unless every value-shaping option matches.
+type ReproduceOptions = figs.Options
 
 // DefaultJournalPath returns the conventional location of the result
 // journal ($CASH_JOURNAL, else the user cache directory).
 func DefaultJournalPath() string { return supervise.DefaultJournalPath() }
-
-// ValidateTier checks a -tier flag value ("cycle" or "interval")
-// without building anything.
-func ValidateTier(s string) error {
-	_, err := isim.ParseTier(s)
-	return err
-}
 
 // RecordCalibGolden runs the golden cycle-level characterisation of the
 // calibration corpus over the full configuration space and writes it to
@@ -403,113 +333,19 @@ func calibPool(sweepPar int) *par.Pool {
 	return par.New(sweepPar)
 }
 
-// Reproduce regenerates a named artifact of the paper's evaluation
-// ("fig1", "fig2", "table1", "table2", "overhead", "fig7", "table3",
-// "fig8", "fig9", "fig10", "ablations", "reliability", "tail", "fleet",
-// or "all"), writing the report to w. scale shrinks the workloads (1.0 =
-// the full evaluation).
+// Artifacts lists the artifact names Reproduce accepts, ending with
+// "all", which renders every other artifact in order.
+func Artifacts() []string { return figs.ArtifactNames() }
+
+// Reproduce regenerates a named artifact of the paper's evaluation (one
+// of Artifacts), writing the report to w. scale shrinks the workloads
+// (1.0 = the full evaluation).
 func Reproduce(w io.Writer, artifact string, scale float64) error {
 	return ReproduceWith(w, artifact, ReproduceOptions{Scale: scale})
 }
 
-// ReproduceWith is Reproduce with full options.
+// ReproduceWith is Reproduce with full options. It validates o before
+// doing any work.
 func ReproduceWith(w io.Writer, artifact string, o ReproduceOptions) error {
-	if math.IsNaN(o.Scale) || math.IsInf(o.Scale, 0) || o.Scale < 0 {
-		return fmt.Errorf("cash: workload scale %v must be a non-negative finite factor", o.Scale)
-	}
-	if o.FaultRate < 0 || math.IsNaN(o.FaultRate) || math.IsInf(o.FaultRate, 0) {
-		return fmt.Errorf("cash: fault rate %v must be a non-negative finite rate", o.FaultRate)
-	}
-	h := figs.New(w)
-	if o.Tier != "" {
-		tier, err := isim.ParseTier(o.Tier)
-		if err != nil {
-			return fmt.Errorf("cash: %w", err)
-		}
-		h.DB.Tier = tier
-	}
-	if o.Scale > 0 {
-		h.Scale = o.Scale
-	}
-	h.FaultRate = o.FaultRate
-	h.FaultSeed = o.FaultSeed
-	h.StreamName = o.Stream
-	h.QueueCap = o.QueueCap
-	h.ShedName = o.Shed
-	h.TailTarget = o.TailTarget
-	h.FleetChips = o.FleetChips
-	h.FleetTenants = o.FleetTenants
-	h.FleetKill = o.FleetKill
-	h.Jobs = o.Jobs
-	h.SweepPar = o.SweepPar
-	h.CellTimeout = o.CellTimeout
-	h.MaxRetries = o.MaxRetries
-	h.JournalPath = o.JournalPath
-	h.Resume = o.Resume
-	if o.Log != nil {
-		h.Log = o.Log
-	}
-	defer h.Close()
-	defer h.Save()
-	runFig7 := func() error {
-		res, err := h.Fig7()
-		if err != nil {
-			return err
-		}
-		h.Table3(res)
-		return nil
-	}
-	var err error
-	switch artifact {
-	case "fig1":
-		err = h.Fig1()
-	case "fig2":
-		err = h.Fig2()
-	case "table1":
-		h.Table1()
-	case "table2":
-		h.Table2()
-	case "overhead":
-		err = h.Overhead()
-	case "fig7", "table3":
-		err = runFig7()
-	case "fig8":
-		err = h.Fig8()
-	case "fig9":
-		err = h.Fig9()
-	case "fig10":
-		_, err = h.Fig10()
-	case "ablations":
-		err = h.Ablations()
-	case "reliability":
-		_, err = h.Reliability()
-	case "tail":
-		err = h.TailStudy()
-	case "fleet":
-		err = h.FleetStudy()
-	case "all":
-		h.Table1()
-		h.Table2()
-		for _, f := range []func() error{
-			h.Fig1, h.Fig2, h.Overhead, runFig7, h.Fig8, h.Fig9,
-			func() error { _, err := h.Fig10(); return err },
-			h.Ablations,
-			func() error { _, err := h.Reliability(); return err },
-			h.TailStudy,
-			h.FleetStudy,
-		} {
-			if err := f(); err != nil {
-				return err
-			}
-			fmt.Fprintln(w)
-		}
-	default:
-		return fmt.Errorf("cash: unknown artifact %q", artifact)
-	}
-	if err == nil {
-		// The run completed: shrink the journal to one winning record per
-		// cell so resumable runs don't accrete attempt history forever.
-		h.CompactJournal()
-	}
-	return err
+	return figs.Reproduce(w, artifact, o)
 }

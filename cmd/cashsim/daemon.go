@@ -1,118 +1,124 @@
 package main
 
 import (
+	"cmp"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
-	"strings"
+	"os"
+	"path/filepath"
 	"time"
 
 	"cash"
 )
 
-// daemonArtifacts lists the cashd client subcommands.
-const daemonArtifacts = "daemon-submit daemon-alloc daemon-spend daemon-health daemon-watch daemon-drain"
+// daemonCommands lists the cashd client commands.
+const daemonCommands = "daemon-submit daemon-alloc daemon-spend daemon-health daemon-watch daemon-drain"
 
-// isDaemonArtifact reports whether artifact is a cashd client
-// subcommand rather than a simulation artifact.
-func isDaemonArtifact(artifact string) bool {
-	for _, a := range strings.Fields(daemonArtifacts) {
-		if artifact == a {
-			return true
-		}
-	}
-	return false
-}
-
-// daemonFlags carries the cashd client flags from main.
-type daemonFlags struct {
-	socket       string
-	idem         string
-	tenant       string
-	cells        int
-	tenantSeed   uint64
-	drainTimeout time.Duration
-}
-
-// runDaemonCommand executes one cashd client subcommand through the
-// retrying client and renders the reply as indented JSON.
-func runDaemonCommand(w io.Writer, artifact string, f daemonFlags) error {
-	socket := f.socket
-	if socket == "" {
-		socket = cash.DefaultDaemonSocketPath()
-	}
-	cl, err := cash.DialDaemon(cash.DaemonClientOptions{Socket: socket})
-	if err != nil {
-		return err
-	}
-	defer cl.Close()
-
-	render := func(v any) error {
-		b, err := json.MarshalIndent(v, "", "  ")
-		if err != nil {
-			return err
-		}
-		_, err = fmt.Fprintf(w, "%s\n", b)
-		return err
-	}
-
-	switch artifact {
+// parseDaemon parses one cashd client command. -socket is common to all
+// of them; the rest are the command's own.
+func parseDaemon(name string, args []string, stderr io.Writer) (*command, error) {
+	fs := newFlagSet("cashsim "+name, "cashsim "+name+" [flags]", stderr)
+	socket := fs.String("socket", "", "cashd unix socket (default $CASHD_SOCKET or the user cache directory)")
+	var (
+		call  func(cl *cash.DaemonClient, w io.Writer) error
+		check func() error
+	)
+	switch name {
 	case "daemon-submit":
-		if f.tenant == "" {
-			return fmt.Errorf("daemon-submit needs -tenant")
+		tenant := fs.String("tenant", "", "tenant name (required)")
+		cells := fs.Int("cells", 4, "cells in the tenant grid")
+		seed := fs.Uint64("tenant-seed", 0, "tenant workload seed")
+		idem := fs.String("idem", "", "idempotency key (default derived from -tenant)")
+		check = func() error {
+			if *tenant == "" {
+				return errors.New("daemon-submit needs -tenant")
+			}
+			return nil
 		}
-		idem := f.idem
-		if idem == "" {
+		call = func(cl *cash.DaemonClient, w io.Writer) error {
 			// A stable default key makes plain re-invocations idempotent;
 			// pass -idem for distinct submissions of the same tenant name.
-			idem = "cashsim-" + f.tenant
+			key := cmp.Or(*idem, "cashsim-"+*tenant)
+			return printJSON(w)(cl.Submit(key, cash.DaemonTenantSpec{Name: *tenant, Cells: *cells, Seed: *seed}))
 		}
-		cells := f.cells
-		if cells == 0 {
-			cells = 4
-		}
-		res, err := cl.Submit(idem, cash.DaemonTenantSpec{Name: f.tenant, Cells: cells, Seed: f.tenantSeed})
-		if err != nil {
-			return err
-		}
-		return render(res)
 	case "daemon-alloc":
-		res, err := cl.Alloc()
-		if err != nil {
-			return err
-		}
-		return render(res)
+		call = func(cl *cash.DaemonClient, w io.Writer) error { return printJSON(w)(cl.Alloc()) }
 	case "daemon-spend":
-		res, err := cl.Spend()
-		if err != nil {
-			return err
-		}
-		return render(res)
+		call = func(cl *cash.DaemonClient, w io.Writer) error { return printJSON(w)(cl.Spend()) }
 	case "daemon-health":
-		res, err := cl.Health()
+		call = func(cl *cash.DaemonClient, w io.Writer) error { return printJSON(w)(cl.Health()) }
+	case "daemon-watch":
+		timeout := fs.Duration("drain-timeout", 10*time.Second, "wait budget (must be positive)")
+		check = func() error {
+			if *timeout <= 0 {
+				return fmt.Errorf("-drain-timeout %v must be positive: daemon-watch waits on it", *timeout)
+			}
+			return nil
+		}
+		call = func(cl *cash.DaemonClient, w io.Writer) error { return watch(cl, w, *timeout) }
+	case "daemon-drain":
+		call = func(cl *cash.DaemonClient, w io.Writer) error {
+			if err := cl.Drain(); err != nil {
+				return err
+			}
+			_, err := fmt.Fprintln(w, "draining")
+			return err
+		}
+	default:
+		return nil, usageError(newFlagSet("cashsim", "", stderr),
+			fmt.Errorf("unknown daemon command %q (want one of %s)", name, daemonCommands))
+	}
+	if err := parseFlags(fs, args); err != nil {
+		return nil, err
+	}
+	if *socket == "" {
+		*socket = cash.DefaultDaemonSocketPath()
+	} else if dir := filepath.Dir(*socket); dir != "." {
+		if _, err := os.Stat(dir); err != nil {
+			return nil, usageError(fs, fmt.Errorf("-socket %s: parent directory %s does not exist (is cashd running, and where?)", *socket, dir))
+		}
+	}
+	if check != nil {
+		if err := check(); err != nil {
+			return nil, usageError(fs, err)
+		}
+	}
+	return &command{mode: name, run: func(w io.Writer) error {
+		cl, err := cash.DialDaemon(cash.DaemonClientOptions{Socket: *socket})
 		if err != nil {
 			return err
 		}
-		return render(res)
-	case "daemon-watch":
-		return cl.Watch(f.drainTimeout, func(ev cash.DaemonEpoch) bool {
-			fmt.Fprintf(w, "tick %d: placed %d completed %d landed %d/%d consumed %d nanos",
-				ev.Tick, ev.Placed, ev.Completed, ev.CellsLanded, ev.CellsTotal, ev.ConsumedNanos)
-			if ev.Draining {
-				fmt.Fprint(w, " draining")
-			}
-			if ev.Final {
-				fmt.Fprint(w, " final")
-			}
-			fmt.Fprintln(w)
-			return !ev.Final
-		})
-	case "daemon-drain":
-		if err := cl.Drain(); err != nil {
+		defer cl.Close()
+		return call(cl, w)
+	}}, nil
+}
+
+// printJSON renders a daemon reply as indented JSON.
+func printJSON(w io.Writer) func(any, error) error {
+	return func(v any, err error) error {
+		if err != nil {
 			return err
 		}
-		fmt.Fprintln(w, "draining")
-		return nil
+		enc := json.NewEncoder(w)
+		enc.SetIndent("", "  ")
+		return enc.Encode(v)
 	}
-	return fmt.Errorf("unknown daemon subcommand %q", artifact)
+}
+
+// watch streams the daemon's epochs until the final one.
+func watch(cl *cash.DaemonClient, w io.Writer, timeout time.Duration) error {
+	return cl.Watch(timeout, func(ev cash.DaemonEpoch) bool {
+		fmt.Fprintf(w, "tick %d: placed %d completed %d landed %d/%d consumed %d nanos",
+			ev.Tick, ev.Placed, ev.Completed, ev.CellsLanded, ev.CellsTotal, ev.ConsumedNanos)
+		if ev.Draining {
+			fmt.Fprint(w, " draining")
+		}
+		if ev.Final {
+			fmt.Fprint(w, " final")
+		}
+		fmt.Fprintln(w)
+		return !ev.Final
+	})
 }

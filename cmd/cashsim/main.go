@@ -3,13 +3,15 @@
 //
 // Usage:
 //
-//	cashsim [-scale f] [-out file] [-fault-rate r] [-fault-seed n]
-//	        [-jobs n] [-sweep-par n] [-cell-timeout d] [-max-retries n]
-//	        [-tier cycle|interval]
-//	        [-journal file] [-resume] [-v]
-//	        [-stream s] [-queue-cap n] [-shed p] [-tail-target n]
-//	        [-chips n] [-tenants n] [-kill n]
-//	        [-cpuprofile file] [-memprofile file] <artifact>
+//	cashsim [flags] <artifact>
+//	cashsim chaos [-seeds n] [-dir dir] [-out file]
+//	cashsim calib [-record golden.gob] [-gate golden.gob] [-sweep-par n] [-out file]
+//	cashsim daemon-<command> [-socket path] [command flags]
+//
+// The first argument picks the mode, and each mode parses only the
+// flags it reads, so a flag given to another mode is a usage error.
+// `cashsim -h` lists the artifacts and their flags; `cashsim <mode> -h`
+// lists a mode's flags.
 //
 // -tier selects the simulation fidelity of the oracle characterisation
 // sweeps: cycle (the default — the authoritative tier every paper
@@ -18,24 +20,6 @@
 // contract (internal/isim/calib); the on-disk characterisation cache
 // keys encode the tier, so runs at different tiers never poison each
 // other.
-//
-// -calib-record runs the golden cycle-level characterisation of the
-// calibration corpus and writes it to a file; -calib replays the
-// interval tier against a recorded golden file and enforces the 2% gate,
-// printing the per-cell delta table on failure. Both run instead of an
-// artifact; giving both in one invocation records then gates.
-//
-// where artifact is one of: fig1 fig2 table1 table2 overhead fig7
-// table3 fig8 fig9 fig10 ablations reliability tail fleet all — or a
-// daemon command (daemon-submit daemon-alloc daemon-spend daemon-health
-// daemon-watch daemon-drain) that talks to a running cashd (see
-// cmd/cashd) through the retrying client: -socket picks the daemon,
-// -tenant/-cells/-tenant-seed describe a daemon-submit grid, -idem
-// supplies its idempotency key (retried and duplicated submissions
-// under the same key apply exactly once), and -drain-timeout bounds
-// waits. -chaos runs the chaos soak instead of an artifact: every
-// guard, fleet and daemon scenario over -chaos-seeds seeds, each run
-// replayed to an identical digest; -chaos-dir keeps the runs' journals.
 //
 // The fleet artifact is the fleet-scale control-plane study: N
 // simulated chips host M tenants of real CASH experiments under
@@ -73,8 +57,9 @@
 // $CASH_JOURNAL, or the user cache directory; "-" disables it). After
 // an interrupted run, -resume replays journal-completed cells instead
 // of re-running them, producing a report byte-identical to an
-// uninterrupted run at the same scale and seeds. Without -resume the
-// journal is truncated and started fresh.
+// uninterrupted run under the same options and seeds; a journal written
+// under other options is discarded. Without -resume the journal is
+// truncated and started fresh.
 //
 // The reliability artifact injects tile faults into a small fabric chip
 // and reports how CASH and static provisioning degrade; -fault-rate
@@ -91,241 +76,265 @@
 // invocations are fast. -scale shrinks workloads proportionally; the
 // cache is keyed by workload content, so different scales do not
 // collide.
+//
+// chaos runs the chaos soak: every guard, fleet and daemon scenario
+// over -seeds seeds, each run replayed to an identical digest; -dir
+// keeps the runs' journals. calib -record records the golden
+// cycle-level characterisation of the calibration corpus to a file, and
+// calib -gate replays the interval tier against it and enforces the 2%
+// gate, printing the per-cell delta table on failure; giving both
+// records then gates. The daemon commands (daemon-submit daemon-alloc
+// daemon-spend daemon-health daemon-watch daemon-drain) talk to the
+// cashd at -socket (see cmd/cashd) through the retrying client;
+// retried and duplicated daemon-submits under one -idem key apply
+// exactly once.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"runtime"
 	"runtime/pprof"
+	"slices"
+	"strings"
 	"time"
 
 	"cash"
 )
 
+// Synopses of the flag-taking modes, shared by the usage texts.
+const (
+	chaosSynopsis = "cashsim chaos [-seeds n] [-dir dir] [-out file]"
+	calibSynopsis = "cashsim calib [-record golden.gob] [-gate golden.gob] [-sweep-par n] [-out file]"
+)
+
+// command is one parsed invocation: its mode and what it runs.
+type command struct {
+	mode string // the artifact, "chaos", "calib" or a daemon command
+	out  string // report file ("" = stdout)
+	run  func(w io.Writer) error
+}
+
 func main() {
-	scale := flag.Float64("scale", 1.0, "workload scale factor (1.0 = full evaluation)")
-	out := flag.String("out", "", "write the report to a file instead of stdout")
-	faultRate := flag.Float64("fault-rate", 0, "reliability study: strikes per million cycles (0 = default)")
-	faultSeed := flag.Uint64("fault-seed", 0, "reliability study: fault-schedule seed (0 = default)")
-	jobs := flag.Int("jobs", 1, "cells to run in parallel (report stays byte-identical)")
-	sweepPar := flag.Int("sweep-par", 0, "oracle sweep workers per cell (0 = shared host budget, 1 = serial; results stay byte-identical)")
-	cellTimeout := flag.Duration("cell-timeout", 0, "per-cell wall-clock budget (0 = none)")
-	maxRetries := flag.Int("max-retries", 0, "extra attempts for failing cells (jittered backoff)")
-	journal := flag.String("journal", cash.DefaultJournalPath(), `crash-safe result journal ("-" disables)`)
-	resume := flag.Bool("resume", false, "replay journal-completed cells from an interrupted run")
-	verbose := flag.Bool("v", false, "print supervision diagnostics (retries, journal reuse) to stderr")
-	stream := flag.String("stream", "", `tail study: arrival shape (sine diurnal flash bursts; "" = default)`)
-	queueCap := flag.Int("queue-cap", 0, "tail study: bounded queue capacity (0 = default; must not be negative)")
-	shed := flag.String("shed", "", `tail study: shed policy (drop-newest deadline; "" compares both; requires -stream)`)
-	tailTarget := flag.Int64("tail-target", 0, "tail study: SLO tail budget in cycles (0 = the latency target)")
-	chips := flag.Int("chips", 0, "fleet study: simulated chips (0 = default, 6)")
-	tenants := flag.Int("tenants", 0, "fleet study: admitted tenants (0 = default, 6)")
-	kill := flag.Int("kill", 0, "fleet study: chips the crash-K scenario kills (0 = default, 2)")
-	chaosMode := flag.Bool("chaos", false, "run the chaos soak (guard, fleet and daemon suites) instead of an artifact")
-	chaosSeeds := flag.Int("chaos-seeds", 20, "chaos soak: seeds per scenario (must be positive)")
-	chaosDir := flag.String("chaos-dir", "", "chaos soak: keep the runs' journals in this directory (default: a removed temp dir)")
-	socket := flag.String("socket", "", "daemon subcommands: cashd unix socket (default $CASHD_SOCKET or the user cache directory)")
-	idem := flag.String("idem", "", "daemon-submit: idempotency key (default derived from -tenant)")
-	tenant := flag.String("tenant", "", "daemon-submit: tenant name")
-	cells := flag.Int("cells", 0, "daemon-submit: cells in the tenant grid (0 = default, 4)")
-	tenantSeed := flag.Uint64("tenant-seed", 0, "daemon-submit: tenant workload seed")
-	drainTimeout := flag.Duration("drain-timeout", 10*time.Second, "daemon subcommands: wait budget (must be positive)")
-	tier := flag.String("tier", "cycle", "oracle sweep simulation tier: cycle or interval (figures stay authoritative on cycle)")
-	calibGate := flag.String("calib", "", "run the fast-tier calibration gate against golden runs recorded at this path (instead of an artifact)")
-	calibRecord := flag.String("calib-record", "", "record the golden cycle-level calibration runs to this path (instead of an artifact)")
-	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to a file (go tool pprof)")
-	memProfile := flag.String("memprofile", "", "write a heap profile at exit to a file (go tool pprof)")
-	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: cashsim [-scale f] [-out file] [-fault-rate r] [-fault-seed n] [-jobs n] [-sweep-par n] [-tier cycle|interval] [-cell-timeout d] [-max-retries n] [-journal file] [-resume] [-v] [-cpuprofile file] [-memprofile file] <artifact>\n")
-		fmt.Fprintf(os.Stderr, "       cashsim -chaos [-chaos-seeds n] [-chaos-dir dir] [-out file]\n")
-		fmt.Fprintf(os.Stderr, "       cashsim -calib-record golden.gob | -calib golden.gob [-sweep-par n] [-out file]\n")
-		fmt.Fprintf(os.Stderr, "       cashsim [-socket path] [-idem key] [-tenant name] [-cells n] [-drain-timeout d] <daemon-command>\n\n")
-		fmt.Fprintf(os.Stderr, "artifacts: fig1 fig2 table1 table2 overhead fig7 table3 fig8 fig9 fig10 ablations reliability tail fleet all\n")
-		fmt.Fprintf(os.Stderr, "daemon commands (talk to a running cashd): %s\n", daemonArtifacts)
-		flag.PrintDefaults()
+	cmd, err := parse(os.Args[1:], os.Stderr)
+	if errors.Is(err, flag.ErrHelp) {
+		os.Exit(0)
 	}
-	flag.Parse()
-	calibMode := *calibGate != "" || *calibRecord != ""
-	if *chaosMode || calibMode {
-		if flag.NArg() != 0 {
-			flag.Usage()
-			os.Exit(2)
-		}
-	} else if flag.NArg() != 1 {
-		flag.Usage()
-		os.Exit(2)
-	}
-	if err := validateFlags(flagValues{
-		queueCap: *queueCap, stream: *stream, shed: *shed,
-		chaos: *chaosMode, chaosSeeds: *chaosSeeds,
-		chips: *chips, tenants: *tenants, kill: *kill,
-		socket: *socket, drainTimeout: *drainTimeout,
-		daemonCmd: !*chaosMode && flag.NArg() == 1 && isDaemonArtifact(flag.Arg(0)),
-		tier:      *tier, calibGate: *calibGate, calibRecord: *calibRecord,
-	}); err != nil {
-		fmt.Fprintf(os.Stderr, "cashsim: %v\nrun 'cashsim -h' for usage\n", err)
-		os.Exit(2)
-	}
-
-	stopProf, err := startProfiles(*cpuProfile, *memProfile)
 	if err != nil {
+		os.Exit(2) // parse has already reported it
+	}
+	if err := cmd.execute(); err != nil {
 		fmt.Fprintln(os.Stderr, "cashsim:", err)
 		os.Exit(1)
 	}
-	// fail flushes the profiles before exiting, since os.Exit skips defers.
-	fail := func(err error) {
-		fmt.Fprintln(os.Stderr, "cashsim:", err)
-		stopProf()
-		os.Exit(1)
-	}
-
-	w := os.Stdout
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			fail(err)
-		}
-		defer f.Close()
-		w = f
-	}
-
-	if calibMode {
-		start := time.Now()
-		if *calibRecord != "" {
-			if err := cash.RecordCalibGolden(*calibRecord, *sweepPar); err != nil {
-				fail(err)
-			}
-			fmt.Fprintf(os.Stderr, "cashsim: calibration goldens recorded to %s in %v\n",
-				*calibRecord, time.Since(start).Round(time.Millisecond))
-		}
-		if *calibGate != "" {
-			if err := cash.RunCalibGate(w, *calibGate, *sweepPar); err != nil {
-				fail(err)
-			}
-			fmt.Fprintf(os.Stderr, "cashsim: calibration gate done in %v\n",
-				time.Since(start).Round(time.Millisecond))
-		}
-		stopProf()
-		return
-	}
-
-	if !*chaosMode && isDaemonArtifact(flag.Arg(0)) {
-		err := runDaemonCommand(w, flag.Arg(0), daemonFlags{
-			socket: *socket, idem: *idem, tenant: *tenant,
-			cells: *cells, tenantSeed: *tenantSeed, drainTimeout: *drainTimeout,
-		})
-		if err != nil {
-			fail(err)
-		}
-		stopProf()
-		return
-	}
-
-	if *chaosMode {
-		start := time.Now()
-		rep, err := cash.RunSoak(cash.SoakOptions{Seeds: *chaosSeeds, Dir: *chaosDir})
-		if err != nil {
-			fail(err)
-		}
-		fmt.Fprint(w, rep.Summary())
-		fmt.Fprintf(os.Stderr, "cashsim: chaos soak done in %v\n", time.Since(start).Round(time.Millisecond))
-		stopProf()
-		if !rep.Passed() {
-			os.Exit(1)
-		}
-		return
-	}
-
-	var log io.Writer
-	if *verbose {
-		log = os.Stderr
-	}
-	start := time.Now()
-	opts := cash.ReproduceOptions{
-		Scale: *scale, FaultRate: *faultRate, FaultSeed: *faultSeed,
-		Jobs: *jobs, SweepPar: *sweepPar, CellTimeout: *cellTimeout, MaxRetries: *maxRetries,
-		JournalPath: *journal, Resume: *resume, Log: log,
-		Stream: *stream, QueueCap: *queueCap, Shed: *shed, TailTarget: *tailTarget,
-		FleetChips: *chips, FleetTenants: *tenants, FleetKill: *kill,
-		Tier: *tier,
-	}
-	if err := cash.ReproduceWith(w, flag.Arg(0), opts); err != nil {
-		fail(err)
-	}
-	fmt.Fprintf(os.Stderr, "cashsim: %s done in %v\n", flag.Arg(0), time.Since(start).Round(time.Millisecond))
-	stopProf()
 }
 
-// flagValues collects the parsed flags that validateFlags cross-checks,
-// so the rules are testable without running main.
-type flagValues struct {
-	queueCap   int
-	stream     string
-	shed       string
-	chaos      bool
-	chaosSeeds int
-	chips      int
-	tenants    int
-	kill       int
-
-	socket       string
-	drainTimeout time.Duration
-	daemonCmd    bool
-
-	tier        string
-	calibGate   string
-	calibRecord string
+// execute runs the command, writing its report to -out or stdout.
+func (c *command) execute() error {
+	if c.out == "" {
+		return c.run(os.Stdout)
+	}
+	f, err := os.Create(c.out)
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	return c.run(f)
 }
 
-// validateFlags rejects flag combinations that would otherwise fail
-// deep inside a study (or silently do nothing), so mistakes surface
-// before any simulation work starts.
-func validateFlags(v flagValues) error {
-	if v.queueCap < 0 {
-		return fmt.Errorf("-queue-cap %d is negative; the serving queue needs a non-negative capacity (0 = the study default)", v.queueCap)
-	}
-	if v.shed != "" && v.stream == "" {
-		return fmt.Errorf("-shed %q requires -stream: a shed policy is meaningless without an arrival shape", v.shed)
-	}
-	if v.chaos && v.chaosSeeds <= 0 {
-		return fmt.Errorf("-chaos needs -chaos-seeds >= 1, got %d", v.chaosSeeds)
-	}
-	if v.chips < 0 || v.tenants < 0 || v.kill < 0 {
-		return fmt.Errorf("-chips/-tenants/-kill must be non-negative, got %d/%d/%d", v.chips, v.tenants, v.kill)
-	}
-	if v.chips > 0 && v.kill >= v.chips {
-		return fmt.Errorf("-kill %d must be smaller than -chips %d: killing the whole fleet leaves no survivors to re-place work on", v.kill, v.chips)
-	}
-	if v.socket != "" {
-		if dir := filepath.Dir(v.socket); dir != "." {
-			if _, err := os.Stat(dir); err != nil {
-				return fmt.Errorf("-socket %s: parent directory %s does not exist (is cashd running, and where?)", v.socket, dir)
-			}
+// parse dispatches on the first argument to the mode's own FlagSet.
+// Every error, flag errors included, is reported on stderr before it is
+// returned.
+func parse(args []string, stderr io.Writer) (*command, error) {
+	if len(args) > 0 {
+		switch mode := args[0]; {
+		case mode == "chaos":
+			return parseChaos(args[1:], stderr)
+		case mode == "calib":
+			return parseCalib(args[1:], stderr)
+		case strings.HasPrefix(mode, "daemon-"):
+			return parseDaemon(mode, args[1:], stderr)
 		}
 	}
-	if v.daemonCmd && v.drainTimeout <= 0 {
-		return fmt.Errorf("-drain-timeout %v must be positive: daemon commands wait on it", v.drainTimeout)
+	return parseArtifact(args, stderr)
+}
+
+// newFlagSet builds a mode's FlagSet; synopsis heads its usage.
+func newFlagSet(name, synopsis string, stderr io.Writer) *flag.FlagSet {
+	fs := flag.NewFlagSet(name, flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fs.Usage = func() {
+		fmt.Fprintf(fs.Output(), "usage: %s\n", synopsis)
+		fs.PrintDefaults()
 	}
-	if v.tier != "" {
-		if err := cash.ValidateTier(v.tier); err != nil {
-			return err
-		}
+	return fs
+}
+
+// usageError reports a rejected invocation the way fs reports its own
+// parse errors, and returns err.
+func usageError(fs *flag.FlagSet, err error) error {
+	fmt.Fprintf(fs.Output(), "cashsim: %v\nrun '%s -h' for usage\n", err, fs.Name())
+	return err
+}
+
+// parseFlags parses a mode that takes no positional arguments.
+func parseFlags(fs *flag.FlagSet, args []string) error {
+	if err := fs.Parse(args); err != nil {
+		return err
 	}
-	if v.calibGate != "" && v.calibRecord == "" {
-		if _, err := os.Stat(v.calibGate); err != nil {
-			return fmt.Errorf("-calib %s: golden runs not present (%v); record them first with -calib-record %s", v.calibGate, err, v.calibGate)
-		}
+	if fs.NArg() > 0 {
+		return usageError(fs, fmt.Errorf("unexpected argument %q", fs.Arg(0)))
 	}
 	return nil
 }
 
+// parseArtifact parses an artifact run; its flags bind straight into
+// the reproduce options.
+func parseArtifact(args []string, stderr io.Writer) (*command, error) {
+	fs := newFlagSet("cashsim", "", stderr)
+	fs.Usage = func() {
+		fmt.Fprintf(fs.Output(), `usage: cashsim [flags] <artifact>
+       %s
+       %s
+       cashsim daemon-<command> [-socket path] [command flags]
+
+artifacts: %s
+daemon commands (talk to a running cashd): %s
+run 'cashsim <mode> -h' for the flags of chaos, calib or a daemon command
+
+artifact flags:
+`, chaosSynopsis, calibSynopsis, strings.Join(cash.Artifacts(), " "), daemonCommands)
+		fs.PrintDefaults()
+	}
+	var o cash.ReproduceOptions
+	fs.Float64Var(&o.Scale, "scale", 1.0, "workload scale factor (1.0 = full evaluation)")
+	fs.StringVar(&o.Tier, "tier", "cycle", "oracle sweep simulation tier: cycle or interval (figures stay authoritative on cycle)")
+	fs.Float64Var(&o.FaultRate, "fault-rate", 0, "reliability study: strikes per million cycles (0 = default)")
+	fs.Uint64Var(&o.FaultSeed, "fault-seed", 0, "reliability study: fault-schedule seed (0 = default)")
+	fs.StringVar(&o.Stream, "stream", "", `tail study: arrival shape (sine diurnal flash bursts; "" = default)`)
+	fs.IntVar(&o.QueueCap, "queue-cap", 0, "tail study: bounded queue capacity (0 = default; must not be negative)")
+	fs.StringVar(&o.Shed, "shed", "", `tail study: shed policy (drop-newest deadline; "" compares both; requires -stream)`)
+	fs.Int64Var(&o.TailTarget, "tail-target", 0, "tail study: SLO tail budget in cycles (0 = the latency target)")
+	fs.IntVar(&o.FleetChips, "chips", 0, "fleet study: simulated chips (0 = default, 6)")
+	fs.IntVar(&o.FleetTenants, "tenants", 0, "fleet study: admitted tenants (0 = default, 6)")
+	fs.IntVar(&o.FleetKill, "kill", 0, "fleet study: chips the crash-K scenario kills (0 = default, 2)")
+	fs.IntVar(&o.Jobs, "jobs", 1, "cells to run in parallel (report stays byte-identical)")
+	fs.IntVar(&o.SweepPar, "sweep-par", 0, "oracle sweep workers per cell (0 = shared host budget, 1 = serial; results stay byte-identical)")
+	fs.DurationVar(&o.CellTimeout, "cell-timeout", 0, "per-cell wall-clock budget (0 = none)")
+	fs.IntVar(&o.MaxRetries, "max-retries", 0, "extra attempts for failing cells (jittered backoff)")
+	fs.StringVar(&o.JournalPath, "journal", cash.DefaultJournalPath(), `crash-safe result journal ("-" disables)`)
+	fs.BoolVar(&o.Resume, "resume", false, "replay journal-completed cells from an interrupted run")
+	verbose := fs.Bool("v", false, "print supervision diagnostics (retries, journal reuse) to stderr")
+	cmd := &command{}
+	fs.StringVar(&cmd.out, "out", "", "write the report to a file instead of stdout")
+	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the run to a file (go tool pprof)")
+	memProfile := fs.String("memprofile", "", "write a heap profile at exit to a file (go tool pprof)")
+	if err := fs.Parse(args); err != nil {
+		return nil, err
+	}
+	switch {
+	case fs.NArg() == 0:
+		return nil, usageError(fs, errors.New("missing artifact"))
+	case fs.NArg() > 1:
+		return nil, usageError(fs, fmt.Errorf("unexpected argument %q after artifact %q", fs.Arg(1), fs.Arg(0)))
+	case !slices.Contains(cash.Artifacts(), fs.Arg(0)):
+		return nil, usageError(fs, fmt.Errorf("unknown artifact %q", fs.Arg(0)))
+	}
+	if err := o.Validate(); err != nil {
+		return nil, usageError(fs, err)
+	}
+	if *verbose {
+		o.Log = stderr
+	}
+	cmd.mode = fs.Arg(0)
+	cmd.run = func(w io.Writer) error {
+		stop, err := startProfiles(*cpuProfile, *memProfile)
+		if err != nil {
+			return err
+		}
+		defer stop()
+		start := time.Now()
+		if err := cash.ReproduceWith(w, cmd.mode, o); err != nil {
+			return err
+		}
+		fmt.Fprintf(stderr, "cashsim: %s done in %v\n", cmd.mode, time.Since(start).Round(time.Millisecond))
+		return nil
+	}
+	return cmd, nil
+}
+
+// parseChaos parses a chaos soak run.
+func parseChaos(args []string, stderr io.Writer) (*command, error) {
+	fs := newFlagSet("cashsim chaos", chaosSynopsis, stderr)
+	var o cash.SoakOptions
+	fs.IntVar(&o.Seeds, "seeds", 0, "seeds per scenario (0 = the soak default)")
+	fs.StringVar(&o.Dir, "dir", "", "keep the runs' journals in this directory (default: a removed temp dir)")
+	cmd := &command{mode: "chaos"}
+	fs.StringVar(&cmd.out, "out", "", "write the soak report to a file instead of stdout")
+	if err := parseFlags(fs, args); err != nil {
+		return nil, err
+	}
+	cmd.run = func(w io.Writer) error {
+		start := time.Now()
+		rep, err := cash.RunSoak(o)
+		if err != nil {
+			return err
+		}
+		fmt.Fprint(w, rep.Summary())
+		fmt.Fprintf(stderr, "cashsim: chaos soak done in %v\n", time.Since(start).Round(time.Millisecond))
+		if !rep.Passed() {
+			return errors.New("chaos soak failed")
+		}
+		return nil
+	}
+	return cmd, nil
+}
+
+// parseCalib parses a calibration record and/or gate run.
+func parseCalib(args []string, stderr io.Writer) (*command, error) {
+	fs := newFlagSet("cashsim calib", calibSynopsis, stderr)
+	record := fs.String("record", "", "record the golden cycle-level calibration runs to this path")
+	gate := fs.String("gate", "", "run the fast-tier calibration gate against golden runs recorded at this path (after -record, if both are given)")
+	sweepPar := fs.Int("sweep-par", 0, "sweep workers (0 = shared host budget, 1 = serial)")
+	cmd := &command{mode: "calib"}
+	fs.StringVar(&cmd.out, "out", "", "write the gate report to a file instead of stdout")
+	if err := parseFlags(fs, args); err != nil {
+		return nil, err
+	}
+	if *record == "" && *gate == "" {
+		return nil, usageError(fs, errors.New("calib needs -record, -gate or both"))
+	}
+	if *gate != "" && *record == "" {
+		if _, err := os.Stat(*gate); err != nil {
+			return nil, usageError(fs, fmt.Errorf("-gate %s: golden runs not present (%v); record them first with -record %s", *gate, err, *gate))
+		}
+	}
+	cmd.run = func(w io.Writer) error {
+		start := time.Now()
+		if *record != "" {
+			if err := cash.RecordCalibGolden(*record, *sweepPar); err != nil {
+				return err
+			}
+			fmt.Fprintf(stderr, "cashsim: calibration goldens recorded to %s in %v\n",
+				*record, time.Since(start).Round(time.Millisecond))
+		}
+		if *gate != "" {
+			if err := cash.RunCalibGate(w, *gate, *sweepPar); err != nil {
+				return err
+			}
+			fmt.Fprintf(stderr, "cashsim: calibration gate done in %v\n",
+				time.Since(start).Round(time.Millisecond))
+		}
+		return nil
+	}
+	return cmd, nil
+}
+
 // startProfiles enables the requested pprof outputs. The returned stop
-// function flushes them and must run on every exit path: os.Exit skips
-// deferred calls, so main threads it through explicitly.
+// function flushes them.
 func startProfiles(cpu, mem string) (stop func(), err error) {
 	var cpuF *os.File
 	if cpu != "" {

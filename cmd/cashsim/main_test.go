@@ -1,99 +1,130 @@
 package main
 
 import (
+	"bytes"
+	"errors"
+	"flag"
+	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
-	"time"
+
+	"cash/internal/figs"
 )
 
-func TestValidateFlagsAccepts(t *testing.T) {
-	goldenPath := filepath.Join(t.TempDir(), "golden.gob")
-	if err := writeFile(goldenPath); err != nil {
-		t.Fatal(err)
+func TestParse(t *testing.T) {
+	dir := t.TempDir()
+	golden := filepath.Join(dir, "golden.gob")
+	if err := os.WriteFile(golden, nil, 0o644); err != nil {
+		t.Fatal(err) // the -gate presence check only stats the file
 	}
-	cases := []flagValues{
-		{}, // all defaults
-		{queueCap: 128, stream: "bursts", shed: "deadline"},
-		{tier: "cycle"},
-		{tier: "interval"},
-		{calibGate: goldenPath}, // goldens present
-		{calibGate: "/no/such/golden.gob", calibRecord: "/no/such/golden.gob"}, // record-then-gate creates them
-		{calibRecord: filepath.Join(t.TempDir(), "new.gob")},
-		{chaos: true, chaosSeeds: 20},
-		{chips: 8, tenants: 12, kill: 3},
-		{stream: "flash"}, // stream without shed compares both policies
-		{daemonCmd: true, drainTimeout: time.Second},
-		{chaos: true, chaosSeeds: 1},          // the soak never reads -drain-timeout
-		{chaos: true, chaosSeeds: 1, kill: 2}, // nor -kill
-		{socket: filepath.Join(t.TempDir(), "cashd.sock"), daemonCmd: true, drainTimeout: time.Second},
-	}
-	for _, v := range cases {
-		if err := validateFlags(v); err != nil {
-			t.Errorf("validateFlags(%+v) = %v, want nil", v, err)
-		}
-	}
-}
-
-func TestValidateFlagsRejects(t *testing.T) {
+	missing := filepath.Join(dir, "missing.gob")
+	sock := filepath.Join(dir, "cashd.sock")
 	cases := []struct {
-		v    flagValues
-		want string
+		args []string
+		mode string // "" = must be rejected
+		want string // error mention, for rejections
 	}{
-		{flagValues{queueCap: -1}, "-queue-cap"},
-		{flagValues{shed: "deadline"}, "-shed"},
-		{flagValues{chaos: true, chaosSeeds: 0}, "-chaos-seeds"},
-		{flagValues{chaos: true, chaosSeeds: -5}, "-chaos-seeds"},
-		{flagValues{chips: -2}, "non-negative"},
-		{flagValues{kill: -1}, "non-negative"},
-		{flagValues{chips: 4, kill: 4}, "-kill"},
-		{flagValues{chips: 4, kill: 9}, "-kill"},
-		{flagValues{socket: "/no/such/parent/cashd.sock", daemonCmd: true, drainTimeout: time.Second}, "-socket"},
-		{flagValues{daemonCmd: true}, "-drain-timeout"},
-		{flagValues{daemonCmd: true, drainTimeout: -time.Second}, "-drain-timeout"},
-		{flagValues{tier: "fast"}, "tier"},
-		{flagValues{tier: "Cycle"}, "tier"},                     // names are case-sensitive
-		{flagValues{tier: "sampled"}, "want cycle or interval"}, // the removed tier names the valid ones
-		{flagValues{calibGate: "/no/such/golden.gob"}, "record them first"},
+		// Artifact mode: every existing invocation keeps parsing.
+		{args: []string{"fig1"}, mode: "fig1"},
+		{args: []string{"-scale", "0.006", "-journal", "-", "all"}, mode: "all"},
+		{args: []string{"-scale", "0.3", "-jobs", "2", "-tier", "interval", "table3"}, mode: "table3"},
+		{args: []string{"-stream", "bursts", "-queue-cap", "128", "-shed", "deadline", "tail"}, mode: "tail"},
+		{args: []string{"-chips", "8", "-tenants", "12", "-kill", "3", "fleet"}, mode: "fleet"},
+		{args: []string{"-queue-cap", "-1", "tail"}, want: "queue cap"},
+		{args: []string{"-shed", "deadline", "tail"}, want: "requires a stream"},
+		{args: []string{"-chips", "4", "-kill", "4", "fleet"}, want: "smaller than chips"},
+		{args: []string{"-tier", "sampled", "fig1"}, want: "want cycle or interval"},
+		{args: []string{"nonsense"}, want: "unknown artifact"},
+		{args: []string{}, want: "missing artifact"},
+		{args: []string{"-scale", "0.3"}, want: "missing artifact"},
+		{args: []string{"fig1", "fig2"}, want: "unexpected argument"},
+		{args: []string{"-chaos-seeds", "8", "fig7"}, want: "not defined: -chaos-seeds"},
+		{args: []string{"-drain-timeout", "0", "fig1"}, want: "not defined: -drain-timeout"},
+		{args: []string{"-socket", sock, "fig1"}, want: "not defined: -socket"},
+
+		// chaos reads only -seeds, -dir and -out.
+		{args: []string{"chaos"}, mode: "chaos"},
+		{args: []string{"chaos", "-seeds", "8", "-dir", dir, "-out", filepath.Join(dir, "r.txt")}, mode: "chaos"},
+		{args: []string{"chaos", "-scale", "1"}, want: "not defined: -scale"},
+		{args: []string{"chaos", "-kill", "2"}, want: "not defined: -kill"},
+		{args: []string{"chaos", "-drain-timeout", "1s"}, want: "not defined: -drain-timeout"},
+		{args: []string{"chaos", "fig1"}, want: "unexpected argument"},
+
+		// calib: record, gate, or record then gate in one call.
+		{args: []string{"calib", "-record", filepath.Join(dir, "new.gob")}, mode: "calib"},
+		{args: []string{"calib", "-gate", golden, "-sweep-par", "2"}, mode: "calib"},
+		{args: []string{"calib", "-record", missing, "-gate", missing}, mode: "calib"},
+		{args: []string{"calib", "-gate", missing}, want: "record them first"},
+		{args: []string{"calib"}, want: "-record, -gate or both"},
+		{args: []string{"calib", "-gate", golden, "-jobs", "2"}, want: "not defined: -jobs"},
+
+		// Each daemon command reads -socket plus only its own flags.
+		{args: []string{"daemon-health"}, mode: "daemon-health"},
+		{args: []string{"daemon-health", "-socket", sock}, mode: "daemon-health"},
+		{args: []string{"daemon-submit", "-socket", sock, "-tenant", "t", "-cells", "8", "-tenant-seed", "7", "-idem", "k"}, mode: "daemon-submit"},
+		{args: []string{"daemon-watch", "-drain-timeout", "1s"}, mode: "daemon-watch"},
+		{args: []string{"daemon-alloc"}, mode: "daemon-alloc"},
+		{args: []string{"daemon-spend"}, mode: "daemon-spend"},
+		{args: []string{"daemon-drain"}, mode: "daemon-drain"},
+		{args: []string{"daemon-health", "-tenant", "t"}, want: "not defined: -tenant"},
+		{args: []string{"daemon-submit", "-tenant", "t", "-drain-timeout", "1s"}, want: "not defined: -drain-timeout"},
+		{args: []string{"daemon-submit"}, want: "needs -tenant"},
+		{args: []string{"daemon-watch", "-drain-timeout", "0"}, want: "-drain-timeout"},
+		{args: []string{"daemon-watch", "-drain-timeout", "-1s"}, want: "-drain-timeout"},
+		{args: []string{"daemon-health", "-socket", "/no/such/parent/cashd.sock"}, want: "-socket"},
+		{args: []string{"daemon-health", "extra"}, want: "unexpected argument"},
+		{args: []string{"daemon-bogus"}, want: "unknown daemon command"},
 	}
 	for _, c := range cases {
-		err := validateFlags(c.v)
-		if err == nil {
-			t.Errorf("validateFlags(%+v) accepted, want error mentioning %q", c.v, c.want)
-			continue
+		var stderr bytes.Buffer
+		cmd, err := parse(c.args, &stderr)
+		switch {
+		case c.mode != "" && err != nil:
+			t.Errorf("parse(%q) = %v, want mode %q", c.args, err, c.mode)
+		case c.mode != "" && cmd.mode != c.mode:
+			t.Errorf("parse(%q) mode = %q, want %q", c.args, cmd.mode, c.mode)
+		case c.mode == "" && err == nil:
+			t.Errorf("parse(%q) accepted as mode %q, want error mentioning %q", c.args, cmd.mode, c.want)
+		case c.mode == "" && !strings.Contains(stderr.String(), c.want):
+			t.Errorf("parse(%q) reported %q, want mention of %q", c.args, stderr.String(), c.want)
 		}
-		if !strings.Contains(err.Error(), c.want) {
-			t.Errorf("validateFlags(%+v) = %q, want mention of %q", c.v, err, c.want)
+	}
+}
+
+func TestUsageNamesEveryArtifact(t *testing.T) {
+	var stderr bytes.Buffer
+	if _, err := parse([]string{"-h"}, &stderr); !errors.Is(err, flag.ErrHelp) {
+		t.Fatalf("parse(-h) = %v, want flag.ErrHelp", err)
+	}
+	var listed []string
+	for _, line := range strings.Split(stderr.String(), "\n") {
+		if rest, ok := strings.CutPrefix(line, "artifacts: "); ok {
+			listed = strings.Fields(rest)
 		}
 	}
-}
-
-// writeFile creates an empty placeholder at path (the -calib presence
-// check only stats the file; decoding happens later in the run).
-func writeFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
+	for _, a := range figs.Artifacts {
+		for _, n := range a.Names {
+			if !slices.Contains(listed, n) {
+				t.Errorf("usage does not list artifact %q:\n%s", n, stderr.String())
+			}
+		}
 	}
-	return f.Close()
-}
-
-func TestValidateFlagsChaosSeedsIgnoredOutsideChaos(t *testing.T) {
-	// -chaos-seeds only gates chaos mode; a plain artifact run never
-	// reads it, so a bad value there must not block the run.
-	if err := validateFlags(flagValues{chaosSeeds: 0}); err != nil {
-		t.Fatalf("chaos-seeds validated outside -chaos: %v", err)
+	if !slices.Contains(listed, "all") {
+		t.Errorf("usage does not list \"all\":\n%s", stderr.String())
 	}
 }
 
-func TestValidateFlagsDaemonRulesIgnoredOutsideDaemonModes(t *testing.T) {
-	// A plain artifact run never waits on -drain-timeout and never
-	// reads -kill as a daemon knob, so neither may block it.
-	if err := validateFlags(flagValues{drainTimeout: 0}); err != nil {
-		t.Fatalf("drain-timeout validated outside daemon modes: %v", err)
-	}
-	if err := validateFlags(flagValues{chips: 4, kill: 2, drainTimeout: time.Second}); err != nil {
-		t.Fatalf("-kill flagged as a daemon knob: %v", err)
+func TestDaemonCommandsAllParse(t *testing.T) {
+	for _, name := range strings.Fields(daemonCommands) {
+		args := []string{name}
+		if name == "daemon-submit" {
+			args = append(args, "-tenant", "t")
+		}
+		if _, err := parse(args, io.Discard); err != nil {
+			t.Errorf("listed daemon command %s does not parse: %v", name, err)
+		}
 	}
 }

@@ -15,11 +15,15 @@ import (
 // so output ordering never depends on completion order. A failed cell
 // renders as FAILED(<reason>) and the suite keeps going.
 
-// meta fingerprints the run parameters that determine cell values; a
-// journal written under a different fingerprint must not be resumed.
+// meta fingerprints the run parameters that determine cell values — the
+// seed and every Options field but the supervision ones, which it
+// zeroes — so a journal written under other settings is never resumed.
+// Bump the version when a cell's recorded shape or meaning changes.
 func (h *Harness) meta() string {
-	return fmt.Sprintf("cash-journal v2 scale=%g seed=%d faultRate=%g faultSeed=%d chips=%d tenants=%d kill=%d",
-		h.Scale, h.Seed, h.FaultRate, h.FaultSeed, h.FleetChips, h.FleetTenants, h.FleetKill)
+	o := h.Options
+	o.Jobs, o.SweepPar, o.CellTimeout, o.MaxRetries = 0, 0, 0, 0
+	o.JournalPath, o.Resume, o.Log = "", false, nil
+	return fmt.Sprintf("cash-journal v3 seed=%d %+v", h.Seed, o)
 }
 
 // openJournal lazily opens the configured result journal.

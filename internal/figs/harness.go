@@ -22,86 +22,17 @@ import (
 	"cash/internal/workload"
 )
 
-// Harness runs the evaluation. Scale shrinks workloads for quick runs
-// (1.0 = the full evaluation).
+// Harness runs the evaluation under its Options.
 type Harness struct {
+	Options
 	DB    *oracle.DB
 	Model cost.Model
 	Out   io.Writer
-	// Scale multiplies workload lengths (default 1.0).
-	Scale float64
 	// Seed drives the CASH runtime's exploration.
 	Seed uint64
 	// CachePath persists the oracle characterisation ("" = default
 	// location; "-" disables persistence).
 	CachePath string
-	// FaultRate is the Reliability study's base strike rate in faults
-	// per million cycles (0 selects its default).
-	FaultRate float64
-	// FaultSeed drives the Reliability study's fault schedule (0 selects
-	// its default).
-	FaultSeed uint64
-
-	// Tail-study knobs (the "tail" artifact); zero values select the
-	// study's defaults. cmd/cashsim maps -stream/-queue-cap/-shed/
-	// -tail-target onto these.
-
-	// StreamName picks the arrival shape (workload.StreamNames; "" =
-	// the study's default, "flash").
-	StreamName string
-	// QueueCap bounds the serving queue in the bounded variants (0 =
-	// the study default, 256).
-	QueueCap int
-	// ShedName restricts the bounded variants to one shed policy
-	// ("drop-newest" or "deadline"; "" compares both).
-	ShedName string
-	// TailTarget is the SLO tail budget in cycles (0 = the latency
-	// target).
-	TailTarget int64
-
-	// Fleet-study knobs (the "fleet" artifact); zero values select the
-	// study's defaults. cmd/cashsim maps -chips/-tenants/-kill/
-	// -fleet-seed onto these.
-
-	// FleetChips is how many simulated chips the fleet hosts (0 = 6).
-	FleetChips int
-	// FleetTenants is how many tenants the fleet admits (0 = 6).
-	FleetTenants int
-	// FleetKill is how many chips the crash-K scenario kills mid-run
-	// (0 = 2; clamped to FleetChips-1).
-	FleetKill int
-
-	// Supervision knobs: every figure/table enumerates its (app,
-	// policy) cells through a supervised executor, so one panicking or
-	// hanging cell degrades to a FAILED(...) entry instead of losing
-	// the run. cmd/cashsim maps -jobs/-cell-timeout/-max-retries/
-	// -resume onto these.
-
-	// Jobs bounds how many cells run in parallel (<=1 = sequential).
-	// Output ordering is deterministic regardless.
-	Jobs int
-	// SweepPar bounds the oracle characterisation sweep's intra-cell
-	// worker budget: 0 draws from the process-wide shared pool
-	// (GOMAXPROCS workers — the budget cell-level Jobs parallelism also
-	// composes with, so nesting the two cannot oversubscribe the host),
-	// 1 forces a serial sweep, and any other value builds a dedicated
-	// budget of that size. Results and artifacts are byte-identical at
-	// every setting; only wall-clock changes.
-	SweepPar int
-	// CellTimeout is the per-cell wall-clock budget (0 = none).
-	CellTimeout time.Duration
-	// MaxRetries is how many extra attempts a failing cell gets.
-	MaxRetries int
-	// JournalPath is the crash-safe result journal ("" disables
-	// journaling; see supervise.DefaultJournalPath).
-	JournalPath string
-	// Resume replays journal-completed cells from an interrupted run
-	// instead of re-running them.
-	Resume bool
-	// Log receives progress and diagnostics (characterisation timing,
-	// journal reuse, retry notices). They are kept out of Out so the
-	// report itself stays byte-reproducible; default is to discard.
-	Log io.Writer
 	// CellHook, when set, runs at the start of every supervised cell —
 	// test instrumentation for injecting panics and hangs.
 	CellHook func(key string)
@@ -117,13 +48,12 @@ type Harness struct {
 // characterisation data.
 func New(out io.Writer) *Harness {
 	h := &Harness{
+		Options:   Options{Scale: 1.0},
 		DB:        oracle.NewDB(),
 		Model:     cost.Default(),
 		Out:       out,
-		Scale:     1.0,
 		Seed:      7,
 		CachePath: oracle.DefaultCachePath(),
-		Log:       io.Discard,
 	}
 	if h.CachePath != "-" {
 		// Cache load failures only cost re-simulation, but silent ones

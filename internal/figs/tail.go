@@ -46,7 +46,7 @@ type tailVariant struct {
 // quantum completes few or no requests and so contributes little or
 // nothing to any mean.
 func (h *Harness) TailStudy() error {
-	streamName := h.StreamName
+	streamName := h.Stream
 	if streamName == "" {
 		streamName = "flash"
 	}
@@ -68,8 +68,8 @@ func (h *Harness) TailStudy() error {
 		{key: "drop-newest", queueCap: queueCap, shed: experiment.ShedDropNewest},
 		{key: "deadline", queueCap: queueCap, shed: experiment.ShedDeadline},
 	}
-	if h.ShedName != "" {
-		pol, err := experiment.ShedPolicyByName(h.ShedName)
+	if h.Shed != "" {
+		pol, err := experiment.ShedPolicyByName(h.Shed)
 		if err != nil {
 			return err
 		}

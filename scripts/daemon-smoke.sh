@@ -34,7 +34,7 @@ trap cleanup EXIT
 DPID=$!
 
 # The client retries while the daemon finishes binding the socket.
-"$CASHSIM" -socket "$SOCK" -tenant smoke -cells $CELLS -tenant-seed 7 -idem smoke-key daemon-submit
+"$CASHSIM" daemon-submit -socket "$SOCK" -tenant smoke -cells $CELLS -tenant-seed 7 -idem smoke-key
 
 echo "daemon-smoke: kill -9 $DPID"
 kill -9 "$DPID"
@@ -47,7 +47,7 @@ DPID=$!
 # The resubmit under the same key must come back as a replay of the
 # original ack: the journal, not process memory, carried it across the
 # kill.
-ACK=$("$CASHSIM" -socket "$SOCK" -tenant smoke -cells $CELLS -tenant-seed 7 -idem smoke-key daemon-submit)
+ACK=$("$CASHSIM" daemon-submit -socket "$SOCK" -tenant smoke -cells $CELLS -tenant-seed 7 -idem smoke-key)
 echo "$ACK"
 echo "$ACK" | grep -q '"resubmitted": true' || {
     echo "daemon-smoke: FAIL: restart lost the journaled submit" >&2
@@ -56,7 +56,7 @@ echo "$ACK" | grep -q '"resubmitted": true' || {
 
 # Wait for every cell to land exactly once.
 for i in $(seq 1 100); do
-    HEALTH=$("$CASHSIM" -socket "$SOCK" daemon-health)
+    HEALTH=$("$CASHSIM" daemon-health -socket "$SOCK")
     if echo "$HEALTH" | grep -q "\"cells_landed\": $CELLS"; then
         break
     fi
@@ -73,14 +73,14 @@ echo "$HEALTH" | grep -q '"tenants": 1' || {
 }
 
 # Books must balance: nothing outstanding after completion.
-SPEND=$("$CASHSIM" -socket "$SOCK" daemon-spend)
+SPEND=$("$CASHSIM" daemon-spend -socket "$SOCK")
 echo "$SPEND"
 echo "$SPEND" | grep -q '"root_outstanding": 0' || {
     echo "daemon-smoke: FAIL: outstanding nanodollars after completion" >&2
     exit 1
 }
 
-"$CASHSIM" -socket "$SOCK" daemon-drain
+"$CASHSIM" daemon-drain -socket "$SOCK"
 if wait "$DPID"; then RC=0; else RC=$?; fi
 DPID=
 [ "$RC" -eq 0 ] || {
