@@ -19,7 +19,7 @@ func main() {
 	const targetLatency = 110_000 // cycles per request, as in the paper
 
 	opts := experiment.ServerOpts{
-		Stream:              stream,
+		Arrivals:            stream,
 		TargetLatencyCycles: targetLatency,
 		Horizon:             120_000_000,
 	}
@@ -27,8 +27,8 @@ func main() {
 
 	// The latency controllers regulate q = target/latency toward 1.0.
 	// Latency QoS is a ratio, not a throughput, so the server variant
-	// runs whole-quantum configurations with the demand-escalation
-	// guard and extra headroom (see internal/figs.Fig9).
+	// runs whole-quantum configurations with the committed QoS guard
+	// and extra headroom (see internal/figs.Fig9).
 	runtime, err := cash.NewRuntime(1.0, cash.RuntimeOptions{Seed: 3, SingleConfig: true, GuardStyle: 1, Margin: 0.15})
 	if err != nil {
 		log.Fatal(err)

@@ -25,6 +25,7 @@ func TestNewRejectsNonsense(t *testing.T) {
 		{"inf margin", 0.5, cost.Default(), Options{Margin: math.Inf(1)}},
 		{"negative probe period", 0.5, cost.Default(), Options{ProbePeriod: -1}},
 		{"bad guard style", 0.5, cost.Default(), Options{GuardStyle: 17}},
+		{"guard style past committed", 0.5, cost.Default(), Options{GuardStyle: 2}},
 		{"nan slice price", 0.5, cost.Model{SliceHour: math.NaN()}, Options{}},
 		{"negative bank price", 0.5, cost.Model{BankHour: -1}, Options{}},
 		{"nan alpha", 0.5, cost.Default(), Options{Alpha: math.NaN()}},

@@ -53,7 +53,7 @@ type Options struct {
 	// GuardStyle selects the QoS-guard behaviour: 0 = off (default; the
 	// controller, snap learning and table rescaling recover QoS),
 	// GuardCommitted parks at the largest configuration until the
-	// target holds, GuardDemand escalates the demand for one quantum.
+	// target holds.
 	GuardStyle int
 	// ProbePeriod enables idle-tail probing of cheaper configurations
 	// every N quanta (0 = disabled, the default).
@@ -126,17 +126,10 @@ type Runtime struct {
 // hammering the allocator every quantum.
 const maxExpandBackoff = 32
 
-// probeEvery is how often an idle tail is converted into a probe of the
-// most promising cheaper configuration. Probing costs a little rent but
-// is QoS-safe (the quantum's obligation is already met) and is what
-// lets the runtime discover that a phase has become easier — without
-// it, stale low estimates would keep the system parked on expensive
-// configurations after a heavy phase ends.
 // Guard styles.
 const (
 	GuardOff = iota
 	GuardCommitted
-	GuardDemand
 )
 
 // guardAfterMisses is how many consecutive under-target quanta trigger
@@ -164,7 +157,7 @@ func New(target float64, model cost.Model, opts Options) (*Runtime, error) {
 	if opts.ProbePeriod < 0 {
 		return nil, fmt.Errorf("cashrt: probe period %d must be non-negative", opts.ProbePeriod)
 	}
-	if opts.GuardStyle < GuardOff || opts.GuardStyle > GuardDemand {
+	if opts.GuardStyle < GuardOff || opts.GuardStyle > GuardCommitted {
 		return nil, fmt.Errorf("cashrt: unknown guard style %d", opts.GuardStyle)
 	}
 	if opts.Alpha == 0 {
@@ -476,20 +469,14 @@ func (r *Runtime) Decide(prev []alloc.Observation, tau int64) alloc.Plan {
 		r.Recoveries++
 	}
 	if r.guardMode {
-		if r.opts.GuardStyle == GuardDemand {
-			// Demand-only guard: ask for the best estimate this quantum.
-			r.guardMode = false
-			demand = r.opt.MaxQoS(base)
+		big := r.opt.Largest()
+		if base > 0 {
+			r.lastPlanned = r.opt.QoSEstimate(big, base) / base
 		} else {
-			big := r.opt.Largest()
-			if base > 0 {
-				r.lastPlanned = r.opt.QoSEstimate(big, base) / base
-			} else {
-				r.lastPlanned = 1
-			}
-			r.lastSpeedup = r.lastPlanned
-			return r.applyBackoff(alloc.Plan{Steps: []alloc.Step{{Config: big, MaxCycles: tau}}})
+			r.lastPlanned = 1
 		}
+		r.lastSpeedup = r.lastPlanned
+		return r.applyBackoff(alloc.Plan{Steps: []alloc.Step{{Config: big, MaxCycles: tau}}})
 	}
 
 	// Optimizer: minimal-cost schedule for the absolute demand.

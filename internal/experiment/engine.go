@@ -7,130 +7,16 @@ package experiment
 
 import (
 	"fmt"
-	"math"
 
 	"cash/internal/alloc"
 	"cash/internal/cost"
-	"cash/internal/fault"
 	"cash/internal/guard"
 	"cash/internal/noc"
 	"cash/internal/perf"
-	"cash/internal/slice"
 	"cash/internal/ssim"
 	"cash/internal/vcore"
 	"cash/internal/workload"
 )
-
-// Opts configure a run. Zero values select the defaults noted on each
-// field.
-type Opts struct {
-	// Tau is the control quantum in cycles (default 100_000).
-	Tau int64
-	// Target is the QoS requirement (IPC floor). Required.
-	Target float64
-	// Model prices configurations (default cost.Default()).
-	Model cost.Model
-	// SliceCfg is the Slice microarchitecture (default Table I).
-	SliceCfg slice.Config
-	// Policy is the instruction steering policy (default SteerEarliest).
-	Policy ssim.SteeringPolicy
-	// Initial is the starting configuration (default the minimal one).
-	Initial vcore.Config
-	// Tolerance is the QoS slack: a sample violates QoS when its IPC
-	// falls below Target*(1-Tolerance) (default 0.05).
-	Tolerance float64
-	// Seed drives the workload generator (default 42).
-	Seed uint64
-	// MaxQuanta bounds the run (default: until the workload finishes).
-	MaxQuanta int
-	// UsePerfNet routes QoS measurement through the CASH runtime
-	// interface network (perf-counter request/reply protocol) instead
-	// of reading simulator state directly (default true; set
-	// DisablePerfNet to turn off).
-	DisablePerfNet bool
-	// Faults, when non-nil, hosts the run on a fabric chip and replays
-	// the schedule into it: every expansion the allocator requests must
-	// be granted by the chip (denials are reported to the allocator via
-	// Observation.Degraded), and injected tile faults remap or degrade
-	// the tenant mid-run. An empty schedule still hosts the run on the
-	// chip but changes nothing observable. Nil disables fault injection
-	// entirely.
-	Faults *fault.Schedule
-	// FabricWidth and FabricHeight size the chip when Faults is set
-	// (default 16x16, which fully hosts the largest virtual core).
-	FabricWidth  int
-	FabricHeight int
-	// EpochHook, when non-nil, runs after every completed control
-	// quantum with the simulator and the quantum index. Returning an
-	// error aborts the run. The chaos soak uses it to assert runtime
-	// invariants (no NaN in state, simulator consistency) at every
-	// epoch rather than only at the end.
-	EpochHook func(sim *ssim.Sim, quantum int) error
-	// Sims, when non-nil, recycles the run's simulator through a shared
-	// pool instead of building one per run; it is released back when the
-	// run returns. The pool must have been built with the same SliceCfg
-	// and Policy as this run resolves to — a recycled simulator is reset
-	// to exactly the fresh-build state, so results are unaffected.
-	Sims *ssim.SimPool
-}
-
-// validate rejects option combinations that would silently corrupt a
-// run: NaN/Inf targets vanish into comparisons (every test against NaN
-// is false, so QoS violations would never be counted), negative quanta
-// or tolerances invert the accounting, and negative fabric dimensions
-// panic deep inside the chip model.
-func (o Opts) validate() error {
-	if !(o.Target > 0) || math.IsInf(o.Target, 0) {
-		return fmt.Errorf("experiment: QoS target %v must be positive and finite", o.Target)
-	}
-	return o.validateCommon()
-}
-
-// validateCommon checks the fields shared with server mode, which has
-// no IPC target (its QoS signal is the normalized latency ratio).
-func (o Opts) validateCommon() error {
-	if math.IsNaN(o.Target) || math.IsInf(o.Target, 0) || o.Target < 0 {
-		return fmt.Errorf("experiment: QoS target %v must be non-negative and finite", o.Target)
-	}
-	if o.Tau < 0 {
-		return fmt.Errorf("experiment: control quantum %d must be non-negative", o.Tau)
-	}
-	if math.IsNaN(o.Tolerance) || math.IsInf(o.Tolerance, 0) || o.Tolerance < 0 || o.Tolerance >= 1 {
-		return fmt.Errorf("experiment: tolerance %v must be in [0, 1)", o.Tolerance)
-	}
-	if o.MaxQuanta < 0 {
-		return fmt.Errorf("experiment: max quanta %d must be non-negative", o.MaxQuanta)
-	}
-	if o.FabricWidth < 0 || o.FabricHeight < 0 {
-		return fmt.Errorf("experiment: fabric dimensions %dx%d must be non-negative", o.FabricWidth, o.FabricHeight)
-	}
-	if err := o.Model.Validate(); err != nil {
-		return err
-	}
-	return nil
-}
-
-func (o Opts) withDefaults() Opts {
-	if o.Tau == 0 {
-		o.Tau = 100_000
-	}
-	if o.Model == (cost.Model{}) {
-		o.Model = cost.Default()
-	}
-	if o.SliceCfg == (slice.Config{}) {
-		o.SliceCfg = slice.DefaultConfig()
-	}
-	if o.Initial == (vcore.Config{}) {
-		o.Initial = vcore.Min()
-	}
-	if o.Tolerance == 0 {
-		o.Tolerance = 0.05
-	}
-	if o.Seed == 0 {
-		o.Seed = 42
-	}
-	return o
-}
 
 // Sample is one control quantum's outcome.
 type Sample struct {
@@ -176,14 +62,6 @@ type Result struct {
 	Guard guard.Stats
 }
 
-// guardStatser is implemented by policies that carry the guardrail
-// subsystem (cashrt.Runtime with Options.Guardrails); the engine pulls
-// their trip counters into the Result without a package dependency on
-// the runtime.
-type guardStatser interface {
-	GuardStats() guard.Stats
-}
-
 // MeanCostRate returns the run's average $/hour.
 func (r Result) MeanCostRate() float64 {
 	if r.TotalCycles == 0 {
@@ -192,208 +70,119 @@ func (r Result) MeanCostRate() float64 {
 	return r.TotalCost / (float64(r.TotalCycles) / cost.CyclesPerHour)
 }
 
-// newSim builds (or, when Opts.Sims is set, recycles) the run's
-// simulator in the initial configuration.
-func newSim(opts Opts) (*ssim.Sim, error) {
-	if opts.Sims != nil {
-		return opts.Sims.Acquire(opts.Initial)
-	}
-	return ssim.New(opts.Initial, opts.SliceCfg, opts.Policy)
-}
-
 // Run executes app under the policy until the workload completes.
 func Run(app workload.App, policy alloc.Allocator, opts Opts) (Result, error) {
-	opts = opts.withDefaults()
-	if err := opts.validate(); err != nil {
-		return Result{}, err
-	}
-	sim, err := newSim(opts)
-	if err != nil {
-		return Result{}, err
-	}
-	if opts.Sims != nil {
-		defer opts.Sims.Release(sim)
-	}
-	gen := workload.NewGen(app, opts.Seed)
-	res := Result{App: app.Name, Allocator: policy.Name(), Target: opts.Target, Tau: opts.Tau}
-	fc, err := newFaultCtx(opts)
-	if err != nil {
-		return Result{}, err
-	}
-
-	var meter *perfMeter
-	if !opts.DisablePerfNet {
-		meter = newPerfMeter(sim)
-	}
-
-	var prev []alloc.Observation
-	quanta := 0
-	for !gen.Done() {
-		if opts.MaxQuanta > 0 && quanta >= opts.MaxQuanta {
-			break
-		}
-		quanta++
-		plan := policy.Decide(prev, opts.Tau)
-		if len(plan.Steps) == 0 {
-			plan.Steps = []alloc.Step{{Config: sim.Config(), MaxCycles: opts.Tau}}
-		}
-
-		prev = prev[:0]
-		qStart := sim.Cycle()
-		var qCost float64
-		var qStall int64
-		var qInstrs int64
-		remaining := opts.Tau // a plan never exceeds the control quantum
-		occupancy := map[vcore.Config]int64{}
-
-		// tickFaults applies due fault actions. A forced shrink stalls
-		// the pipeline inside the quantum; the drain is billed at the
-		// surviving (post-shrink) configuration since those are the
-		// resources held during it.
-		tickFaults := func() error {
-			if fc == nil {
-				return nil
-			}
-			degBefore := res.Degradations
-			stall, ferr := fc.advance(sim, sim.Cycle(), &res.FaultStats)
-			if ferr != nil {
-				return ferr
-			}
-			if stall > 0 {
-				qStall += stall
-				remaining -= stall
-				qCost += opts.Model.Charge(sim.Config(), stall)
-			}
-			res.ReconfigCount += int64(res.Degradations - degBefore)
-			return nil
-		}
-		if err := tickFaults(); err != nil {
-			return res, err
-		}
-
-		for _, step := range plan.Steps {
-			if step.MaxCycles <= 0 || remaining <= 0 || gen.Done() {
-				continue
-			}
-			target := step.Config
-			ob := alloc.Observation{Config: target, Idle: step.Idle, Probe: step.Probe}
-			if !step.Idle {
-				granted, denied := fc.grant(sim.Config(), step.Config, &res.FaultStats)
-				if denied {
-					target, ob.Config, ob.Degraded = granted, granted, true
-				}
-			}
-			if step.Idle {
-				idle := step.MaxCycles
-				if idle > remaining {
-					idle = remaining
-				}
-				sim.AdvanceIdle(idle)
-				remaining -= idle
-				ob.Cycles = idle
-				// Idle time is free (§II-B's optimistic assumption,
-				// applied uniformly to every policy).
-			} else {
-				budget := step.MaxCycles
-				if budget > remaining {
-					budget = remaining
-				}
-				ob.L2Changed = target.L2KB != sim.Config().L2KB
-				if target != sim.Config() {
-					stall, err := sim.Reconfigure(target)
-					if err != nil {
-						return Result{}, fmt.Errorf("experiment: reconfiguring to %s: %w", target, err)
-					}
-					res.ReconfigCount++
-					qStall += stall
-					// The stall consumes the step's budget and is
-					// billed: the resources are held during the flush.
-					budget -= stall
-					remaining -= stall
-					qCost += opts.Model.Charge(target, stall)
-					ob.Cycles += stall
-					if budget <= 0 {
-						prev = append(prev, obFinish(ob, gen))
-						continue
-					}
-				}
-				maxInstrs := step.TargetInstrs
-				if maxInstrs <= 0 {
-					maxInstrs = 1 << 62
-				}
-				startInstr := sim.Committed()
-				instrs, cycles := sim.RunBudget(gen, maxInstrs, budget)
-				if meter != nil {
-					// Cross-check the direct reading against the
-					// runtime interface network's sampled counters.
-					instrs = meter.measure(sim, startInstr, instrs)
-				}
-				remaining -= cycles
-				ob.Cycles += cycles
-				ob.Instrs = instrs
-				if cycles > 0 {
-					ob.QoS = float64(instrs) / float64(cycles)
-				}
-				qCost += opts.Model.Charge(target, cycles)
-				qInstrs += instrs
-				occupancy[target] += cycles
-			}
-			prev = append(prev, obFinish(ob, gen))
-			if err := tickFaults(); err != nil {
-				return res, err
-			}
-		}
-
-		if opts.EpochHook != nil {
-			if herr := opts.EpochHook(sim, quanta); herr != nil {
-				return res, fmt.Errorf("experiment: epoch hook at quantum %d: %w", quanta, herr)
-			}
-		}
-
-		qCycles := sim.Cycle() - qStart
-		if qCycles == 0 {
-			continue
-		}
-		qos := float64(qInstrs) / float64(qCycles)
-		dominant := sim.Config()
-		var domCycles int64
-		for c, cyc := range occupancy {
-			// Ties break toward the smaller configuration so the sample
-			// is independent of map iteration order.
-			if cyc > domCycles || (cyc == domCycles && cyc > 0 && configLess(c, dominant)) {
-				dominant, domCycles = c, cyc
-			}
-		}
-		s := Sample{
-			Cycle:    sim.Cycle(),
-			Config:   dominant,
-			CostRate: qCost / (float64(qCycles) / cost.CyclesPerHour),
-			QoS:      qos,
-			Violated: qos < opts.Target*(1-opts.Tolerance),
-			Phase:    gen.PhaseIndex(),
-			Stall:    qStall,
-		}
-		res.Samples = append(res.Samples, s)
-		res.TotalCost += qCost
-		res.TotalInstrs += qInstrs
-		res.StallCycles += qStall
-		if s.Violated {
-			res.Violations++
-		}
-	}
-	res.TotalCycles = sim.Cycle()
-	if len(res.Samples) > 0 {
-		res.ViolationRate = float64(res.Violations) / float64(len(res.Samples))
-	}
-	if gs, ok := policy.(guardStatser); ok {
-		res.Guard = gs.GuardStats()
-	}
-	return res, nil
+	b := &batch{app: app, res: Result{App: app.Name, Allocator: policy.Name()}}
+	err := b.drive(policy, opts, b)
+	return b.res, err
 }
 
-func obFinish(ob alloc.Observation, gen *workload.Gen) alloc.Observation {
-	ob.Phase = gen.PhaseIndex()
-	return ob
+// batch is the batch mode of the quantum engine: run steps execute the
+// app's instruction stream, and a quantum's QoS is its delivered IPC.
+type batch struct {
+	engine
+	app   workload.App
+	gen   *workload.Gen
+	meter *perfMeter
+	res   Result
+
+	// The current quantum: instructions committed and cycles run per
+	// configuration.
+	qInstrs   int64
+	occupancy map[vcore.Config]int64
+}
+
+func (b *batch) setup() error {
+	if b.opts.Target == 0 {
+		return fmt.Errorf("experiment: QoS target %v must be positive", b.opts.Target)
+	}
+	b.res.Target, b.res.Tau = b.opts.Target, b.opts.Tau
+	b.gen = workload.NewGen(b.app, b.opts.Seed)
+	b.meter = newPerfMeter()
+	b.occupancy = map[vcore.Config]int64{}
+	return nil
+}
+
+func (b *batch) more() bool      { return !b.gen.Done() }
+func (b *batch) exhausted() bool { return b.gen.Done() }
+func (b *batch) phase() int      { return b.gen.PhaseIndex() }
+
+func (b *batch) begin() {
+	b.qInstrs = 0
+	clear(b.occupancy)
+}
+
+func (b *batch) idle(ob alloc.Observation, budget int64) (alloc.Observation, bool) {
+	b.sim.AdvanceIdle(budget)
+	b.remaining -= budget
+	ob.Cycles = budget
+	return ob, true
+}
+
+func (b *batch) run(ob alloc.Observation, step alloc.Step, budget int64) (alloc.Observation, error) {
+	maxInstrs := step.TargetInstrs
+	if maxInstrs <= 0 {
+		maxInstrs = 1 << 62
+	}
+	startInstr := b.sim.Committed()
+	instrs, cycles := b.sim.RunBudget(b.gen, maxInstrs, budget)
+	// Read the step's instructions through the runtime interface network
+	// and hold them to the simulator's own count.
+	if err := b.meter.measure(b.sim, startInstr, instrs); err != nil {
+		return ob, err
+	}
+	b.remaining -= cycles
+	ob.Cycles += cycles
+	ob.Instrs = instrs
+	if cycles > 0 {
+		ob.QoS = float64(instrs) / float64(cycles)
+	}
+	b.qCost += b.opts.Model.Charge(ob.Config, cycles)
+	b.qInstrs += instrs
+	b.occupancy[ob.Config] += cycles
+	return ob, nil
+}
+
+func (b *batch) sample(qCycles int64) {
+	if qCycles == 0 {
+		return
+	}
+	qos := float64(b.qInstrs) / float64(qCycles)
+	dominant := b.sim.Config()
+	var domCycles int64
+	for c, cyc := range b.occupancy {
+		// Ties break toward the smaller configuration so the sample
+		// is independent of map iteration order.
+		if cyc > domCycles || (cyc == domCycles && cyc > 0 && configLess(c, dominant)) {
+			dominant, domCycles = c, cyc
+		}
+	}
+	s := Sample{
+		Cycle:    b.sim.Cycle(),
+		Config:   dominant,
+		CostRate: b.qCost / (float64(qCycles) / cost.CyclesPerHour),
+		QoS:      qos,
+		Violated: qos < b.opts.Target*(1-b.opts.Tolerance),
+		Phase:    b.gen.PhaseIndex(),
+		Stall:    b.qStall,
+	}
+	b.res.Samples = append(b.res.Samples, s)
+	b.res.TotalCost += b.qCost
+	b.res.TotalInstrs += b.qInstrs
+	b.res.StallCycles += b.qStall
+	if s.Violated {
+		b.res.Violations++
+	}
+}
+
+func (b *batch) finish(g guard.Stats) {
+	b.res.TotalCycles = b.sim.Cycle()
+	if len(b.res.Samples) > 0 {
+		b.res.ViolationRate = float64(b.res.Violations) / float64(len(b.res.Samples))
+	}
+	b.res.ReconfigCount = b.reconfigs + int64(b.faults.Degradations)
+	b.res.FaultStats = b.faults
+	b.res.Guard = g
 }
 
 func configLess(a, b vcore.Config) bool {
@@ -408,21 +197,18 @@ func configLess(a, b vcore.Config) bool {
 // to every Slice and synthesizes the virtual-core view from the replies
 // (§III-B2). It exists so the evaluation exercises the paper's
 // hardware-software monitoring interface rather than peeking at
-// simulator internals; the direct reading is kept as a consistency
-// check.
+// simulator internals; a reading that fails or disagrees with the
+// simulator's own count fails the run.
 type perfMeter struct {
 	net     *noc.Network
 	monitor *perf.Monitor
 	nowFn   func() int64
 	now     int64
-	// Mismatches counts disagreements between the sampled and direct
-	// readings (should stay zero).
-	Mismatches int64
 }
 
 const monitorNode noc.NodeID = 1000
 
-func newPerfMeter(sim *ssim.Sim) *perfMeter {
+func newPerfMeter() *perfMeter {
 	m := &perfMeter{net: noc.NewCtrlNetwork()}
 	m.nowFn = func() int64 { return m.now }
 	// The runtime executes on a single-Slice virtual core adjacent to
@@ -431,28 +217,25 @@ func newPerfMeter(sim *ssim.Sim) *perfMeter {
 	return m
 }
 
-// measure samples all Slices over the network and returns the measured
-// committed-instruction delta for the step.
-func (m *perfMeter) measure(sim *ssim.Sim, startInstr, directInstrs int64) int64 {
+// measure samples all Slices over the network and checks the committed
+// instructions since startInstr against the simulator's directInstrs.
+func (m *perfMeter) measure(sim *ssim.Sim, startInstr, directInstrs int64) error {
 	m.now = sim.Cycle()
 	slices := sim.VCore().Slices()
 	targets := make([]noc.NodeID, 0, len(slices))
 	for _, sl := range slices {
-		sl := sl
 		perf.NewResponder(m.net, sl.ID, sl.Pos, sl, m.nowFn)
 		targets = append(targets, sl.ID)
 	}
 	if _, err := m.monitor.RequestAll(targets, m.now); err != nil {
-		return directInstrs
+		return fmt.Errorf("experiment: perf-net counter request at cycle %d: %w", m.now, err)
 	}
 	// Let requests and replies propagate.
 	m.net.DeliverUntil(m.now + 1_000)
-	samples := m.monitor.Drain()
-	agg := perf.SynthesizeVCore(samples)
-	measured := agg.Committed - startInstr
-	if measured != directInstrs {
-		m.Mismatches++
-		return directInstrs
+	agg := perf.SynthesizeVCore(m.monitor.Drain())
+	if measured := agg.Committed - startInstr; measured != directInstrs {
+		return fmt.Errorf("experiment: perf-net read %d committed instructions at cycle %d, the simulator %d",
+			measured, m.now, directInstrs)
 	}
-	return measured
+	return nil
 }

@@ -7,6 +7,8 @@ import (
 	"cash/internal/alloc"
 	"cash/internal/cashrt"
 	"cash/internal/cost"
+	"cash/internal/slice"
+	"cash/internal/ssim"
 	"cash/internal/vcore"
 	"cash/internal/workload"
 )
@@ -123,27 +125,26 @@ func TestReconfigurationAccounting(t *testing.T) {
 }
 
 func TestPerfNetAgreesWithDirectReads(t *testing.T) {
-	// The runtime-interface-network measurement path must agree exactly
-	// with the simulator's own counters (§III-B2).
-	app := tinyApp()
-	rt := cashrt.MustNew(0.3, cost.Default(), cashrt.Options{Seed: 5})
-	opts := Opts{Target: 0.3}
-	res, err := Run(app, rt, opts)
+	// The runtime-interface-network reading must agree exactly with the
+	// simulator's own counters (§III-B2); a disagreement fails the run.
+	sim, err := ssim.New(vcore.Config{Slices: 2, L2KB: 128}, slice.DefaultConfig(), ssim.SteerEarliest)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_ = res
-	// Run again with the meter disabled: results must be identical
-	// because the meter is read-only.
-	rt2 := cashrt.MustNew(0.3, cost.Default(), cashrt.Options{Seed: 5})
-	opts.DisablePerfNet = true
-	res2, err := Run(app, rt2, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.TotalCost != res2.TotalCost || res.TotalCycles != res2.TotalCycles {
-		t.Errorf("perf-net measurement perturbed the run: (%g,%d) vs (%g,%d)",
-			res.TotalCost, res.TotalCycles, res2.TotalCost, res2.TotalCycles)
+	gen := workload.NewGen(tinyApp(), 42)
+	m := newPerfMeter()
+	for i := 0; i < 3; i++ {
+		start := sim.Committed()
+		instrs, _ := sim.RunBudget(gen, 1<<62, 20_000)
+		if instrs == 0 {
+			t.Fatal("the step committed nothing")
+		}
+		if err := m.measure(sim, start, instrs); err != nil {
+			t.Fatalf("step %d: %v", i, err)
+		}
+		if err := m.measure(sim, start+1, instrs); err == nil {
+			t.Fatalf("step %d: a wrong start count passed the cross-check", i)
+		}
 	}
 }
 
@@ -154,6 +155,27 @@ func TestMaxQuanta(t *testing.T) {
 	}
 	if len(res.Samples) > 3 {
 		t.Errorf("MaxQuanta ignored: %d samples", len(res.Samples))
+	}
+	// Server runs share the loop and its bound.
+	sres, err := RunServer(alloc.Static{Cfg: vcore.Min()}, ServerOpts{Opts: Opts{MaxQuanta: 3}, Horizon: 8_000_000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(sres.Samples) != 3 {
+		t.Errorf("server run ignored MaxQuanta: %d samples", len(sres.Samples))
+	}
+}
+
+// TestRunPartialResultOnReconfigureError: a reconfiguration that fails
+// after some quanta returns the error together with the result so far.
+func TestRunPartialResultOnReconfigureError(t *testing.T) {
+	res, err := Run(tinyApp(), &failingReconfigPolicy{after: 3}, Opts{Target: 0.1})
+	if err == nil {
+		t.Fatal("expected a reconfiguration error")
+	}
+	if len(res.Samples) != 3 || res.Allocator != "failing-reconfig" || res.TotalCycles == 0 {
+		t.Fatalf("error path dropped the partial result: %d samples, allocator %q, %d cycles",
+			len(res.Samples), res.Allocator, res.TotalCycles)
 	}
 }
 
@@ -170,7 +192,7 @@ func TestMeanCostRate(t *testing.T) {
 func TestServerRun(t *testing.T) {
 	stream := workload.DefaultApacheStream()
 	opts := ServerOpts{
-		Stream:              stream,
+		Arrivals:            stream,
 		TargetLatencyCycles: 110_000,
 		Horizon:             8_000_000,
 	}
@@ -217,7 +239,7 @@ func TestServerIdleIsCheap(t *testing.T) {
 		BaseRate: 0.05, Amplitude: 0.01, PeriodMCycles: 10,
 		InstrsPerRequest: 5_000,
 	}
-	opts := ServerOpts{Stream: quiet, Horizon: 8_000_000, TargetLatencyCycles: 110_000}
+	opts := ServerOpts{Arrivals: quiet, Horizon: 8_000_000, TargetLatencyCycles: 110_000}
 	busyOpts := ServerOpts{Horizon: 8_000_000, TargetLatencyCycles: 110_000}
 	cfg := vcore.Config{Slices: 4, L2KB: 512}
 	quietRes, err := RunServer(alloc.RaceToIdle{WorstCase: cfg, TargetQoS: 1}, opts)

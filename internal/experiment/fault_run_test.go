@@ -196,7 +196,7 @@ func TestServerQueueCompaction(t *testing.T) {
 		BaseRate: 400, Amplitude: 100, PeriodMCycles: 2,
 		InstrsPerRequest: 1_000,
 	}
-	opts := ServerOpts{Stream: hot, Horizon: 8_000_000, TargetLatencyCycles: 110_000}
+	opts := ServerOpts{Arrivals: hot, Horizon: 8_000_000, TargetLatencyCycles: 110_000}
 	res, err := RunServer(alloc.Static{Cfg: vcore.Config{Slices: 4, L2KB: 512}}, opts)
 	if err != nil {
 		t.Fatal(err)

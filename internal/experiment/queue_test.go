@@ -158,7 +158,7 @@ func TestRunServerHorizonIdleCap(t *testing.T) {
 		InstrsPerRequest: 1000,
 	}
 	opts := ServerOpts{
-		Stream:              stream,
+		Arrivals:            stream,
 		TargetLatencyCycles: 110_000,
 		Horizon:             2_000_000,
 	}

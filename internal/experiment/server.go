@@ -75,12 +75,10 @@ const DefaultQueueCap = 4096
 // ServerOpts configure a server run.
 type ServerOpts struct {
 	Opts
-	// Stream generates request arrivals (the paper's sinusoid). Ignored
-	// when Arrivals is set.
-	Stream *workload.RequestStream
-	// Arrivals, when non-nil, supplies the arrival process instead of
-	// Stream: any seeded deterministic generator (diurnal cycles, flash
-	// crowds, correlated tenant bursts — see workload.StreamByName).
+	// Arrivals is the arrival process (default the paper's sinusoid,
+	// workload.DefaultApacheStream): any seeded deterministic generator
+	// (diurnal cycles, flash crowds, correlated tenant bursts — see
+	// workload.StreamByName).
 	Arrivals workload.ArrivalStream
 	// TargetLatencyCycles is the per-request latency budget (the paper
 	// uses 110K cycles for apache).
@@ -173,25 +171,52 @@ type ServerResult struct {
 	Guard guard.Stats
 }
 
-func (o ServerOpts) withServerDefaults() (ServerOpts, error) {
+// RunServer executes the apache experiment under a policy.
+func RunServer(policy alloc.Allocator, opts ServerOpts) (ServerResult, error) {
+	s := &server{opts: opts, res: ServerResult{Allocator: policy.Name()}}
+	err := s.drive(policy, opts.Opts, s)
+	return s.res, err
+}
+
+// server is the server mode of the quantum engine: run steps serve the
+// request queue, and a quantum's QoS is its latency budget over its
+// delivered latency.
+type server struct {
+	engine
+	opts ServerOpts
+	res  ServerResult
+
+	work        int64 // instructions per request
+	gen         *workload.PhaseGen
+	queue       *reqRing
+	nextArrival int64
+	deadline    int64
+	hist        stats.Histogram // every completed request's latency
+
+	// The current quantum's completions, shedding and arrivals.
+	qHist          stats.Histogram
+	qShed          int
+	qTimedOut      int
+	arrivalsBefore int64
+}
+
+func (s *server) setup() error {
+	o := &s.opts
+	o.Opts = s.engine.opts
 	if o.Arrivals == nil {
-		if o.Stream != nil {
-			o.Arrivals = o.Stream
-		} else {
-			o.Arrivals = workload.DefaultApacheStream()
-		}
+		o.Arrivals = workload.DefaultApacheStream()
 	}
 	if err := o.Arrivals.Validate(); err != nil {
-		return o, err
+		return err
 	}
 	if o.TargetLatencyCycles < 0 {
-		return o, fmt.Errorf("experiment: target latency %d must be non-negative", o.TargetLatencyCycles)
+		return fmt.Errorf("experiment: target latency %d must be non-negative", o.TargetLatencyCycles)
 	}
 	if o.TargetLatencyCycles == 0 {
 		o.TargetLatencyCycles = 110_000
 	}
 	if o.Horizon < 0 {
-		return o, fmt.Errorf("experiment: horizon %d must be non-negative", o.Horizon)
+		return fmt.Errorf("experiment: horizon %d must be non-negative", o.Horizon)
 	}
 	if o.Horizon == 0 {
 		o.Horizon = 240_000_000 // a few full load swings (Fig 9)
@@ -200,316 +225,196 @@ func (o ServerOpts) withServerDefaults() (ServerOpts, error) {
 		o.QueueCap = DefaultQueueCap
 	}
 	if o.Shed != ShedDropNewest && o.Shed != ShedDeadline {
-		return o, fmt.Errorf("experiment: unknown shed policy %d", int(o.Shed))
+		return fmt.Errorf("experiment: unknown shed policy %d", int(o.Shed))
 	}
 	if math.IsNaN(o.DeadlineFactor) || math.IsInf(o.DeadlineFactor, 0) || o.DeadlineFactor < 0 {
-		return o, fmt.Errorf("experiment: deadline factor %v must be non-negative and finite", o.DeadlineFactor)
+		return fmt.Errorf("experiment: deadline factor %v must be non-negative and finite", o.DeadlineFactor)
 	}
 	if o.DeadlineFactor == 0 {
 		o.DeadlineFactor = 4
 	}
 	if o.TailTargetCycles < 0 {
-		return o, fmt.Errorf("experiment: tail target %d must be non-negative", o.TailTargetCycles)
+		return fmt.Errorf("experiment: tail target %d must be non-negative", o.TailTargetCycles)
 	}
 	if o.TailTargetCycles == 0 {
 		o.TailTargetCycles = o.TargetLatencyCycles
 	}
-	return o, nil
+
+	o.Arrivals.Reset()
+	s.work = o.Arrivals.Work()
+	s.gen = workload.NewPhaseGen(workload.RequestPhase(s.work), 0, o.Seed)
+	s.queue = newReqRing(o.QueueCap)
+	s.nextArrival = s.opts.Arrivals.NextArrival()
+	s.deadline = int64(o.DeadlineFactor * float64(o.TargetLatencyCycles))
+	return nil
 }
 
-// RunServer executes the apache experiment under a policy.
-func RunServer(policy alloc.Allocator, opts ServerOpts) (ServerResult, error) {
-	o := opts.Opts.withDefaults()
-	if err := o.validateCommon(); err != nil {
-		return ServerResult{}, err
-	}
-	opts, err := opts.withServerDefaults()
-	if err != nil {
-		return ServerResult{}, err
-	}
-	sim, err := newSim(o)
-	if err != nil {
-		return ServerResult{}, err
-	}
-	if o.Sims != nil {
-		defer o.Sims.Release(sim)
-	}
-	stream := opts.Arrivals
-	stream.Reset()
-	work := stream.Work()
-	phase := workload.RequestPhase(work)
-	gen := workload.NewPhaseGen(phase, 0, o.Seed)
+func (s *server) more() bool    { return s.sim.Cycle() < s.opts.Horizon }
+func (*server) exhausted() bool { return false }
+func (*server) phase() int      { return 0 }
 
-	res := ServerResult{Allocator: policy.Name()}
-	fc, err := newFaultCtx(o)
-	if err != nil {
-		return ServerResult{}, err
-	}
-	queue := newReqRing(opts.QueueCap)
-	nextArrival := stream.NextArrival()
-	var latencySum float64
-	var latencyN int64
-	var hist, qHist stats.Histogram
-	deadline := int64(opts.DeadlineFactor * float64(opts.TargetLatencyCycles))
-	var qShed, qTimedOut int
+func (s *server) begin() {
+	s.qHist.Reset()
+	s.qShed, s.qTimedOut = 0, 0
+	s.arrivalsBefore = s.opts.Arrivals.Issued()
+}
 
-	// admit moves arrivals at or before the clock into the queue;
-	// arrivals that find it full are shed (drop-newest) — the stream is
-	// open-loop, so the request happened whether or not we had room.
-	admit := func(now int64) {
-		for nextArrival <= now {
-			if queue.push(request{arrival: nextArrival, remaining: work}) {
-				if queue.len() > res.MaxQueueDepth {
-					res.MaxQueueDepth = queue.len()
-				}
-			} else {
-				qShed++
-			}
-			nextArrival = stream.NextArrival()
+// arrive brings the queue up to the clock. Arrivals at or before it are
+// admitted; arrivals that find the queue full are shed (drop-newest) —
+// the stream is open-loop, so the request happened whether or not we
+// had room. Under ShedDeadline, queued requests already past their
+// deadline are then shed too (only untouched ones — work already
+// invested in a partially-served front request is never thrown away).
+// Afterwards the next arrival lies strictly in the future.
+func (s *server) arrive() {
+	now := s.sim.Cycle()
+	for s.nextArrival <= now {
+		if s.queue.push(request{arrival: s.nextArrival, remaining: s.work}) {
+			s.res.MaxQueueDepth = max(s.res.MaxQueueDepth, s.queue.len())
+		} else {
+			s.qShed++
 		}
+		s.nextArrival = s.opts.Arrivals.NextArrival()
 	}
-
-	// expire sheds queued requests already past their deadline (only
-	// untouched ones — work already invested in a partially-served
-	// front request is never thrown away).
-	expire := func(now int64) {
-		if opts.Shed != ShedDeadline {
+	for s.opts.Shed == ShedDeadline && !s.queue.empty() {
+		front := s.queue.front()
+		if front.remaining != s.work || now-front.arrival <= s.deadline {
 			return
 		}
-		for !queue.empty() {
-			front := queue.front()
-			if front.remaining != work || now-front.arrival <= deadline {
-				return
-			}
-			queue.pop()
-			qTimedOut++
-		}
+		s.queue.pop()
+		s.qTimedOut++
 	}
+}
 
-	var prev []alloc.Observation
-	quanta := 0
-	for sim.Cycle() < opts.Horizon {
-		quanta++
-		plan := policy.Decide(prev, o.Tau)
-		if len(plan.Steps) == 0 {
-			plan.Steps = []alloc.Step{{Config: sim.Config(), MaxCycles: o.Tau}}
-		}
-		prev = prev[:0]
-		qStart := sim.Cycle()
-		var qCost float64
-		var qLatSum float64
-		var qLatN int
-		qHist.Reset()
-		qShed, qTimedOut = 0, 0
-		arrivalsBefore := stream.Issued()
+// wait idles, free, until the next arrival or for limit cycles,
+// whichever comes first, and returns the cycles waited.
+func (s *server) wait(limit int64) int64 {
+	idle := min(limit, s.nextArrival-s.sim.Cycle())
+	s.sim.AdvanceIdle(idle)
+	s.remaining -= idle
+	return idle
+}
 
-		remaining := o.Tau
-		tickFaults := func() error {
-			if fc == nil {
-				return nil
-			}
-			stall, ferr := fc.advance(sim, sim.Cycle(), &res.FaultStats)
-			if ferr != nil {
-				return ferr
-			}
-			if stall > 0 {
-				remaining -= stall
-				qCost += o.Model.Charge(sim.Config(), stall)
-			}
-			return nil
-		}
-		if err := tickFaults(); err != nil {
-			return res, err
-		}
-		for _, step := range plan.Steps {
-			if step.MaxCycles <= 0 || remaining <= 0 {
-				continue
-			}
-			budget := step.MaxCycles
-			if budget > remaining {
-				budget = remaining
-			}
-			target := step.Config
-			ob := alloc.Observation{Config: target, Idle: step.Idle, Probe: step.Probe}
-			if !step.Idle {
-				granted, denied := fc.grant(sim.Config(), step.Config, &res.FaultStats)
-				if denied {
-					target, ob.Config, ob.Degraded = granted, granted, true
-				}
-			}
-			if step.Idle {
-				// The server cannot idle with work queued; idle steps
-				// only skip genuinely empty time.
-				admit(sim.Cycle())
-				expire(sim.Cycle())
-				if queue.empty() {
-					idle := budget
-					if nextArrival > sim.Cycle() && nextArrival-sim.Cycle() < idle {
-						idle = nextArrival - sim.Cycle()
-					}
-					sim.AdvanceIdle(idle)
-					remaining -= idle
-					ob.Cycles = idle
-				}
-				prev = append(prev, ob)
-				continue
-			}
-			ob.L2Changed = target.L2KB != sim.Config().L2KB
-			if target != sim.Config() {
-				stall, err := sim.Reconfigure(target)
-				if err != nil {
-					// Return the partial result: callers keep the fault
-					// counters and samples accumulated so far, exactly as
-					// the fault/hook error paths do.
-					return res, fmt.Errorf("experiment: server reconfiguring: %w", err)
-				}
-				budget -= stall
-				remaining -= stall
-				qCost += o.Model.Charge(target, stall)
-				ob.Cycles += stall
-				if budget <= 0 {
-					prev = append(prev, ob)
-					continue
-				}
-			}
-			stepEnd := sim.Cycle() + budget
-			for sim.Cycle() < stepEnd {
-				admit(sim.Cycle())
-				expire(sim.Cycle())
-				if queue.empty() {
-					// Empty queue: wait (free) for the next arrival.
-					idle := stepEnd - sim.Cycle()
-					if nextArrival-sim.Cycle() < idle {
-						idle = nextArrival - sim.Cycle()
-					}
-					if idle <= 0 {
-						idle = 1
-					}
-					sim.AdvanceIdle(idle)
-					remaining -= idle
-					continue
-				}
-				req := queue.front()
-				n, c := sim.RunBudget(gen, req.remaining, stepEnd-sim.Cycle())
-				req.remaining -= n
-				remaining -= c
-				ob.Cycles += c
-				ob.Instrs += n
-				qCost += o.Model.Charge(target, c)
-				if req.remaining <= 0 {
-					lat := sim.Cycle() - req.arrival
-					qLatSum += float64(lat)
-					qLatN++
-					latencySum += float64(lat)
-					latencyN++
-					qHist.Record(lat)
-					res.Served++
-					queue.pop()
-				}
-				if c == 0 && n == 0 {
-					break
-				}
-			}
-			if ob.Cycles > 0 {
-				// The allocator's QoS signal: latency budget over
-				// delivered latency (1.0 = on target).
-				if qLatN > 0 {
-					ob.QoS = float64(opts.TargetLatencyCycles) / (qLatSum / float64(qLatN))
-				} else {
-					ob.QoS = 1
-				}
-				// The tail signal: budget over the quantum's p99 — with
-				// the oldest pending request's age as the floor, so a
-				// saturated quantum that completes nothing still reads
-				// as violating instead of silent.
-				if tail := quantumTail(&qHist, queue, sim.Cycle()); tail > 0 {
-					ob.TailQoS = float64(opts.TargetLatencyCycles) / tail
-				}
-			}
-			prev = append(prev, ob)
-			if err := tickFaults(); err != nil {
-				return res, err
-			}
-		}
+// idle skips genuinely empty time only: the server cannot idle with
+// work queued. Faults due during the skip apply at the next tick, not
+// straight after it.
+func (s *server) idle(ob alloc.Observation, budget int64) (alloc.Observation, bool) {
+	s.arrive()
+	if s.queue.empty() {
+		ob.Cycles = s.wait(budget)
+	}
+	return ob, false
+}
 
-		if o.EpochHook != nil {
-			if herr := o.EpochHook(sim, quanta); herr != nil {
-				return res, fmt.Errorf("experiment: epoch hook at quantum %d: %w", quanta, herr)
-			}
-		}
-
-		qCycles := sim.Cycle() - qStart
-		if qCycles <= 0 {
-			// The plan made no progress (e.g. pure idle against an
-			// empty queue with a distant arrival): jump to the arrival,
-			// but never past the horizon — an exhausted or sparse stream
-			// must not overshoot the run end by millions of cycles.
-			jump := opts.Horizon - sim.Cycle()
-			if next := nextArrival - sim.Cycle() + 1; next < jump {
-				jump = next
-			}
-			sim.AdvanceIdle(jump)
+func (s *server) run(ob alloc.Observation, _ alloc.Step, budget int64) (alloc.Observation, error) {
+	stepEnd := s.sim.Cycle() + budget
+	for s.sim.Cycle() < stepEnd {
+		s.arrive()
+		if s.queue.empty() {
+			s.wait(stepEnd - s.sim.Cycle())
 			continue
 		}
-		s := ServerSample{
-			Cycle:       sim.Cycle(),
-			RequestRate: float64(stream.Issued()-arrivalsBefore) / (float64(qCycles) / 1e6),
-			CostRate:    qCost / (float64(qCycles) / cost.CyclesPerHour),
-			Completed:   qLatN,
-			Shed:        qShed,
-			TimedOut:    qTimedOut,
-			QueueDepth:  queue.len(),
+		req := s.queue.front()
+		n, c := s.sim.RunBudget(s.gen, req.remaining, stepEnd-s.sim.Cycle())
+		req.remaining -= n
+		s.remaining -= c
+		ob.Cycles += c
+		ob.Instrs += n
+		s.qCost += s.opts.Model.Charge(ob.Config, c)
+		if req.remaining <= 0 {
+			s.qHist.Record(s.sim.Cycle() - req.arrival)
+			s.res.Served++
+			s.queue.pop()
 		}
-		switch {
-		case qLatN > 0:
-			s.Latency = qLatSum / float64(qLatN)
-			s.NormLatency = s.Latency / float64(opts.TargetLatencyCycles)
-			s.Violated = s.NormLatency > 1+o.Tolerance
-		case !queue.empty():
-			// Saturated and silent: nothing completed while work was
-			// pending. There is no mean-latency sample to judge — the
-			// old accounting scored this quantum as on-target, which is
-			// exactly how average-based monitoring goes blind under
-			// overload. Mark it instead of inventing an optimistic mean.
-			s.Starved = true
-			res.StarvedSamples++
-		default:
-			// Genuinely idle quantum (no demand): on-target by
-			// definition, as before.
-			s.Latency = float64(opts.TargetLatencyCycles)
-			s.NormLatency = 1
+		if c == 0 && n == 0 {
+			break
 		}
-		s.P99 = quantumTail(&qHist, queue, sim.Cycle())
-		if s.P99 > float64(opts.TailTargetCycles) {
-			res.TailViolations++
-			res.SLOViolationMinutes += float64(qCycles) / cost.CyclesPerHour * 60
-		}
-		res.Samples = append(res.Samples, s)
-		res.TotalCost += qCost
-		res.Shed += int64(qShed)
-		res.TimedOut += int64(qTimedOut)
-		if s.Violated {
-			res.Violations++
-		}
-		hist.Merge(&qHist)
 	}
-	if latencyN > 0 {
-		res.MeanLatency = latencySum / float64(latencyN)
+	if ob.Cycles > 0 {
+		// The allocator's QoS signal: latency budget over delivered
+		// latency (1.0 = on target).
+		if s.qHist.Count() > 0 {
+			ob.QoS = float64(s.opts.TargetLatencyCycles) / s.qHist.Mean()
+		} else {
+			ob.QoS = 1
+		}
+		// The tail signal: budget over the quantum's p99 — with the
+		// oldest pending request's age as the floor, so a saturated
+		// quantum that completes nothing still reads as violating
+		// instead of silent.
+		if tail := quantumTail(&s.qHist, s.queue, s.sim.Cycle()); tail > 0 {
+			ob.TailQoS = float64(s.opts.TargetLatencyCycles) / tail
+		}
 	}
+	return ob, nil
+}
+
+func (s *server) sample(qCycles int64) {
+	if qCycles <= 0 {
+		// The plan made no progress (e.g. pure idle against an empty
+		// queue with a distant arrival): jump to the arrival, but never
+		// past the horizon — an exhausted or sparse stream must not
+		// overshoot the run end by millions of cycles.
+		s.sim.AdvanceIdle(min(s.opts.Horizon-s.sim.Cycle(), s.nextArrival-s.sim.Cycle()+1))
+		return
+	}
+	target := float64(s.opts.TargetLatencyCycles)
+	sm := ServerSample{
+		Cycle:       s.sim.Cycle(),
+		RequestRate: float64(s.opts.Arrivals.Issued()-s.arrivalsBefore) / (float64(qCycles) / 1e6),
+		CostRate:    s.qCost / (float64(qCycles) / cost.CyclesPerHour),
+		Completed:   int(s.qHist.Count()),
+		Shed:        s.qShed,
+		TimedOut:    s.qTimedOut,
+		QueueDepth:  s.queue.len(),
+	}
+	switch {
+	case sm.Completed > 0:
+		sm.Latency = s.qHist.Mean()
+		sm.NormLatency = sm.Latency / target
+		sm.Violated = sm.NormLatency > 1+s.opts.Tolerance
+	case !s.queue.empty():
+		// Saturated and silent: nothing completed while work was
+		// pending. There is no mean-latency sample to judge — the old
+		// accounting scored this quantum as on-target, which is exactly
+		// how average-based monitoring goes blind under overload. Mark
+		// it instead of inventing an optimistic mean.
+		sm.Starved = true
+		s.res.StarvedSamples++
+	default:
+		// Genuinely idle quantum (no demand): on-target by definition.
+		sm.Latency = target
+		sm.NormLatency = 1
+	}
+	sm.P99 = quantumTail(&s.qHist, s.queue, s.sim.Cycle())
+	if sm.P99 > float64(s.opts.TailTargetCycles) {
+		s.res.TailViolations++
+		s.res.SLOViolationMinutes += float64(qCycles) / cost.CyclesPerHour * 60
+	}
+	s.res.Samples = append(s.res.Samples, sm)
+	s.res.TotalCost += s.qCost
+	s.res.Shed += int64(s.qShed)
+	s.res.TimedOut += int64(s.qTimedOut)
+	if sm.Violated {
+		s.res.Violations++
+	}
+	s.hist.Merge(&s.qHist)
+}
+
+func (s *server) finish(g guard.Stats) {
+	s.res.MeanLatency = s.hist.Mean()
 	// Starved quanta carry no mean-latency sample; excluding them from
-	// the denominator keeps the violation rate an honest statement
-	// about the quanta that were actually judged.
-	if judged := len(res.Samples) - res.StarvedSamples; judged > 0 {
-		res.ViolationRate = float64(res.Violations) / float64(judged)
+	// the denominator keeps the violation rate an honest statement about
+	// the quanta that were actually judged.
+	if judged := len(s.res.Samples) - s.res.StarvedSamples; judged > 0 {
+		s.res.ViolationRate = float64(s.res.Violations) / float64(judged)
 	}
-	res.P50 = hist.Quantile(0.50)
-	res.P95 = hist.Quantile(0.95)
-	res.P99 = hist.Quantile(0.99)
-	res.P999 = hist.Quantile(0.999)
-	if gs, ok := policy.(guardStatser); ok {
-		res.Guard = gs.GuardStats()
-	}
-	return res, nil
+	s.res.P50 = s.hist.Quantile(0.50)
+	s.res.P95 = s.hist.Quantile(0.95)
+	s.res.P99 = s.hist.Quantile(0.99)
+	s.res.P999 = s.hist.Quantile(0.999)
+	s.res.FaultStats = s.faults
+	s.res.Guard = g
 }
 
 // quantumTail is the quantum's effective tail latency: the p99 of its

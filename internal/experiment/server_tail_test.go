@@ -239,28 +239,33 @@ func TestRunServerUnboundedNeverSheds(t *testing.T) {
 
 // TestRunServerPartialResultOnReconfigureError: every error path out of
 // RunServer returns the partially-populated result, so callers keep the
-// fault counters and samples accumulated before the failure (satellite
-// fix: the reconfigure path used to return ServerResult{}).
+// fault counters and samples accumulated before the failure.
 func TestRunServerPartialResultOnReconfigureError(t *testing.T) {
-	boom := failingReconfigPolicy{}
-	res, err := RunServer(boom, ServerOpts{
+	res, err := RunServer(&failingReconfigPolicy{after: 3}, ServerOpts{
 		Arrivals: overloadStream(19),
 		Horizon:  5_000_000,
 	})
 	if err == nil {
 		t.Fatal("expected a reconfiguration error")
 	}
-	if res.Allocator == "" {
-		t.Fatal("error path dropped the partial result (Allocator empty)")
+	if len(res.Samples) != 3 || res.Allocator != "failing-reconfig" {
+		t.Fatalf("error path dropped the partial result: %d samples, allocator %q",
+			len(res.Samples), res.Allocator)
 	}
 }
 
-// failingReconfigPolicy asks for an invalid configuration so the
-// simulator's Reconfigure call fails mid-run.
-type failingReconfigPolicy struct{}
+// failingReconfigPolicy runs the minimal configuration for `after`
+// quanta, then asks for an invalid configuration so the simulator's
+// Reconfigure call fails mid-run.
+type failingReconfigPolicy struct{ after, quanta int }
 
-func (failingReconfigPolicy) Name() string { return "failing-reconfig" }
+func (*failingReconfigPolicy) Name() string { return "failing-reconfig" }
 
-func (failingReconfigPolicy) Decide(prev []alloc.Observation, tau int64) alloc.Plan {
-	return alloc.Plan{Steps: []alloc.Step{{Config: vcore.Config{Slices: 9999, L2KB: 64}, MaxCycles: tau}}}
+func (p *failingReconfigPolicy) Decide(prev []alloc.Observation, tau int64) alloc.Plan {
+	p.quanta++
+	cfg := vcore.Min()
+	if p.quanta > p.after {
+		cfg = vcore.Config{Slices: 9999, L2KB: 64}
+	}
+	return alloc.Plan{Steps: []alloc.Step{{Config: cfg, MaxCycles: tau}}}
 }
