@@ -39,6 +39,7 @@ lint:
 # regression gate, not a bug hunt. Lengthen with FUZZTIME=5m.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzGenTrace -fuzztime=$(FUZZTIME) ./internal/workload/
+	$(GO) test -run='^$$' -fuzz=FuzzTraceReplay -fuzztime=$(FUZZTIME) ./internal/workload/
 	$(GO) test -run='^$$' -fuzz=FuzzArrivalStream -fuzztime=$(FUZZTIME) ./internal/workload/
 	$(GO) test -run='^$$' -fuzz=FuzzReqQueue -fuzztime=$(FUZZTIME) ./internal/experiment/
 

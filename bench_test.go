@@ -194,7 +194,9 @@ func BenchmarkAblation_SimThroughput(b *testing.B) {
 // of one application over the full 64-configuration space (§V-C) with a
 // cold cache, at several sweep-worker budgets. ns/op is the cold-sweep
 // wall-clock; the "workers" metric records the budget so BENCH.json
-// carries the scaling curve. The swept Char values are byte-identical
+// carries the scaling curve, and Minstr/s is instructions characterised
+// per wall second (app instructions × 64 configs over elapsed time, as
+// in BenchmarkIntervalSweep). The swept Char values are byte-identical
 // at every worker count — parallelism only changes wall-clock.
 func BenchmarkOracle_ColdSweep(b *testing.B) {
 	app, ok := workload.ByName("hmmer")
@@ -204,15 +206,18 @@ func BenchmarkOracle_ColdSweep(b *testing.B) {
 	// A quarter of the usual benchmark scale keeps the 64-config sweep
 	// affordable while leaving enough work per config to parallelize.
 	app = app.Scale(0.25 * benchScale())
+	covered := app.TotalInstrs() * int64(len(vcore.Space()))
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			pool := par.New(workers)
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				db := oracle.NewDB()
 				db.Pool = pool
 				db.CharacterizeApp(app)
 			}
 			b.ReportMetric(float64(workers), "workers")
+			b.ReportMetric(float64(covered)*float64(b.N)/b.Elapsed().Seconds()/1e6, "Minstr/s")
 		})
 	}
 }

@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"math"
 	"sync"
+	"sync/atomic"
 
 	"cash/internal/cost"
 	"cash/internal/isim"
@@ -71,8 +72,9 @@ type DB struct {
 	inflight map[string]*inflightChar
 
 	// measured counts measureApp executions, for tests asserting the
-	// in-flight deduplication (exactly one measurement per key).
-	measured int64
+	// in-flight deduplication (exactly one measurement per key);
+	// recorded counts the traces CharacterizeApp recorded.
+	measured, recorded int64
 
 	// sims/gens recycle simulator and generator state across
 	// measurements (the sweep would otherwise allocate a full memory
@@ -285,6 +287,12 @@ func (t *appTable) at(i int) *Char {
 // cells sharing a DB) could burn a full application simulation per
 // caller before the first result lands in the cache.
 func (db *DB) Characterize(app workload.App, cfg vcore.Config) Char {
+	return db.characterize(app, cfg, nil)
+}
+
+// characterize is Characterize measuring from a replay of tr, or from a
+// freshly generated stream when tr is nil.
+func (db *DB) characterize(app workload.App, cfg vcore.Config, tr *workload.Trace) Char {
 	key := db.key(app, cfg)
 	db.mu.Lock()
 	if v, ok := db.cache[key]; ok {
@@ -320,7 +328,11 @@ func (db *DB) Characterize(app workload.App, cfg vcore.Config) Char {
 				panic(r)
 			}
 		}()
-		c.val = db.measureApp(app, cfg)
+		var src ssim.InstrSource
+		if tr != nil {
+			src = tr.Reader()
+		}
+		c.val = db.measureApp(app, cfg, src)
 	}()
 
 	db.mu.Lock()
@@ -350,11 +362,14 @@ func (db *DB) MinQuantumIPC(app workload.App, phaseIdx int, cfg vcore.Config) fl
 }
 
 // measureApp executes the whole application once on cfg, quantum window
-// by quantum window. Simulator and generator state is recycled through
-// pools: a recycled instance is reset to exactly the state a fresh one
-// would be built in (guarded by the pooled golden tests), so pooling
-// changes allocation behaviour only.
-func (db *DB) measureApp(app workload.App, cfg vcore.Config) Char {
+// by quantum window, reading its instructions from src (nil: a pooled
+// generator at db.Seed). Simulator and generator state is recycled
+// through pools: a recycled instance is reset to exactly the state a
+// fresh one would be built in (guarded by the pooled golden tests), so
+// pooling changes allocation behaviour only. A stream that ends before
+// a phase's instruction count is a broken source, and measureApp panics
+// rather than record the short phase's IPC.
+func (db *DB) measureApp(app workload.App, cfg vcore.Config, src ssim.InstrSource) Char {
 	db.mu.Lock()
 	db.measured++
 	db.mu.Unlock()
@@ -367,9 +382,12 @@ func (db *DB) measureApp(app workload.App, cfg vcore.Config) Char {
 		panic(fmt.Sprintf("oracle: acquiring simulator for %s: %v", cfg, err))
 	}
 	defer db.sims.Release(sim)
-	gen := db.gens.Get().(*workload.Gen)
-	gen.ResetTo(app, db.Seed)
-	defer db.gens.Put(gen)
+	if src == nil {
+		gen := db.gens.Get().(*workload.Gen)
+		gen.ResetTo(app, db.Seed)
+		defer db.gens.Put(gen)
+		src = gen
+	}
 	// The fast tier wraps the pooled detailed simulator per measurement;
 	// the wrapper holds only the per-phase model state, so pooling
 	// semantics (and the tier-1 byte-identity contract for TierCycle,
@@ -388,11 +406,20 @@ func (db *DB) measureApp(app workload.App, cfg vcore.Config) Char {
 		minQ := math.Inf(1)
 		remaining := p.Instrs
 		for remaining > 0 {
-			// Gen.Next never crosses a phase boundary, so bounding by the
+			// Sources never cross a phase boundary, so bounding by the
 			// phase's remaining instructions attributes cycles precisely.
-			n, c := runner.RunBudget(gen, remaining, window)
+			// Both tiers return (0, 0) only on an exhausted source. The
+			// interval tier's model skips at the source past up to a
+			// staging buffer of instructions the detailed simulator has
+			// already drawn; they run in the next phase, so its last
+			// phase ends that many short and is not a broken source.
+			n, c := runner.RunBudget(src, remaining, window)
 			if n == 0 && c == 0 {
-				break
+				if db.Tier == isim.TierInterval {
+					break
+				}
+				panic(fmt.Sprintf("oracle: %s on %s: stream ended %d instructions short of phase %d (%s)",
+					app.Name, cfg, remaining, pi, p.Name))
 			}
 			remaining -= n
 			instrs += n
@@ -425,6 +452,14 @@ func (db *DB) measureApp(app workload.App, cfg vcore.Config) Char {
 // through Characterize's singleflight: the overlapping cells are
 // measured once and shared. On a warm database the sweep is one table
 // fetch.
+//
+// A cold cycle-tier sweep generates the app's stream once: it records
+// the whole trace (if it fits traceBudget), measures every missing
+// configuration from its own reader of it, and drops it on return. The
+// replay is instruction-for-instruction the generated stream, so the
+// characterisations are bit-identical either way. The interval tier
+// always generates: its model skips spans of a workload.Gen, which a
+// replay does not offer.
 func (db *DB) CharacterizeApp(app workload.App) {
 	t := db.table(app)
 	var missing []int
@@ -433,9 +468,43 @@ func (db *DB) CharacterizeApp(app workload.App) {
 			missing = append(missing, i)
 		}
 	}
+	var tr *workload.Trace
+	if db.Tier == isim.TierCycle && len(missing) >= 2 {
+		if size := workload.TraceBytes(app); reserveTrace(size) {
+			defer traceHeld.Add(-size)
+			tr = workload.Record(app, db.Seed)
+			db.mu.Lock()
+			db.recorded++
+			db.mu.Unlock()
+		}
+	}
 	par.Resolve(db.Pool).ForEach(len(missing), func(i int) {
-		db.Characterize(app, space[missing[i]])
+		db.characterize(app, space[missing[i]], tr)
 	})
+}
+
+// traceBudget caps the bytes held by all live recorded traces in the
+// process: one or two full-scale suite apps' traces (57–122 MB each)
+// fit at once; x264's (288 MB) never does, and its sweep generates per
+// configuration.
+const traceBudget = 256 << 20
+
+// traceHeld is the bytes reserved by live traces.
+var traceHeld atomic.Int64
+
+// reserveTrace reserves size bytes of traceBudget, reporting false
+// (reserving nothing) when they do not fit. The caller releases a
+// successful reservation with traceHeld.Add(-size).
+func reserveTrace(size int64) bool {
+	for {
+		held := traceHeld.Load()
+		if held+size > traceBudget {
+			return false
+		}
+		if traceHeld.CompareAndSwap(held, held+size) {
+			return true
+		}
+	}
 }
 
 // Grid returns the 8×8 IPC surface of one phase: grid[s-1][l2Idx]

@@ -34,8 +34,9 @@ import (
 	"cash/internal/vcore"
 )
 
-// InstrSource supplies dynamic instructions. Both workload.Gen and
-// workload.PhaseGen implement it.
+// InstrSource supplies dynamic instructions. workload.Gen,
+// workload.PhaseGen and workload.TraceReader (a replay of a recorded
+// workload.Trace) implement it.
 type InstrSource interface {
 	// Next fills buf with up to len(buf) instructions and returns how
 	// many were produced; 0 means the stream is exhausted.

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"fmt"
 	"testing"
 
 	"cash/internal/isa"
@@ -146,6 +147,64 @@ func FuzzGenTrace(f *testing.F) {
 			if got[i] != again[i] {
 				t.Fatalf("replay diverged at instruction %d: %+v vs %+v", i, got[i], again[i])
 			}
+		}
+	})
+}
+
+// FuzzTraceReplay checks a recorded trace against the generator it
+// records: for a valid multi-phase app, a seed and a sequence of buffer
+// sizes, each TraceReader.Next must return the chunk Gen.Next returns —
+// the same length (so both stop at phase boundaries) and the same
+// instructions — and both streams must end on the same call.
+func FuzzTraceReplay(f *testing.F) {
+	f.Add(uint8(3), uint16(700), uint16(8), uint64(1), []byte{63, 0, 200, 7})
+	f.Add(uint8(0), uint16(0), uint16(0), uint64(0), []byte{})
+	f.Add(uint8(5), uint16(129), uint16(512), uint64(42), []byte{128})
+	f.Fuzz(func(t *testing.T, phases uint8, instrs, wsKB uint16, seed uint64, sizes []byte) {
+		app := App{Name: "replay"}
+		for i := 0; i <= int(phases%6); i++ {
+			app.Phases = append(app.Phases, Phase{
+				Name: fmt.Sprintf("p%d", i), Instrs: 1 + int64(instrs)*int64(i+1)%5000,
+				Mix:         InstrMix{ALU: 0.4, Mul: 0.05, Div: 0.02, FPU: 0.08 * float64(i), Load: 0.25, Store: 0.1, Branch: 0.1},
+				MeanDepDist: 1 + float64(i), DepFrac: 0.5, SecondSrcFrac: 0.3,
+				WorkingSetKB: 1 + int(wsKB)%8192 + i, HotSetKB: 1, HotFrac: 0.6,
+				StreamFrac: 0.2, Stride: 64, MispredictRate: 0.01,
+				RegionID: i % 2,
+			})
+		}
+		if err := app.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		if len(sizes) == 0 {
+			sizes = []byte{63}
+		}
+
+		g := NewGen(app, seed)
+		r := Record(app, seed).Reader()
+		want := make([]isa.Instr, 256)
+		got := make([]isa.Instr, 256)
+		if gn, rn := g.Next(want[:0]), r.Next(got[:0]); gn != 0 || rn != 0 {
+			t.Fatalf("empty buffer: generator returned %d, replay %d", gn, rn)
+		}
+		var emitted int64
+		for call := 0; !g.Done(); call++ {
+			size := 1 + int(sizes[call%len(sizes)])
+			gn, rn := g.Next(want[:size]), r.Next(got[:size])
+			if gn != rn {
+				t.Fatalf("call %d (buffer %d, %d emitted): generator returned %d, replay %d", call, size, emitted, gn, rn)
+			}
+			for i := 0; i < gn; i++ {
+				if want[i] != got[i] {
+					t.Fatalf("instruction %d: generated %+v, replayed %+v", emitted+int64(i), want[i], got[i])
+				}
+			}
+			emitted += int64(gn)
+		}
+		if emitted != app.TotalInstrs() {
+			t.Fatalf("streams emitted %d instructions, app has %d", emitted, app.TotalInstrs())
+		}
+		if rn := r.Next(got); rn != 0 {
+			t.Fatalf("replay returned %d instructions after the generator's stream ended", rn)
 		}
 	})
 }
