@@ -1,6 +1,8 @@
 # Development targets. `make check` is the gate to run before sending a
-# change: vet + the full test suite under the race detector. `make lint`
-# and `make fuzz-smoke` run alongside it in CI.
+# change: vet (of this module and of the perfbench benchmark program,
+# its own module, so an API change that breaks the benchmark fails
+# here) + the full test suite under the race detector. `make lint` and
+# `make fuzz-smoke` run alongside it in CI.
 
 GO ?= go
 FUZZTIME ?= 10s
@@ -15,6 +17,7 @@ test:
 
 vet:
 	$(GO) vet ./...
+	cd perfbench && $(GO) vet ./...
 
 race:
 	$(GO) test -race ./...

@@ -133,14 +133,11 @@ type (
 // spec always yields the same schedule.
 func GenerateFaults(spec FaultSpec) (FaultSchedule, error) { return fault.Generate(spec) }
 
-// Guardrail types (control-loop robustness). Set RuntimeOptions.
-// Guardrails to arm the watchdogs; Result.Guard reports their activity.
-type (
-	// GuardConfig tunes the guardrail thresholds (zero value = defaults).
-	GuardConfig = guard.Config
-	// GuardStats counts guardrail trips and recoveries over a run.
-	GuardStats = guard.Stats
-)
+// GuardStats counts guardrail trips and recoveries over a run
+// (control-loop robustness). Set RuntimeOptions.Guardrails to arm the
+// watchdogs, whose thresholds are fixed (DESIGN.md §3d); Result.Guard
+// reports their activity.
+type GuardStats = guard.Stats
 
 // Fleet control-plane types (robustness study). A fleet is N simulated
 // chips hosting M tenants under hierarchical budget envelopes,

@@ -52,34 +52,39 @@ func drive(t *testing.T, r *Runtime, qos func(vcore.Config) float64, quanta int,
 	t.Helper()
 	var prev []alloc.Observation
 	for i := 0; i < quanta; i++ {
-		plan := r.Decide(prev, tau)
-		prev = prev[:0]
-		remaining := tau
-		for _, s := range plan.Steps {
-			if remaining <= 0 || s.MaxCycles <= 0 {
-				continue
-			}
-			c := s.MaxCycles
-			if c > remaining {
-				c = remaining
-			}
-			ob := alloc.Observation{Config: s.Config, Cycles: c, Idle: s.Idle, Probe: s.Probe}
-			if !s.Idle {
-				q := qos(s.Config)
-				instrs := int64(q * float64(c))
-				if s.TargetInstrs > 0 && instrs > s.TargetInstrs {
-					instrs = s.TargetInstrs
-					c = int64(float64(instrs) / q)
-					ob.Cycles = c
-				}
-				ob.Instrs = instrs
-				ob.QoS = q
-			}
-			remaining -= c
-			prev = append(prev, ob)
-		}
+		prev = execute(r.Decide(prev, tau), qos, tau, prev[:0])
 	}
 	return prev
+}
+
+// execute runs one quantum's plan on the plant, appending its
+// observations to obs.
+func execute(plan alloc.Plan, qos func(vcore.Config) float64, tau int64, obs []alloc.Observation) []alloc.Observation {
+	remaining := tau
+	for _, s := range plan.Steps {
+		if remaining <= 0 || s.MaxCycles <= 0 {
+			continue
+		}
+		c := s.MaxCycles
+		if c > remaining {
+			c = remaining
+		}
+		ob := alloc.Observation{Config: s.Config, Cycles: c, Idle: s.Idle, Probe: s.Probe}
+		if !s.Idle {
+			q := qos(s.Config)
+			instrs := int64(q * float64(c))
+			if s.TargetInstrs > 0 && instrs > s.TargetInstrs {
+				instrs = s.TargetInstrs
+				c = int64(float64(instrs) / q)
+				ob.Cycles = c
+			}
+			ob.Instrs = instrs
+			ob.QoS = q
+		}
+		remaining -= c
+		obs = append(obs, ob)
+	}
+	return obs
 }
 
 func TestConvergesToTargetOnStaticPlant(t *testing.T) {
@@ -249,8 +254,11 @@ func TestConvexModelIsConcaveAlongCost(t *testing.T) {
 
 func TestDefaultsApplied(t *testing.T) {
 	r := MustNew(1, cost.Default(), Options{})
-	if r.opts.Alpha != qlearn.DefaultAlpha || r.opts.Epsilon != qlearn.DefaultEpsilon {
-		t.Error("learning defaults not applied")
+	if r.Optimizer().Epsilon() != qlearn.DefaultEpsilon {
+		t.Errorf("exploration rate = %v, want %v", r.Optimizer().Epsilon(), qlearn.DefaultEpsilon)
+	}
+	if got, want := r.String(), "CASH(alpha=0.35 eps=0.03 learn=true kalman=true twoCfg=true)"; got != want {
+		t.Errorf("String() = %q, want %q", got, want)
 	}
 	if r.opts.Margin != 0.08 {
 		t.Errorf("margin default = %v", r.opts.Margin)

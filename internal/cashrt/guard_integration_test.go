@@ -28,10 +28,6 @@ func TestNewRejectsNonsense(t *testing.T) {
 		{"guard style past committed", 0.5, cost.Default(), Options{GuardStyle: 2}},
 		{"nan slice price", 0.5, cost.Model{SliceHour: math.NaN()}, Options{}},
 		{"negative bank price", 0.5, cost.Model{BankHour: -1}, Options{}},
-		{"nan alpha", 0.5, cost.Default(), Options{Alpha: math.NaN()}},
-		{"nan epsilon", 0.5, cost.Default(), Options{Epsilon: math.NaN()}},
-		{"nan process var", 0.5, cost.Default(), Options{ProcessVar: math.NaN()}},
-		{"nan measure var", 0.5, cost.Default(), Options{MeasureVar: math.NaN()}},
 	}
 	for _, c := range cases {
 		if _, err := New(c.target, c.model, c.opts); err == nil {
@@ -132,11 +128,11 @@ func TestWithoutGuardrailsCorruptionPersists(t *testing.T) {
 
 // TestBreakerPinsAndRecovers drives a plant through an impossible phase
 // (QoS physically unreachable) into an easy one, checking the breaker
-// trips to the safe configuration, bounds the violation streak at K,
-// and re-enters optimization after the cooldown.
+// pins the safe configuration on exactly the BreakerK-th violating
+// epoch and re-enters optimization on exactly the BreakerCooldown-th
+// met one.
 func TestBreakerPinsAndRecovers(t *testing.T) {
-	gcfg := guard.Config{BreakerK: 4, BreakerCooldown: 2}
-	r := MustNew(0.5, cost.Default(), Options{Seed: 1, Guardrails: true, Guard: gcfg})
+	r := MustNew(0.5, cost.Default(), Options{Seed: 1, Guardrails: true})
 	impossible := true
 	plant := func(c vcore.Config) float64 {
 		if impossible {
@@ -144,30 +140,50 @@ func TestBreakerPinsAndRecovers(t *testing.T) {
 		}
 		return 0.2 * qlearn.Prior(c)
 	}
-	drive(t, r, plant, 20, 100_000)
-	if !r.GuardPinned() {
-		t.Fatal("breaker did not pin during the impossible phase")
+	const tau = 100_000
+	var obs []alloc.Observation
+	// step decides one epoch on the previous quantum's observations,
+	// checks the breaker state it leaves, and runs its plan.
+	step := func(pinned bool, what string) alloc.Plan {
+		t.Helper()
+		plan := r.Decide(obs, tau)
+		if r.GuardPinned() != pinned {
+			t.Fatalf("%s: pinned = %v, want %v (stats %+v)", what, !pinned, pinned, r.GuardStats())
+		}
+		obs = execute(plan, plant, tau, obs[:0])
+		return plan
 	}
-	s := r.GuardStats()
-	if s.BreakerTrips == 0 {
-		t.Fatalf("no breaker trips recorded: %+v", s)
-	}
-	if s.MaxViolationStreak > int64(gcfg.BreakerK) {
-		t.Fatalf("violation streak %d exceeds breaker threshold %d", s.MaxViolationStreak, gcfg.BreakerK)
+	// The first epoch has no sample; the next BreakerK−1 each violate.
+	for i := 0; i < guard.BreakerK; i++ {
+		step(false, "before the Kth violating epoch")
 	}
 	// While pinned, the plan is the safe statically-provisioned config.
-	plan := r.Decide(nil, 100_000)
+	plan := step(true, "Kth violating epoch")
 	if len(plan.Steps) != 1 || plan.Steps[0].Config != r.Optimizer().Largest() {
 		t.Fatalf("pinned plan = %+v, want the largest configuration", plan)
 	}
-
-	impossible = false
-	drive(t, r, plant, 10, 100_000)
-	if r.GuardPinned() {
-		t.Fatal("breaker did not recover after the easy phase returned")
+	s := r.GuardStats()
+	if s.BreakerTrips != 1 || s.MaxViolationStreak != guard.BreakerK {
+		t.Fatalf("after the trip: %+v, want 1 trip at a streak of %d", s, guard.BreakerK)
 	}
-	if got := r.GuardStats().BreakerRecoveries; got == 0 {
-		t.Fatalf("BreakerRecoveries = %d, want >= 1", got)
+	for i := 0; i < 5; i++ {
+		step(true, "impossible epoch while pinned")
+	}
+
+	// The quantum after this decision runs on the easy plant: its
+	// epoch is the first met one.
+	impossible = false
+	step(true, "last epoch on the impossible plant")
+	for i := 0; i < guard.BreakerCooldown-1; i++ {
+		step(true, "met epochs below the cooldown")
+	}
+	step(false, "cooldown-th met epoch")
+	s = r.GuardStats()
+	if s.BreakerTrips != 1 || s.BreakerRecoveries != 1 {
+		t.Fatalf("after recovery: %+v, want 1 trip and 1 recovery", s)
+	}
+	if want := int64(1 + 5 + 1 + guard.BreakerCooldown - 1); s.PinnedEpochs != want {
+		t.Fatalf("PinnedEpochs = %d, want %d", s.PinnedEpochs, want)
 	}
 }
 

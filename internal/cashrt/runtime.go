@@ -33,13 +33,6 @@ import (
 // Options tune the runtime; zero values select the paper's design.
 // The Disable*/Single* switches exist for the ablation benchmarks.
 type Options struct {
-	// Alpha is the Q-learning rate (default qlearn.DefaultAlpha).
-	Alpha float64
-	// Epsilon is the exploration probability (default qlearn.DefaultEpsilon).
-	Epsilon float64
-	// ProcessVar, MeasureVar parameterize the Kalman filter. Defaults:
-	// 0.02 and 0.01 (relative QoS units).
-	ProcessVar, MeasureVar float64
 	// Margin is the control headroom: the controller regulates to
 	// Target*(1+Margin) so that quantum-level noise around the setpoint
 	// rarely crosses the QoS floor (default 0.08). Negative disables.
@@ -68,9 +61,6 @@ type Options struct {
 	// guard): the Kalman watchdog, controller sanity clamp, Q-table
 	// validator, thrash rate limiter and top-level QoS circuit breaker.
 	Guardrails bool
-	// Guard tunes the guardrail thresholds; zero fields select the
-	// guard package defaults. Ignored unless Guardrails is set.
-	Guard guard.Config
 
 	// DisableLearning freezes speedup estimates at their initial model
 	// (ablation: what the convex baseline effectively does).
@@ -132,6 +122,13 @@ const (
 	GuardCommitted
 )
 
+// processVar and measureVar parameterize the Kalman filter, in
+// relative QoS units.
+const (
+	processVar = 0.02
+	measureVar = 0.01
+)
+
 // guardAfterMisses is how many consecutive under-target quanta trigger
 // the QoS guard: the next quantum runs the best-estimate configuration
 // outright, re-learning its QoS, instead of continuing to edge up
@@ -139,7 +136,7 @@ const (
 const guardAfterMisses = 2
 
 // New builds a runtime for the given QoS target and pricing model.
-// Nonsensical inputs — NaN or non-positive targets, NaN tuning knobs,
+// Nonsensical inputs — NaN or non-positive targets, a NaN margin,
 // negative probe periods, invalid price vectors — are rejected here:
 // every one of them would otherwise disappear into the control loop
 // (NaN fails all comparisons) and surface quanta later as an
@@ -160,18 +157,6 @@ func New(target float64, model cost.Model, opts Options) (*Runtime, error) {
 	if opts.GuardStyle < GuardOff || opts.GuardStyle > GuardCommitted {
 		return nil, fmt.Errorf("cashrt: unknown guard style %d", opts.GuardStyle)
 	}
-	if opts.Alpha == 0 {
-		opts.Alpha = qlearn.DefaultAlpha
-	}
-	if opts.Epsilon == 0 {
-		opts.Epsilon = qlearn.DefaultEpsilon
-	}
-	if opts.ProcessVar == 0 {
-		opts.ProcessVar = 0.02
-	}
-	if opts.MeasureVar == 0 {
-		opts.MeasureVar = 0.01
-	}
 	if opts.Margin == 0 {
 		opts.Margin = 0.08
 	}
@@ -182,7 +167,7 @@ func New(target float64, model cost.Model, opts Options) (*Runtime, error) {
 	if err != nil {
 		return nil, err
 	}
-	est, err := control.NewEstimator(opts.ProcessVar, opts.MeasureVar)
+	est, err := control.NewEstimator(processVar, measureVar)
 	if err != nil {
 		return nil, err
 	}
@@ -190,7 +175,7 @@ func New(target float64, model cost.Model, opts Options) (*Runtime, error) {
 	if cfgs == nil {
 		cfgs = vcore.Space()
 	}
-	opt, err := qlearn.NewRestricted(model, cfgs, opts.Alpha, opts.Epsilon, opts.Seed)
+	opt, err := qlearn.NewRestricted(model, cfgs, qlearn.DefaultAlpha, qlearn.DefaultEpsilon, opts.Seed)
 	if err != nil {
 		return nil, err
 	}
@@ -202,7 +187,7 @@ func New(target float64, model cost.Model, opts Options) (*Runtime, error) {
 	opt.NoSnap = opts.NoSnap
 	r := &Runtime{ctrl: ctrl, est: est, opt: opt, opts: opts, name: "CASH"}
 	if opts.Guardrails {
-		r.guard = guard.New(opts.Guard)
+		r.guard = guard.New()
 	}
 	return r, nil
 }
@@ -642,6 +627,6 @@ func (r *Runtime) planFrom(s qlearn.Schedule, tau int64, demand, base float64) a
 // String describes the runtime's wiring, for reports.
 func (r *Runtime) String() string {
 	return fmt.Sprintf("%s(alpha=%.2f eps=%.2f learn=%v kalman=%v twoCfg=%v)",
-		r.name, r.opts.Alpha, r.opts.Epsilon,
+		r.name, qlearn.DefaultAlpha, qlearn.DefaultEpsilon,
 		!r.opts.DisableLearning, !r.opts.DisableKalman, !r.opts.SingleConfig)
 }

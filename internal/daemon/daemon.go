@@ -70,10 +70,9 @@ type Options struct {
 	QueueCap int
 	// Epoch is the tick interval of the execution loop (default 20ms).
 	Epoch time.Duration
-	// Funds is the root budget envelope in nanodollars (default $50).
+	// Funds is the root budget envelope in nanodollars (default $50);
+	// it also caps each tenant envelope.
 	Funds fleet.Nanos
-	// TenantFunds caps each tenant envelope (default Funds).
-	TenantFunds fleet.Nanos
 	// Model prices configurations (default cost.Default()).
 	Model cost.Model
 	// DrainTimeout bounds a graceful drain; work still running when it
@@ -105,9 +104,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Funds == 0 {
 		o.Funds = 50_000_000_000
-	}
-	if o.TenantFunds == 0 {
-		o.TenantFunds = o.Funds
 	}
 	if o.Model == (cost.Model{}) {
 		o.Model = cost.Default()
@@ -497,7 +493,7 @@ func (s *Server) admit(spec TenantSpec, done []fleet.Landing) error {
 	if _, dup := s.byName[spec.Name]; dup {
 		return fmt.Errorf("daemon: tenant %q already admitted", spec.Name)
 	}
-	t, err := s.fleet.Admit(spec.Name, s.opts.TenantFunds, specWork(spec), 0, done)
+	t, err := s.fleet.Admit(spec.Name, s.opts.Funds, specWork(spec), 0, done)
 	if err != nil {
 		return err
 	}

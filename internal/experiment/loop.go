@@ -31,8 +31,6 @@ type Opts struct {
 	Target float64
 	// Model prices configurations (default cost.Default()).
 	Model cost.Model
-	// SliceCfg is the Slice microarchitecture (default Table I).
-	SliceCfg slice.Config
 	// Policy is the instruction steering policy (default SteerEarliest).
 	Policy ssim.SteeringPolicy
 	// Initial is the starting configuration (default the minimal one).
@@ -65,9 +63,10 @@ type Opts struct {
 	EpochHook func(sim *ssim.Sim, quantum int) error
 	// Sims, when non-nil, recycles the run's simulator through a shared
 	// pool instead of building one per run; it is released back when the
-	// run returns. The pool must have been built with the same SliceCfg
-	// and Policy as this run resolves to — a recycled simulator is reset
-	// to exactly the fresh-build state, so results are unaffected.
+	// run returns. The pool must have been built with the Table I Slice
+	// (slice.DefaultConfig) and the Policy this run resolves to — a
+	// recycled simulator is reset to exactly the fresh-build state, so
+	// results are unaffected.
 	Sims *ssim.SimPool
 }
 
@@ -101,9 +100,6 @@ func (o Opts) withDefaults() Opts {
 	}
 	if o.Model == (cost.Model{}) {
 		o.Model = cost.Default()
-	}
-	if o.SliceCfg == (slice.Config{}) {
-		o.SliceCfg = slice.DefaultConfig()
 	}
 	if o.Initial == (vcore.Config{}) {
 		o.Initial = vcore.Min()
@@ -186,7 +182,7 @@ func (e *engine) drive(policy alloc.Allocator, opts Opts, m mode) error {
 			defer e.opts.Sims.Release(e.sim)
 		}
 	} else {
-		e.sim, err = ssim.New(e.opts.Initial, e.opts.SliceCfg, e.opts.Policy)
+		e.sim, err = ssim.New(e.opts.Initial, slice.DefaultConfig(), e.opts.Policy)
 	}
 	if err != nil {
 		return err

@@ -2,7 +2,6 @@ package experiment
 
 import (
 	"fmt"
-	"math"
 
 	"cash/internal/alloc"
 	"cash/internal/cost"
@@ -35,7 +34,7 @@ const (
 	// work). This is the default.
 	ShedDropNewest ShedPolicy = iota
 	// ShedDeadline additionally sheds queued requests whose sojourn
-	// already exceeds DeadlineFactor × the latency budget before they
+	// already exceeds deadlineFactor × the latency budget before they
 	// reach the server: their SLO is unrecoverably blown, so serving
 	// them would spend capacity making every later request slower too.
 	ShedDeadline
@@ -72,6 +71,10 @@ func ShedPolicyByName(name string) (ShedPolicy, error) {
 // requests.
 const DefaultQueueCap = 4096
 
+// deadlineFactor sets ShedDeadline's cut: queued requests older than
+// deadlineFactor × TargetLatencyCycles are shed before service.
+const deadlineFactor = 4
+
 // ServerOpts configure a server run.
 type ServerOpts struct {
 	Opts
@@ -93,10 +96,6 @@ type ServerOpts struct {
 	QueueCap int
 	// Shed selects the overload policy (default ShedDropNewest).
 	Shed ShedPolicy
-	// DeadlineFactor tunes ShedDeadline: queued requests older than
-	// DeadlineFactor × TargetLatencyCycles are shed before service
-	// (default 4).
-	DeadlineFactor float64
 	// TailTargetCycles is the SLO tail budget: a quantum whose p99
 	// request latency (or oldest pending age, when nothing completes)
 	// exceeds it counts as an SLO-violating quantum (default =
@@ -227,12 +226,6 @@ func (s *server) setup() error {
 	if o.Shed != ShedDropNewest && o.Shed != ShedDeadline {
 		return fmt.Errorf("experiment: unknown shed policy %d", int(o.Shed))
 	}
-	if math.IsNaN(o.DeadlineFactor) || math.IsInf(o.DeadlineFactor, 0) || o.DeadlineFactor < 0 {
-		return fmt.Errorf("experiment: deadline factor %v must be non-negative and finite", o.DeadlineFactor)
-	}
-	if o.DeadlineFactor == 0 {
-		o.DeadlineFactor = 4
-	}
 	if o.TailTargetCycles < 0 {
 		return fmt.Errorf("experiment: tail target %d must be non-negative", o.TailTargetCycles)
 	}
@@ -245,7 +238,7 @@ func (s *server) setup() error {
 	s.gen = workload.NewPhaseGen(workload.RequestPhase(s.work), 0, o.Seed)
 	s.queue = newReqRing(o.QueueCap)
 	s.nextArrival = s.opts.Arrivals.NextArrival()
-	s.deadline = int64(o.DeadlineFactor * float64(o.TargetLatencyCycles))
+	s.deadline = deadlineFactor * o.TargetLatencyCycles
 	return nil
 }
 

@@ -83,17 +83,23 @@ func TestRunServerOverloadShedsAndBounds(t *testing.T) {
 func TestRunServerDeadlineSheds(t *testing.T) {
 	stream := overloadStream(5)
 	res, err := RunServer(alloc.Static{Cfg: vcore.Config{Slices: 4, L2KB: 512}}, ServerOpts{
-		Arrivals:       stream,
-		Horizon:        20_000_000,
-		QueueCap:       64,
-		Shed:           ShedDeadline,
-		DeadlineFactor: 2,
+		Arrivals: stream,
+		Horizon:  20_000_000,
+		QueueCap: 64,
+		Shed:     ShedDeadline,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.TimedOut == 0 {
 		t.Fatal("deadline policy timed out nothing under sustained overload")
+	}
+	// The queue stays saturated, so served requests wait close to the
+	// cut of deadlineFactor budgets before service starts, and one
+	// service time (under a budget here) past it at most.
+	const budget = 110_000
+	if lo, hi := float64(deadlineFactor*budget), float64((deadlineFactor+1)*budget); !(res.P99 > lo && res.P99 <= hi) {
+		t.Fatalf("p99 %v outside (%v, %v]: the %d-budget deadline did not bound the tail", res.P99, lo, hi, deadlineFactor)
 	}
 	if res.Served+res.Shed+res.TimedOut > stream.Issued() {
 		t.Fatalf("served(%d) + shed(%d) + timedout(%d) exceeds arrivals issued (%d)",

@@ -40,114 +40,62 @@ import (
 	"cash/internal/vcore"
 )
 
-// Config tunes the guardrails. The zero value selects the defaults
-// noted on each field; every threshold is in control epochs (quanta).
-type Config struct {
-	// MaxErrVar trips the Kalman watchdog when the error variance
-	// exceeds it (default 1e3 — orders of magnitude beyond anything a
-	// healthy filter reaches with the paper's variances).
-	MaxErrVar float64
-	// MaxEstimate trips the watchdog when the base-speed estimate
-	// exceeds it (default 1e4; base speed is IPC-like, single digits).
-	MaxEstimate float64
-	// DivergenceRatio is the relative innovation |q − s·b̂|/(s·b̂) above
-	// which an epoch counts as divergent (default 0.75).
-	DivergenceRatio float64
-	// DivergenceEpochs is how many consecutive divergent epochs trip a
-	// filter reset (default 6 — a phase change produces one or two large
-	// innovations before the gain catches up; six in a row means the
-	// filter is chronically wrong).
-	DivergenceEpochs int
+// The guardrail thresholds. Every count is in control epochs (quanta);
+// DESIGN.md §3d tabulates them.
+const (
+	// maxErrVar trips the Kalman watchdog when the error variance
+	// exceeds it — orders of magnitude beyond anything a healthy filter
+	// reaches with the paper's variances.
+	maxErrVar = 1e3
+	// maxEstimate trips the watchdog when the base-speed estimate
+	// exceeds it (base speed is IPC-like, single digits).
+	maxEstimate = 1e4
+	// divergenceRatio is the relative innovation |q − s·b̂|/(s·b̂) above
+	// which an epoch counts as divergent.
+	divergenceRatio = 0.75
+	// divergenceEpochs consecutive divergent epochs trip a filter reset:
+	// a phase change produces one or two large innovations before the
+	// gain catches up; six in a row means the filter is chronically
+	// wrong.
+	divergenceEpochs = 6
 
-	// MaxQ is the Q-table validator's absolute plausibility cap on
-	// learned QoS estimates (default 1e4; delivered IPC is bounded by
-	// fetch width × Slices, double digits).
-	MaxQ float64
-	// QuarantineCooldown is how many epochs exploration stays disabled
-	// after a quarantine (default 16).
-	QuarantineCooldown int
+	// maxQ is the Q-table validator's absolute plausibility cap on
+	// learned QoS estimates (delivered IPC is bounded by fetch width ×
+	// Slices, double digits).
+	maxQ = 1e4
+	// quarantineCooldown is how many epochs exploration stays disabled
+	// after a quarantine.
+	quarantineCooldown = 16
 
-	// ThrashWindow and ThrashLimit define deadbeat-oscillation
-	// detection: more than ThrashLimit planned-configuration changes in
-	// the last ThrashWindow epochs trips the rate limiter (defaults 16
-	// and 10; the healthy runtime settles to an over/under pair and
-	// changes its plan a few times per window).
-	ThrashWindow int
-	ThrashLimit  int
-	// RateLimitEpochs is how long the limiter stays engaged once
-	// tripped (default 16); while engaged, MinHoldEpochs is the minimum
-	// dwell between planned resizes (default 4).
-	RateLimitEpochs int
-	MinHoldEpochs   int
+	// More than thrashLimit planned-configuration changes in the last
+	// thrashWindow epochs trips the rate limiter (the healthy runtime
+	// settles to an over/under pair and changes its plan a few times per
+	// window).
+	thrashWindow = 16
+	thrashLimit  = 10
+	// rateLimitEpochs is how long the limiter stays engaged once
+	// tripped; while engaged, minHoldEpochs is the minimum dwell between
+	// planned resizes.
+	rateLimitEpochs = 16
+	minHoldEpochs   = 4
 
-	// BreakerK is the consecutive QoS-violating epochs that open the
-	// QoS breaker (default 8).
-	BreakerK int
-	// BreakerCooldown is the consecutive met-QoS epochs, while pinned,
-	// required to close it again (default 4).
-	BreakerCooldown int
+	// BreakerK consecutive QoS-violating epochs open the QoS breaker.
+	BreakerK = 8
+	// BreakerCooldown consecutive met-QoS epochs, while pinned, close it
+	// again.
+	BreakerCooldown = 4
 
-	// TailWindow and TailK define the tail-latency breaker: TailK or
-	// more tail-violating epochs anywhere within the last TailWindow
-	// epochs open it (defaults 16 and 8). Unlike the consecutive-K mean
-	// breaker, the windowed count catches bursty tail violations — a
-	// p99 that blows the SLO every other epoch never produces K in a
-	// row, but it is still a burning tail.
-	TailWindow int
-	TailK      int
-	// TailCooldown is the consecutive met-tail epochs, while tail-
-	// pinned, required to close the tail breaker (default 4).
-	TailCooldown int
-}
-
-func (c Config) withDefaults() Config {
-	if c.MaxErrVar == 0 {
-		c.MaxErrVar = 1e3
-	}
-	if c.MaxEstimate == 0 {
-		c.MaxEstimate = 1e4
-	}
-	if c.DivergenceRatio == 0 {
-		c.DivergenceRatio = 0.75
-	}
-	if c.DivergenceEpochs == 0 {
-		c.DivergenceEpochs = 6
-	}
-	if c.MaxQ == 0 {
-		c.MaxQ = 1e4
-	}
-	if c.QuarantineCooldown == 0 {
-		c.QuarantineCooldown = 16
-	}
-	if c.ThrashWindow == 0 {
-		c.ThrashWindow = 16
-	}
-	if c.ThrashLimit == 0 {
-		c.ThrashLimit = 10
-	}
-	if c.RateLimitEpochs == 0 {
-		c.RateLimitEpochs = 16
-	}
-	if c.MinHoldEpochs == 0 {
-		c.MinHoldEpochs = 4
-	}
-	if c.BreakerK == 0 {
-		c.BreakerK = 8
-	}
-	if c.BreakerCooldown == 0 {
-		c.BreakerCooldown = 4
-	}
-	if c.TailWindow == 0 {
-		c.TailWindow = 16
-	}
-	if c.TailK == 0 {
-		c.TailK = 8
-	}
-	if c.TailCooldown == 0 {
-		c.TailCooldown = 4
-	}
-	return c
-}
+	// tailK or more tail-violating epochs anywhere within the last
+	// tailWindow epochs open the tail-latency breaker. Unlike the
+	// consecutive-K mean breaker, the windowed count catches bursty tail
+	// violations — a p99 that blows the SLO every other epoch never
+	// produces K in a row, but it is still a burning tail.
+	tailWindow = 16
+	tailK      = 8
+	// tailCooldown consecutive met-tail epochs, while tail-pinned, close
+	// the tail breaker.
+	tailCooldown = 4
+)
 
 // Stats counts guardrail trips and recoveries over a run. It is plain
 // data (JSON-marshalable) so experiment results can carry it into the
@@ -203,7 +151,6 @@ func (s Stats) Trips() int64 {
 // anything but plain state, so it is exactly as deterministic as the
 // control loop it protects.
 type Guard struct {
-	cfg   Config
 	stats Stats
 
 	// Kalman watchdog state.
@@ -216,7 +163,7 @@ type Guard struct {
 	// Thrash limiter state.
 	lastCfg     vcore.Config
 	haveLastCfg bool
-	changes     []bool // ring of "plan changed config" over ThrashWindow
+	changes     [thrashWindow]bool // ring of "plan changed config"
 	changePos   int
 	changeCount int
 	limitLeft   int
@@ -228,29 +175,18 @@ type Guard struct {
 	metStreak  int
 
 	// Tail breaker state.
-	tailWindow    []bool // ring of "epoch violated the tail SLO"
+	tailViol      [tailWindow]bool // ring of "epoch violated the tail SLO"
 	tailPos       int
 	tailCount     int
 	tailPinned    bool
 	tailMetStreak int
 }
 
-// New builds a guard with the given thresholds (zero fields select
-// defaults).
-func New(cfg Config) *Guard {
-	c := cfg.withDefaults()
-	return &Guard{
-		cfg:        c,
-		changes:    make([]bool, c.ThrashWindow),
-		tailWindow: make([]bool, c.TailWindow),
-	}
-}
+// New builds a guard with every breaker closed.
+func New() *Guard { return &Guard{} }
 
 // Stats returns a snapshot of the trip counters.
 func (g *Guard) Stats() Stats { return g.stats }
-
-// Config returns the effective (defaulted) thresholds.
-func (g *Guard) Config() Config { return g.cfg }
 
 // Pinned reports whether either breaker (mean QoS or tail latency)
 // currently pins the safe configuration.
@@ -270,7 +206,7 @@ func (g *Guard) CheckKalman(est *control.Estimator, prior, applied, measured flo
 	switch {
 	case math.IsNaN(e) || math.IsInf(e, 0) || math.IsNaN(v) || math.IsInf(v, 0) || e < 0 || v < 0:
 		g.stats.KalmanNaNResets++
-	case v > g.cfg.MaxErrVar || e > g.cfg.MaxEstimate:
+	case v > maxErrVar || e > maxEstimate:
 		g.stats.KalmanCovResets++
 	default:
 		if !haveSample || !(prior > 0) || !(applied > 0) ||
@@ -281,12 +217,12 @@ func (g *Guard) CheckKalman(est *control.Estimator, prior, applied, measured flo
 		if !(expected > 0) || math.IsInf(expected, 0) {
 			return false
 		}
-		if math.Abs(measured-expected)/expected > g.cfg.DivergenceRatio {
+		if math.Abs(measured-expected)/expected > divergenceRatio {
 			g.divStreak++
 		} else {
 			g.divStreak = 0
 		}
-		if g.divStreak < g.cfg.DivergenceEpochs {
+		if g.divStreak < divergenceEpochs {
 			return false
 		}
 		g.stats.KalmanDivResets++
@@ -311,18 +247,18 @@ func (g *Guard) CheckController(ctrl *control.Controller) bool {
 
 // CheckQTable validates the learned table, quarantining NaN/Inf or
 // out-of-range entries. On a quarantine, exploration is suspended
-// (ε-free greedy over the validated entries) for QuarantineCooldown
+// (ε-free greedy over the validated entries) for quarantineCooldown
 // epochs. Call every epoch before the table is used for scheduling; the
 // cooldown is also ticked here.
 func (g *Guard) CheckQTable(opt *qlearn.Optimizer) int {
-	n := opt.QuarantineInvalid(g.cfg.MaxQ)
+	n := opt.QuarantineInvalid(maxQ)
 	if n > 0 {
 		g.stats.QTableQuarantined += int64(n)
 		g.stats.QTableScrubs++
 		if g.epsCooldown == 0 {
 			g.savedEps = opt.SetEpsilon(0)
 		}
-		g.epsCooldown = g.cfg.QuarantineCooldown
+		g.epsCooldown = quarantineCooldown
 		return n
 	}
 	if g.epsCooldown > 0 {
@@ -346,7 +282,7 @@ func (g *Guard) BreakerTick(measured, target float64, haveSample bool) bool {
 				g.metStreak = 0
 			} else {
 				g.metStreak++
-				if g.metStreak >= g.cfg.BreakerCooldown {
+				if g.metStreak >= BreakerCooldown {
 					g.pinned = false
 					g.metStreak = 0
 					g.violStreak = 0
@@ -359,7 +295,7 @@ func (g *Guard) BreakerTick(measured, target float64, haveSample bool) bool {
 				if g.violStreak > g.stats.MaxViolationStreak {
 					g.stats.MaxViolationStreak = g.violStreak
 				}
-				if g.violStreak >= int64(g.cfg.BreakerK) {
+				if g.violStreak >= BreakerK {
 					g.pinned = true
 					g.metStreak = 0
 					g.stats.BreakerTrips++
@@ -379,8 +315,8 @@ func (g *Guard) BreakerTick(measured, target float64, haveSample bool) bool {
 // (latency budget over p99, so 1.0 = tail exactly on target, below 1 =
 // tail violating) and returns whether the runtime must pin the safe
 // configuration this epoch. The trip condition is windowed, not
-// consecutive: TailK or more violating epochs within the last
-// TailWindow epochs open the breaker, so bursty tails that never
+// consecutive: tailK or more violating epochs within the last
+// tailWindow epochs open the breaker, so bursty tails that never
 // violate K times in a row still trip it. Epochs without a tail signal
 // (batch runs, pure-idle quanta) leave the state unchanged.
 func (g *Guard) TailTick(measured, target float64, haveSample bool) bool {
@@ -391,33 +327,31 @@ func (g *Guard) TailTick(measured, target float64, haveSample bool) bool {
 				g.tailMetStreak = 0
 			} else {
 				g.tailMetStreak++
-				if g.tailMetStreak >= g.cfg.TailCooldown {
+				if g.tailMetStreak >= tailCooldown {
 					g.tailPinned = false
 					g.tailMetStreak = 0
 					// Clear the window on recovery: the violations that
 					// tripped the breaker belong to the pre-pin regime
 					// and must not instantly re-trip it.
-					for i := range g.tailWindow {
-						g.tailWindow[i] = false
-					}
+					g.tailViol = [tailWindow]bool{}
 					g.tailCount = 0
 					g.stats.TailRecoveries++
 				}
 			}
 		} else {
 			// Slide the window.
-			if g.tailWindow[g.tailPos] {
+			if g.tailViol[g.tailPos] {
 				g.tailCount--
 			}
-			g.tailWindow[g.tailPos] = violated
+			g.tailViol[g.tailPos] = violated
 			if violated {
 				g.tailCount++
 			}
-			g.tailPos = (g.tailPos + 1) % len(g.tailWindow)
+			g.tailPos = (g.tailPos + 1) % tailWindow
 			if int64(g.tailCount) > g.stats.MaxTailWindowCount {
 				g.stats.MaxTailWindowCount = int64(g.tailCount)
 			}
-			if g.tailCount >= g.cfg.TailK {
+			if g.tailCount >= tailK {
 				g.tailPinned = true
 				g.tailMetStreak = 0
 				g.stats.TailTrips++
@@ -446,14 +380,14 @@ func (g *Guard) LimitPlan(plan alloc.Plan, planned vcore.Config) alloc.Plan {
 		g.changeCount++
 		g.stats.ReconfigsObserved++
 	}
-	g.changePos = (g.changePos + 1) % len(g.changes)
+	g.changePos = (g.changePos + 1) % thrashWindow
 
-	if g.limitLeft == 0 && g.changeCount > g.cfg.ThrashLimit {
+	if g.limitLeft == 0 && g.changeCount > thrashLimit {
 		// The change that pushed the window over the limit is itself the
 		// thrash; start the hold immediately so it is suppressed too.
 		g.stats.ThrashTrips++
-		g.limitLeft = g.cfg.RateLimitEpochs
-		g.holdLeft = g.cfg.MinHoldEpochs
+		g.limitLeft = rateLimitEpochs
+		g.holdLeft = minHoldEpochs
 	}
 
 	if g.limitLeft > 0 {
@@ -470,13 +404,13 @@ func (g *Guard) LimitPlan(plan alloc.Plan, planned vcore.Config) alloc.Plan {
 				}
 				// Undo this epoch's window entry: the rewritten plan
 				// does not change configuration.
-				g.changes[(g.changePos+len(g.changes)-1)%len(g.changes)] = false
+				g.changes[(g.changePos+thrashWindow-1)%thrashWindow] = false
 				g.changeCount--
 				g.stats.ReconfigsObserved--
 				g.holdLeft--
 				return alloc.Plan{Steps: []alloc.Step{{Config: hold, MaxCycles: tau}}}
 			}
-			g.holdLeft = g.cfg.MinHoldEpochs - 1
+			g.holdLeft = minHoldEpochs - 1
 		} else if g.holdLeft > 0 {
 			g.holdLeft--
 		}

@@ -11,22 +11,8 @@ import (
 	"cash/internal/vcore"
 )
 
-func newGuard(t *testing.T, cfg Config) *Guard {
-	t.Helper()
-	return New(cfg)
-}
-
-func TestDefaultsFilled(t *testing.T) {
-	g := New(Config{})
-	c := g.Config()
-	if c.BreakerK == 0 || c.ThrashWindow == 0 || c.MaxErrVar == 0 ||
-		c.DivergenceEpochs == 0 || c.QuarantineCooldown == 0 {
-		t.Fatalf("defaults not filled: %+v", c)
-	}
-}
-
 func TestKalmanWatchdogNaN(t *testing.T) {
-	g := newGuard(t, Config{})
+	g := New()
 	e, _ := control.NewEstimator(0.02, 0.01)
 	e.Update(2, 0.8)
 	e.Inject(math.NaN(), 0.01)
@@ -47,29 +33,45 @@ func TestKalmanWatchdogNaN(t *testing.T) {
 }
 
 func TestKalmanWatchdogCovarianceBlowup(t *testing.T) {
-	g := newGuard(t, Config{MaxErrVar: 10})
+	g := New()
 	e, _ := control.NewEstimator(0.02, 0.01)
-	e.Inject(0.5, 100)
+	// At the caps exactly, the filter is still trusted.
+	e.Inject(0.5, maxErrVar)
+	if g.CheckKalman(e, 0.5, 1, 0.5, true) {
+		t.Fatal("error variance at the cap tripped the watchdog")
+	}
+	e.Inject(0.5, 2*maxErrVar)
 	if !g.CheckKalman(e, 0.5, 1, 0.5, true) {
 		t.Fatal("covariance blow-up must trip the watchdog")
 	}
-	if s := g.Stats(); s.KalmanCovResets != 1 {
-		t.Fatalf("KalmanCovResets = %d, want 1", s.KalmanCovResets)
+	e.Inject(2*maxEstimate, 0.01)
+	if !g.CheckKalman(e, 0.5, 1, 0.5, true) {
+		t.Fatal("estimate blow-up must trip the watchdog")
+	}
+	if s := g.Stats(); s.KalmanCovResets != 2 {
+		t.Fatalf("KalmanCovResets = %d, want 2", s.KalmanCovResets)
 	}
 }
 
 func TestKalmanWatchdogDivergence(t *testing.T) {
-	g := newGuard(t, Config{DivergenceEpochs: 3, DivergenceRatio: 0.5})
+	g := New()
 	e, _ := control.NewEstimator(0.02, 0.01)
 	e.Update(1, 0.5)
+	// An innovation of exactly divergenceRatio is not divergent: a
+	// streak of them never trips.
+	for i := 0; i < 2*divergenceEpochs; i++ {
+		if g.CheckKalman(e, 0.5, 1, 0.5*(1+divergenceRatio), true) {
+			t.Fatalf("innovation at the ratio tripped at epoch %d", i+1)
+		}
+	}
 	// Measured is 10× what the (healthy-looking) estimate predicts.
-	for i := 0; i < 2; i++ {
+	for i := 0; i < divergenceEpochs-1; i++ {
 		if g.CheckKalman(e, 0.5, 1, 5.0, true) {
-			t.Fatalf("tripped after %d divergent epochs, want 3", i+1)
+			t.Fatalf("tripped after %d divergent epochs, want %d", i+1, divergenceEpochs)
 		}
 	}
 	if !g.CheckKalman(e, 0.5, 1, 5.0, true) {
-		t.Fatal("3rd consecutive divergent epoch must trip")
+		t.Fatalf("divergent epoch %d in a row must trip", divergenceEpochs)
 	}
 	if s := g.Stats(); s.KalmanDivResets != 1 {
 		t.Fatalf("KalmanDivResets = %d, want 1", s.KalmanDivResets)
@@ -77,18 +79,22 @@ func TestKalmanWatchdogDivergence(t *testing.T) {
 }
 
 func TestKalmanWatchdogDivergenceStreakResets(t *testing.T) {
-	g := newGuard(t, Config{DivergenceEpochs: 3, DivergenceRatio: 0.5})
+	g := New()
 	e, _ := control.NewEstimator(0.02, 0.01)
 	e.Update(1, 0.5)
-	g.CheckKalman(e, 0.5, 1, 5.0, true)
-	g.CheckKalman(e, 0.5, 1, 5.0, true)
+	diverge := func(n int) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			if g.CheckKalman(e, 0.5, 1, 5.0, true) {
+				t.Fatalf("tripped on divergent epoch %d of %d", i+1, n)
+			}
+		}
+	}
+	diverge(divergenceEpochs - 1)
 	// A convergent epoch clears the streak.
 	g.CheckKalman(e, 0.5, 1, 0.5, true)
-	if g.CheckKalman(e, 0.5, 1, 5.0, true) {
-		t.Fatal("streak must restart after a convergent epoch")
-	}
+	diverge(divergenceEpochs - 1)
 	// Idle epochs (no sample) neither extend nor clear the streak.
-	g.CheckKalman(e, 0.5, 1, 5.0, true)
 	g.CheckKalman(e, 0.5, 2, 0, false)
 	if !g.CheckKalman(e, 0.5, 1, 5.0, true) {
 		t.Fatal("idle epoch must not clear the divergence streak")
@@ -96,7 +102,7 @@ func TestKalmanWatchdogDivergenceStreakResets(t *testing.T) {
 }
 
 func TestKalmanWatchdogHealthyQuiet(t *testing.T) {
-	g := newGuard(t, Config{})
+	g := New()
 	e, _ := control.NewEstimator(0.02, 0.01)
 	for i := 0; i < 100; i++ {
 		e.Update(2, 0.8)
@@ -110,7 +116,7 @@ func TestKalmanWatchdogHealthyQuiet(t *testing.T) {
 }
 
 func TestControllerSanity(t *testing.T) {
-	g := newGuard(t, Config{})
+	g := New()
 	c, _ := control.NewController(0.5)
 	c.Update(0.4, 0.4)
 	if g.CheckController(c) {
@@ -142,9 +148,13 @@ func newOptimizer(t *testing.T) *qlearn.Optimizer {
 }
 
 func TestQTableValidatorQuarantinesAndSuspendsExploration(t *testing.T) {
-	g := newGuard(t, Config{QuarantineCooldown: 3})
+	g := New()
 	o := newOptimizer(t)
-	o.PokeQ(vcore.Min(), math.NaN())
+	o.PokeQ(vcore.Min(), maxQ)
+	if n := g.CheckQTable(o); n != 0 {
+		t.Fatalf("an entry at the cap was quarantined (%d)", n)
+	}
+	o.PokeQ(vcore.Min(), 2*maxQ)
 	if n := g.CheckQTable(o); n != 1 {
 		t.Fatalf("quarantined %d, want 1", n)
 	}
@@ -152,7 +162,7 @@ func TestQTableValidatorQuarantinesAndSuspendsExploration(t *testing.T) {
 		t.Fatalf("exploration not suspended: ε=%v", o.Epsilon())
 	}
 	// Clean epochs tick the cooldown; ε is restored when it expires.
-	for i := 0; i < 2; i++ {
+	for i := 0; i < quarantineCooldown-1; i++ {
 		g.CheckQTable(o)
 		if o.Epsilon() != 0 {
 			t.Fatalf("ε restored too early at tick %d", i)
@@ -169,16 +179,20 @@ func TestQTableValidatorQuarantinesAndSuspendsExploration(t *testing.T) {
 }
 
 func TestQTableValidatorReQuarantineExtendsCooldown(t *testing.T) {
-	g := newGuard(t, Config{QuarantineCooldown: 3})
+	g := New()
 	o := newOptimizer(t)
 	o.PokeQ(vcore.Min(), math.NaN())
 	g.CheckQTable(o)
-	g.CheckQTable(o) // cooldown 2
+	g.CheckQTable(o) // one clean epoch of the cooldown spent
 	o.PokeQ(vcore.Min(), math.Inf(1))
-	g.CheckQTable(o) // re-quarantine: cooldown back to 3, ε stays saved
-	for i := 0; i < 3; i++ {
+	g.CheckQTable(o) // re-quarantine: the full cooldown again, ε stays saved
+	for i := 0; i < quarantineCooldown-1; i++ {
 		g.CheckQTable(o)
+		if o.Epsilon() != 0 {
+			t.Fatalf("ε restored %d epochs into the renewed cooldown", i+1)
+		}
 	}
+	g.CheckQTable(o)
 	if o.Epsilon() != 0.25 {
 		t.Fatalf("ε not restored to original after re-quarantine: %v", o.Epsilon())
 	}
@@ -188,43 +202,54 @@ func planFor(c vcore.Config) alloc.Plan {
 	return alloc.Plan{Steps: []alloc.Step{{Config: c, MaxCycles: 1000}}}
 }
 
-func TestThrashLimiter(t *testing.T) {
-	g := newGuard(t, Config{ThrashWindow: 8, ThrashLimit: 4, RateLimitEpochs: 8, MinHoldEpochs: 4})
-	a := vcore.Config{Slices: 1, L2KB: 64}
-	b := vcore.Config{Slices: 2, L2KB: 128}
-	// Alternate every epoch: 5th change within the window trips the limiter.
-	cfgs := []vcore.Config{a, b, a, b, a, b}
-	limited := 0
-	for _, c := range cfgs {
-		out := g.LimitPlan(planFor(c), c)
-		if out.Steps[0].Config != c {
-			limited++
+// alternate feeds g thrashLimit+1 plans alternating a and b, which is
+// thrashLimit changes: the most the window tolerates.
+func alternate(t *testing.T, g *Guard, a, b vcore.Config) {
+	t.Helper()
+	for i := 0; i <= thrashLimit; i++ {
+		c := a
+		if i%2 == 1 {
+			c = b
+		}
+		if out := g.LimitPlan(planFor(c), c); out.Steps[0].Config != c {
+			t.Fatalf("plan %d held before the window passed the limit", i)
 		}
 	}
-	s := g.Stats()
-	if s.ThrashTrips != 1 {
-		t.Fatalf("ThrashTrips = %d, want 1", s.ThrashTrips)
+	if s := g.Stats(); s.ThrashTrips != 0 || s.ReconfigsObserved != thrashLimit {
+		t.Fatalf("after %d changes: stats %+v, want no trip", thrashLimit, s)
 	}
-	if s.RateLimitedPlans == 0 || limited == 0 {
-		t.Fatalf("rate limiter engaged but no plan was held (stats %+v, limited %d)", s, limited)
+}
+
+func TestThrashLimiter(t *testing.T) {
+	g := New()
+	a := vcore.Config{Slices: 1, L2KB: 64}
+	b := vcore.Config{Slices: 2, L2KB: 128}
+	alternate(t, g, a, b) // ends on a
+	// One more change inside the window trips the limiter, and the
+	// change that tripped it is itself held.
+	if out := g.LimitPlan(planFor(b), b); out.Steps[0].Config != a {
+		t.Fatalf("tripping plan ran %v, want held at %v", out.Steps[0].Config, a)
+	}
+	s := g.Stats()
+	if s.ThrashTrips != 1 || s.RateLimitedPlans != 1 {
+		t.Fatalf("stats %+v, want 1 trip and 1 held plan", s)
 	}
 }
 
 func TestThrashLimiterHoldPreservesQuantum(t *testing.T) {
-	g := newGuard(t, Config{ThrashWindow: 4, ThrashLimit: 1, RateLimitEpochs: 8, MinHoldEpochs: 4})
+	g := New()
 	a := vcore.Config{Slices: 1, L2KB: 64}
 	b := vcore.Config{Slices: 2, L2KB: 128}
-	g.LimitPlan(planFor(a), a)
-	g.LimitPlan(planFor(b), b)
-	// 2nd change in a window of 4 exceeds limit 1: this epoch trips and
-	// its multi-step plan must be rewritten to hold the previous config
-	// for the full quantum.
+	alternate(t, g, a, b) // ends on a
+	// The next change exceeds the limit: this epoch trips and its
+	// multi-step plan must be rewritten to hold the previous config for
+	// the full quantum.
 	in := alloc.Plan{Steps: []alloc.Step{
-		{Config: a, MaxCycles: 600}, {Config: b, MaxCycles: 400},
+		{Config: b, MaxCycles: 600}, {Config: a, MaxCycles: 400},
 	}}
-	out := g.LimitPlan(in, a)
-	if len(out.Steps) != 1 || out.Steps[0].Config != b {
-		t.Fatalf("held plan = %+v, want single step at %v", out, b)
+	out := g.LimitPlan(in, b)
+	if len(out.Steps) != 1 || out.Steps[0].Config != a {
+		t.Fatalf("held plan = %+v, want single step at %v", out, a)
 	}
 	if out.Steps[0].MaxCycles != 1000 {
 		t.Fatalf("held plan cycles = %d, want the full 1000-cycle quantum", out.Steps[0].MaxCycles)
@@ -232,7 +257,7 @@ func TestThrashLimiterHoldPreservesQuantum(t *testing.T) {
 }
 
 func TestThrashLimiterQuietOnStableStream(t *testing.T) {
-	g := newGuard(t, Config{})
+	g := New()
 	a := vcore.Config{Slices: 2, L2KB: 256}
 	b := vcore.Config{Slices: 2, L2KB: 512}
 	// A healthy over/under pair changes config rarely.
@@ -251,31 +276,39 @@ func TestThrashLimiterQuietOnStableStream(t *testing.T) {
 	}
 }
 
+// tick feeds a breaker n epochs of the same measurement against a
+// target of 1 and fails the test unless every one returns pinned.
+func tick(t *testing.T, f func(measured, target float64, haveSample bool) bool, n int, measured float64, pinned bool, what string) {
+	t.Helper()
+	for i := 0; i < n; i++ {
+		if got := f(measured, 1, true); got != pinned {
+			t.Fatalf("%s: epoch %d of %d returned pinned=%v, want %v", what, i+1, n, got, pinned)
+		}
+	}
+}
+
+const (
+	miss = 0.5 // violates a target of 1
+	met  = 1.2
+)
+
 func TestBreakerTripAndRecovery(t *testing.T) {
-	g := newGuard(t, Config{BreakerK: 3, BreakerCooldown: 2})
-	// Two misses, one hit: streak clears.
-	g.BreakerTick(0.1, 0.5, true)
-	g.BreakerTick(0.1, 0.5, true)
-	if g.BreakerTick(0.6, 0.5, true) {
-		t.Fatal("breaker tripped before K consecutive misses")
-	}
-	// Three consecutive misses: trips.
-	g.BreakerTick(0.1, 0.5, true)
-	g.BreakerTick(0.1, 0.5, true)
-	if !g.BreakerTick(0.1, 0.5, true) {
-		t.Fatal("breaker must trip on Kth consecutive miss")
-	}
+	g := New()
+	// K−1 misses, one hit: the streak clears.
+	tick(t, g.BreakerTick, BreakerK-1, miss, false, "misses below K")
+	tick(t, g.BreakerTick, 1, met, false, "streak-clearing hit")
+	// K consecutive misses trip on exactly the Kth.
+	tick(t, g.BreakerTick, BreakerK-1, miss, false, "misses below K")
+	tick(t, g.BreakerTick, 1, miss, true, "Kth consecutive miss")
 	if !g.Pinned() {
 		t.Fatal("Pinned() false after trip")
 	}
 	// While pinned, a miss resets the recovery cooldown.
-	g.BreakerTick(0.6, 0.5, true)
-	g.BreakerTick(0.1, 0.5, true)
-	g.BreakerTick(0.6, 0.5, true)
-	if !g.BreakerTick(0.6, 0.5, true) == false {
-		// second consecutive met epoch: recovered, returns unpinned
-		t.Fatal("breaker must recover after cooldown of met epochs")
-	}
+	tick(t, g.BreakerTick, BreakerCooldown-1, met, true, "met epochs below the cooldown")
+	tick(t, g.BreakerTick, 1, miss, true, "miss while pinned")
+	tick(t, g.BreakerTick, BreakerCooldown-1, met, true, "met epochs below the cooldown")
+	// The cooldown-th consecutive met epoch closes the breaker.
+	tick(t, g.BreakerTick, 1, met, false, "last cooldown epoch")
 	if g.Pinned() {
 		t.Fatal("still pinned after recovery")
 	}
@@ -283,26 +316,29 @@ func TestBreakerTripAndRecovery(t *testing.T) {
 	if s.BreakerTrips != 1 || s.BreakerRecoveries != 1 {
 		t.Fatalf("stats = %+v", s)
 	}
-	if s.MaxViolationStreak != 3 {
-		t.Fatalf("MaxViolationStreak = %d, want 3", s.MaxViolationStreak)
+	if s.MaxViolationStreak != BreakerK {
+		t.Fatalf("MaxViolationStreak = %d, want %d", s.MaxViolationStreak, BreakerK)
+	}
+	// Pinned from the tripping epoch up to, not including, the
+	// recovering one.
+	if want := int64(1 + 2*(BreakerCooldown-1) + 1); s.PinnedEpochs != want {
+		t.Fatalf("PinnedEpochs = %d, want %d", s.PinnedEpochs, want)
 	}
 }
 
 func TestBreakerNaNMeasurementCountsAsViolation(t *testing.T) {
-	g := newGuard(t, Config{BreakerK: 2, BreakerCooldown: 1})
-	g.BreakerTick(math.NaN(), 0.5, true)
-	if !g.BreakerTick(math.NaN(), 0.5, true) {
-		t.Fatal("NaN measurements must count as violations and trip the breaker")
-	}
+	g := New()
+	tick(t, g.BreakerTick, BreakerK-1, math.NaN(), false, "NaN epochs below K")
+	tick(t, g.BreakerTick, 1, math.NaN(), true, "Kth NaN epoch")
 }
 
 func TestBreakerIdleEpochsAreNeutral(t *testing.T) {
-	g := newGuard(t, Config{BreakerK: 2, BreakerCooldown: 1})
-	g.BreakerTick(0.1, 0.5, true)
-	g.BreakerTick(0, 0.5, false) // idle: no verdict
-	if !g.BreakerTick(0.1, 0.5, true) {
-		t.Fatal("idle epoch must not clear the violation streak")
+	g := New()
+	tick(t, g.BreakerTick, BreakerK-1, miss, false, "misses below K")
+	if g.BreakerTick(0, 1, false) { // idle: no verdict
+		t.Fatal("idle epoch tripped the breaker")
 	}
+	tick(t, g.BreakerTick, 1, miss, true, "Kth miss after an idle epoch")
 }
 
 func TestStatsTripsAggregates(t *testing.T) {
@@ -314,22 +350,32 @@ func TestStatsTripsAggregates(t *testing.T) {
 }
 
 func TestTailBreakerWindowedTrip(t *testing.T) {
-	g := newGuard(t, Config{TailWindow: 8, TailK: 4, TailCooldown: 2})
-	// Alternating violate/meet epochs never produce 4 in a row — the
-	// consecutive-K mean breaker would stay closed forever — but 4
-	// violations land inside the 8-epoch window and must trip the tail
-	// breaker.
-	for i := 0; i < 3; i++ {
-		if g.TailTick(0.4, 1, true) {
-			t.Fatalf("tail breaker tripped early at violation %d", i+1)
+	g := New()
+	// One violation every third epoch puts at most 6 in any window of
+	// 16: the window slides, so the breaker stays closed however long
+	// the stream runs.
+	for i := 0; i < 4*tailWindow; i++ {
+		q := met
+		if i%3 == 0 {
+			q = miss
 		}
-		if g.TailTick(1.2, 1, true) {
-			t.Fatalf("tail breaker pinned on a met epoch (%d)", i)
+		if g.TailTick(q, 1, true) {
+			t.Fatalf("sparse violations tripped the tail breaker at epoch %d", i+1)
 		}
 	}
-	if !g.TailTick(0.4, 1, true) {
-		t.Fatal("tail breaker must trip on the 4th violation in the window")
+	if got, want := g.Stats().MaxTailWindowCount, int64((tailWindow+2)/3); got != want {
+		t.Fatalf("MaxTailWindowCount = %d, want %d", got, want)
 	}
+
+	g = New()
+	// Alternating violate/meet epochs never produce K in a row — the
+	// consecutive-K mean breaker would stay closed forever — but K
+	// violations land inside the window and must trip the tail breaker.
+	for i := 0; i < tailK-1; i++ {
+		tick(t, g.TailTick, 1, miss, false, "violations below K")
+		tick(t, g.TailTick, 1, met, false, "met epoch")
+	}
+	tick(t, g.TailTick, 1, miss, true, "Kth violation in the window")
 	if !g.Pinned() {
 		t.Fatal("Pinned() false while tail-pinned")
 	}
@@ -339,55 +385,48 @@ func TestTailBreakerWindowedTrip(t *testing.T) {
 }
 
 func TestTailBreakerRecoveryClearsWindow(t *testing.T) {
-	g := newGuard(t, Config{TailWindow: 4, TailK: 2, TailCooldown: 2})
-	g.TailTick(0.5, 1, true)
-	if !g.TailTick(0.5, 1, true) {
-		t.Fatal("tail breaker must trip at TailK window count")
-	}
+	g := New()
+	tick(t, g.TailTick, tailK-1, miss, false, "violations below K")
+	tick(t, g.TailTick, 1, miss, true, "Kth violation")
 	// A violating epoch while pinned resets the recovery streak.
-	g.TailTick(0.5, 1, true)
-	g.TailTick(1.1, 1, true)
-	if g.TailTick(1.1, 1, true) {
-		t.Fatal("tail breaker must close after TailCooldown met epochs")
-	}
+	tick(t, g.TailTick, 1, miss, true, "violation while pinned")
+	tick(t, g.TailTick, tailCooldown-1, met, true, "met epochs below the cooldown")
+	tick(t, g.TailTick, 1, met, false, "last cooldown epoch")
 	if g.Pinned() {
 		t.Fatal("still pinned after tail recovery")
 	}
-	// The window was cleared on recovery: one fresh violation must not
-	// re-trip against the pre-pin history.
-	if g.TailTick(0.5, 1, true) {
-		t.Fatal("stale window entries re-tripped the tail breaker")
-	}
+	// The window was cleared on recovery: K−1 fresh violations must not
+	// re-trip against the pre-pin history, and the Kth trips afresh.
+	tick(t, g.TailTick, tailK-1, miss, false, "violations after recovery")
+	tick(t, g.TailTick, 1, miss, true, "Kth violation after recovery")
 	s := g.Stats()
-	if s.TailTrips != 1 || s.TailRecoveries != 1 {
+	if s.TailTrips != 2 || s.TailRecoveries != 1 {
 		t.Fatalf("stats = %+v", s)
 	}
-	if s.TailPinnedEpochs != 3 {
-		t.Fatalf("TailPinnedEpochs = %d, want 3", s.TailPinnedEpochs)
+	if want := int64(1 + 1 + tailCooldown - 1 + 1); s.TailPinnedEpochs != want {
+		t.Fatalf("TailPinnedEpochs = %d, want %d", s.TailPinnedEpochs, want)
 	}
 }
 
 func TestTailBreakerNoSignalIsNeutral(t *testing.T) {
-	g := newGuard(t, Config{TailWindow: 4, TailK: 2, TailCooldown: 1})
-	g.TailTick(0.5, 1, true)
+	g := New()
+	tick(t, g.TailTick, tailK-1, miss, false, "violations below K")
 	// Batch epochs (no tail signal) must not advance the window.
-	for i := 0; i < 10; i++ {
+	for i := 0; i < 2*tailWindow; i++ {
 		if g.TailTick(0, 1, false) {
 			t.Fatal("no-signal epoch pinned the tail breaker")
 		}
 	}
-	if !g.TailTick(0.5, 1, true) {
-		t.Fatal("window slid during no-signal epochs: violation count lost")
-	}
+	tick(t, g.TailTick, 1, miss, true, "Kth violation after no-signal epochs")
 }
 
 func TestTailBreakerIndependentOfMeanBreaker(t *testing.T) {
-	g := newGuard(t, Config{BreakerK: 2, BreakerCooldown: 1, TailWindow: 4, TailK: 2, TailCooldown: 1})
+	g := New()
 	// Trip only the tail breaker; the mean breaker sees healthy QoS.
-	g.BreakerTick(0.9, 0.5, true)
-	g.TailTick(0.5, 1, true)
-	g.BreakerTick(0.9, 0.5, true)
-	g.TailTick(0.5, 1, true)
+	for i := 0; i < tailK; i++ {
+		g.BreakerTick(met, 1, true)
+		g.TailTick(miss, 1, true)
+	}
 	s := g.Stats()
 	if s.BreakerTrips != 0 || s.TailTrips != 1 {
 		t.Fatalf("stats = %+v", s)

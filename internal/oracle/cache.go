@@ -15,7 +15,9 @@ import (
 // be reused across processes; the harness loads the cache on start and
 // saves after characterising. Keys embed the full application
 // definition, so stale entries are impossible — a changed workload
-// simply misses.
+// simply misses. Keys do not embed the workload seed: every file holds
+// measurements at NewDB's seed, and a database at any other seed can
+// neither load nor save one.
 
 // DefaultCachePath returns the cache location: $CASH_ORACLE_CACHE if
 // set, else a file in the user cache directory (falling back to the
@@ -62,6 +64,9 @@ type cacheEntry struct {
 // caller should warn and re-characterise) rather than decoded as
 // stale or garbage data.
 func (db *DB) LoadCache(path string) error {
+	if err := db.checkCacheSeed(path); err != nil {
+		return err
+	}
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		if os.IsNotExist(err) {
@@ -120,6 +125,9 @@ func (db *DB) LoadCache(path string) error {
 // a sweep parallelised across any number of workers saves the same
 // file a serial one does.
 func (db *DB) SaveCache(path string) error {
+	if err := db.checkCacheSeed(path); err != nil {
+		return err
+	}
 	db.mu.Lock()
 	entries := make([]cacheEntry, 0, len(db.cache))
 	for k, v := range db.cache {
@@ -160,6 +168,18 @@ func (db *DB) SaveCache(path string) error {
 		// uniquely-named temp file in the cache directory forever.
 		os.Remove(tmp)
 		return fmt.Errorf("oracle: replacing cache: %w", err)
+	}
+	return nil
+}
+
+// checkCacheSeed refuses cache I/O for a database whose seed is not
+// the one every cache file is measured at: the keys cannot tell the
+// seeds apart, so a loaded entry would pass for this seed's measurement
+// and a saved one for the default seed's.
+func (db *DB) checkCacheSeed(path string) error {
+	if db.Seed != defaultSeed {
+		return fmt.Errorf("oracle: cache %s holds seed-%d measurements; a seed-%d database cannot use it",
+			path, defaultSeed, db.Seed)
 	}
 	return nil
 }

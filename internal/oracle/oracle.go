@@ -43,13 +43,14 @@ type Char struct {
 }
 
 // DB is the memoised characterisation database.
+//
+// Every measurement runs the Table I Slice (slice.DefaultConfig) with
+// earliest-ready steering, and reads MinQ over windows of the
+// experiment engine's default control quantum.
 type DB struct {
-	SliceCfg slice.Config
-	Policy   ssim.SteeringPolicy
-	Seed     uint64
-	// Window is the quantum-window size in cycles used for MinQ;
-	// it should match the experiment engine's control quantum.
-	Window int64
+	// Seed drives the workload generator (NewDB: 42). Cache keys do not
+	// carry it, so LoadCache and SaveCache refuse any other seed.
+	Seed uint64
 
 	// Tier selects the simulation fidelity every measurement runs at.
 	// The zero value is isim.TierCycle — the authoritative cycle-level
@@ -78,8 +79,8 @@ type DB struct {
 
 	// sims/gens recycle simulator and generator state across
 	// measurements (the sweep would otherwise allocate a full memory
-	// hierarchy per (app, config) cell). Built lazily from SliceCfg and
-	// Policy on first measurement.
+	// hierarchy per (app, config) cell). Built lazily on first
+	// measurement.
 	simsOnce sync.Once
 	sims     *ssim.SimPool
 	gens     sync.Pool
@@ -96,16 +97,18 @@ type inflightChar struct {
 	err any
 }
 
-// DefaultWindow matches the experiment engine's default control quantum.
-const DefaultWindow = 100_000
+// window is the quantum-window size in cycles MinQ is read over: the
+// experiment engine's default control quantum.
+const window = 100_000
+
+// defaultSeed is the workload seed NewDB measures at, and the only one
+// the on-disk cache holds.
+const defaultSeed = 42
 
 // NewDB returns a database with the paper's defaults.
 func NewDB() *DB {
 	return &DB{
-		SliceCfg: slice.DefaultConfig(),
-		Policy:   ssim.SteerEarliest,
-		Seed:     42,
-		Window:   DefaultWindow,
+		Seed:     defaultSeed,
 		cache:    make(map[string]Char),
 		inflight: make(map[string]*inflightChar),
 	}
@@ -374,7 +377,7 @@ func (db *DB) measureApp(app workload.App, cfg vcore.Config, src ssim.InstrSourc
 	db.measured++
 	db.mu.Unlock()
 	db.simsOnce.Do(func() {
-		db.sims = ssim.NewSimPool(db.SliceCfg, db.Policy)
+		db.sims = ssim.NewSimPool(slice.DefaultConfig(), ssim.SteerEarliest)
 		db.gens.New = func() any { return new(workload.Gen) }
 	})
 	sim, err := db.sims.Acquire(cfg)
@@ -396,10 +399,6 @@ func (db *DB) measureApp(app workload.App, cfg vcore.Config, src ssim.InstrSourc
 	ch := Char{
 		Avg:  make([]float64, len(app.Phases)),
 		MinQ: make([]float64, len(app.Phases)),
-	}
-	window := db.Window
-	if window <= 0 {
-		window = DefaultWindow
 	}
 	for pi, p := range app.Phases {
 		var instrs, cycles int64

@@ -181,6 +181,46 @@ func TestCacheRoundTrip(t *testing.T) {
 	}
 }
 
+// TestCacheRejectsOtherSeed: cache keys do not carry the workload
+// seed, so a database at any seed but NewDB's must neither serve a
+// file's seed-42 measurements as its own nor write its measurements
+// where a seed-42 database would load them.
+func TestCacheRejectsOtherSeed(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "oracle.gob")
+	db := NewDB()
+	db.Characterize(tinyApp(), vcore.Min())
+	if err := db.SaveCache(path); err != nil {
+		t.Fatal(err)
+	}
+	saved, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	db7 := NewDB()
+	db7.Seed = 7
+	if err := db7.LoadCache(path); err == nil {
+		t.Fatal("a seed-7 database loaded a seed-42 cache")
+	}
+	if n := db7.Entries(); n != 0 {
+		t.Fatalf("rejected load left %d entries", n)
+	}
+	db7.Characterize(tinyApp(), vcore.Min())
+	if err := db7.SaveCache(path); err == nil {
+		t.Fatal("a seed-7 database saved over a seed-42 cache")
+	}
+	if err := db7.SaveCache(filepath.Join(dir, "fresh.gob")); err == nil {
+		t.Fatal("a seed-7 database saved a cache")
+	}
+	if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, saved) {
+		t.Fatalf("rejected save changed the seed-42 file (err %v)", err)
+	}
+	if ents, err := os.ReadDir(dir); err != nil || len(ents) != 1 {
+		t.Fatalf("rejected saves left files behind: %v (err %v)", ents, err)
+	}
+}
+
 func TestSaveCacheFailureRemovesTempFile(t *testing.T) {
 	dir := t.TempDir()
 	// A directory at the target path makes the final rename fail after

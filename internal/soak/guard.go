@@ -257,13 +257,13 @@ func runGuard(s guardScenario, seed uint64, quanta int, guardrails bool) (o Resu
 	o.Violations = append(o.Violations, invariantErrs...)
 
 	// Bounded-streak invariant: while optimization is active the
-	// breaker trips at K consecutive violating epochs, so the recorded
-	// maximum streak must never exceed the configured threshold.
+	// breaker trips at BreakerK consecutive violating epochs, so the
+	// recorded maximum streak must never exceed it.
 	if guardrails {
-		if limit := int64(guard.New(guard.Config{}).Config().BreakerK); result.Guard.MaxViolationStreak > limit {
+		if result.Guard.MaxViolationStreak > guard.BreakerK {
 			o.Violations = append(o.Violations, fmt.Sprintf(
 				"unpinned QoS-violation streak %d exceeds breaker threshold %d",
-				result.Guard.MaxViolationStreak, limit))
+				result.Guard.MaxViolationStreak, guard.BreakerK))
 		}
 	}
 

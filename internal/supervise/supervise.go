@@ -89,13 +89,11 @@ type Options struct {
 	Jobs int
 	// Timeout is the per-attempt wall-clock budget (0 = none).
 	Timeout time.Duration
-	// MaxRetries is how many extra attempts a failing unit gets.
+	// MaxRetries is how many extra attempts a failing unit gets. The
+	// first retry waits 100ms; each further one doubles the wait, capped
+	// at 5s, with ±50% deterministic jitter derived from Seed and the
+	// unit key.
 	MaxRetries int
-	// BackoffBase is the first retry delay (default 100ms); each retry
-	// doubles it, capped at BackoffCap (default 5s), with ±50%
-	// deterministic jitter derived from Seed and the unit key.
-	BackoffBase time.Duration
-	BackoffCap  time.Duration
 	// Seed drives the backoff jitter.
 	Seed uint64
 	// Clock defaults to the wall clock; tests inject a FakeClock.
@@ -114,12 +112,6 @@ type Supervisor struct {
 func New(o Options) *Supervisor {
 	if o.Jobs < 1 {
 		o.Jobs = 1
-	}
-	if o.BackoffBase <= 0 {
-		o.BackoffBase = 100 * time.Millisecond
-	}
-	if o.BackoffCap <= 0 {
-		o.BackoffCap = 5 * time.Second
 	}
 	if o.Clock == nil {
 		o.Clock = RealClock()
@@ -241,28 +233,31 @@ func (s *Supervisor) attempt(u Unit) (any, *FailureRecord) {
 	}
 }
 
+// The retry backoff: the first retry waits backoffBase, and each
+// further one doubles the wait up to backoffCap.
+const (
+	backoffBase = 100 * time.Millisecond
+	backoffCap  = 5 * time.Second
+)
+
 // backoff returns the capped, deterministically-jittered delay before
 // retry number attempt (1-based: the delay after the attempt'th
 // failure).
 func (s *Supervisor) backoff(key string, attempt int) time.Duration {
-	d := s.o.BackoffBase
-	for i := 1; i < attempt; i++ {
+	d := backoffBase
+	for i := 1; i < attempt && d < backoffCap; i++ {
 		d *= 2
-		if d >= s.o.BackoffCap {
-			d = s.o.BackoffCap
-			break
-		}
 	}
-	if d > s.o.BackoffCap {
-		d = s.o.BackoffCap
+	if d > backoffCap {
+		d = backoffCap
 	}
 	// ±50% jitter from a stable hash of (seed, key, attempt).
 	h := fnv.New64a()
 	fmt.Fprintf(h, "%d|%s|%d", s.o.Seed, key, attempt)
 	frac := 0.5 + float64(h.Sum64()%1024)/1024.0
 	j := time.Duration(float64(d) * frac)
-	if j > s.o.BackoffCap {
-		j = s.o.BackoffCap
+	if j > backoffCap {
+		j = backoffCap
 	}
 	return j
 }

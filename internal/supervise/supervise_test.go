@@ -118,13 +118,7 @@ func TestFastUnitBeatsRealTimeout(t *testing.T) {
 func TestFlakyUnitRetriesWithBackoff(t *testing.T) {
 	clk := NewFakeClock()
 	var calls atomic.Int64
-	s := New(Options{
-		MaxRetries:  3,
-		BackoffBase: 100 * time.Millisecond,
-		BackoffCap:  300 * time.Millisecond,
-		Seed:        9,
-		Clock:       clk,
-	})
+	s := New(Options{MaxRetries: 3, Seed: 9, Clock: clk})
 	done := make(chan []Report, 1)
 	go func() {
 		done <- s.Run([]Unit{{Key: "flaky", Run: func() (any, error) {
@@ -150,20 +144,15 @@ func TestFlakyUnitRetriesWithBackoff(t *testing.T) {
 	if len(slept) != 2 {
 		t.Fatalf("backoff sleeps = %v, want 2", slept)
 	}
-	// First delay jitters around 100ms (±50%), second around 200ms,
-	// both capped at 300ms; jitter is deterministic for a fixed seed.
+	// First delay jitters around 100ms (±50%), second around 200ms;
+	// jitter is deterministic for a fixed seed.
 	for i, d := range slept {
-		base := 100 * time.Millisecond << i
-		lo, hi := base/2, base*3/2
-		if hi > 300*time.Millisecond {
-			hi = 300 * time.Millisecond
-		}
-		if d < lo || d > hi {
-			t.Errorf("backoff %d = %v, want in [%v, %v]", i, d, lo, hi)
+		base := backoffBase << i
+		if lo, hi := base/2, base*3/2; d < lo || d >= hi {
+			t.Errorf("backoff %d = %v, want in [%v, %v)", i, d, lo, hi)
 		}
 	}
-	again := New(Options{MaxRetries: 3, BackoffBase: 100 * time.Millisecond,
-		BackoffCap: 300 * time.Millisecond, Seed: 9, Clock: clk})
+	again := New(Options{MaxRetries: 3, Seed: 9, Clock: clk})
 	if a, b := s.backoff("flaky", 1), again.backoff("flaky", 1); a != b {
 		t.Errorf("jitter not deterministic: %v vs %v", a, b)
 	}
@@ -197,10 +186,18 @@ func TestRetriesExhaust(t *testing.T) {
 }
 
 func TestBackoffCapped(t *testing.T) {
-	s := New(Options{BackoffBase: time.Second, BackoffCap: 4 * time.Second})
-	for attempt := 1; attempt <= 10; attempt++ {
-		if d := s.backoff("k", attempt); d > 4*time.Second {
-			t.Errorf("backoff attempt %d = %v exceeds cap", attempt, d)
+	s := New(Options{})
+	// The un-jittered delay doubles from 100ms and stops at the 5s cap
+	// on the 7th retry (6.4s would pass it); the jittered one never
+	// exceeds the cap.
+	for attempt := 1; attempt <= 100; attempt++ {
+		d := backoffCap
+		if attempt <= 6 {
+			d = backoffBase << (attempt - 1)
+		}
+		lo, hi := d/2, min(d*3/2, backoffCap)
+		if got := s.backoff("k", attempt); got < lo || got > hi {
+			t.Errorf("backoff attempt %d = %v, want in [%v, %v]", attempt, got, lo, hi)
 		}
 	}
 }
