@@ -17,6 +17,13 @@
 // is recorded as the seed throughput measured on the same machine and
 // the speedup is computed from it.
 //
+// With -compare REF, benchjson also holds the fresh results to the
+// BENCH.json at REF: every benchmark in allocGated must report exactly
+// the reference's allocs/op. Allocation counts are deterministic, so
+// the gate has no noise band, and one extra allocation on those paths
+// fails it. The output file is written first, then a failed comparison
+// exits 1 naming each offending benchmark.
+//
 // The output contains no timestamps or host-volatile fields beyond the
 // benchmark context go test itself prints, so re-running the pipeline
 // on identical results rewrites an identical file.
@@ -101,8 +108,19 @@ func main() {
 		"benchmark whose best "+headlineMetric+" becomes the headline")
 	baseline := flag.Float64("baseline", 0,
 		"seed "+headlineMetric+" measured on this machine (0 = unknown; omits the speedup)")
+	against := flag.String("compare", "",
+		"reference BENCH.json whose allocs/op the gated benchmarks must match exactly")
 	flag.Parse()
 
+	var ref *report
+	if *against != "" {
+		// Read before writing: -o may name the same file.
+		r, err := readReport(*against)
+		if err != nil {
+			fatal(err)
+		}
+		ref = &r
+	}
 	rep, err := build(os.Stdin, *head, *baseline)
 	if err != nil {
 		fatal(err)
@@ -115,11 +133,73 @@ func main() {
 	buf = append(buf, '\n')
 	if *out == "-" {
 		os.Stdout.Write(buf)
-		return
-	}
-	if err := os.WriteFile(*out, buf, 0o644); err != nil {
+	} else if err := os.WriteFile(*out, buf, 0o644); err != nil {
 		fatal(err)
 	}
+	if ref != nil {
+		if err := compare(*ref, rep); err != nil {
+			fatal(err)
+		}
+		fmt.Fprintf(os.Stderr, "benchjson: allocs/op of %s match %s\n", strings.Join(allocGated, ", "), *against)
+	}
+}
+
+// allocGated are the benchmarks -compare holds to the reference's
+// allocs/op exactly: paths that allocate nothing or next to nothing
+// per operation, where any extra allocation is a regression.
+var allocGated = []string{
+	"BenchmarkOracleQueries",
+	"BenchmarkHistogramRecord",
+	"BenchmarkRuntimeDecide",
+	"BenchmarkWireCodec",
+}
+
+// readReport loads a BENCH.json.
+func readReport(path string) (report, error) {
+	var r report
+	b, err := os.ReadFile(path)
+	if err != nil {
+		return r, err
+	}
+	if err := json.Unmarshal(b, &r); err != nil {
+		return r, fmt.Errorf("%s: %w", path, err)
+	}
+	return r, nil
+}
+
+// compare checks every gated benchmark's allocs/op in rep against ref:
+// min and median must both equal the reference's. A gated benchmark
+// missing from either report fails too, so the gate cannot pass by a
+// benchmark no longer running.
+func compare(ref, rep report) error {
+	const unit = "allocs/op"
+	find := func(r report, name string) (metric, bool) {
+		for _, b := range r.Benchmarks {
+			if base(b.Name) == name {
+				m, ok := b.Metrics[unit]
+				return m, ok
+			}
+		}
+		return metric{}, false
+	}
+	var bad []string
+	for _, name := range allocGated {
+		want, inRef := find(ref, name)
+		got, inRep := find(rep, name)
+		switch {
+		case !inRef:
+			bad = append(bad, fmt.Sprintf("%s: no %s in the reference", name, unit))
+		case !inRep:
+			bad = append(bad, fmt.Sprintf("%s: no %s in this run", name, unit))
+		case got != want:
+			bad = append(bad, fmt.Sprintf("%s: %v %s (median %v), reference %v (median %v)",
+				name, got.Min, unit, got.Median, want.Min, want.Median))
+		}
+	}
+	if len(bad) > 0 {
+		return fmt.Errorf("allocation gate failed:\n  %s", strings.Join(bad, "\n  "))
+	}
+	return nil
 }
 
 // build parses bench output from r and assembles the report.

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -106,5 +107,63 @@ func TestBuildRejectsMissingHeadline(t *testing.T) {
 func TestMedianEven(t *testing.T) {
 	if got := median([]float64{1, 2, 3, 4}); got != 2.5 {
 		t.Fatalf("median = %v, want 2.5", got)
+	}
+}
+
+// gatedSample is a run of every allocation-gated benchmark; wireAllocs
+// sets BenchmarkWireCodec's allocs/op.
+func gatedSample(wireAllocs int) string {
+	return sample + `BenchmarkOracleQueries-8   	   20000	     53101 ns/op	    1600 B/op	       6 allocs/op
+BenchmarkHistogramRecord-8 	100000000	         6.9 ns/op	       0 B/op	       0 allocs/op
+BenchmarkRuntimeDecide-8   	 1000000	      1150 ns/op	      48 B/op	       1 allocs/op
+BenchmarkWireCodec-8       	  100000	     10563 ns/op	    1744 B/op	      ` + strconv.Itoa(wireAllocs) + ` allocs/op
+`
+}
+
+// The -compare gate holds each gated benchmark's allocs/op to the
+// reference exactly: the same counts pass whatever the timings, one
+// extra allocation fails naming the benchmark, and a gated benchmark
+// missing from the run fails rather than passing by omission.
+func TestCompareAllocsExact(t *testing.T) {
+	ref, err := build(strings.NewReader(gatedSample(41)), "BenchmarkAblation_SimThroughput", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	same, err := build(strings.NewReader(strings.ReplaceAll(gatedSample(41), "10563 ns/op", "99999 ns/op")),
+		"BenchmarkAblation_SimThroughput", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := compare(ref, same); err != nil {
+		t.Fatalf("equal allocation counts failed the gate: %v", err)
+	}
+
+	extra, err := build(strings.NewReader(gatedSample(42)), "BenchmarkAblation_SimThroughput", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = compare(ref, extra)
+	if err == nil || !strings.Contains(err.Error(), "BenchmarkWireCodec: 42 allocs/op") {
+		t.Fatalf("one extra allocation: compare returned %v, want a BenchmarkWireCodec failure", err)
+	}
+
+	missing, err := build(strings.NewReader(sample), "BenchmarkAblation_SimThroughput", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := compare(ref, missing); err == nil || !strings.Contains(err.Error(), "BenchmarkOracleQueries: no allocs/op in this run") {
+		t.Fatalf("gated benchmarks absent: compare returned %v, want a missing-benchmark failure", err)
+	}
+}
+
+// The committed BENCH.json carries every gated benchmark, so CI's
+// -compare against it can pass.
+func TestCommittedBenchGated(t *testing.T) {
+	ref, err := readReport("../../BENCH.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := compare(ref, ref); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -82,7 +82,7 @@ func Run(app workload.App, policy alloc.Allocator, opts Opts) (Result, error) {
 type batch struct {
 	engine
 	app   workload.App
-	gen   *workload.Gen
+	src   stream
 	meter *perfMeter
 	res   Result
 
@@ -92,20 +92,36 @@ type batch struct {
 	occupancy map[vcore.Config]int64
 }
 
+// stream is a batch run's instruction source: a workload.Gen, or a
+// workload.TraceReader, which reads exactly as the generator does.
+type stream interface {
+	ssim.InstrSource
+	Done() bool
+	PhaseIndex() int
+}
+
 func (b *batch) setup() error {
 	if b.opts.Target == 0 {
 		return fmt.Errorf("experiment: QoS target %v must be positive", b.opts.Target)
 	}
 	b.res.Target, b.res.Tau = b.opts.Target, b.opts.Tau
-	b.gen = workload.NewGen(b.app, b.opts.Seed)
+	if tr := b.opts.Trace; tr != nil {
+		if !tr.Of(b.app, b.opts.Seed) {
+			return fmt.Errorf("experiment: trace was not recorded from this definition of %s at seed %d",
+				b.app.Name, b.opts.Seed)
+		}
+		b.src = tr.Reader()
+	} else {
+		b.src = workload.NewGen(b.app, b.opts.Seed)
+	}
 	b.meter = newPerfMeter()
 	b.occupancy = map[vcore.Config]int64{}
 	return nil
 }
 
-func (b *batch) more() bool      { return !b.gen.Done() }
-func (b *batch) exhausted() bool { return b.gen.Done() }
-func (b *batch) phase() int      { return b.gen.PhaseIndex() }
+func (b *batch) more() bool      { return !b.src.Done() }
+func (b *batch) exhausted() bool { return b.src.Done() }
+func (b *batch) phase() int      { return b.src.PhaseIndex() }
 
 func (b *batch) begin() {
 	b.qInstrs = 0
@@ -125,7 +141,7 @@ func (b *batch) run(ob alloc.Observation, step alloc.Step, budget int64) (alloc.
 		maxInstrs = 1 << 62
 	}
 	startInstr := b.sim.Committed()
-	instrs, cycles := b.sim.RunBudget(b.gen, maxInstrs, budget)
+	instrs, cycles := b.sim.RunBudget(b.src, maxInstrs, budget)
 	// Read the step's instructions through the runtime interface network
 	// and hold them to the simulator's own count.
 	if err := b.meter.measure(b.sim, startInstr, instrs); err != nil {
@@ -163,7 +179,7 @@ func (b *batch) sample(qCycles int64) {
 		CostRate: b.qCost / (float64(qCycles) / cost.CyclesPerHour),
 		QoS:      qos,
 		Violated: qos < b.opts.Target*(1-b.opts.Tolerance),
-		Phase:    b.gen.PhaseIndex(),
+		Phase:    b.src.PhaseIndex(),
 		Stall:    b.qStall,
 	}
 	b.res.Samples = append(b.res.Samples, s)

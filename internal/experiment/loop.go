@@ -11,6 +11,7 @@ import (
 	"cash/internal/slice"
 	"cash/internal/ssim"
 	"cash/internal/vcore"
+	"cash/internal/workload"
 )
 
 // The control loop (Algorithm 1, §IV) is one quantum engine for both
@@ -38,8 +39,15 @@ type Opts struct {
 	// Tolerance is the QoS slack: a sample violates QoS when its IPC
 	// falls below Target*(1-Tolerance) (default 0.05).
 	Tolerance float64
-	// Seed drives the workload generator (default 42).
+	// Seed drives the workload generator (default DefaultSeed).
 	Seed uint64
+	// Trace, when non-nil, is the app's stream recorded once
+	// (workload.Record) for many runs: a batch run replays it instead
+	// of generating the stream. The replay reads exactly as the
+	// generator does, so no result bit changes. Run returns an error
+	// for a trace recorded from another app definition or Seed, and
+	// RunServer for any trace: a server's work is its arrival stream.
+	Trace *workload.Trace
 	// MaxQuanta bounds the run (default: until the workload finishes or
 	// the server horizon is reached).
 	MaxQuanta int
@@ -94,6 +102,9 @@ func (o Opts) validate() error {
 	return o.Model.Validate()
 }
 
+// DefaultSeed is the workload seed of a run that sets none.
+const DefaultSeed = 42
+
 func (o Opts) withDefaults() Opts {
 	if o.Tau == 0 {
 		o.Tau = 100_000
@@ -108,7 +119,7 @@ func (o Opts) withDefaults() Opts {
 		o.Tolerance = 0.05
 	}
 	if o.Seed == 0 {
-		o.Seed = 42
+		o.Seed = DefaultSeed
 	}
 	return o
 }

@@ -202,6 +202,9 @@ type server struct {
 func (s *server) setup() error {
 	o := &s.opts
 	o.Opts = s.engine.opts
+	if o.Trace != nil {
+		return fmt.Errorf("experiment: a server run serves its arrival stream and takes no trace")
+	}
 	if o.Arrivals == nil {
 		o.Arrivals = workload.DefaultApacheStream()
 	}

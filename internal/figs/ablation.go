@@ -73,7 +73,7 @@ func (h *Harness) Ablations() error {
 					return nil, err
 				}
 				rt := cashrt.MustNew(s.Target, h.Model, v.opts)
-				res, err := experiment.Run(s.App, rt, experiment.Opts{
+				res, err := h.runBatch(s.App, rt, experiment.Opts{
 					Target:    s.Target,
 					Model:     h.Model,
 					Tolerance: 0.10,

@@ -83,7 +83,9 @@ func (h *Harness) runCells(units []supervise.Unit) []supervise.Report {
 		Seed:       h.Seed,
 		Journal:    h.journal,
 	})
+	h.traces.open()
 	reps := sup.Run(units)
+	h.traces.close()
 	for _, r := range reps {
 		switch {
 		case r.FromJournal:

@@ -42,6 +42,7 @@ type Harness struct {
 	journalOnce sync.Once
 	sweepOnce   sync.Once
 	simPools    sync.Map // ssim.SteeringPolicy → *ssim.SimPool
+	traces      traceSlots
 }
 
 // New builds a harness writing to out, loading any cached
@@ -192,7 +193,7 @@ func (h *Harness) setup(app workload.App) (appSetup, error) {
 // run executes one (app, allocator) experiment with the harness
 // defaults.
 func (h *Harness) run(s appSetup, policy alloc.Allocator) (experiment.Result, error) {
-	return experiment.Run(s.App, policy, experiment.Opts{
+	return h.runBatch(s.App, policy, experiment.Opts{
 		Target:    s.Target,
 		Model:     h.Model,
 		Tolerance: 0.10,

@@ -121,7 +121,7 @@ func (h *Harness) Reliability() ([]ReliabilityRow, error) {
 						opts.Faults = &fault.Schedule{}
 					}
 					policy := p.build()
-					res, err := experiment.Run(app, policy, opts)
+					res, err := h.runBatch(app, policy, opts)
 					if err != nil {
 						return nil, err
 					}

@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"math"
 	"sync"
-	"sync/atomic"
 
 	"cash/internal/cost"
 	"cash/internal/isim"
@@ -453,12 +452,12 @@ func (db *DB) measureApp(app workload.App, cfg vcore.Config, src ssim.InstrSourc
 // fetch.
 //
 // A cold cycle-tier sweep generates the app's stream once: it records
-// the whole trace (if it fits traceBudget), measures every missing
-// configuration from its own reader of it, and drops it on return. The
-// replay is instruction-for-instruction the generated stream, so the
-// characterisations are bit-identical either way. The interval tier
-// always generates: its model skips spans of a workload.Gen, which a
-// replay does not offer.
+// the whole trace (if it fits the process-wide workload.TraceBudget),
+// measures every missing configuration from its own reader of it, and
+// drops it on return. The replay is instruction-for-instruction the
+// generated stream, so the characterisations are bit-identical either
+// way. The interval tier always generates: its model skips spans of a
+// workload.Gen, which a replay does not offer.
 func (db *DB) CharacterizeApp(app workload.App) {
 	t := db.table(app)
 	var missing []int
@@ -469,8 +468,8 @@ func (db *DB) CharacterizeApp(app workload.App) {
 	}
 	var tr *workload.Trace
 	if db.Tier == isim.TierCycle && len(missing) >= 2 {
-		if size := workload.TraceBytes(app); reserveTrace(size) {
-			defer traceHeld.Add(-size)
+		if size := workload.TraceBytes(app); workload.ReserveTrace(size) {
+			defer workload.ReleaseTrace(size)
 			tr = workload.Record(app, db.Seed)
 			db.mu.Lock()
 			db.recorded++
@@ -480,30 +479,6 @@ func (db *DB) CharacterizeApp(app workload.App) {
 	par.Resolve(db.Pool).ForEach(len(missing), func(i int) {
 		db.characterize(app, space[missing[i]], tr)
 	})
-}
-
-// traceBudget caps the bytes held by all live recorded traces in the
-// process: one or two full-scale suite apps' traces (57–122 MB each)
-// fit at once; x264's (288 MB) never does, and its sweep generates per
-// configuration.
-const traceBudget = 256 << 20
-
-// traceHeld is the bytes reserved by live traces.
-var traceHeld atomic.Int64
-
-// reserveTrace reserves size bytes of traceBudget, reporting false
-// (reserving nothing) when they do not fit. The caller releases a
-// successful reservation with traceHeld.Add(-size).
-func reserveTrace(size int64) bool {
-	for {
-		held := traceHeld.Load()
-		if held+size > traceBudget {
-			return false
-		}
-		if traceHeld.CompareAndSwap(held, held+size) {
-			return true
-		}
-	}
 }
 
 // Grid returns the 8×8 IPC surface of one phase: grid[s-1][l2Idx]

@@ -30,15 +30,15 @@ func cacheBytes(t *testing.T, db *DB) []byte {
 	return b
 }
 
-// holdTraceBudget reserves the whole trace budget until t ends,
-// as if other sweeps' traces held it: every sweep meanwhile is over
-// budget and falls back to per-configuration generation.
+// holdTraceBudget reserves the whole process-wide trace budget until t
+// ends, as if other sweeps' traces held it: every sweep meanwhile is
+// over budget and falls back to per-configuration generation.
 func holdTraceBudget(t *testing.T) {
 	t.Helper()
-	if !reserveTrace(traceBudget) {
-		t.Fatalf("trace budget already holds %d bytes", traceHeld.Load())
+	if !workload.ReserveTrace(workload.TraceBudget) {
+		t.Fatalf("trace budget already holds %d bytes", workload.TraceHeld())
 	}
-	t.Cleanup(func() { traceHeld.Add(-traceBudget) })
+	t.Cleanup(func() { workload.ReleaseTrace(workload.TraceBudget) })
 }
 
 // TestReplaySweepMatchesGeneration pins the replay's bit-identity: a
@@ -57,7 +57,7 @@ func TestReplaySweepMatchesGeneration(t *testing.T) {
 				t.Fatalf("replayed sweep recorded %d traces and measured %d cells, want 1 and %d",
 					replayed.recorded, replayed.measured, spaceSize)
 			}
-			if held := traceHeld.Load(); held != 0 {
+			if held := workload.TraceHeld(); held != 0 {
 				t.Fatalf("%d trace bytes still reserved after the sweep returned", held)
 			}
 
@@ -75,28 +75,6 @@ func TestReplaySweepMatchesGeneration(t *testing.T) {
 			}
 		})
 	}
-}
-
-// TestReserveTraceBudget checks the reservation arithmetic: nothing
-// past the budget is granted, and a release frees its bytes.
-func TestReserveTraceBudget(t *testing.T) {
-	if reserveTrace(traceBudget + 1) {
-		t.Fatal("a reservation larger than the budget was granted")
-	}
-	if !reserveTrace(traceBudget - 1) {
-		t.Fatal("a reservation inside the budget was refused")
-	}
-	if !reserveTrace(1) {
-		t.Fatal("the budget's last byte was refused")
-	}
-	if reserveTrace(1) {
-		t.Fatal("a reservation past a full budget was granted")
-	}
-	traceHeld.Add(-traceBudget)
-	if !reserveTrace(1) {
-		t.Fatal("released bytes were not reusable")
-	}
-	traceHeld.Add(-1)
 }
 
 // TestSweepRecordsOnlyCold checks every path that must keep generating

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"cash/internal/isa"
@@ -155,11 +156,19 @@ func FuzzGenTrace(f *testing.F) {
 // records: for a valid multi-phase app, a seed and a sequence of buffer
 // sizes, each TraceReader.Next must return the chunk Gen.Next returns —
 // the same length (so both stop at phase boundaries) and the same
-// instructions — and both streams must end on the same call.
+// instructions — and after every call the reader's Done and PhaseIndex
+// must answer as the generator's do, so both streams end on the same
+// call. A size byte b asks for b instructions, except that 254 asks for
+// exactly the rest of the current phase (a chunk ending on the phase
+// boundary) and 255 for 512, the simulator's staging buffer: a batch
+// run samples PhaseIndex while that many instructions may still be
+// staged ahead of it.
 func FuzzTraceReplay(f *testing.F) {
 	f.Add(uint8(3), uint16(700), uint16(8), uint64(1), []byte{63, 0, 200, 7})
 	f.Add(uint8(0), uint16(0), uint16(0), uint64(0), []byte{})
 	f.Add(uint8(5), uint16(129), uint16(512), uint64(42), []byte{128})
+	f.Add(uint8(4), uint16(300), uint16(64), uint64(42), []byte{0, 1, 255})
+	f.Add(uint8(5), uint16(999), uint16(16), uint64(9), []byte{254, 1, 254, 255, 0})
 	f.Fuzz(func(t *testing.T, phases uint8, instrs, wsKB uint16, seed uint64, sizes []byte) {
 		app := App{Name: "replay"}
 		for i := 0; i <= int(phases%6); i++ {
@@ -175,20 +184,32 @@ func FuzzTraceReplay(f *testing.F) {
 		if err := app.Validate(); err != nil {
 			t.Fatal(err)
 		}
-		if len(sizes) == 0 {
-			sizes = []byte{63}
+		if !slices.ContainsFunc(sizes, func(b byte) bool { return b != 0 }) {
+			sizes = append(sizes, 63) // some call must make progress
 		}
 
 		g := NewGen(app, seed)
 		r := Record(app, seed).Reader()
-		want := make([]isa.Instr, 256)
-		got := make([]isa.Instr, 256)
-		if gn, rn := g.Next(want[:0]), r.Next(got[:0]); gn != 0 || rn != 0 {
-			t.Fatalf("empty buffer: generator returned %d, replay %d", gn, rn)
+		// Room for a whole phase, the largest chunk a 254 asks for.
+		want := make([]isa.Instr, 5000)
+		got := make([]isa.Instr, 5000)
+		same := func(when string) {
+			t.Helper()
+			if g.Done() != r.Done() || g.PhaseIndex() != r.PhaseIndex() {
+				t.Fatalf("%s: generator done=%v phase=%d, replay done=%v phase=%d",
+					when, g.Done(), g.PhaseIndex(), r.Done(), r.PhaseIndex())
+			}
 		}
+		same("before the first call")
 		var emitted int64
 		for call := 0; !g.Done(); call++ {
-			size := 1 + int(sizes[call%len(sizes)])
+			size := int(sizes[call%len(sizes)])
+			switch size {
+			case 254:
+				size = int(g.PhaseRemaining())
+			case 255:
+				size = 512
+			}
 			gn, rn := g.Next(want[:size]), r.Next(got[:size])
 			if gn != rn {
 				t.Fatalf("call %d (buffer %d, %d emitted): generator returned %d, replay %d", call, size, emitted, gn, rn)
@@ -199,6 +220,7 @@ func FuzzTraceReplay(f *testing.F) {
 				}
 			}
 			emitted += int64(gn)
+			same(fmt.Sprintf("after call %d (buffer %d, %d emitted)", call, size, emitted))
 		}
 		if emitted != app.TotalInstrs() {
 			t.Fatalf("streams emitted %d instructions, app has %d", emitted, app.TotalInstrs())
@@ -206,5 +228,6 @@ func FuzzTraceReplay(f *testing.F) {
 		if rn := r.Next(got); rn != 0 {
 			t.Fatalf("replay returned %d instructions after the generator's stream ended", rn)
 		}
+		same("after the end")
 	})
 }

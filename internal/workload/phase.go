@@ -15,6 +15,7 @@ package workload
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // InstrMix gives the fraction of dynamic instructions in each class.
@@ -197,6 +198,13 @@ func (a App) TotalInstrs() int64 {
 		n += p.Instrs
 	}
 	return n
+}
+
+// Equal reports whether a and b are the same definition: the same name
+// and the same phases, field for field, so they generate the same
+// stream for any seed.
+func (a App) Equal(b App) bool {
+	return a.Name == b.Name && slices.Equal(a.Phases, b.Phases)
 }
 
 // Validate checks the whole application definition.
