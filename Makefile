@@ -93,17 +93,16 @@ calib: build
 # reuse the on-disk characterisation cache — an existing
 # CASH_ORACLE_CACHE is respected, otherwise a scratch default keeps
 # repeated runs cheap. CASH_BENCH_SCALE shrinks the workloads (CI's
-# bench-smoke job uses that). BENCH_OUT names the output file, and
-# BENCH_COMPARE a reference BENCH.json whose allocs/op the
-# allocation-gated benchmarks must match exactly (benchjson -compare;
-# CI's bench-smoke job gates on the committed BENCH.json this way).
+# bench-smoke job uses that). BENCH_COMPARE names a reference
+# BENCH.json whose allocs/op the allocation-gated benchmarks must match
+# exactly (benchjson -compare; it is read before BENCH.json is
+# rewritten, so CI's bench-smoke job gates on the committed file).
 BENCH_COUNT ?= 3
 BENCH_BASELINE ?= 5.22
-BENCH_OUT ?= BENCH.json
 BENCH_COMPARE ?=
 
 bench:
 	CASH_ORACLE_CACHE=$${CASH_ORACLE_CACHE:-/tmp/cash-bench-oracle.gob} \
 		$(GO) test -run '^$$' -bench . -benchmem -count $(BENCH_COUNT) . \
-		| $(GO) run ./cmd/benchjson -o $(BENCH_OUT) -baseline $(BENCH_BASELINE) \
+		| $(GO) run ./cmd/benchjson -o BENCH.json -baseline $(BENCH_BASELINE) \
 			$(if $(BENCH_COMPARE),-compare $(BENCH_COMPARE))

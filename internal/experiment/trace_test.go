@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -15,7 +16,10 @@ import (
 // TestRunTraceMatchesGeneration: a batch run that replays a recorded
 // trace returns a Result deeply equal to the run that generates its
 // stream, for a plain CASH run and for the pinned faulted run (whose
-// digest the replay must also reproduce). A trace recorded under
+// digest the replay must also reproduce). Since the results cannot
+// tell the two apart, the test also checks that a run given a trace
+// reads from a replay of it and one without reads from a generator. A
+// trace recorded under
 // another seed or from another scale of the app is refused, and so is
 // any trace handed to a server run.
 func TestRunTraceMatchesGeneration(t *testing.T) {
@@ -29,7 +33,21 @@ func TestRunTraceMatchesGeneration(t *testing.T) {
 			}
 			return res
 		}
-		generated, replayed := run(nil), run(workload.Record(app, DefaultSeed))
+		tr := workload.Record(app, DefaultSeed)
+		generated, replayed := run(nil), run(tr)
+		for _, c := range []struct {
+			tr   *workload.Trace
+			want string
+		}{{nil, "*workload.Gen"}, {tr, "*workload.TraceReader"}} {
+			b := &batch{app: app}
+			b.opts = Opts{Target: 0.4, Trace: c.tr}.withDefaults()
+			if err := b.setup(); err != nil {
+				t.Fatal(err)
+			}
+			if got := fmt.Sprintf("%T", b.src); got != c.want {
+				t.Errorf("a batch run given trace %p reads from a %s, want a %s", c.tr, got, c.want)
+			}
+		}
 		if len(generated.Samples) < 2 || generated.ReconfigCount == 0 {
 			t.Fatalf("the run is too short to compare: %d samples, %d reconfigurations",
 				len(generated.Samples), generated.ReconfigCount)

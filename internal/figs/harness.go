@@ -148,6 +148,9 @@ func (h *Harness) characterize(app workload.App) {
 			h.DB.Pool = par.New(h.SweepPar)
 		}
 	})
+	if size := h.DB.SweepTraceBytes(app); size > 0 {
+		h.traces.yield(size)
+	}
 	start := time.Now()
 	h.DB.CharacterizeApp(app)
 	if d := time.Since(start); d > time.Second {

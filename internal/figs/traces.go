@@ -14,15 +14,17 @@ import (
 // same seed, so its cells record an app's stream once and replay it to
 // every run instead of generating it each time (DESIGN.md §3e). Memory
 // stays bounded twice over: the harness holds at most max(Jobs, 1)
-// traces, evicting the least recently used one no running cell holds,
-// and every trace is reserved against the process-wide
-// workload.TraceBudget before it is recorded. Traces live only while a
-// figure's cells run: the last cell to finish releases them, so an idle
-// harness holds none of the budget. A run that finds no free slot, no
-// room in the budget or no figure running (a timed-out cell that runs
-// on) generates its stream as before; the replay is
-// instruction-for-instruction the generated stream, so no result
-// depends on which happened.
+// traces, and every trace is reserved against the process-wide
+// workload.TraceBudget before it is recorded. Slots no running cell
+// holds are evicted, least recently used first, whenever a new slot
+// needs their place or their bytes, and whenever a cold oracle sweep
+// needs their bytes (yield), so idle slots never starve another
+// recording. Traces live only while a figure's cells run: the last cell
+// to finish releases them, so an idle harness holds none of the budget.
+// A run that finds no free slot, no room in the budget or no figure
+// running (a timed-out cell that runs on) generates its stream as
+// before; the replay is instruction-for-instruction the generated
+// stream, so no result depends on which happened.
 type traceSlots struct {
 	mu       sync.Mutex
 	figures  int          // figures whose cells are running
@@ -56,9 +58,11 @@ func (s *traceSlots) close() {
 	s.mu.Unlock()
 }
 
-// hold returns the slot of (app, seed), taking a free slot for it if
-// none holds it yet, or nil when every slot is in use, the trace does
-// not fit the budget or no figure is running. Pair it with drop.
+// hold returns the slot of (app, seed), taking a new slot for it if
+// none holds it yet: idle slots are evicted, least recently used first,
+// until the slots are under limit and the trace fits the budget. It
+// returns nil when that is not enough (every slot is in use, or the
+// budget is held elsewhere) or no figure is running. Pair it with drop.
 func (s *traceSlots) hold(app workload.App, seed uint64, limit int) *traceSlot {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -71,12 +75,17 @@ func (s *traceSlots) hold(app workload.App, seed uint64, limit int) *traceSlot {
 		sl = s.slots[i]
 		s.slots = slices.Delete(s.slots, i, i+1)
 	} else {
+		size := workload.TraceBytes(app)
+		if size > workload.TraceBudget {
+			return nil // never fits: keep the idle slots
+		}
 		if len(s.slots) >= limit && !s.evict() {
 			return nil
 		}
-		size := workload.TraceBytes(app)
-		if !workload.ReserveTrace(size) {
-			return nil
+		for !workload.ReserveTrace(size) {
+			if !s.evict() {
+				return nil
+			}
 		}
 		sl = &traceSlot{app: app, seed: seed, size: size}
 	}
@@ -95,6 +104,17 @@ func (s *traceSlots) evict() bool {
 	workload.ReleaseTrace(s.slots[i].size)
 	s.slots = slices.Delete(s.slots, i, i+1)
 	return true
+}
+
+// yield evicts slots no cell holds, least recently used first, until
+// size more bytes fit the trace budget or no idle slot is left, so a
+// cold oracle sweep about to record a trace of that size is not starved
+// by slots no cell is using.
+func (s *traceSlots) yield(size int64) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for size <= workload.TraceBudget && workload.TraceHeld()+size > workload.TraceBudget && s.evict() {
+	}
 }
 
 // drop ends a cell's hold on sl (nil is a no-op).

@@ -68,6 +68,66 @@ func TestTraceSlots(t *testing.T) {
 	}
 }
 
+// TestTraceSlotsBudget checks the slot rule where the process-wide
+// budget, not the slot limit, is the constraint: with room left for one
+// trace, a miss evicts the idle slot to fit and a miss while a cell
+// holds the slot gets none; a trace larger than the whole budget evicts
+// nothing; and yield gives a cold sweep an idle slot's bytes, but only
+// when the sweep's trace would not fit otherwise.
+func TestTraceSlotsBudget(t *testing.T) {
+	var s traceSlots
+	hmmer, _ := workload.ByName("hmmer")
+	mcf, _ := workload.ByName("mcf")
+	x264, _ := workload.ByName("x264")
+	a, b := hmmer.Scale(0.001), mcf.Scale(0.001)
+	sa, sb := workload.TraceBytes(a), workload.TraceBytes(b)
+	if workload.TraceBytes(x264) <= workload.TraceBudget {
+		t.Fatalf("full-scale x264's trace (%d bytes) fits the budget", workload.TraceBytes(x264))
+	}
+	elsewhere := workload.TraceBudget - max(sa, sb)
+	if !workload.ReserveTrace(elsewhere) {
+		t.Fatalf("trace budget already holds %d bytes", workload.TraceHeld())
+	}
+	defer workload.ReleaseTrace(elsewhere)
+
+	s.open()
+	defer s.close()
+	first := s.hold(a, 42, 4)
+	if first == nil {
+		t.Fatal("a trace that fits the budget got no slot")
+	}
+	if s.hold(b, 42, 4) != nil {
+		t.Fatal("a second trace got a slot over the budget while a cell held the first")
+	}
+	s.yield(sa)
+	if len(s.slots) != 1 {
+		t.Fatal("yield evicted a slot a cell holds")
+	}
+	s.drop(first)
+
+	if s.hold(x264, 42, 1) != nil || len(s.slots) != 1 {
+		t.Fatalf("a trace over the whole budget got a slot or evicted one (%d slots left)", len(s.slots))
+	}
+	s.yield(workload.TraceBytes(x264))
+	if len(s.slots) != 1 {
+		t.Fatal("yield for a trace over the whole budget evicted an idle slot")
+	}
+
+	second := s.hold(b, 42, 4)
+	if second == nil || len(s.slots) != 1 || workload.TraceHeld() != elsewhere+sb {
+		t.Fatalf("a miss over the budget did not evict the idle slot: %d slots, %d bytes reserved", len(s.slots), workload.TraceHeld())
+	}
+	s.drop(second)
+	s.yield(workload.TraceBudget - elsewhere - sb)
+	if len(s.slots) != 1 {
+		t.Fatal("yield evicted an idle slot for a trace that fits beside it")
+	}
+	s.yield(sa)
+	if len(s.slots) != 0 || workload.TraceHeld() != elsewhere {
+		t.Fatalf("yield left %d idle slots and %d reserved bytes for a sweep that needs their room", len(s.slots), workload.TraceHeld())
+	}
+}
+
 // TestTraceFallbackKeepsReport: with the process-wide trace budget
 // held elsewhere, a harness records nothing and every run generates its
 // stream, and the report is byte-identical to one whose runs replay a
@@ -108,4 +168,41 @@ func TestTraceFallbackKeepsReport(t *testing.T) {
 			t.Errorf("report differs when every run generates:\n--- replayed\n%s\n--- generated\n%s", replayed, got)
 		}
 	}()
+}
+
+// TestColdSweepReclaimsIdleSlots: before a cold oracle sweep records
+// its trace, the harness evicts idle slots whose bytes it needs, so
+// slots no cell is using never push the sweep onto its per-
+// configuration fallback; before a warm sweep, which records nothing,
+// it keeps them.
+func TestColdSweepReclaimsIdleSlots(t *testing.T) {
+	if testing.Short() {
+		t.Skip("characterisation sweep in -short mode")
+	}
+	var buf bytes.Buffer
+	h := testHarness(&buf)
+	app, err := h.app("hmmer")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mcf, _ := workload.ByName("mcf")
+	idle := mcf.Scale(0.001)
+	elsewhere := workload.TraceBudget - workload.TraceBytes(app) - workload.TraceBytes(idle) + 1
+	if !workload.ReserveTrace(elsewhere) {
+		t.Fatalf("trace budget already holds %d bytes", workload.TraceHeld())
+	}
+	defer workload.ReleaseTrace(elsewhere)
+
+	h.traces.open()
+	defer h.traces.close()
+	h.traces.drop(h.traces.hold(idle, 42, 1))
+	h.characterize(app)
+	if len(h.traces.slots) != 0 || workload.TraceHeld() != elsewhere {
+		t.Fatalf("the cold sweep left %d idle slots and %d reserved bytes", len(h.traces.slots), workload.TraceHeld())
+	}
+	h.traces.drop(h.traces.hold(idle, 42, 1))
+	h.characterize(app)
+	if len(h.traces.slots) != 1 {
+		t.Fatal("a warm sweep evicted an idle slot")
+	}
 }

@@ -460,14 +460,9 @@ func (db *DB) measureApp(app workload.App, cfg vcore.Config, src ssim.InstrSourc
 // workload.Gen, which a replay does not offer.
 func (db *DB) CharacterizeApp(app workload.App) {
 	t := db.table(app)
-	var missing []int
-	for i := range space {
-		if t.have&(1<<uint(i)) == 0 {
-			missing = append(missing, i)
-		}
-	}
+	missing := t.missing()
 	var tr *workload.Trace
-	if db.Tier == isim.TierCycle && len(missing) >= 2 {
+	if db.recordsSweep(len(missing)) {
 		if size := workload.TraceBytes(app); workload.ReserveTrace(size) {
 			defer workload.ReleaseTrace(size)
 			tr = workload.Record(app, db.Seed)
@@ -479,6 +474,37 @@ func (db *DB) CharacterizeApp(app workload.App) {
 	par.Resolve(db.Pool).ForEach(len(missing), func(i int) {
 		db.characterize(app, space[missing[i]], tr)
 	})
+}
+
+// SweepTraceBytes returns the bytes of workload.TraceBudget that
+// CharacterizeApp(app) would ask for if called now: the app's whole
+// trace when the sweep is cold enough to record one, 0 when it would
+// record none (a warm table, one configuration missing, the interval
+// tier).
+func (db *DB) SweepTraceBytes(app workload.App) int64 {
+	t := db.table(app)
+	if !db.recordsSweep(len(t.missing())) {
+		return 0
+	}
+	return workload.TraceBytes(app)
+}
+
+// recordsSweep reports whether a sweep measuring missing configurations
+// records the app's stream instead of generating it per configuration.
+func (db *DB) recordsSweep(missing int) bool {
+	return db.Tier == isim.TierCycle && missing >= 2
+}
+
+// missing returns the indices of the configurations t has no
+// characterisation of yet.
+func (t *appTable) missing() []int {
+	var out []int
+	for i := range space {
+		if t.have&(1<<uint(i)) == 0 {
+			out = append(out, i)
+		}
+	}
+	return out
 }
 
 // Grid returns the 8×8 IPC surface of one phase: grid[s-1][l2Idx]

@@ -80,19 +80,29 @@ func TestReplaySweepMatchesGeneration(t *testing.T) {
 // TestSweepRecordsOnlyCold checks every path that must keep generating
 // per configuration: a warm sweep, a sweep missing one configuration, a
 // lone Characterize and the interval tier, whose model needs the skips
-// only a workload.Gen offers.
+// only a workload.Gen offers. SweepTraceBytes announces exactly the
+// sweeps that record.
 func TestSweepRecordsOnlyCold(t *testing.T) {
 	app := tinyApp()
 	db := NewDB()
 	db.Pool = par.Serial()
+	announced := func(want int64) {
+		t.Helper()
+		if got := db.SweepTraceBytes(app); got != want {
+			t.Fatalf("SweepTraceBytes = %d, want %d", got, want)
+		}
+	}
+	announced(workload.TraceBytes(app))
 	db.Characterize(app, vcore.Min())
 	if db.recorded != 0 {
 		t.Fatalf("a lone Characterize recorded %d traces", db.recorded)
 	}
+	announced(workload.TraceBytes(app))
 	db.CharacterizeApp(app)
 	if db.recorded != 1 || db.measured != spaceSize {
 		t.Fatalf("cold sweep recorded %d traces and measured %d cells, want 1 and %d", db.recorded, db.measured, spaceSize)
 	}
+	announced(0)
 	db.CharacterizeApp(app)
 	if db.recorded != 1 || db.measured != spaceSize {
 		t.Fatalf("warm sweep: %d traces recorded and %d cells measured in all, want 1 and %d", db.recorded, db.measured, spaceSize)
@@ -100,6 +110,7 @@ func TestSweepRecordsOnlyCold(t *testing.T) {
 	db.mu.Lock()
 	delete(db.cache, db.key(app, vcore.Max()))
 	db.mu.Unlock()
+	announced(0)
 	db.CharacterizeApp(app)
 	if db.recorded != 1 || db.measured != spaceSize+1 {
 		t.Fatalf("sweep missing one cell: %d traces recorded and %d cells measured in all, want 1 and %d",
@@ -109,6 +120,9 @@ func TestSweepRecordsOnlyCold(t *testing.T) {
 	iv := NewDB()
 	iv.Tier = isim.TierInterval
 	iv.Pool = par.Serial()
+	if got := iv.SweepTraceBytes(app); got != 0 {
+		t.Fatalf("interval-tier SweepTraceBytes = %d, want 0", got)
+	}
 	iv.CharacterizeApp(app)
 	if iv.recorded != 0 {
 		t.Fatalf("interval-tier sweep recorded %d traces", iv.recorded)
