@@ -211,10 +211,16 @@ func BenchmarkOracle_ColdSweep(b *testing.B) {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			pool := par.New(workers)
 			b.ReportAllocs()
+			recorded := workload.TracesRecorded()
 			for i := 0; i < b.N; i++ {
 				db := oracle.NewDB()
 				db.Pool = pool
 				db.CharacterizeApp(app)
+			}
+			// No KeepTraces bracket is open, so each sweep drops its
+			// trace on return and the next fresh database records anew.
+			if n := workload.TracesRecorded() - recorded; n != int64(b.N) {
+				b.Fatalf("%d cold sweeps recorded %d traces, want one each", b.N, n)
 			}
 			b.ReportMetric(float64(workers), "workers")
 			b.ReportMetric(float64(covered)*float64(b.N)/b.Elapsed().Seconds()/1e6, "Minstr/s")

@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"cash/internal/supervise"
+	"cash/internal/workload"
 )
 
 // Every artifact enumerates its work as supervised cells: one cell is
@@ -83,9 +84,12 @@ func (h *Harness) runCells(units []supervise.Unit) []supervise.Report {
 		Seed:       h.Seed,
 		Journal:    h.journal,
 	})
-	h.traces.open()
+	// The bracket keeps an app's recorded stream live between its
+	// cells (its cold sweep's and its policy runs'), and drops every
+	// idle trace when the figure ends, so an idle harness holds none.
+	keep := workload.KeepTraces()
 	reps := sup.Run(units)
-	h.traces.close()
+	keep()
 	for _, r := range reps {
 		switch {
 		case r.FromJournal:

@@ -42,7 +42,6 @@ type Harness struct {
 	journalOnce sync.Once
 	sweepOnce   sync.Once
 	simPools    sync.Map // ssim.SteeringPolicy → *ssim.SimPool
-	traces      traceSlots
 }
 
 // New builds a harness writing to out, loading any cached
@@ -148,9 +147,6 @@ func (h *Harness) characterize(app workload.App) {
 			h.DB.Pool = par.New(h.SweepPar)
 		}
 	})
-	if size := h.DB.SweepTraceBytes(app); size > 0 {
-		h.traces.yield(size)
-	}
 	start := time.Now()
 	h.DB.CharacterizeApp(app)
 	if d := time.Since(start); d > time.Second {
@@ -202,6 +198,24 @@ func (h *Harness) run(s appSetup, policy alloc.Allocator) (experiment.Result, er
 		Tolerance: 0.10,
 		Sims:      h.sims(ssim.SteerEarliest),
 	})
+}
+
+// runBatch runs one batch experiment, replaying the app's stream from
+// the process-wide trace store (DESIGN.md §3e): a figure runs each app
+// under several policies, all on the same seed, so its runs share one
+// recording of the stream, the app's cold oracle sweep included. A run
+// whose trace does not fit the budget generates its stream; the replay
+// is instruction-for-instruction the generated stream, so no result
+// depends on which happened.
+func (h *Harness) runBatch(app workload.App, policy alloc.Allocator, opts experiment.Opts) (experiment.Result, error) {
+	seed := opts.Seed
+	if seed == 0 {
+		seed = experiment.DefaultSeed
+	}
+	tr, release := workload.HoldTrace(app, seed)
+	defer release()
+	opts.Trace = tr
+	return experiment.Run(app, policy, opts)
 }
 
 // cashAllocator builds the default CASH runtime for a target.

@@ -2,129 +2,102 @@ package figs
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
+	"cash/internal/alloc"
+	"cash/internal/experiment"
+	"cash/internal/supervise"
+	"cash/internal/vcore"
 	"cash/internal/workload"
 )
 
-// TestTraceSlots checks the slot rule: a hit reuses the slot, a miss
-// evicts the least recently used slot no cell holds, a miss with every
-// slot held gets none (and generates), and the end of the figure
-// returns every slot's reservation to the process-wide budget, a slot
-// still held by a straggling cell once that cell lets go.
-func TestTraceSlots(t *testing.T) {
-	var s traceSlots
+// recordings returns a function reporting how many traces the
+// process-wide store has recorded since recordings was called.
+func recordings() func() int64 {
+	base := workload.TracesRecorded()
+	return func() int64 { return workload.TracesRecorded() - base }
+}
+
+// traceApps returns two small apps whose batch runs are cheap.
+func traceApps() (a, b workload.App) {
 	hmmer, _ := workload.ByName("hmmer")
 	mcf, _ := workload.ByName("mcf")
-	a, b := hmmer.Scale(0.001), mcf.Scale(0.001)
+	return hmmer.Scale(0.001), mcf.Scale(0.001)
+}
 
-	if s.hold(a, 42, 1) != nil {
-		t.Fatal("a slot was taken with no figure running")
-	}
-	s.open()
-	first := s.hold(a, 42, 1)
-	if first == nil {
-		t.Fatal("an empty harness gave no slot")
-	}
-	tr := s.trace(first)
-	if !tr.Of(a, 42) || s.recorded != 1 {
-		t.Fatalf("first use recorded %d traces, want 1 of %s at seed 42", s.recorded, a.Name)
-	}
-	if held := workload.TraceHeld(); held != workload.TraceBytes(a) {
-		t.Fatalf("%d bytes reserved for one trace of %d", held, workload.TraceBytes(a))
-	}
-	if s.hold(b, 42, 1) != nil {
-		t.Fatal("a second app took the only slot while a cell held it")
-	}
-	if again := s.hold(a, 42, 1); again != first || s.trace(again) != tr {
-		t.Fatal("a second hold of the same app and seed did not share the slot")
-	} else {
-		s.drop(again)
-	}
-	s.drop(first)
-
-	other := s.hold(b, 42, 1)
-	if other == nil || other == first || !s.trace(other).Of(b, 42) {
-		t.Fatal("a miss did not evict the idle slot for the new app")
-	}
-	s.drop(other)
-	if reseeded := s.hold(b, 43, 2); reseeded == other {
-		t.Fatal("another seed shared a slot")
-	} else {
-		s.drop(reseeded)
-	}
-	if len(s.slots) != 2 {
-		t.Fatalf("%d slots held with a limit of 2", len(s.slots))
-	}
-	straggler := s.hold(a, 42, 2)
-	s.trace(straggler)
-	s.close()
-	if len(s.slots) != 1 || workload.TraceHeld() != workload.TraceBytes(a) {
-		t.Fatalf("the figure's end left %d slots and %d reserved bytes, want only the held one", len(s.slots), workload.TraceHeld())
-	}
-	s.drop(straggler)
-	if len(s.slots) != 0 || workload.TraceHeld() != 0 {
-		t.Fatalf("the straggler's drop left %d slots and %d reserved bytes", len(s.slots), workload.TraceHeld())
+// batchCell is a supervised cell making one static batch run of app at
+// seed (0: the default seed) through the harness.
+func batchCell(h *Harness, app workload.App, seed uint64) supervise.Unit {
+	return supervise.Unit{
+		Key: fmt.Sprintf("trace/%s/%d", app.Name, seed),
+		Run: func() (any, error) {
+			res, err := h.runBatch(app, alloc.Static{Cfg: vcore.Config{Slices: 2, L2KB: 128}},
+				experiment.Opts{Target: 0.3, Model: h.Model, Seed: seed})
+			return res.TotalCost, err
+		},
 	}
 }
 
-// TestTraceSlotsBudget checks the slot rule where the process-wide
-// budget, not the slot limit, is the constraint: with room left for one
-// trace, a miss evicts the idle slot to fit and a miss while a cell
-// holds the slot gets none; a trace larger than the whole budget evicts
-// nothing; and yield gives a cold sweep an idle slot's bytes, but only
-// when the sweep's trace would not fit otherwise.
-func TestTraceSlotsBudget(t *testing.T) {
-	var s traceSlots
-	hmmer, _ := workload.ByName("hmmer")
-	mcf, _ := workload.ByName("mcf")
-	x264, _ := workload.ByName("x264")
-	a, b := hmmer.Scale(0.001), mcf.Scale(0.001)
-	sa, sb := workload.TraceBytes(a), workload.TraceBytes(b)
-	if workload.TraceBytes(x264) <= workload.TraceBudget {
-		t.Fatalf("full-scale x264's trace (%d bytes) fits the budget", workload.TraceBytes(x264))
+// allOK fails t on any failed cell.
+func allOK(t *testing.T, reps []supervise.Report) {
+	t.Helper()
+	for _, r := range reps {
+		if !r.OK() {
+			t.Fatalf("cell %s failed: %s", r.Key, r.Failure.Reason())
+		}
 	}
-	elsewhere := workload.TraceBudget - max(sa, sb)
+}
+
+// TestTraceSlots: a figure's batch runs share the store's recordings.
+// With -jobs 1, a run replays the trace the previous run of its (app,
+// seed) recorded (the default seed and an explicit 42 are one stream),
+// a miss drops the idle trace of another app or seed, and the figure's
+// end drops the last idle trace. A run outside a figure records its own
+// and drops it on return.
+func TestTraceSlots(t *testing.T) {
+	var buf bytes.Buffer
+	h := testHarness(&buf)
+	h.Jobs = 1
+	a, b := traceApps()
+	recorded := recordings()
+	allOK(t, h.runCells([]supervise.Unit{
+		batchCell(h, a, 0), batchCell(h, a, experiment.DefaultSeed),
+		batchCell(h, b, 0), batchCell(h, b, 43), batchCell(h, a, 0),
+	}))
+	if recorded() != 4 {
+		t.Fatalf("the figure recorded %d traces, want 4 (a, b, b at seed 43, a again)", recorded())
+	}
+	if held := workload.TraceHeld(); held != 0 {
+		t.Fatalf("%d trace bytes still reserved after the figure returned", held)
+	}
+	if _, err := batchCell(h, a, 0).Run(); err != nil {
+		t.Fatal(err)
+	}
+	if recorded() != 5 || workload.TraceHeld() != 0 {
+		t.Fatalf("a run outside a figure made %d recordings and left %d bytes reserved, want 1 and 0",
+			recorded()-4, workload.TraceHeld())
+	}
+}
+
+// TestTraceSlotsBudget: where the process-wide budget has room for one
+// trace only, each miss of a figure drops the idle trace to fit its
+// own, so every run still replays, and the figure's end drops the last.
+func TestTraceSlotsBudget(t *testing.T) {
+	var buf bytes.Buffer
+	h := testHarness(&buf)
+	h.Jobs = 1
+	a, b := traceApps()
+	elsewhere := workload.TraceBudget - max(workload.TraceBytes(a), workload.TraceBytes(b))
 	if !workload.ReserveTrace(elsewhere) {
 		t.Fatalf("trace budget already holds %d bytes", workload.TraceHeld())
 	}
 	defer workload.ReleaseTrace(elsewhere)
-
-	s.open()
-	defer s.close()
-	first := s.hold(a, 42, 4)
-	if first == nil {
-		t.Fatal("a trace that fits the budget got no slot")
-	}
-	if s.hold(b, 42, 4) != nil {
-		t.Fatal("a second trace got a slot over the budget while a cell held the first")
-	}
-	s.yield(sa)
-	if len(s.slots) != 1 {
-		t.Fatal("yield evicted a slot a cell holds")
-	}
-	s.drop(first)
-
-	if s.hold(x264, 42, 1) != nil || len(s.slots) != 1 {
-		t.Fatalf("a trace over the whole budget got a slot or evicted one (%d slots left)", len(s.slots))
-	}
-	s.yield(workload.TraceBytes(x264))
-	if len(s.slots) != 1 {
-		t.Fatal("yield for a trace over the whole budget evicted an idle slot")
-	}
-
-	second := s.hold(b, 42, 4)
-	if second == nil || len(s.slots) != 1 || workload.TraceHeld() != elsewhere+sb {
-		t.Fatalf("a miss over the budget did not evict the idle slot: %d slots, %d bytes reserved", len(s.slots), workload.TraceHeld())
-	}
-	s.drop(second)
-	s.yield(workload.TraceBudget - elsewhere - sb)
-	if len(s.slots) != 1 {
-		t.Fatal("yield evicted an idle slot for a trace that fits beside it")
-	}
-	s.yield(sa)
-	if len(s.slots) != 0 || workload.TraceHeld() != elsewhere {
-		t.Fatalf("yield left %d idle slots and %d reserved bytes for a sweep that needs their room", len(s.slots), workload.TraceHeld())
+	recorded := recordings()
+	allOK(t, h.runCells([]supervise.Unit{batchCell(h, a, 0), batchCell(h, b, 0), batchCell(h, a, 0)}))
+	if recorded() != 3 || workload.TraceHeld() != elsewhere {
+		t.Fatalf("room for one trace: %d recordings and %d bytes reserved after the figure, want 3 and %d",
+			recorded(), workload.TraceHeld(), elsewhere)
 	}
 }
 
@@ -135,46 +108,40 @@ func TestTraceSlotsBudget(t *testing.T) {
 // so the replaying harness records exactly once, and it returns the
 // budget when the figure ends.
 func TestTraceFallbackKeepsReport(t *testing.T) {
-	run := func() (string, int) {
+	run := func() (string, int64) {
 		var buf bytes.Buffer
 		h := reliabilityHarness(&buf)
+		recorded := recordings()
 		if _, err := h.Reliability(); err != nil {
 			t.Fatal(err)
 		}
-		if held := workload.TraceHeld(); held != 0 {
-			t.Fatalf("%d trace bytes still reserved after the figure returned", held)
-		}
-		return buf.String(), h.traces.recorded
+		return buf.String(), recorded()
 	}
 	replayed, recorded := run()
 	if recorded != 1 {
 		t.Fatalf("replaying harness recorded %d traces, want 1", recorded)
 	}
+	if held := workload.TraceHeld(); held != 0 {
+		t.Fatalf("%d trace bytes still reserved after the figure returned", held)
+	}
 
 	if !workload.ReserveTrace(workload.TraceBudget) {
 		t.Fatalf("trace budget already holds %d bytes", workload.TraceHeld())
 	}
-	func() {
-		defer workload.ReleaseTrace(workload.TraceBudget)
-		var buf bytes.Buffer
-		h := reliabilityHarness(&buf)
-		if _, err := h.Reliability(); err != nil {
-			t.Fatal(err)
-		}
-		if h.traces.recorded != 0 {
-			t.Fatalf("over-budget harness recorded %d traces", h.traces.recorded)
-		}
-		if got := buf.String(); got != replayed {
-			t.Errorf("report differs when every run generates:\n--- replayed\n%s\n--- generated\n%s", replayed, got)
-		}
-	}()
+	defer workload.ReleaseTrace(workload.TraceBudget)
+	got, recorded := run()
+	if held := workload.TraceHeld(); recorded != 0 || held != workload.TraceBudget {
+		t.Fatalf("over-budget harness recorded %d traces and left %d bytes reserved", recorded, held-workload.TraceBudget)
+	}
+	if got != replayed {
+		t.Errorf("report differs when every run generates:\n--- replayed\n%s\n--- generated\n%s", replayed, got)
+	}
 }
 
-// TestColdSweepReclaimsIdleSlots: before a cold oracle sweep records
-// its trace, the harness evicts idle slots whose bytes it needs, so
-// slots no cell is using never push the sweep onto its per-
-// configuration fallback; before a warm sweep, which records nothing,
-// it keeps them.
+// TestColdSweepReclaimsIdleSlots: a cold oracle sweep inside a figure
+// drops an idle trace whose bytes it needs, records the app's stream,
+// and leaves it live for the app's policy runs, which replay it; a warm
+// sweep records nothing and drops nothing.
 func TestColdSweepReclaimsIdleSlots(t *testing.T) {
 	if testing.Short() {
 		t.Skip("characterisation sweep in -short mode")
@@ -185,24 +152,64 @@ func TestColdSweepReclaimsIdleSlots(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mcf, _ := workload.ByName("mcf")
-	idle := mcf.Scale(0.001)
-	elsewhere := workload.TraceBudget - workload.TraceBytes(app) - workload.TraceBytes(idle) + 1
+	_, idle := traceApps()
+	sApp, sIdle := workload.TraceBytes(app), workload.TraceBytes(idle)
+	elsewhere := workload.TraceBudget - sApp - sIdle + 1
 	if !workload.ReserveTrace(elsewhere) {
 		t.Fatalf("trace budget already holds %d bytes", workload.TraceHeld())
 	}
 	defer workload.ReleaseTrace(elsewhere)
 
-	h.traces.open()
-	defer h.traces.close()
-	h.traces.drop(h.traces.hold(idle, 42, 1))
-	h.characterize(app)
-	if len(h.traces.slots) != 0 || workload.TraceHeld() != elsewhere {
-		t.Fatalf("the cold sweep left %d idle slots and %d reserved bytes", len(h.traces.slots), workload.TraceHeld())
+	keep := workload.KeepTraces()
+	defer keep()
+	recorded := recordings()
+	if _, err := batchCell(h, idle, 0).Run(); err != nil {
+		t.Fatal(err)
 	}
-	h.traces.drop(h.traces.hold(idle, 42, 1))
 	h.characterize(app)
-	if len(h.traces.slots) != 1 {
-		t.Fatal("a warm sweep evicted an idle slot")
+	if recorded() != 2 || workload.TraceHeld() != elsewhere+sApp {
+		t.Fatalf("the cold sweep made %d recordings and left %d bytes reserved, want 2 and %d (the idle trace dropped)",
+			recorded(), workload.TraceHeld(), elsewhere+sApp)
+	}
+	if _, err := batchCell(h, app, 0).Run(); err != nil {
+		t.Fatal(err)
+	}
+	if recorded() != 2 {
+		t.Fatal("a policy run recorded the stream its app's sweep had just recorded")
+	}
+	h.characterize(app)
+	if recorded() != 2 || workload.TraceHeld() != elsewhere+sApp {
+		t.Fatalf("a warm sweep recorded or dropped a trace: %d recordings, %d bytes reserved", recorded(), workload.TraceHeld())
+	}
+}
+
+// TestFigureRecordsEachStreamOnce: a cold scale-0.006 Fig 7 with -jobs
+// 1 records each of the 13 apps' streams once, its sweep and its three
+// policy runs sharing the recording, and a following Fig 10 (warm
+// oracle) records each once more; the harness holds no trace between
+// figures.
+func TestFigureRecordsEachStreamOnce(t *testing.T) {
+	if testing.Short() {
+		t.Skip("cold characterisation of the suite in -short mode")
+	}
+	var buf bytes.Buffer
+	h := testHarness(&buf)
+	h.Scale = 0.006
+	h.Jobs = 1
+	apps := int64(len(workload.Apps()))
+	recorded := recordings()
+	if _, err := h.Fig7(); err != nil {
+		t.Fatal(err)
+	}
+	if recorded() != apps || workload.TraceHeld() != 0 {
+		t.Fatalf("cold Fig 7 made %d recordings and left %d bytes reserved, want %d and 0",
+			recorded(), workload.TraceHeld(), apps)
+	}
+	if _, err := h.Fig10(); err != nil {
+		t.Fatal(err)
+	}
+	if recorded() != 2*apps || workload.TraceHeld() != 0 {
+		t.Fatalf("Fig 7 + Fig 10 made %d recordings and left %d bytes reserved, want %d and 0",
+			recorded(), workload.TraceHeld(), 2*apps)
 	}
 }

@@ -63,9 +63,10 @@ func TestWarmQueryAllocsIndependentOfPhases(t *testing.T) {
 	}
 	// A warm sweep is one table fetch: it neither measures nor records
 	// a trace.
+	recorded := recordings()
 	db.CharacterizeApp(short)
 	db.CharacterizeApp(long)
-	if db.measured != 0 || db.recorded != 0 {
-		t.Fatalf("warm queries and sweeps measured %d cells and recorded %d traces", db.measured, db.recorded)
+	if db.measured != 0 || recorded() != 0 {
+		t.Fatalf("warm queries and sweeps measured %d cells and recorded %d traces", db.measured, recorded())
 	}
 }

@@ -72,9 +72,8 @@ type DB struct {
 	inflight map[string]*inflightChar
 
 	// measured counts measureApp executions, for tests asserting the
-	// in-flight deduplication (exactly one measurement per key);
-	// recorded counts the traces CharacterizeApp recorded.
-	measured, recorded int64
+	// in-flight deduplication (exactly one measurement per key).
+	measured int64
 
 	// sims/gens recycle simulator and generator state across
 	// measurements (the sweep would otherwise allocate a full memory
@@ -451,48 +450,28 @@ func (db *DB) measureApp(app workload.App, cfg vcore.Config, src ssim.InstrSourc
 // measured once and shared. On a warm database the sweep is one table
 // fetch.
 //
-// A cold cycle-tier sweep generates the app's stream once: it records
-// the whole trace (if it fits the process-wide workload.TraceBudget),
-// measures every missing configuration from its own reader of it, and
-// drops it on return. The replay is instruction-for-instruction the
-// generated stream, so the characterisations are bit-identical either
-// way. The interval tier always generates: its model skips spans of a
-// workload.Gen, which a replay does not offer.
+// A cold cycle-tier sweep missing at least two configurations replays
+// the app's stream instead of generating it per configuration: it
+// holds the one live recording of it (workload.HoldTrace, which records
+// it if it fits the process-wide workload.TraceBudget), measures every
+// missing configuration from its own reader of it, and releases it on
+// return. Concurrent sweeps of the app share the recording, as do a
+// figure's policy runs of it. The replay is instruction-for-instruction
+// the generated stream, so the characterisations are bit-identical
+// either way. The interval tier always generates: its model skips spans
+// of a workload.Gen, which a replay does not offer.
 func (db *DB) CharacterizeApp(app workload.App) {
 	t := db.table(app)
 	missing := t.missing()
 	var tr *workload.Trace
-	if db.recordsSweep(len(missing)) {
-		if size := workload.TraceBytes(app); workload.ReserveTrace(size) {
-			defer workload.ReleaseTrace(size)
-			tr = workload.Record(app, db.Seed)
-			db.mu.Lock()
-			db.recorded++
-			db.mu.Unlock()
-		}
+	if db.Tier == isim.TierCycle && len(missing) >= 2 {
+		var release func()
+		tr, release = workload.HoldTrace(app, db.Seed)
+		defer release()
 	}
 	par.Resolve(db.Pool).ForEach(len(missing), func(i int) {
 		db.characterize(app, space[missing[i]], tr)
 	})
-}
-
-// SweepTraceBytes returns the bytes of workload.TraceBudget that
-// CharacterizeApp(app) would ask for if called now: the app's whole
-// trace when the sweep is cold enough to record one, 0 when it would
-// record none (a warm table, one configuration missing, the interval
-// tier).
-func (db *DB) SweepTraceBytes(app workload.App) int64 {
-	t := db.table(app)
-	if !db.recordsSweep(len(t.missing())) {
-		return 0
-	}
-	return workload.TraceBytes(app)
-}
-
-// recordsSweep reports whether a sweep measuring missing configurations
-// records the app's stream instead of generating it per configuration.
-func (db *DB) recordsSweep(missing int) bool {
-	return db.Tier == isim.TierCycle && missing >= 2
 }
 
 // missing returns the indices of the configurations t has no

@@ -419,11 +419,16 @@ func TestParallelSweepMatchesSerial(t *testing.T) {
 
 // TestConcurrentCharacterizeShareOneSweep exercises the singleflight
 // path under -race: many goroutines characterising the same app must
-// agree and leave exactly one entry per configuration.
+// agree, leave exactly one entry per configuration, and record the
+// app's stream once between them. The test holds a KeepTraces bracket,
+// as a figure's cells do, so a sweep that starts after another has
+// released the trace still finds it live; the bracket's close drops it.
 func TestConcurrentCharacterizeShareOneSweep(t *testing.T) {
 	db := NewDB()
 	db.Pool = par.New(2)
 	app := tinyApp()
+	recorded := recordings()
+	keep := workload.KeepTraces()
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
@@ -433,8 +438,15 @@ func TestConcurrentCharacterizeShareOneSweep(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+	keep()
 	if want := len(vcore.Space()); db.Entries() != want {
 		t.Fatalf("Entries = %d, want %d", db.Entries(), want)
+	}
+	if recorded() != 1 {
+		t.Fatalf("4 concurrent cold sweeps recorded %d traces, want 1", recorded())
+	}
+	if held := workload.TraceHeld(); held != 0 {
+		t.Fatalf("%d trace bytes still reserved after the bracket closed", held)
 	}
 }
 

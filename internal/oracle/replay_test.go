@@ -6,11 +6,13 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"cash/internal/isa"
 	"cash/internal/isim"
 	"cash/internal/par"
+	"cash/internal/slice"
 	"cash/internal/ssim"
 	"cash/internal/vcore"
 	"cash/internal/workload"
@@ -41,21 +43,43 @@ func holdTraceBudget(t *testing.T) {
 	t.Cleanup(func() { workload.ReleaseTrace(workload.TraceBudget) })
 }
 
+// recordings returns a function reporting how many traces the
+// process-wide store has recorded since recordings was called.
+func recordings() func() int64 {
+	base := workload.TracesRecorded()
+	return func() int64 { return workload.TracesRecorded() - base }
+}
+
+// countGens makes db count the generators its measurements take from
+// its pool, so a test can tell a replayed sweep (none) from a
+// generated one.
+func countGens(db *DB) *atomic.Int64 {
+	var n atomic.Int64
+	db.simsOnce.Do(func() {
+		db.sims = ssim.NewSimPool(slice.DefaultConfig(), ssim.SteerEarliest)
+		db.gens.New = func() any { n.Add(1); return new(workload.Gen) }
+	})
+	return &n
+}
+
 // TestReplaySweepMatchesGeneration pins the replay's bit-identity: a
 // cold sweep measured from one recorded trace saves the same cache
 // bytes as the over-budget fallback that generates the stream per
 // configuration, at one worker and at four (under -race the four
-// workers also exercise the shared read-only trace).
+// workers also exercise the shared read-only trace). A bare sweep
+// releases its trace on return.
 func TestReplaySweepMatchesGeneration(t *testing.T) {
 	app := tinyApp()
 	for _, workers := range []int{1, 4} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			recorded := recordings()
 			replayed := NewDB()
 			replayed.Pool = par.New(workers)
+			gens := countGens(replayed)
 			replayed.CharacterizeApp(app)
-			if replayed.recorded != 1 || replayed.measured != spaceSize {
-				t.Fatalf("replayed sweep recorded %d traces and measured %d cells, want 1 and %d",
-					replayed.recorded, replayed.measured, spaceSize)
+			if recorded() != 1 || replayed.measured != spaceSize || gens.Load() != 0 {
+				t.Fatalf("replayed sweep recorded %d traces, measured %d cells and took %d generators, want 1, %d and 0",
+					recorded(), replayed.measured, gens.Load(), spaceSize)
 			}
 			if held := workload.TraceHeld(); held != 0 {
 				t.Fatalf("%d trace bytes still reserved after the sweep returned", held)
@@ -63,11 +87,12 @@ func TestReplaySweepMatchesGeneration(t *testing.T) {
 
 			generated := NewDB()
 			generated.Pool = par.New(workers)
+			gens = countGens(generated)
 			holdTraceBudget(t)
 			generated.CharacterizeApp(app)
-			if generated.recorded != 0 || generated.measured != spaceSize {
-				t.Fatalf("over-budget sweep recorded %d traces and measured %d cells, want 0 and %d",
-					generated.recorded, generated.measured, spaceSize)
+			if recorded() != 1 || generated.measured != spaceSize || gens.Load() == 0 {
+				t.Fatalf("over-budget sweep recorded %d traces, measured %d cells and took %d generators, want 0, %d and some",
+					recorded()-1, generated.measured, gens.Load(), spaceSize)
 			}
 
 			if !bytes.Equal(cacheBytes(t, replayed), cacheBytes(t, generated)) {
@@ -80,52 +105,39 @@ func TestReplaySweepMatchesGeneration(t *testing.T) {
 // TestSweepRecordsOnlyCold checks every path that must keep generating
 // per configuration: a warm sweep, a sweep missing one configuration, a
 // lone Characterize and the interval tier, whose model needs the skips
-// only a workload.Gen offers. SweepTraceBytes announces exactly the
-// sweeps that record.
+// only a workload.Gen offers.
 func TestSweepRecordsOnlyCold(t *testing.T) {
 	app := tinyApp()
 	db := NewDB()
 	db.Pool = par.Serial()
-	announced := func(want int64) {
-		t.Helper()
-		if got := db.SweepTraceBytes(app); got != want {
-			t.Fatalf("SweepTraceBytes = %d, want %d", got, want)
-		}
-	}
-	announced(workload.TraceBytes(app))
+	recorded := recordings()
 	db.Characterize(app, vcore.Min())
-	if db.recorded != 0 {
-		t.Fatalf("a lone Characterize recorded %d traces", db.recorded)
+	if recorded() != 0 {
+		t.Fatalf("a lone Characterize recorded %d traces", recorded())
 	}
-	announced(workload.TraceBytes(app))
 	db.CharacterizeApp(app)
-	if db.recorded != 1 || db.measured != spaceSize {
-		t.Fatalf("cold sweep recorded %d traces and measured %d cells, want 1 and %d", db.recorded, db.measured, spaceSize)
+	if recorded() != 1 || db.measured != spaceSize {
+		t.Fatalf("cold sweep recorded %d traces and measured %d cells, want 1 and %d", recorded(), db.measured, spaceSize)
 	}
-	announced(0)
 	db.CharacterizeApp(app)
-	if db.recorded != 1 || db.measured != spaceSize {
-		t.Fatalf("warm sweep: %d traces recorded and %d cells measured in all, want 1 and %d", db.recorded, db.measured, spaceSize)
+	if recorded() != 1 || db.measured != spaceSize {
+		t.Fatalf("warm sweep: %d traces recorded and %d cells measured in all, want 1 and %d", recorded(), db.measured, spaceSize)
 	}
 	db.mu.Lock()
 	delete(db.cache, db.key(app, vcore.Max()))
 	db.mu.Unlock()
-	announced(0)
 	db.CharacterizeApp(app)
-	if db.recorded != 1 || db.measured != spaceSize+1 {
+	if recorded() != 1 || db.measured != spaceSize+1 {
 		t.Fatalf("sweep missing one cell: %d traces recorded and %d cells measured in all, want 1 and %d",
-			db.recorded, db.measured, spaceSize+1)
+			recorded(), db.measured, spaceSize+1)
 	}
 
 	iv := NewDB()
 	iv.Tier = isim.TierInterval
 	iv.Pool = par.Serial()
-	if got := iv.SweepTraceBytes(app); got != 0 {
-		t.Fatalf("interval-tier SweepTraceBytes = %d, want 0", got)
-	}
 	iv.CharacterizeApp(app)
-	if iv.recorded != 0 {
-		t.Fatalf("interval-tier sweep recorded %d traces", iv.recorded)
+	if recorded() != 1 {
+		t.Fatalf("interval-tier sweep recorded %d traces", recorded()-1)
 	}
 }
 

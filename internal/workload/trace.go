@@ -2,6 +2,7 @@ package workload
 
 import (
 	"slices"
+	"sync"
 	"sync/atomic"
 	"unsafe"
 
@@ -26,36 +27,148 @@ type Trace struct {
 func TraceBytes(app App) int64 { return app.TotalInstrs() * instrBytes }
 
 // TraceBudget caps the bytes held by all live recorded traces in the
-// process, whoever records them (the oracle's cold sweep, the figure
-// harness's policy runs): one or two full-scale suite apps' traces
-// (57–122 MB each) fit at once; x264's (288 MB) never does, and its
-// users generate the stream instead.
+// process: one or two full-scale suite apps' traces (57–122 MB each)
+// fit at once; x264's (288 MB) never does, and its users generate the
+// stream instead.
 const TraceBudget = 256 << 20
 
-// traceHeld is the bytes reserved by live traces.
-var traceHeld atomic.Int64
+// traceStore is the process-wide store HoldTrace serves: at most one
+// live recording per (app definition, seed), each reserved against
+// TraceBudget before it is recorded.
+// Its counters change under mu and are read without it.
+type traceStore struct {
+	mu       sync.Mutex
+	live     []*storedTrace
+	brackets int          // open KeepTraces brackets
+	held     atomic.Int64 // bytes of TraceBudget reserved
+	recorded atomic.Int64 // recordings made over the process's life
+}
 
-// ReserveTrace reserves size bytes of TraceBudget, reporting false
-// (reserving nothing) when they do not fit. The caller releases a
-// successful reservation with ReleaseTrace(size) once it drops the
-// trace.
-func ReserveTrace(size int64) bool {
-	for {
-		held := traceHeld.Load()
-		if held+size > TraceBudget {
-			return false
+// storedTrace is one live recording and the count of its holders.
+type storedTrace struct {
+	app     App
+	seed    uint64
+	size    int64
+	holders int
+	ready   chan struct{} // closed once Record returns or panics
+	tr      *Trace        // nil if Record panicked
+}
+
+var traces traceStore
+
+// HoldTrace returns the one live recording of (app, seed), recording
+// it on a miss; concurrent first holders wait on a single Record. A
+// miss first drops every trace nobody holds, then reserves the new
+// trace's bytes against TraceBudget. If it still does not fit,
+// HoldTrace returns nil (and reserves nothing), and the caller
+// generates the stream instead. Call release once done reading; it is
+// a no-op when the trace is nil. Outside a KeepTraces bracket a trace
+// is dropped at its last release.
+func HoldTrace(app App, seed uint64) (tr *Trace, release func()) {
+	s := &traces
+	s.mu.Lock()
+	if i := slices.IndexFunc(s.live, func(e *storedTrace) bool { return e.seed == seed && e.app.Equal(app) }); i >= 0 {
+		e := s.live[i]
+		e.holders++
+		s.mu.Unlock()
+		<-e.ready
+		return e.tr, func() { s.release(e) }
+	}
+	size := TraceBytes(app)
+	if size <= TraceBudget {
+		s.dropUnheld()
+	}
+	if s.held.Load()+size > TraceBudget {
+		s.mu.Unlock()
+		return nil, func() {}
+	}
+	e := &storedTrace{app: app, seed: seed, size: size, holders: 1, ready: make(chan struct{})}
+	s.held.Add(size)
+	s.live = append(s.live, e)
+	s.recorded.Add(1)
+	s.mu.Unlock()
+	defer func() {
+		if e.tr == nil { // Record panicked: waiters get nil
+			s.mu.Lock()
+			s.drop(e)
+			s.mu.Unlock()
 		}
-		if traceHeld.CompareAndSwap(held, held+size) {
-			return true
+		close(e.ready)
+	}()
+	e.tr = Record(app, seed)
+	return e.tr, func() { s.release(e) }
+}
+
+// KeepTraces opens a bracket: while one is open, a trace nobody holds
+// stays live until the next miss, so a later holder replays it instead
+// of recording it again. Closing the last bracket drops every trace
+// nobody holds, so a process between brackets holds only the traces in
+// use.
+func KeepTraces() (release func()) {
+	s := &traces
+	s.mu.Lock()
+	s.brackets++
+	s.mu.Unlock()
+	return func() {
+		s.mu.Lock()
+		if s.brackets--; s.brackets == 0 {
+			s.dropUnheld()
 		}
+		s.mu.Unlock()
 	}
 }
 
-// ReleaseTrace returns size reserved bytes to TraceBudget.
-func ReleaseTrace(size int64) { traceHeld.Add(-size) }
+// release ends one hold of e.
+func (s *traceStore) release(e *storedTrace) {
+	s.mu.Lock()
+	if e.holders--; e.holders == 0 && s.brackets == 0 {
+		s.drop(e)
+	}
+	s.mu.Unlock()
+}
+
+// drop removes e from the store and returns its bytes to the budget;
+// it is a no-op once e is gone.
+func (s *traceStore) drop(e *storedTrace) {
+	if i := slices.Index(s.live, e); i >= 0 {
+		s.live = slices.Delete(s.live, i, i+1)
+		s.held.Add(-e.size)
+	}
+}
+
+// dropUnheld drops every trace nobody holds.
+func (s *traceStore) dropUnheld() {
+	s.live = slices.DeleteFunc(s.live, func(e *storedTrace) bool {
+		if e.holders == 0 {
+			s.held.Add(-e.size)
+		}
+		return e.holders == 0
+	})
+}
+
+// ReserveTrace reserves size bytes of TraceBudget for memory held
+// outside the store, reporting false (reserving nothing) when they do
+// not fit. The caller returns them with ReleaseTrace(size).
+func ReserveTrace(size int64) bool {
+	s := &traces
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.held.Load()+size > TraceBudget {
+		return false
+	}
+	s.held.Add(size)
+	return true
+}
+
+// ReleaseTrace returns size bytes reserved by ReserveTrace.
+func ReleaseTrace(size int64) { traces.held.Add(-size) }
 
 // TraceHeld returns the bytes of TraceBudget reserved right now.
-func TraceHeld() int64 { return traceHeld.Load() }
+func TraceHeld() int64 { return traces.held.Load() }
+
+// TracesRecorded returns how many recordings HoldTrace has made in this
+// process.
+func TracesRecorded() int64 { return traces.recorded.Load() }
 
 // Record generates the whole stream of (app, seed) once. The replay
 // from any of its readers is instruction-for-instruction the stream
