@@ -2,12 +2,15 @@
 # change: vet (of this module and of the perfbench benchmark program,
 # its own module, so an API change that breaks the benchmark fails
 # here) + the full test suite under the race detector. `make lint` and
-# `make fuzz-smoke` run alongside it in CI.
+# `make fuzz-smoke` run alongside it in CI. `make report-golden`
+# re-records the committed report golden (TestReportGolden) after a
+# change that is meant to move report bytes, so the diff shows in the
+# change itself.
 
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: build test vet race check bench lint fuzz-smoke chaos daemon-smoke calib
+.PHONY: build test vet race check bench lint fuzz-smoke chaos daemon-smoke calib report-golden
 
 build:
 	$(GO) build ./...
@@ -23,6 +26,12 @@ race:
 	$(GO) test -race ./...
 
 check: vet race
+
+# report-golden re-renders every artifact at scale 0.002 into
+# internal/figs/testdata/report-0.002.txt, the bytes TestReportGolden
+# compares against.
+report-golden:
+	$(GO) test ./internal/figs -run '^TestReportGolden$$' -count=1 -update
 
 # lint prefers golangci-lint (.golangci.yml) but degrades to vet + a
 # gofmt diff check where the binary is not installed, so the target is
