@@ -48,75 +48,52 @@ func (h *Harness) Ablations() error {
 		{"round-robin steering", base, ssim.SteerRoundRobin},
 	}
 
-	units := []supervise.Unit{{Key: "ablations/setup", Run: func() (any, error) {
-		app, err := h.app("x264")
-		if err != nil {
-			return nil, err
-		}
-		s, err := h.setup(app)
-		if err != nil {
-			return nil, err
-		}
-		return ablationFrame{Target: s.Target, OptCost: s.OptCost}, nil
-	}}}
+	// The setup cell and the variant cells differ in type but run as one
+	// supervised batch, so x264's trace stays live across all of them.
+	units := []supervise.Unit{cell[ablationFrame]{key: "ablations/setup", run: func() (ablationFrame, error) {
+		s, err := h.setupNamed("x264")
+		return ablationFrame{Target: s.Target, OptCost: s.OptCost}, err
+	}}.unit()}
 	for _, v := range variants {
-		v := v
-		units = append(units, supervise.Unit{
-			Key: "ablations/" + v.name,
-			Run: func() (any, error) {
-				app, err := h.app("x264")
-				if err != nil {
-					return nil, err
-				}
-				s, err := h.setup(app)
-				if err != nil {
-					return nil, err
-				}
-				rt := cashrt.MustNew(s.Target, h.Model, v.opts)
-				res, err := h.runBatch(s.App, rt, experiment.Opts{
-					Target:    s.Target,
-					Model:     h.Model,
-					Tolerance: 0.10,
-					Policy:    v.steer,
-					Sims:      h.sims(v.steer),
-				})
-				if err != nil {
-					return nil, err
-				}
-				return ablationRow{
-					Cost:          res.TotalCost,
-					ViolationRate: res.ViolationRate,
-					Reconfigs:     res.ReconfigCount,
-				}, nil
-			},
-		})
+		units = append(units, cell[ablationRow]{key: "ablations/" + v.name, run: func() (ablationRow, error) {
+			s, err := h.setupNamed("x264")
+			if err != nil {
+				return ablationRow{}, err
+			}
+			rt := cashrt.MustNew(s.Target, h.Model, v.opts)
+			res, err := h.runBatch(s.App, rt, experiment.Opts{
+				Target:    s.Target,
+				Model:     h.Model,
+				Tolerance: 0.10,
+				Policy:    v.steer,
+				Sims:      h.sims(v.steer),
+			})
+			return ablationRow{
+				Cost:          res.TotalCost,
+				ViolationRate: res.ViolationRate,
+				Reconfigs:     res.ReconfigCount,
+			}, err
+		}}.unit())
 	}
 	reps := h.runCells(units)
 
-	if !reps[0].OK() {
+	frame := decode[ablationFrame](h, reps[0])
+	if frame.failed != "" {
 		// Every variant shares the setup; without it there is nothing
 		// to normalise against.
-		h.printf("Ablations on x264: %s\n", failureLabel(reps[0]))
+		h.printf("Ablations on x264: %s\n", frame.failed)
 		return nil
 	}
-	var frame ablationFrame
-	if err := reps[0].Decode(&frame); err != nil {
-		return err
-	}
-	h.printf("Ablations on x264 (QoS target %.3f IPC, optimal cost $%.3g)\n\n", frame.Target, frame.OptCost)
+	h.printf("Ablations on x264 (QoS target %.3f IPC, optimal cost $%.3g)\n\n", frame.val.Target, frame.val.OptCost)
 	h.printf("%-28s %-10s %-8s %s\n", "variant", "cost/opt", "viol%", "reconfigs")
 	for i, v := range variants {
-		rep := reps[i+1]
-		if !rep.OK() {
-			h.printf("%-28s %s\n", v.name, failureLabel(rep))
+		o := decode[ablationRow](h, reps[i+1])
+		if o.failed != "" {
+			h.printf("%-28s %s\n", v.name, o.failed)
 			continue
 		}
-		var row ablationRow
-		if err := rep.Decode(&row); err != nil {
-			return err
-		}
 		line := fmt.Sprintf("%-28s %-10.2f %-8.1f %d",
-			v.name, row.Cost/frame.OptCost, 100*row.ViolationRate, row.Reconfigs)
+			v.name, o.val.Cost/frame.val.OptCost, 100*o.val.ViolationRate, o.val.Reconfigs)
 		h.printf("%s\n", strings.TrimRight(line, " "))
 	}
 	h.Save()

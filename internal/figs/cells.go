@@ -2,6 +2,7 @@ package figs
 
 import (
 	"fmt"
+	"io"
 	"strings"
 
 	"cash/internal/supervise"
@@ -14,7 +15,9 @@ import (
 // their JSON-marshalable results are journaled so an interrupted suite
 // resumes, and the artifact renders its report only after collection,
 // so output ordering never depends on completion order. A failed cell
-// renders as FAILED(<reason>) and the suite keeps going.
+// renders as FAILED(<reason>) and the suite keeps going. An artifact
+// declares its cells with a typed result (cell[T]) and reads them back
+// as outcomes through runTyped; no artifact decodes a report itself.
 
 // meta fingerprints the run parameters that determine cell values — the
 // seed and every Options field but the supervision ones, which it
@@ -104,10 +107,56 @@ func (h *Harness) runCells(units []supervise.Unit) []supervise.Report {
 	return reps
 }
 
+// A cell is one supervised unit whose result is a T. The journal
+// stores the T as JSON, and a resumed run decodes it back.
+type cell[T any] struct {
+	key string
+	run func() (T, error)
+}
+
+// unit adapts the cell to the supervisor.
+func (c cell[T]) unit() supervise.Unit {
+	return supervise.Unit{Key: c.key, Run: func() (any, error) { return c.run() }}
+}
+
+// An outcome is one cell's result: val when the cell completed, or
+// failed, its FAILED(<reason>) label, when it did not.
+type outcome[T any] struct {
+	val    T
+	failed string
+}
+
+// runTyped runs cells as one supervised batch and reads each result.
+func runTyped[T any](h *Harness, cells []cell[T]) []outcome[T] {
+	units := make([]supervise.Unit, len(cells))
+	for i, c := range cells {
+		units[i] = c.unit()
+	}
+	out := make([]outcome[T], len(cells))
+	for i, rep := range h.runCells(units) {
+		out[i] = decode[T](h, rep)
+	}
+	return out
+}
+
+// decode reads a report as a T. A journaled value that no longer
+// decodes fails its cell like any other error, so the rest of the
+// artifact still renders.
+func decode[T any](h *Harness, rep supervise.Report) outcome[T] {
+	if !rep.OK() {
+		return outcome[T]{failed: failureLabel(rep.Failure.Reason())}
+	}
+	var v T
+	if err := rep.Decode(&v); err != nil {
+		h.logf("# cell %s: result does not decode: %v\n", rep.Key, err)
+		return outcome[T]{failed: failureLabel(err.Error())}
+	}
+	return outcome[T]{val: v}
+}
+
 // failureLabel renders a failed cell for the report, with the reason
 // clipped so one pathological panic message cannot wreck the layout.
-func failureLabel(rep supervise.Report) string {
-	reason := rep.Failure.Reason()
+func failureLabel(reason string) string {
 	if i := strings.IndexByte(reason, '\n'); i >= 0 {
 		reason = reason[:i]
 	}
@@ -116,4 +165,20 @@ func failureLabel(rep supervise.Report) string {
 		reason = reason[:maxReason-3] + "..."
 	}
 	return "FAILED(" + reason + ")"
+}
+
+// textCell runs an artifact whose whole text is one cell, so a resumed
+// suite replays it byte for byte, and prints that text, or
+// "<title>: FAILED(<reason>)".
+func (h *Harness) textCell(key, title string, render func(io.Writer) error) {
+	o := runTyped(h, []cell[string]{{key: key, run: func() (string, error) {
+		var b strings.Builder
+		err := render(&b)
+		return b.String(), err
+	}}})[0]
+	if o.failed != "" {
+		h.printf("%s: %s\n", title, o.failed)
+		return
+	}
+	h.printf("%s", o.val)
 }

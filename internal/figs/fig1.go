@@ -3,10 +3,8 @@ package figs
 import (
 	"fmt"
 	"io"
-	"strings"
 
 	"cash/internal/stats"
-	"cash/internal/supervise"
 	"cash/internal/vcore"
 )
 
@@ -18,23 +16,7 @@ import (
 // figure is one supervised cell: its text is journaled, so a resumed
 // suite replays it byte-for-byte.
 func (h *Harness) Fig1() error {
-	reps := h.runCells([]supervise.Unit{{Key: "fig1/x264", Run: func() (any, error) {
-		var b strings.Builder
-		if err := h.fig1Render(&b); err != nil {
-			return nil, err
-		}
-		return b.String(), nil
-	}}})
-	rep := reps[0]
-	if !rep.OK() {
-		h.printf("Figure 1: %s\n", failureLabel(rep))
-		return nil
-	}
-	var text string
-	if err := rep.Decode(&text); err != nil {
-		return err
-	}
-	h.printf("%s", text)
+	h.textCell("fig1/x264", "Figure 1", h.fig1Render)
 	h.Save()
 	return nil
 }

@@ -7,7 +7,6 @@ import (
 	"cash/internal/alloc"
 	"cash/internal/cashrt"
 	"cash/internal/stats"
-	"cash/internal/supervise"
 )
 
 // AppResult is one (application, allocator) outcome for the bar charts.
@@ -45,79 +44,53 @@ func (r Fig7Result) Geomeans() map[string]float64 {
 // fig7Allocators is the comparison set of §VI-C in figure order.
 var fig7Allocators = []string{"Optimal", "ConvexOptimization", "RaceToIdle", "CASH"}
 
-// appPolicyCells builds one supervised cell per (app, allocator) pair;
-// build maps an allocator name to its policy for a given setup
-// ("Optimal" is analytic: a nil allocator reports s.OptCost directly).
-func (h *Harness) appPolicyCells(prefix string, allocators []string,
-	build func(s appSetup, allocator string) (alloc.Allocator, error)) []supervise.Unit {
-	var units []supervise.Unit
-	for _, app := range h.apps() {
-		app := app
-		for _, a := range allocators {
-			a := a
-			units = append(units, supervise.Unit{
-				Key: prefix + "/" + app.Name + "/" + a,
-				Run: func() (any, error) {
-					s, err := h.setup(app)
-					if err != nil {
-						return nil, err
-					}
-					policy, err := build(s, a)
-					if err != nil {
-						return nil, err
-					}
-					if policy == nil { // analytic optimum
-						return AppResult{Cost: s.OptCost}, nil
-					}
-					out, err := h.run(s, policy)
-					if err != nil {
-						return nil, err
-					}
-					return AppResult{Cost: out.TotalCost, ViolationRate: out.ViolationRate}, nil
-				},
-			})
-		}
+// appPolicyGrid runs one supervised cell per (app, allocator) pair and
+// folds the results into a Fig7Result. build maps an allocator name to
+// its policy for a given setup ("Optimal" is analytic: a nil allocator
+// reports s.OptCost directly). A failed cell is absent from Data; its
+// label is in the returned map, keyed "app/allocator".
+func (h *Harness) appPolicyGrid(prefix string, allocators []string,
+	build func(s appSetup, allocator string) (alloc.Allocator, error)) (Fig7Result, map[string]string) {
+	res := Fig7Result{Allocators: allocators, Data: make(map[string]map[string]AppResult)}
+	for _, a := range allocators {
+		res.Data[a] = make(map[string]AppResult)
 	}
-	return units
-}
-
-// collectCells runs the cells and folds successful results into res;
-// failures land in the returned map keyed "app/allocator".
-func (h *Harness) collectCells(res *Fig7Result, units []supervise.Unit,
-	allocators []string) map[string]supervise.Report {
-	reps := h.runCells(units)
-	failed := make(map[string]supervise.Report)
-	apps := h.apps()
-	i := 0
-	for _, app := range apps {
+	var cells []cell[AppResult]
+	for _, app := range h.apps() {
 		res.Apps = append(res.Apps, app.Name)
 		for _, a := range allocators {
-			rep := reps[i]
-			i++
-			if !rep.OK() {
-				failed[app.Name+"/"+a] = rep
-				continue
-			}
-			var v AppResult
-			if err := rep.Decode(&v); err != nil {
-				rep.Failure = &supervise.FailureRecord{
-					Key: rep.Key, Kind: supervise.FailError, Msg: err.Error(), Attempts: rep.Attempts,
+			cells = append(cells, cell[AppResult]{key: prefix + "/" + app.Name + "/" + a, run: func() (AppResult, error) {
+				s, err := h.setup(app)
+				if err != nil {
+					return AppResult{}, err
 				}
-				failed[app.Name+"/"+a] = rep
-				continue
-			}
-			res.Data[a][app.Name] = v
+				policy, err := build(s, a)
+				if err != nil || policy == nil { // nil: the analytic optimum
+					return AppResult{Cost: s.OptCost}, err
+				}
+				out, err := h.run(s, policy)
+				return AppResult{Cost: out.TotalCost, ViolationRate: out.ViolationRate}, err
+			}})
 		}
 	}
-	return failed
+	failed := make(map[string]string)
+	for i, o := range runTyped(h, cells) {
+		app, a := res.Apps[i/len(allocators)], allocators[i%len(allocators)]
+		if o.failed != "" {
+			failed[app+"/"+a] = o.failed
+			continue
+		}
+		res.Data[a][app] = o.val
+	}
+	return res, failed
 }
 
 // cellColumn renders one report column: the value when the cell
 // completed, FAILED(reason) when it did not.
-func cellColumn(res Fig7Result, failed map[string]supervise.Report,
+func cellColumn(res Fig7Result, failed map[string]string,
 	allocator, app string, format func(AppResult) string) string {
-	if rep, ok := failed[app+"/"+allocator]; ok {
-		return failureLabel(rep)
+	if label, ok := failed[app+"/"+allocator]; ok {
+		return label
 	}
 	return format(res.Data[allocator][app])
 }
@@ -127,14 +100,7 @@ func cellColumn(res Fig7Result, failed map[string]supervise.Report,
 // The Optimal row is the oracle's analytic minimum (zero violations by
 // construction, §V-C).
 func (h *Harness) Fig7() (Fig7Result, error) {
-	res := Fig7Result{
-		Allocators: fig7Allocators,
-		Data:       make(map[string]map[string]AppResult),
-	}
-	for _, a := range res.Allocators {
-		res.Data[a] = make(map[string]AppResult)
-	}
-	units := h.appPolicyCells("fig7", fig7Allocators,
+	res, failed := h.appPolicyGrid("fig7", fig7Allocators,
 		func(s appSetup, allocator string) (alloc.Allocator, error) {
 			switch allocator {
 			case "Optimal":
@@ -147,7 +113,6 @@ func (h *Harness) Fig7() (Fig7Result, error) {
 				return h.cashAllocator(s.Target), nil
 			}
 		})
-	failed := h.collectCells(&res, units, fig7Allocators)
 
 	h.printf("Figure 7: cost and QoS violations per application (lower is better)\n\n")
 	h.printf("%-12s %-10s | %-22s | %-22s | %-22s\n",
@@ -199,14 +164,7 @@ var fig10Allocators = []string{"CoarseGrain,race", "CoarseGrain,adaptive", "Fine
 // (8 Slices, 4MB) and a little core (1 Slice, 128KB).
 func (h *Harness) Fig10() (Fig7Result, error) {
 	big, _ := cashrt.BigLittle()
-	res := Fig7Result{
-		Allocators: fig10Allocators,
-		Data:       make(map[string]map[string]AppResult),
-	}
-	for _, a := range res.Allocators {
-		res.Data[a] = make(map[string]AppResult)
-	}
-	units := h.appPolicyCells("fig10", fig10Allocators,
+	res, failed := h.appPolicyGrid("fig10", fig10Allocators,
 		func(s appSetup, allocator string) (alloc.Allocator, error) {
 			switch allocator {
 			// Coarse-grain race-to-idle cannot change core type: it
@@ -221,7 +179,6 @@ func (h *Harness) Fig10() (Fig7Result, error) {
 				return h.cashAllocator(s.Target), nil
 			}
 		})
-	failed := h.collectCells(&res, units, fig10Allocators)
 
 	h.printf("Figure 10: coarse vs fine grain architectures and allocators (lower is better)\n\n")
 	h.printf("%-12s | %-20s | %-20s | %-20s | %-20s\n",

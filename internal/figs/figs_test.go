@@ -71,11 +71,7 @@ func TestFig7SingleAppShape(t *testing.T) {
 	var buf bytes.Buffer
 	h := testHarness(&buf)
 	h.Scale = 0.05
-	app, err := h.app("hmmer")
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := h.setup(app)
+	s, err := h.setupNamed("hmmer")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,7 +5,6 @@ import (
 
 	"cash/internal/fault"
 	"cash/internal/fleet"
-	"cash/internal/supervise"
 	"cash/internal/vcore"
 )
 
@@ -115,12 +114,11 @@ func (h *Harness) FleetStudy() error {
 		}},
 	}
 
-	var units []supervise.Unit
+	var cells []cell[fleetRow]
 	for _, sc := range scenarios {
-		sc := sc
-		units = append(units, supervise.Unit{
-			Key: "fleet/" + sc.key,
-			Run: func() (any, error) {
+		cells = append(cells, cell[fleetRow]{
+			key: "fleet/" + sc.key,
+			run: func() (fleetRow, error) {
 				opts := fleet.Options{
 					Chips:    chips,
 					Work:     work,
@@ -129,11 +127,11 @@ func (h *Harness) FleetStudy() error {
 				}
 				res, err := fleet.Run(opts)
 				if err != nil {
-					return nil, err
+					return fleetRow{}, err
 				}
 				replay, err := fleet.Run(opts)
 				if err != nil {
-					return nil, err
+					return fleetRow{}, err
 				}
 				s := res.Stats
 				return fleetRow{
@@ -160,19 +158,14 @@ func (h *Harness) FleetStudy() error {
 			},
 		})
 	}
-	reps := h.runCells(units)
-
 	h.printf("%-11s %6s %6s %10s %10s %6s %7s %7s %5s %6s %6s  %-14s %s\n",
 		"scenario", "ticks", "avail", "cost$", "refund$", "reexec", "orphans", "revoked", "susp", "ttr50", "ttr99", "guarantees", "digest")
-	for i, rep := range reps {
-		if !rep.OK() {
-			h.printf("# %-11s %s\n", scenarios[i].key, failureLabel(rep))
+	for i, o := range runTyped(h, cells) {
+		if o.failed != "" {
+			h.printf("# %-11s %s\n", scenarios[i].key, o.failed)
 			continue
 		}
-		var row fleetRow
-		if err := rep.Decode(&row); err != nil {
-			return err
-		}
+		row := o.val
 		guar := fmt.Sprintf("1x=%s $=%s rep=%s",
 			mark(row.ExactlyOnce), mark(row.Reconciled), mark(row.ReplayOK))
 		h.printf("%-11s %6d %6.3f %10.6f %10.6f %6d %7d %7d %5d %6d %6d  %-14s %s\n",

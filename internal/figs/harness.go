@@ -189,6 +189,15 @@ func (h *Harness) setup(app workload.App) (appSetup, error) {
 	}, nil
 }
 
+// setupNamed is setup for the suite's app called name.
+func (h *Harness) setupNamed(name string) (appSetup, error) {
+	app, err := h.app(name)
+	if err != nil {
+		return appSetup{}, err
+	}
+	return h.setup(app)
+}
+
 // run executes one (app, allocator) experiment with the harness
 // defaults.
 func (h *Harness) run(s appSetup, policy alloc.Allocator) (experiment.Result, error) {

@@ -3,7 +3,6 @@ package figs
 import (
 	"fmt"
 	"io"
-	"strings"
 	"time"
 
 	"cash/internal/alloc"
@@ -12,7 +11,6 @@ import (
 	"cash/internal/mem"
 	"cash/internal/slice"
 	"cash/internal/ssim"
-	"cash/internal/supervise"
 	"cash/internal/vcore"
 	"cash/internal/workload"
 )
@@ -59,23 +57,7 @@ func (h *Harness) Table2() {
 // but reports to the diagnostic log: it is environment noise, and the
 // report must stay byte-reproducible across resumes.
 func (h *Harness) Overhead() error {
-	reps := h.runCells([]supervise.Unit{{Key: "overhead", Run: func() (any, error) {
-		var b strings.Builder
-		if err := h.overheadRender(&b); err != nil {
-			return nil, err
-		}
-		return b.String(), nil
-	}}})
-	rep := reps[0]
-	if !rep.OK() {
-		h.printf("Section VI-A: %s\n", failureLabel(rep))
-		return nil
-	}
-	var text string
-	if err := rep.Decode(&text); err != nil {
-		return err
-	}
-	h.printf("%s", text)
+	h.textCell("overhead", "Section VI-A", h.overheadRender)
 	return nil
 }
 

@@ -9,7 +9,6 @@ import (
 	"cash/internal/fault"
 	"cash/internal/guard"
 	"cash/internal/ssim"
-	"cash/internal/supervise"
 	"cash/internal/vcore"
 	"cash/internal/workload"
 )
@@ -89,17 +88,15 @@ func (h *Harness) Reliability() ([]ReliabilityRow, error) {
 	}
 	rates := []float64{0, baseRate, 2 * baseRate}
 
-	var units []supervise.Unit
+	var cells []cell[ReliabilityRow]
 	for _, p := range policies {
-		p := p
 		for _, rate := range rates {
-			rate := rate
-			units = append(units, supervise.Unit{
-				Key: fmt.Sprintf("reliability/%s/%g", p.name, rate),
-				Run: func() (any, error) {
+			cells = append(cells, cell[ReliabilityRow]{
+				key: fmt.Sprintf("reliability/%s/%g", p.name, rate),
+				run: func() (ReliabilityRow, error) {
 					app, ok := workload.ByName("hmmer")
 					if !ok {
-						return nil, fmt.Errorf("figs: hmmer missing from the suite")
+						return ReliabilityRow{}, fmt.Errorf("figs: hmmer missing from the suite")
 					}
 					app = app.Scale(0.5 * h.Scale)
 					opts := experiment.Opts{
@@ -123,23 +120,22 @@ func (h *Harness) Reliability() ([]ReliabilityRow, error) {
 					policy := p.build()
 					res, err := h.runBatch(app, policy, opts)
 					if err != nil {
-						return nil, err
+						return ReliabilityRow{}, err
 					}
 					row := ReliabilityRow{
 						Allocator: p.name, Rate: rate,
 						Cost: res.TotalCost, ViolationRate: res.ViolationRate,
-						Stats: res.FaultStats,
+						Stats: res.FaultStats, Guard: res.Guard,
 					}
 					if rt, isCASH := policy.(*cashrt.Runtime); isCASH {
 						row.Backoffs = rt.Backoffs
 					}
-					row.Guard = res.Guard
 					return row, nil
 				},
 			})
 		}
 	}
-	reps := h.runCells(units)
+	outs := runTyped(h, cells)
 
 	h.printf("Reliability: cost and QoS under injected tile faults (4x4 chip, accelerated rates)\n\n")
 	h.printf("%-18s %-12s %10s %7s %7s %7s %7s %7s %8s %9s %6s\n",
@@ -150,16 +146,13 @@ func (h *Harness) Reliability() ([]ReliabilityRow, error) {
 	for _, p := range policies {
 		var faultFreeCost float64
 		for _, rate := range rates {
-			rep := reps[i]
+			o := outs[i]
 			i++
-			if !rep.OK() {
-				h.printf("%-18s %-12.2f %s\n", p.name, rate, failureLabel(rep))
+			if o.failed != "" {
+				h.printf("%-18s %-12.2f %s\n", p.name, rate, o.failed)
 				continue
 			}
-			var row ReliabilityRow
-			if err := rep.Decode(&row); err != nil {
-				return rows, err
-			}
+			row := o.val
 			rows = append(rows, row)
 			if rate == 0 {
 				faultFreeCost = row.Cost

@@ -2,10 +2,13 @@ package figs
 
 import (
 	"bytes"
+	"encoding/json"
 	"path/filepath"
 	"strings"
 	"testing"
 	"time"
+
+	"cash/internal/supervise"
 )
 
 // reliabilityHarness is the cheapest artifact that exercises many
@@ -198,5 +201,56 @@ func TestFreshRunIgnoresStaleJournal(t *testing.T) {
 	}
 	if !strings.Contains(log.String(), "discarded previous content") {
 		t.Errorf("journal discard must be logged:\n%s", log.String())
+	}
+}
+
+// TestUndecodableJournalValueRendersFailed: a journaled result that no
+// longer decodes as its cell's type fails that cell alone. The
+// artifact renders FAILED(<error>) in its place and every other cell
+// as usual.
+func TestUndecodableJournalValueRendersFailed(t *testing.T) {
+	cases := []struct {
+		key, value, want string
+		// rendered is a sibling cell's row that must still render.
+		rendered string
+		render   func(h *Harness) error
+	}{
+		{"reliability/CASH/0", `"not a row"`, "CASH               0.00         FAILED(json: cannot unmarshal string into Go value o...)",
+			"Static(2s/128KB)   1.60", func(h *Harness) error { _, err := h.Reliability(); return err }},
+		{"overhead", `{"not":"text"}`, "Section VI-A: FAILED(json: cannot unmarshal object into Go value o...)",
+			"", (*Harness).Overhead},
+	}
+	for _, c := range cases {
+		journal := filepath.Join(t.TempDir(), "journal.jsonl")
+		var buf bytes.Buffer
+		h := reliabilityHarness(&buf)
+		h.JournalPath, h.Resume = journal, true
+		j, err := supervise.OpenJournal(journal, h.meta(), false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := j.Record(supervise.Entry{Status: supervise.StatusOK, Key: c.key, Attempt: 1,
+			Value: json.RawMessage(c.value)}); err != nil {
+			t.Fatal(err)
+		}
+		if err := j.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.render(h); err != nil {
+			t.Fatalf("%s: an undecodable cell must not abort the artifact: %v", c.key, err)
+		}
+		if err := h.Close(); err != nil {
+			t.Fatal(err)
+		}
+		out := buf.String()
+		if !strings.Contains(out, c.want+"\n") {
+			t.Errorf("%s: report lacks %q:\n%s", c.key, c.want, out)
+		}
+		if !strings.Contains(out, c.rendered) {
+			t.Errorf("%s: sibling row %q missing:\n%s", c.key, c.rendered, out)
+		}
+		if strings.Count(out, "FAILED") != 1 {
+			t.Errorf("%s: only the undecodable cell may fail:\n%s", c.key, out)
+		}
 	}
 }

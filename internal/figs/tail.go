@@ -5,7 +5,6 @@ import (
 	"cash/internal/experiment"
 	"cash/internal/ssim"
 	"cash/internal/stats"
-	"cash/internal/supervise"
 	"cash/internal/workload"
 )
 
@@ -79,15 +78,14 @@ func (h *Harness) TailStudy() error {
 		}
 	}
 
-	var units []supervise.Unit
+	var cells []cell[tailRow]
 	for _, v := range variants {
-		v := v
-		units = append(units, supervise.Unit{
-			Key: "tail/" + streamName + "/" + v.key,
-			Run: func() (any, error) {
+		cells = append(cells, cell[tailRow]{
+			key: "tail/" + streamName + "/" + v.key,
+			run: func() (tailRow, error) {
 				stream, err := workload.StreamByName(streamName, h.Seed)
 				if err != nil {
-					return nil, err
+					return tailRow{}, err
 				}
 				opts := experiment.ServerOpts{
 					Arrivals:            stream,
@@ -109,7 +107,7 @@ func (h *Harness) TailStudy() error {
 				})
 				res, err := experiment.RunServer(policy, opts)
 				if err != nil {
-					return nil, err
+					return tailRow{}, err
 				}
 				nt := make([]float64, len(res.Samples))
 				for i, sm := range res.Samples {
@@ -137,21 +135,16 @@ func (h *Harness) TailStudy() error {
 			},
 		})
 	}
-	reps := h.runCells(units)
-
 	h.printf("%-12s %8s %8s %8s %8s  %9s %7s %9s %7s %6s %6s\n",
 		"queue", "p50", "p95", "p99", "p999", "SLO-sec", "shed", "timedout", "starved", "depth", "trips")
 	var names []string
 	var tailS [][]float64
-	for i, rep := range reps {
-		if !rep.OK() {
-			h.printf("# %-12s %s\n", variants[i].key, failureLabel(rep))
+	for i, o := range runTyped(h, cells) {
+		if o.failed != "" {
+			h.printf("# %-12s %s\n", variants[i].key, o.failed)
 			continue
 		}
-		var row tailRow
-		if err := rep.Decode(&row); err != nil {
-			return err
-		}
+		row := o.val
 		names = append(names, row.Name)
 		tailS = append(tailS, row.NormTail)
 		h.printf("%-12s %7.0fK %7.0fK %7.0fK %7.0fK  %9.4f %7d %9d %7d %6d %6d\n",

@@ -1,7 +1,9 @@
 package figs
 
 import (
-	"fmt"
+	"cmp"
+	"errors"
+	"slices"
 
 	"cash/internal/alloc"
 	"cash/internal/cashrt"
@@ -9,7 +11,6 @@ import (
 	"cash/internal/qlearn"
 	"cash/internal/ssim"
 	"cash/internal/stats"
-	"cash/internal/supervise"
 	"cash/internal/vcore"
 )
 
@@ -61,86 +62,64 @@ type seriesRow struct {
 // policy degrades to a FAILED line while the others still render.
 func (h *Harness) timeSeries(prefix, appName, title string, policyKeys []string,
 	mk func(s appSetup, key string) (alloc.Allocator, error), width int) error {
-	var units []supervise.Unit
+	var cells []cell[seriesRow]
 	for _, key := range policyKeys {
-		key := key
-		units = append(units, supervise.Unit{
-			Key: prefix + "/" + appName + "/" + key,
-			Run: func() (any, error) {
-				app, err := h.app(appName)
-				if err != nil {
-					return nil, err
-				}
-				s, err := h.setup(app)
-				if err != nil {
-					return nil, err
-				}
-				policy, err := mk(s, key)
-				if err != nil {
-					return nil, err
-				}
-				res, err := h.run(s, policy)
-				if err != nil {
-					return nil, err
-				}
-				cr := make([]float64, len(res.Samples))
-				pf := make([]float64, len(res.Samples))
-				for i, sm := range res.Samples {
-					cr[i] = sm.CostRate
-					pf[i] = sm.QoS / s.Target
-				}
-				return seriesRow{
-					Name:          policy.Name(),
-					Target:        s.Target,
-					OptCost:       s.OptCost,
-					TotalCost:     res.TotalCost,
-					ViolationRate: res.ViolationRate,
-					TotalCycles:   res.TotalCycles,
-					Cost:          stats.Resample(cr, width),
-					Perf:          stats.Resample(pf, width),
-				}, nil
-			},
-		})
+		cells = append(cells, cell[seriesRow]{key: prefix + "/" + appName + "/" + key, run: func() (seriesRow, error) {
+			s, err := h.setupNamed(appName)
+			if err != nil {
+				return seriesRow{}, err
+			}
+			policy, err := mk(s, key)
+			if err != nil {
+				return seriesRow{}, err
+			}
+			res, err := h.run(s, policy)
+			if err != nil {
+				return seriesRow{}, err
+			}
+			cr := make([]float64, len(res.Samples))
+			pf := make([]float64, len(res.Samples))
+			for i, sm := range res.Samples {
+				cr[i] = sm.CostRate
+				pf[i] = sm.QoS / s.Target
+			}
+			return seriesRow{
+				Name:          policy.Name(),
+				Target:        s.Target,
+				OptCost:       s.OptCost,
+				TotalCost:     res.TotalCost,
+				ViolationRate: res.ViolationRate,
+				TotalCycles:   res.TotalCycles,
+				Cost:          stats.Resample(cr, width),
+				Perf:          stats.Resample(pf, width),
+			}, nil
+		}})
 	}
-	reps := h.runCells(units)
+	rows := runTyped(h, cells)
 
-	rows := make([]*seriesRow, len(reps))
-	var first *seriesRow
-	for i, rep := range reps {
-		if !rep.OK() {
-			continue
-		}
-		var row seriesRow
-		if err := rep.Decode(&row); err != nil {
-			return err
-		}
-		rows[i] = &row
-		if first == nil {
-			first = &row
-		}
-	}
-	if first == nil {
+	if first := slices.IndexFunc(rows, func(o outcome[seriesRow]) bool { return o.failed == "" }); first < 0 {
 		h.printf("%s\n", title)
-		for i, key := range policyKeys {
-			h.printf("# %-20s %s\n", key, failureLabel(reps[i]))
-		}
-		h.Save()
-		return nil
+	} else {
+		h.printf("%s (QoS target %.3f IPC)\n\n", title, rows[first].val.Target)
 	}
-	h.printf("%s (QoS target %.3f IPC)\n\n", title, first.Target)
 	var names []string
 	var costSeries, perfSeries [][]float64
-	for i, row := range rows {
-		if row == nil {
-			h.printf("# %-20s %s\n", policyKeys[i], failureLabel(reps[i]))
+	for i, o := range rows {
+		if o.failed != "" {
+			h.printf("# %-20s %s\n", policyKeys[i], o.failed)
 			continue
 		}
+		row := o.val
 		names = append(names, row.Name)
 		costSeries = append(costSeries, row.Cost)
 		perfSeries = append(perfSeries, row.Perf)
 		h.printf("# %-20s total=$%.3g (%.2fx optimal)  violations=%.1f%%  cycles=%.0fM\n",
 			row.Name, row.TotalCost, row.TotalCost/row.OptCost,
 			100*row.ViolationRate, float64(row.TotalCycles)/1e6)
+	}
+	if len(names) == 0 {
+		h.Save()
+		return nil
 	}
 	h.printf("\nCost Rate ($/hour) vs time:\n%s\n",
 		stats.RenderSeries(names, costSeries, 12))
@@ -223,19 +202,10 @@ func (h *Harness) Fig9() error {
 	// 1.0. The race-to-idle server provisions the cheapest configuration
 	// that holds the latency target at peak load, found by calibration
 	// (the a-priori knowledge the paper grants race-to-idle).
-	calReps := h.runCells([]supervise.Unit{{Key: "fig9/calibrate", Run: func() (any, error) {
+	cal := runTyped(h, []cell[vcore.Config]{{key: "fig9/calibrate", run: func() (vcore.Config, error) {
 		return h.calibrateServerProvision(serverOpts)
-	}}})
-	var provision vcore.Config
-	calOK := calReps[0].OK()
-	if calOK {
-		if err := calReps[0].Decode(&provision); err != nil {
-			return err
-		}
-		h.printf("# race-to-idle provision: %s\n", provision)
-	} else {
-		h.printf("# race-to-idle provision: %s\n", failureLabel(calReps[0]))
-	}
+	}}})[0]
+	h.printf("# race-to-idle provision: %s\n", cmp.Or(cal.failed, cal.val.String()))
 
 	// Server QoS is a latency ratio, not a throughput: the batch
 	// runtime's race-to-obligation plans are meaningless here, so the
@@ -245,11 +215,10 @@ func (h *Harness) Fig9() error {
 	mk := func(key string) (alloc.Allocator, error) {
 		switch key {
 		case "RaceToIdle":
-			if !calOK {
-				return nil, fmt.Errorf("dependency: provision calibration failed: %s",
-					calReps[0].Failure.Reason())
+			if cal.failed != "" {
+				return nil, errors.New("dependency: provision calibration failed")
 			}
-			return alloc.RaceToIdle{WorstCase: provision, TargetQoS: 1.0}, nil
+			return alloc.RaceToIdle{WorstCase: cal.val, TargetQoS: 1.0}, nil
 		case "ConvexOptimization":
 			return cashrt.NewConvex(1.0, h.Model, qlearn.Prior)
 		default:
@@ -258,54 +227,46 @@ func (h *Harness) Fig9() error {
 			}), nil
 		}
 	}
-	var units []supervise.Unit
+	var cells []cell[serverRow]
 	for _, key := range policyKeys {
-		key := key
-		units = append(units, supervise.Unit{
-			Key: "fig9/apache/" + key,
-			Run: func() (any, error) {
-				policy, err := mk(key)
-				if err != nil {
-					return nil, err
-				}
-				res, err := experiment.RunServer(policy, serverOpts())
-				if err != nil {
-					return nil, err
-				}
-				rr := make([]float64, len(res.Samples))
-				cr := make([]float64, len(res.Samples))
-				nl := make([]float64, len(res.Samples))
-				for i, sm := range res.Samples {
-					rr[i] = sm.RequestRate
-					cr[i] = sm.CostRate
-					nl[i] = sm.NormLatency
-				}
-				return serverRow{
-					Name:          policy.Name(),
-					TotalCost:     res.TotalCost,
-					MeanLatency:   res.MeanLatency,
-					ViolationRate: res.ViolationRate,
-					Served:        res.Served,
-					Rate:          stats.Resample(rr, 96),
-					Cost:          stats.Resample(cr, 96),
-					Lat:           stats.Resample(nl, 96),
-				}, nil
-			},
-		})
+		cells = append(cells, cell[serverRow]{key: "fig9/apache/" + key, run: func() (serverRow, error) {
+			policy, err := mk(key)
+			if err != nil {
+				return serverRow{}, err
+			}
+			res, err := experiment.RunServer(policy, serverOpts())
+			if err != nil {
+				return serverRow{}, err
+			}
+			rr := make([]float64, len(res.Samples))
+			cr := make([]float64, len(res.Samples))
+			nl := make([]float64, len(res.Samples))
+			for i, sm := range res.Samples {
+				rr[i] = sm.RequestRate
+				cr[i] = sm.CostRate
+				nl[i] = sm.NormLatency
+			}
+			return serverRow{
+				Name:          policy.Name(),
+				TotalCost:     res.TotalCost,
+				MeanLatency:   res.MeanLatency,
+				ViolationRate: res.ViolationRate,
+				Served:        res.Served,
+				Rate:          stats.Resample(rr, 96),
+				Cost:          stats.Resample(cr, 96),
+				Lat:           stats.Resample(nl, 96),
+			}, nil
+		}})
 	}
-	reps := h.runCells(units)
 
 	var names []string
 	var rateS, costS, latS [][]float64
-	for i, rep := range reps {
-		if !rep.OK() {
-			h.printf("# %-20s %s\n", policyKeys[i], failureLabel(rep))
+	for i, o := range runTyped(h, cells) {
+		if o.failed != "" {
+			h.printf("# %-20s %s\n", policyKeys[i], o.failed)
 			continue
 		}
-		var row serverRow
-		if err := rep.Decode(&row); err != nil {
-			return err
-		}
+		row := o.val
 		names = append(names, row.Name)
 		rateS = append(rateS, row.Rate)
 		costS = append(costS, row.Cost)
