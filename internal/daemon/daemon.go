@@ -303,7 +303,9 @@ type Server struct {
 	submitted map[string]SubmitResult
 	watchers  map[*connState]uint64
 	draining  bool
-	err       error
+	// drainDeadline fires DrainTimeout after draining starts.
+	drainDeadline <-chan time.Time
+	err           error
 }
 
 // Start opens (resuming) the journal, rebuilds state, binds the socket
@@ -540,25 +542,22 @@ func ExpectedSpend(spec TenantSpec, m cost.Model) fleet.Nanos {
 func (s *Server) core() {
 	defer close(s.doneCh)
 	timer := s.clock.After(s.opts.Epoch)
-	var drainDeadline <-chan time.Time
 	for {
 		select {
 		case <-s.killCh:
 			return
 		case <-s.drainCh:
 			s.drainCh = nil // fires once
-			if !s.draining {
-				s.draining = true
-				drainDeadline = s.clock.After(s.opts.DrainTimeout)
-				s.logf("draining (timeout %v)", s.opts.DrainTimeout)
-			}
-		case <-drainDeadline:
+			s.startDrain()
+		case <-s.drainDeadline:
 			s.logf("drain timeout: abandoning %d running, %d pending cells", s.fleet.Running(), s.fleet.Pending())
 			s.finishDrain()
 			return
 		case r := <-s.reqs:
 			s.handle(r)
-			if s.draining && s.quiesced() {
+			// A drain request is acked before the daemon may exit on it:
+			// quiescence counts from the next event on.
+			if r.req.Method != MethodDrain && s.draining && s.quiesced() {
 				s.finishDrain()
 				return
 			}
@@ -588,12 +587,25 @@ func (s *Server) handle(r coreReq) {
 		s.watchers[r.c] = r.req.ID
 		s.replyOK(r, s.epochEvent(0, 0))
 	case MethodDrain:
-		s.Drain()
+		// Draining starts here, not when the core next selects drainCh,
+		// so no request handled after this ack is admitted.
+		s.startDrain()
 		s.replyOK(r, map[string]bool{"draining": true})
 	default:
 		r.c.send(Response{ID: r.req.ID, Code: CodeBadRequest,
 			Error: fmt.Sprintf("unknown method %q", r.req.Method)})
 	}
+}
+
+// startDrain stops admitting mutations and starts the drain deadline.
+// It runs on the core goroutine, for a Drain call or a drain request.
+func (s *Server) startDrain() {
+	if s.draining {
+		return
+	}
+	s.draining = true
+	s.drainDeadline = s.clock.After(s.opts.DrainTimeout)
+	s.logf("draining (timeout %v)", s.opts.DrainTimeout)
 }
 
 // handleSubmit journals and admits a tenant. The ack is sent only after

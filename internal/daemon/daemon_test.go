@@ -2,6 +2,7 @@ package daemon
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"net"
@@ -341,6 +342,28 @@ func TestDaemonShedsAtQueueCapacity(t *testing.T) {
 	}
 	if got := s.shed.Load(); got != 3 {
 		t.Fatalf("shed counter %d, want 3", got)
+	}
+}
+
+// TestDaemonRefusesSubmitAfterDrainAck: a submit the core handles after
+// acking a drain request is refused, even though the core has not
+// selected drainCh in between. The core is never started; handle runs
+// the two requests back to back, as the core does when both are
+// queued.
+func TestDaemonRefusesSubmitAfterDrainAck(t *testing.T) {
+	opts := Options{Epoch: time.Millisecond}.withDefaults()
+	s := &Server{opts: opts, clock: opts.Clock, drainCh: make(chan struct{})}
+	c := &connState{srv: s, out: make(chan []byte, 2), quit: make(chan struct{})}
+	s.handle(coreReq{req: Request{ID: 1, Method: MethodDrain}, c: c})
+	s.handle(coreReq{req: Request{ID: 2, Method: MethodSubmit}, c: c})
+	for _, want := range []string{CodeOK, CodeDraining} {
+		var resp Response
+		if err := ReadFrame(bufio.NewReader(bytes.NewReader(<-c.out)), &resp); err != nil {
+			t.Fatal(err)
+		}
+		if resp.Code != want {
+			t.Fatalf("reply %d: code %s, want %s", resp.ID, resp.Code, want)
+		}
 	}
 }
 
