@@ -1,8 +1,9 @@
-// Package par provides the process-wide bounded worker budget that
-// every simulation fan-out shares: the oracle's per-app configuration
-// sweep, the figs harness's supervised cells, and the chaos soak all
-// draw helper goroutines from one token pool, so nesting one parallel
-// layer inside another (cells × sweeps) cannot oversubscribe the host.
+// Package par provides the bounded worker budget that every
+// simulation fan-out runs on: the oracle's per-app configuration sweep
+// and the chaos soak draw helper goroutines from one process-wide token
+// pool, and the supervisor runs its cells through a pool of their own,
+// so nesting one parallel layer inside another (cells × sweeps) cannot
+// oversubscribe the host.
 //
 // The design keeps determinism trivial: a Pool never decides *what*
 // runs or in what order results are stored — callers index into

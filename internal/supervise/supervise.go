@@ -12,8 +12,9 @@ import (
 	"fmt"
 	"hash/fnv"
 	"runtime/debug"
-	"sync"
 	"time"
+
+	"cash/internal/par"
 )
 
 // FailureKind classifies why a unit failed.
@@ -136,29 +137,10 @@ func (s *Supervisor) Run(units []Unit) []Report {
 		}
 		pending = append(pending, i)
 	}
-	if len(pending) == 0 {
-		return reports
-	}
-	jobs := s.o.Jobs
-	if jobs > len(pending) {
-		jobs = len(pending)
-	}
-	work := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < jobs; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range work {
-				reports[i] = s.runOne(units[i])
-			}
-		}()
-	}
-	for _, i := range pending {
-		work <- i
-	}
-	close(work)
-	wg.Wait()
+	par.New(s.o.Jobs).ForEach(len(pending), func(k int) {
+		i := pending[k]
+		reports[i] = s.runOne(units[i])
+	})
 	return reports
 }
 
