@@ -46,14 +46,6 @@ type Stats struct {
 	Writebacks int64
 }
 
-// MissRate returns misses per access, or 0 if there were no accesses.
-func (s Stats) MissRate() float64 {
-	if s.Accesses == 0 {
-		return 0
-	}
-	return float64(s.Misses) / float64(s.Accesses)
-}
-
 // Cache is a set-associative write-back, write-allocate cache with LRU
 // replacement.
 //

@@ -51,15 +51,13 @@ type Message struct {
 	SendCycle, DeliverCycle int64
 }
 
-// Network delivers messages between registered nodes with
-// position-dependent latency. It is a discrete-event model: senders
-// call Send, and the owner advances time with DeliverUntil, which
-// invokes the destination handler for every message whose delivery
-// cycle has arrived, in delivery order.
+// Network is the CASH Runtime Interface Network: it delivers messages
+// between registered nodes with position-dependent latency
+// (CtrlLatency). It is a discrete-event model: senders call Send, and
+// the owner advances time with DeliverUntil, which invokes the
+// destination handler for every message whose delivery cycle has
+// arrived, in delivery order.
 type Network struct {
-	name     string
-	fixed    int
-	perHop   int
 	pos      map[NodeID]Coord
 	handlers map[NodeID]func(Message)
 	inflight msgHeap
@@ -71,23 +69,6 @@ type Network struct {
 // NewCtrlNetwork builds a CASH Runtime Interface Network instance.
 func NewCtrlNetwork() *Network {
 	return &Network{
-		name:     "runtime-interface",
-		fixed:    CtrlRouterDelay,
-		perHop:   CtrlHopDelay,
-		pos:      make(map[NodeID]Coord),
-		handlers: make(map[NodeID]func(Message)),
-	}
-}
-
-// NewOperandNetwork builds a scalar-operand-network instance. The
-// timing simulator usually uses OperandLatency directly on its hot
-// path; the message-level model exists for the reconfiguration
-// protocol, which moves register values between Slices.
-func NewOperandNetwork() *Network {
-	return &Network{
-		name:     "operand",
-		fixed:    OperandRouterDelay,
-		perHop:   OperandHopDelay,
 		pos:      make(map[NodeID]Coord),
 		handlers: make(map[NodeID]func(Message)),
 	}
@@ -113,13 +94,13 @@ func (n *Network) Unregister(id NodeID) {
 func (n *Network) Latency(src, dst NodeID) (int, error) {
 	a, ok := n.pos[src]
 	if !ok {
-		return 0, fmt.Errorf("noc: %s network: unknown source node %d", n.name, src)
+		return 0, fmt.Errorf("noc: runtime-interface network: unknown source node %d", src)
 	}
 	b, ok := n.pos[dst]
 	if !ok {
-		return 0, fmt.Errorf("noc: %s network: unknown destination node %d", n.name, dst)
+		return 0, fmt.Errorf("noc: runtime-interface network: unknown destination node %d", dst)
 	}
-	return n.fixed + n.perHop*Manhattan(a, b), nil
+	return CtrlLatency(Manhattan(a, b)), nil
 }
 
 // Send injects a message at the given cycle. The sequence number is

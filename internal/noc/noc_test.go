@@ -76,14 +76,14 @@ func TestNetworkDelivery(t *testing.T) {
 }
 
 func TestNetworkOrdering(t *testing.T) {
-	n := NewOperandNetwork()
+	n := NewCtrlNetwork()
 	var order []uint64
 	n.Register(1, Coord{0, 0}, func(m Message) { order = append(order, m.Seq) })
 	n.Register(2, Coord{5, 0}, nil) // far: slower
 	n.Register(3, Coord{1, 0}, nil) // near: faster
 
-	n.Send(Message{Src: 2, Dst: 1, Seq: 10}, 0) // arrives at 6
-	n.Send(Message{Src: 3, Dst: 1, Seq: 20}, 0) // arrives at 2
+	n.Send(Message{Src: 2, Dst: 1, Seq: 10}, 0) // arrives at 3+5 = 8
+	n.Send(Message{Src: 3, Dst: 1, Seq: 20}, 0) // arrives at 3+1 = 4
 	n.DeliverUntil(100)
 	if len(order) != 2 || order[0] != 20 || order[1] != 10 {
 		t.Errorf("delivery order %v, want [20 10]", order)

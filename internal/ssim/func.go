@@ -189,10 +189,6 @@ func (a *FuncStats) Add(b FuncStats) {
 // model's penalty terms.
 func (s *Sim) MemDelay() int64 { return s.memDelay }
 
-// MeanL2HitDelay exposes the current L2 placement's mean hit delay for
-// the interval model's penalty terms.
-func (s *Sim) MeanL2HitDelay() float64 { return s.l2.MeanHitDelay() }
-
 // BWLimit exposes the per-cycle fetch/commit bandwidth
 // (FetchWidth × Slices) — the structural dispatch limit of Table I that
 // floors the interval model's CPI.
