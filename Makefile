@@ -54,6 +54,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzTraceReplay -fuzztime=$(FUZZTIME) ./internal/workload/
 	$(GO) test -run='^$$' -fuzz=FuzzArrivalStream -fuzztime=$(FUZZTIME) ./internal/workload/
 	$(GO) test -run='^$$' -fuzz=FuzzReqQueue -fuzztime=$(FUZZTIME) ./internal/experiment/
+	$(GO) test -run='^$$' -fuzz=FuzzJournalReopen -fuzztime=$(FUZZTIME) ./internal/supervise/
 
 # chaos runs the chaos soak: every guard, fleet and daemon scenario
 # over the soak's default seed count. CHAOS_FLAGS passes `cashsim chaos`
@@ -103,9 +104,9 @@ calib: build
 # CASH_ORACLE_CACHE is respected, otherwise a scratch default keeps
 # repeated runs cheap. CASH_BENCH_SCALE shrinks the workloads (CI's
 # bench-smoke job uses that). BENCH_COMPARE names a reference
-# BENCH.json whose allocs/op the allocation-gated benchmarks must match
-# exactly (benchjson -compare; it is read before BENCH.json is
-# rewritten, so CI's bench-smoke job gates on the committed file).
+# BENCH.json whose allocs/op and B/op the allocation-gated benchmarks
+# must match exactly (benchjson -compare; it is read before BENCH.json
+# is rewritten, so CI's bench-smoke job gates on the committed file).
 BENCH_COUNT ?= 3
 BENCH_BASELINE ?= 5.22
 BENCH_COMPARE ?=

@@ -19,10 +19,12 @@
 //
 // With -compare REF, benchjson also holds the fresh results to the
 // BENCH.json at REF: every benchmark in allocGated must report exactly
-// the reference's allocs/op. Allocation counts are deterministic, so
-// the gate has no noise band, and one extra allocation on those paths
-// fails it. The output file is written first, then a failed comparison
-// exits 1 naming each offending benchmark.
+// the reference's allocs/op and B/op. Both are deterministic on those
+// paths at go test's default -benchtime, where b.N is large enough
+// that one-off allocations round away, so the gate has no noise band:
+// one extra allocation, or one extra byte per operation, fails it. The
+// output file is written first, then a failed comparison exits 1
+// naming each offending benchmark.
 //
 // The output contains no timestamps or host-volatile fields beyond the
 // benchmark context go test itself prints, so re-running the pipeline
@@ -109,7 +111,7 @@ func main() {
 	baseline := flag.Float64("baseline", 0,
 		"seed "+headlineMetric+" measured on this machine (0 = unknown; omits the speedup)")
 	against := flag.String("compare", "",
-		"reference BENCH.json whose allocs/op the gated benchmarks must match exactly")
+		"reference BENCH.json whose allocs/op and B/op the gated benchmarks must match exactly")
 	flag.Parse()
 
 	var ref *report
@@ -140,13 +142,14 @@ func main() {
 		if err := compare(*ref, rep); err != nil {
 			fatal(err)
 		}
-		fmt.Fprintf(os.Stderr, "benchjson: allocs/op of %s match %s\n", strings.Join(allocGated, ", "), *against)
+		fmt.Fprintf(os.Stderr, "benchjson: allocs/op and B/op of %s match %s\n", strings.Join(allocGated, ", "), *against)
 	}
 }
 
 // allocGated are the benchmarks -compare holds to the reference's
-// allocs/op exactly: paths that allocate nothing or next to nothing
-// per operation, where any extra allocation is a regression.
+// allocs/op and B/op exactly: paths that allocate nothing or next to
+// nothing per operation, where any extra allocation or byte is a
+// regression. Their B/op holds at CI's reduced CASH_BENCH_SCALE too.
 var allocGated = []string{
 	"BenchmarkOracleQueries",
 	"BenchmarkHistogramRecord",
@@ -167,13 +170,15 @@ func readReport(path string) (report, error) {
 	return r, nil
 }
 
-// compare checks every gated benchmark's allocs/op in rep against ref:
-// min and median must both equal the reference's. A gated benchmark
-// missing from either report fails too, so the gate cannot pass by a
-// benchmark no longer running.
+// gatedUnits are the metrics compare holds exactly.
+var gatedUnits = []string{"allocs/op", "B/op"}
+
+// compare checks every gated benchmark's gated units in rep against
+// ref: min and median must both equal the reference's. A gated
+// benchmark or unit missing from either report fails too, so the gate
+// cannot pass by a benchmark no longer running.
 func compare(ref, rep report) error {
-	const unit = "allocs/op"
-	find := func(r report, name string) (metric, bool) {
+	find := func(r report, name, unit string) (metric, bool) {
 		for _, b := range r.Benchmarks {
 			if base(b.Name) == name {
 				m, ok := b.Metrics[unit]
@@ -184,16 +189,18 @@ func compare(ref, rep report) error {
 	}
 	var bad []string
 	for _, name := range allocGated {
-		want, inRef := find(ref, name)
-		got, inRep := find(rep, name)
-		switch {
-		case !inRef:
-			bad = append(bad, fmt.Sprintf("%s: no %s in the reference", name, unit))
-		case !inRep:
-			bad = append(bad, fmt.Sprintf("%s: no %s in this run", name, unit))
-		case got != want:
-			bad = append(bad, fmt.Sprintf("%s: %v %s (median %v), reference %v (median %v)",
-				name, got.Min, unit, got.Median, want.Min, want.Median))
+		for _, unit := range gatedUnits {
+			want, inRef := find(ref, name, unit)
+			got, inRep := find(rep, name, unit)
+			switch {
+			case !inRef:
+				bad = append(bad, fmt.Sprintf("%s: no %s in the reference", name, unit))
+			case !inRep:
+				bad = append(bad, fmt.Sprintf("%s: no %s in this run", name, unit))
+			case got != want:
+				bad = append(bad, fmt.Sprintf("%s: %v %s (median %v), reference %v (median %v)",
+					name, got.Min, unit, got.Median, want.Min, want.Median))
+			}
 		}
 	}
 	if len(bad) > 0 {

@@ -111,12 +111,12 @@ func TestMedianEven(t *testing.T) {
 }
 
 // gatedSample is a run of every allocation-gated benchmark; wireAllocs
-// sets BenchmarkWireCodec's allocs/op.
-func gatedSample(wireAllocs int) string {
+// sets BenchmarkWireCodec's allocs/op and wireBytes its B/op.
+func gatedSample(wireAllocs, wireBytes int) string {
 	return sample + `BenchmarkOracleQueries-8   	   20000	     53101 ns/op	    1600 B/op	       6 allocs/op
 BenchmarkHistogramRecord-8 	100000000	         6.9 ns/op	       0 B/op	       0 allocs/op
 BenchmarkRuntimeDecide-8   	 1000000	      1150 ns/op	      48 B/op	       1 allocs/op
-BenchmarkWireCodec-8       	  100000	     10563 ns/op	    1744 B/op	      ` + strconv.Itoa(wireAllocs) + ` allocs/op
+BenchmarkWireCodec-8       	  100000	     10563 ns/op	    ` + strconv.Itoa(wireBytes) + ` B/op	      ` + strconv.Itoa(wireAllocs) + ` allocs/op
 `
 }
 
@@ -125,11 +125,11 @@ BenchmarkWireCodec-8       	  100000	     10563 ns/op	    1744 B/op	      ` + st
 // extra allocation fails naming the benchmark, and a gated benchmark
 // missing from the run fails rather than passing by omission.
 func TestCompareAllocsExact(t *testing.T) {
-	ref, err := build(strings.NewReader(gatedSample(41)), "BenchmarkAblation_SimThroughput", 0)
+	ref, err := build(strings.NewReader(gatedSample(41, 1744)), "BenchmarkAblation_SimThroughput", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	same, err := build(strings.NewReader(strings.ReplaceAll(gatedSample(41), "10563 ns/op", "99999 ns/op")),
+	same, err := build(strings.NewReader(strings.ReplaceAll(gatedSample(41, 1744), "10563 ns/op", "99999 ns/op")),
 		"BenchmarkAblation_SimThroughput", 0)
 	if err != nil {
 		t.Fatal(err)
@@ -138,7 +138,7 @@ func TestCompareAllocsExact(t *testing.T) {
 		t.Fatalf("equal allocation counts failed the gate: %v", err)
 	}
 
-	extra, err := build(strings.NewReader(gatedSample(42)), "BenchmarkAblation_SimThroughput", 0)
+	extra, err := build(strings.NewReader(gatedSample(42, 1744)), "BenchmarkAblation_SimThroughput", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,6 +153,23 @@ func TestCompareAllocsExact(t *testing.T) {
 	}
 	if err := compare(ref, missing); err == nil || !strings.Contains(err.Error(), "BenchmarkOracleQueries: no allocs/op in this run") {
 		t.Fatalf("gated benchmarks absent: compare returned %v, want a missing-benchmark failure", err)
+	}
+}
+
+// The gate holds B/op as exactly as allocs/op: the same allocation
+// count with one more byte per operation fails, naming the benchmark.
+func TestCompareBytesExact(t *testing.T) {
+	ref, err := build(strings.NewReader(gatedSample(41, 1744)), "BenchmarkAblation_SimThroughput", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	drift, err := build(strings.NewReader(gatedSample(41, 1745)), "BenchmarkAblation_SimThroughput", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = compare(ref, drift)
+	if err == nil || !strings.Contains(err.Error(), "BenchmarkWireCodec: 1745 B/op") {
+		t.Fatalf("one extra byte: compare returned %v, want a BenchmarkWireCodec B/op failure", err)
 	}
 }
 

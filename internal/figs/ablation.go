@@ -60,8 +60,7 @@ func (h *Harness) Ablations() error {
 			if err != nil {
 				return ablationRow{}, err
 			}
-			rt := cashrt.MustNew(s.Target, h.Model, v.opts)
-			res, err := h.runBatch(s.App, rt, experiment.Opts{
+			res, err := h.runShared("ablations", s.App, h.cash(s.Target, v.opts), experiment.Opts{
 				Target:    s.Target,
 				Model:     h.Model,
 				Tolerance: 0.10,

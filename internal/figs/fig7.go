@@ -46,11 +46,12 @@ var fig7Allocators = []string{"Optimal", "ConvexOptimization", "RaceToIdle", "CA
 
 // appPolicyGrid runs one supervised cell per (app, allocator) pair and
 // folds the results into a Fig7Result. build maps an allocator name to
-// its policy for a given setup ("Optimal" is analytic: a nil allocator
-// reports s.OptCost directly). A failed cell is absent from Data; its
-// label is in the returned map, keyed "app/allocator".
+// its policy for a given setup ("Optimal" is analytic: a policy with a
+// nil allocator reports s.OptCost directly). A failed cell is absent
+// from Data; its label is in the returned map, keyed "app/allocator".
+// prefix names the artifact to the experiment memo.
 func (h *Harness) appPolicyGrid(prefix string, allocators []string,
-	build func(s appSetup, allocator string) (alloc.Allocator, error)) (Fig7Result, map[string]string) {
+	build func(s appSetup, allocator string) (policy, error)) (Fig7Result, map[string]string) {
 	res := Fig7Result{Allocators: allocators, Data: make(map[string]map[string]AppResult)}
 	for _, a := range allocators {
 		res.Data[a] = make(map[string]AppResult)
@@ -64,11 +65,11 @@ func (h *Harness) appPolicyGrid(prefix string, allocators []string,
 				if err != nil {
 					return AppResult{}, err
 				}
-				policy, err := build(s, a)
-				if err != nil || policy == nil { // nil: the analytic optimum
+				p, err := build(s, a)
+				if err != nil || p.Allocator == nil { // nil: the analytic optimum
 					return AppResult{Cost: s.OptCost}, err
 				}
-				out, err := h.run(s, policy)
+				out, err := h.run(prefix, s, p)
 				return AppResult{Cost: out.TotalCost, ViolationRate: out.ViolationRate}, err
 			}})
 		}
@@ -101,16 +102,16 @@ func cellColumn(res Fig7Result, failed map[string]string,
 // construction, §V-C).
 func (h *Harness) Fig7() (Fig7Result, error) {
 	res, failed := h.appPolicyGrid("fig7", fig7Allocators,
-		func(s appSetup, allocator string) (alloc.Allocator, error) {
+		func(s appSetup, allocator string) (policy, error) {
 			switch allocator {
 			case "Optimal":
-				return nil, nil
+				return policy{}, nil
 			case "ConvexOptimization":
-				return h.convexAllocator(s)
+				return h.convex(s)
 			case "RaceToIdle":
-				return s.WorstCase, nil
+				return raceToIdle(s.WorstCase), nil
 			default: // CASH
-				return h.cashAllocator(s.Target), nil
+				return h.cashDefault(s.Target), nil
 			}
 		})
 
@@ -165,18 +166,18 @@ var fig10Allocators = []string{"CoarseGrain,race", "CoarseGrain,adaptive", "Fine
 func (h *Harness) Fig10() (Fig7Result, error) {
 	big, _ := cashrt.BigLittle()
 	res, failed := h.appPolicyGrid("fig10", fig10Allocators,
-		func(s appSetup, allocator string) (alloc.Allocator, error) {
+		func(s appSetup, allocator string) (policy, error) {
 			switch allocator {
 			// Coarse-grain race-to-idle cannot change core type: it
 			// holds the big core and idles (§VI-E).
 			case "CoarseGrain,race":
-				return alloc.RaceToIdle{WorstCase: big, TargetQoS: s.Target}, nil
+				return raceToIdle(alloc.RaceToIdle{WorstCase: big, TargetQoS: s.Target}), nil
 			case "CoarseGrain,adaptive":
-				return cashrt.NewCoarseAdaptive(s.Target, h.Model, h.Seed)
+				return h.coarseAdaptive(s.Target)
 			case "FineGrain,race":
-				return s.WorstCase, nil
+				return raceToIdle(s.WorstCase), nil
 			default: // CASH
-				return h.cashAllocator(s.Target), nil
+				return h.cashDefault(s.Target), nil
 			}
 		})
 

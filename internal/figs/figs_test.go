@@ -75,7 +75,7 @@ func TestFig7SingleAppShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rti, err := h.run(s, s.WorstCase)
+	rti, err := h.run("test", s, raceToIdle(s.WorstCase))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestFig7SingleAppShape(t *testing.T) {
 		t.Errorf("race-to-idle ($%g) cannot beat the analytic optimum ($%g)",
 			rti.TotalCost, s.OptCost)
 	}
-	cash, err := h.run(s, h.cashAllocator(s.Target))
+	cash, err := h.run("test", s, h.cashDefault(s.Target))
 	if err != nil {
 		t.Fatal(err)
 	}

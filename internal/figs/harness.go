@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"cash/internal/alloc"
-	"cash/internal/cashrt"
 	"cash/internal/cost"
 	"cash/internal/experiment"
 	"cash/internal/oracle"
@@ -42,6 +41,7 @@ type Harness struct {
 	journalOnce sync.Once
 	sweepOnce   sync.Once
 	simPools    sync.Map // ssim.SteeringPolicy → *ssim.SimPool
+	memo        memo
 }
 
 // New builds a harness writing to out, loading any cached
@@ -198,10 +198,10 @@ func (h *Harness) setupNamed(name string) (appSetup, error) {
 	return h.setup(app)
 }
 
-// run executes one (app, allocator) experiment with the harness
-// defaults.
-func (h *Harness) run(s appSetup, policy alloc.Allocator) (experiment.Result, error) {
-	return h.runBatch(s.App, policy, experiment.Opts{
+// run executes one (app, policy) experiment with the harness defaults
+// for artifact, through the experiment memo (memo.go).
+func (h *Harness) run(artifact string, s appSetup, p policy) (experiment.Result, error) {
+	return h.runShared(artifact, s.App, p, experiment.Opts{
 		Target:    s.Target,
 		Model:     h.Model,
 		Tolerance: 0.10,
@@ -225,14 +225,4 @@ func (h *Harness) runBatch(app workload.App, policy alloc.Allocator, opts experi
 	defer release()
 	opts.Trace = tr
 	return experiment.Run(app, policy, opts)
-}
-
-// cashAllocator builds the default CASH runtime for a target.
-func (h *Harness) cashAllocator(target float64) *cashrt.Runtime {
-	return cashrt.MustNew(target, h.Model, cashrt.Options{Seed: h.Seed})
-}
-
-// convexAllocator builds the convex baseline for an app.
-func (h *Harness) convexAllocator(s appSetup) (*cashrt.Runtime, error) {
-	return cashrt.NewConvex(s.Target, h.Model, h.DB.AvgSpeedup(s.App))
 }

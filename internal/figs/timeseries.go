@@ -60,8 +60,9 @@ type seriesRow struct {
 // (Optimal vs Race-to-Idle vs ConvexOptimization) and Fig 8 (the same
 // with CASH). Each (app, policy) pair is one supervised cell; a failed
 // policy degrades to a FAILED line while the others still render.
+// prefix names the artifact to the experiment memo.
 func (h *Harness) timeSeries(prefix, appName, title string, policyKeys []string,
-	mk func(s appSetup, key string) (alloc.Allocator, error), width int) error {
+	mk func(s appSetup, key string) (policy, error), width int) error {
 	var cells []cell[seriesRow]
 	for _, key := range policyKeys {
 		cells = append(cells, cell[seriesRow]{key: prefix + "/" + appName + "/" + key, run: func() (seriesRow, error) {
@@ -69,11 +70,11 @@ func (h *Harness) timeSeries(prefix, appName, title string, policyKeys []string,
 			if err != nil {
 				return seriesRow{}, err
 			}
-			policy, err := mk(s, key)
+			p, err := mk(s, key)
 			if err != nil {
 				return seriesRow{}, err
 			}
-			res, err := h.run(s, policy)
+			res, err := h.run(prefix, s, p)
 			if err != nil {
 				return seriesRow{}, err
 			}
@@ -84,7 +85,7 @@ func (h *Harness) timeSeries(prefix, appName, title string, policyKeys []string,
 				pf[i] = sm.QoS / s.Target
 			}
 			return seriesRow{
-				Name:          policy.Name(),
+				Name:          p.Name(),
 				Target:        s.Target,
 				OptCost:       s.OptCost,
 				TotalCost:     res.TotalCost,
@@ -135,14 +136,14 @@ func (h *Harness) Fig2() error {
 	return h.timeSeries("fig2", "x264",
 		"Figure 2: fine-grain resource allocators on x264",
 		[]string{"Optimal", "RaceToIdle", "ConvexOptimization"},
-		func(s appSetup, key string) (alloc.Allocator, error) {
+		func(s appSetup, key string) (policy, error) {
 			switch key {
 			case "Optimal":
-				return s.Oracle, nil
+				return oraclePolicy(s.Oracle), nil
 			case "RaceToIdle":
-				return s.WorstCase, nil
+				return raceToIdle(s.WorstCase), nil
 			default:
-				return h.convexAllocator(s)
+				return h.convex(s)
 			}
 		}, 96)
 }
@@ -153,14 +154,14 @@ func (h *Harness) Fig8() error {
 	return h.timeSeries("fig8", "x264",
 		"Figure 8: time series for x264",
 		[]string{"ConvexOptimization", "RaceToIdle", "CASH"},
-		func(s appSetup, key string) (alloc.Allocator, error) {
+		func(s appSetup, key string) (policy, error) {
 			switch key {
 			case "ConvexOptimization":
-				return h.convexAllocator(s)
+				return h.convex(s)
 			case "RaceToIdle":
-				return s.WorstCase, nil
+				return raceToIdle(s.WorstCase), nil
 			default:
-				return h.cashAllocator(s.Target), nil
+				return h.cashDefault(s.Target), nil
 			}
 		}, 96)
 }

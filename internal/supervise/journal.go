@@ -104,6 +104,10 @@ func OpenJournal(path, meta string, resume bool) (*Journal, error) {
 		var why string
 		var validEnd int64
 		keep, why, validEnd = j.load(meta)
+		// A header torn before its newline leaves nothing to keep:
+		// start fresh, so the header is rewritten before any record
+		// and the next resume finds it.
+		keep = keep && validEnd > 0
 		if !keep {
 			j.Discarded = why
 		} else {
