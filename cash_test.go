@@ -78,6 +78,8 @@ func TestConvexConstructor(t *testing.T) {
 }
 
 func TestReproduceTables(t *testing.T) {
+	// Keep the oracle cache out of the user cache directory.
+	t.Setenv("CASH_ORACLE_CACHE", "-")
 	var buf bytes.Buffer
 	if err := Reproduce(&buf, "table1", 1); err != nil {
 		t.Fatal(err)
@@ -98,6 +100,8 @@ func TestReproduceTables(t *testing.T) {
 }
 
 func TestReproduceOverhead(t *testing.T) {
+	// Keep the oracle cache out of the user cache directory.
+	t.Setenv("CASH_ORACLE_CACHE", "-")
 	var buf bytes.Buffer
 	if err := Reproduce(&buf, "overhead", 1); err != nil {
 		t.Fatal(err)

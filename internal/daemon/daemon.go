@@ -9,6 +9,7 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -297,9 +298,14 @@ type Server struct {
 	// Core-owned state: touched only by the core goroutine (after
 	// Start's synchronous rebuild). fleet executes the cells; tenants
 	// maps its tenant indices back to the submitted specs.
-	fleet     *fleet.Fleet
-	tenants   []TenantSpec
-	byName    map[string]int
+	fleet   *fleet.Fleet
+	tenants []TenantSpec
+	byName  map[string]int
+	// sorted lists the tenant indices in name order, kept by admit so no
+	// read sorts; segs caches each tenant's digest bytes (digestSeg).
+	sorted    []int
+	segs      []digestSeg
+	segBuf    []byte // reused while building a segment
 	submitted map[string]SubmitResult
 	watchers  map[*connState]uint64
 	draining  bool
@@ -311,6 +317,33 @@ type Server struct {
 // Start opens (resuming) the journal, rebuilds state, binds the socket
 // and launches the daemon.
 func Start(opts Options) (*Server, error) {
+	s, err := open(opts)
+	if err != nil {
+		return nil, err
+	}
+	if err := s.serve(); err != nil {
+		s.journal.Close()
+		return nil, err
+	}
+	return s, nil
+}
+
+// serve binds the socket and launches the accept loop and the core.
+func (s *Server) serve() error {
+	ln, err := listenUnix(s.opts.Socket)
+	if err != nil {
+		return err
+	}
+	s.ln = ln
+	go s.acceptLoop()
+	go s.core()
+	return nil
+}
+
+// open builds a server's core state from opts: the fleet, the wire
+// fault injector and the state rebuilt from the resumed journal. It
+// binds no socket and starts no goroutine.
+func open(opts Options) (*Server, error) {
 	opts = opts.withDefaults()
 	if err := opts.validate(); err != nil {
 		return nil, err
@@ -354,16 +387,6 @@ func Start(opts Options) (*Server, error) {
 		j.Close()
 		return nil, err
 	}
-
-	ln, err := listenUnix(opts.Socket)
-	if err != nil {
-		j.Close()
-		return nil, err
-	}
-	s.ln = ln
-
-	go s.acceptLoop()
-	go s.core()
 	return s, nil
 }
 
@@ -501,6 +524,9 @@ func (s *Server) admit(spec TenantSpec, done []fleet.Landing) error {
 	}
 	s.tenants = append(s.tenants, spec)
 	s.byName[spec.Name] = t
+	s.segs = append(s.segs, digestSeg{landed: -1})
+	i := sort.Search(len(s.sorted), func(i int) bool { return s.tenants[s.sorted[i]].Name >= spec.Name })
+	s.sorted = slices.Insert(s.sorted, i, t)
 	return nil
 }
 
@@ -756,11 +782,11 @@ func (s *Server) spendResult() SpendResult {
 		RootRefunded:    root.Refunded(),
 		RootOutstanding: root.Outstanding(),
 	}
-	for _, n := range s.sortedNames() {
-		t := s.byName[n]
+	res.Tenants = make([]TenantSpend, 0, len(s.sorted))
+	for _, t := range s.sorted {
 		env, landed := s.fleet.Tenant(t)
 		res.Tenants = append(res.Tenants, TenantSpend{
-			Name:        n,
+			Name:        s.tenants[t].Name,
 			Granted:     env.Granted(),
 			Consumed:    env.Consumed(),
 			Refunded:    env.Refunded(),
@@ -810,44 +836,64 @@ func (s *Server) healthResult() HealthResult {
 	}
 }
 
-// sortedNames lists the admitted tenants by name.
-func (s *Server) sortedNames() []string {
-	names := make([]string, 0, len(s.tenants))
-	for _, spec := range s.tenants {
-		names = append(names, spec.Name)
+// digestSeg is one tenant's share of the digest: the bytes
+// "tenant %s cells=%d seed=%d " followed by "c%04d v=%q n=%d " for each
+// landed cell in cell order. fleet only ever adds landed cells and
+// never changes a landed cell's value or price, so the bytes stay
+// current while the tenant's landed count equals the count they were
+// built at.
+type digestSeg struct {
+	landed int // the landed count b was built at; -1 before the first build
+	b      []byte
+}
+
+// segment returns tenant t's digest bytes, rebuilding them only if a
+// cell of t landed since they were last built.
+func (s *Server) segment(t int) []byte {
+	_, landed := s.fleet.Tenant(t)
+	seg := &s.segs[t]
+	if seg.landed == landed {
+		return seg.b
 	}
-	sort.Strings(names)
-	return names
+	spec := s.tenants[t]
+	b := fmt.Appendf(s.segBuf[:0], "tenant %s cells=%d seed=%d ", spec.Name, spec.Cells, spec.Seed)
+	for i := 0; i < spec.Cells; i++ {
+		if value, price, landed := s.fleet.Cell(t, i); landed {
+			b = fmt.Appendf(b, "c%04d v=%q n=%d ", i, value, price)
+		}
+	}
+	// Built in a reused buffer and kept as an exact copy: the cache
+	// holds every tenant's bytes, so slack in each would add up.
+	s.segBuf = b
+	seg.landed, seg.b = landed, slices.Clone(b)
+	return seg.b
 }
 
 // digest fingerprints the daemon's durable state: admitted tenant
-// specs plus every landed cell's value and charge, in sorted order. It
-// is a pure function of what was submitted — independent of epoch
-// timing, restart count and wire faults — so a chaos run and its
-// replay must agree bit for bit once both complete.
+// specs plus every landed cell's value and charge, in tenant-name
+// order, then the settled spend. It is a pure function of what was
+// submitted — independent of epoch timing, restart count and wire
+// faults — so a chaos run and its replay must agree bit for bit once
+// both complete. Each tenant's bytes come from its cached segment.
 func (s *Server) digest() uint64 {
 	h := fnv.New64a()
-	for _, n := range s.sortedNames() {
-		t := s.byName[n]
-		spec := s.tenants[t]
-		fmt.Fprintf(h, "tenant %s cells=%d seed=%d ", n, spec.Cells, spec.Seed)
-		for i := 0; i < spec.Cells; i++ {
-			if value, price, landed := s.fleet.Cell(t, i); landed {
-				fmt.Fprintf(h, "c%04d v=%q n=%d ", i, value, price)
-			}
-		}
+	for _, t := range s.sorted {
+		h.Write(s.segment(t))
 	}
 	fmt.Fprintf(h, "consumed=%d", s.fleet.Root().Consumed())
 	return h.Sum64()
 }
 
+// replyOK answers r with result. The frame is encoded in one pass into
+// one buffer; it is byte-identical to
+// AppendFrame(Response{ID: r.req.ID, Code: CodeOK, Result: <result's JSON>}).
 func (s *Server) replyOK(r coreReq, result any) {
-	payload, err := json.Marshal(result)
+	b, err := appendOKFrame(nil, r.req.ID, result)
 	if err != nil {
 		r.c.send(Response{ID: r.req.ID, Code: CodeError, Error: err.Error()})
 		return
 	}
-	r.c.send(Response{ID: r.req.ID, Code: CodeOK, Result: payload})
+	r.c.sendFrame(b)
 }
 
 // connState is one accepted connection: a reader goroutine feeding the
@@ -861,11 +907,22 @@ type connState struct {
 	closed atomic.Bool
 }
 
+// send frames resp for the writer. A response that cannot be framed,
+// such as one over MaxFrame, is answered with CodeError naming the
+// reason, so the client fails at once instead of timing out and
+// retrying.
 func (c *connState) send(resp Response) {
 	b, err := AppendFrame(nil, resp)
 	if err != nil {
-		return
+		if b, err = AppendFrame(nil, Response{ID: resp.ID, Code: CodeError, Error: err.Error()}); err != nil {
+			return
+		}
 	}
+	c.sendFrame(b)
+}
+
+// sendFrame queues one encoded frame for the writer.
+func (c *connState) sendFrame(b []byte) {
 	select {
 	case c.out <- b:
 	default:

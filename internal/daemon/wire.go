@@ -26,6 +26,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
+	"strconv"
 )
 
 // The wire format is length-prefixed JSONL: each frame is a 6-hex-digit
@@ -119,13 +121,61 @@ func AppendFrame(dst []byte, v any) ([]byte, error) {
 	if err != nil {
 		return dst, fmt.Errorf("daemon: marshaling frame: %w", err)
 	}
-	if len(payload)+1 > MaxFrame {
-		return dst, fmt.Errorf("daemon: frame of %d bytes exceeds MaxFrame", len(payload)+1)
+	if err := checkFrame(len(payload) + 1); err != nil {
+		return dst, err
 	}
 	dst = append(dst, fmt.Sprintf("%06x\n", len(payload)+1)...)
 	dst = append(dst, payload...)
 	dst = append(dst, '\n')
 	return dst, nil
+}
+
+// checkFrame rejects a frame payload of n bytes that exceeds MaxFrame.
+func checkFrame(n int) error {
+	if n > MaxFrame {
+		return fmt.Errorf("daemon: frame of %d bytes exceeds MaxFrame (%d bytes)", n, MaxFrame)
+	}
+	return nil
+}
+
+// appendOKFrame appends the frame of Response{ID: id, Code: CodeOK,
+// Result: <result's JSON>} to dst, byte for byte what AppendFrame
+// appends, but encoding result once: AppendFrame would marshal result,
+// then re-validate and compact it as a json.RawMessage and copy it
+// twice more. The length prefix is reserved and filled in last.
+func appendOKFrame(dst []byte, id uint64, result any) ([]byte, error) {
+	start := len(dst)
+	b := append(dst, "000000\n{\"id\":"...)
+	b = strconv.AppendUint(b, id, 10)
+	b = append(b, `,"code":"OK","result":`...)
+	w := frameWriter{b}
+	// Encode escapes HTML as json.Marshal does, and ends the value
+	// with a newline, which becomes the Response's closing brace.
+	if err := json.NewEncoder(&w).Encode(result); err != nil {
+		return dst, fmt.Errorf("daemon: marshaling frame: %w", err)
+	}
+	b = w.b
+	b[len(b)-1] = '}'
+	b = append(b, '\n')
+	n := len(b) - start - 7
+	if err := checkFrame(n); err != nil {
+		return dst, err
+	}
+	const hex = "0123456789abcdef"
+	for i := start + 5; i >= start; i-- {
+		b[i] = hex[n&0xf]
+		n >>= 4
+	}
+	return b, nil
+}
+
+// frameWriter appends what it is written to b, growing b with a spare
+// byte so the frame's final newline never reallocates it.
+type frameWriter struct{ b []byte }
+
+func (w *frameWriter) Write(p []byte) (int, error) {
+	w.b = append(slices.Grow(w.b, len(p)+1), p...)
+	return len(p), nil
 }
 
 // WriteFrame writes one frame in a single Write call, so a faultConn
@@ -152,6 +202,13 @@ func ReadFrame(r *bufio.Reader, v any) error {
 	}
 	if prefix[6] != '\n' {
 		return fmt.Errorf("daemon: frame prefix %q lost framing", prefix)
+	}
+	// Six hex digits exactly: Sscanf alone would also take a sign or a
+	// leading space.
+	for _, c := range prefix[:6] {
+		if !('0' <= c && c <= '9' || 'a' <= c && c <= 'f' || 'A' <= c && c <= 'F') {
+			return fmt.Errorf("daemon: malformed frame prefix %q", prefix)
+		}
 	}
 	var n int
 	if _, err := fmt.Sscanf(string(prefix[:6]), "%06x", &n); err != nil {

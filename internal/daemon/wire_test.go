@@ -4,6 +4,8 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -54,6 +56,8 @@ func TestReadFrameRejectsViolations(t *testing.T) {
 		{"torn prefix", good[:3]},
 		{"torn payload", good[:len(good)-2]},
 		{"garbage prefix", []byte("zzzzzz\n" + `{"id":1}` + "\n")},
+		{"signed prefix", []byte("+00009\n" + `{"id":1}` + "\n")},
+		{"space in prefix", []byte(" 00009\n" + `{"id":1}` + "\n")},
 		{"prefix without newline", append([]byte("000010"), good...)},
 		{"oversize length", []byte("ffffff\n")},
 		{"zero length", []byte("000000\n")},
@@ -87,4 +91,37 @@ func TestIdempotentMethods(t *testing.T) {
 	if Idempotent("nonsense") {
 		t.Error("unknown methods must not be idempotent")
 	}
+}
+
+// FuzzReadFrame feeds ReadFrame arbitrary bytes as a Request stream.
+// It must never panic; a frame it accepts must have consumed exactly
+// its 7-byte prefix and the payload length the prefix names, within
+// MaxFrame, and must survive an AppendFrame round trip unchanged.
+func FuzzReadFrame(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		src := bytes.NewReader(data)
+		br := bufio.NewReader(src)
+		var req Request
+		if err := ReadFrame(br, &req); err != nil {
+			return
+		}
+		n, err := strconv.ParseUint(string(data[:6]), 16, 32)
+		if err != nil || n == 0 || n > MaxFrame {
+			t.Fatalf("accepted prefix %q", data[:7])
+		}
+		if left := br.Buffered() + src.Len(); left != len(data)-7-int(n) {
+			t.Fatalf("consumed %d bytes, the frame is %d", len(data)-left, 7+n)
+		}
+		b, err := AppendFrame(nil, req)
+		if err != nil {
+			t.Fatalf("re-encoding %+v: %v", req, err)
+		}
+		var back Request
+		if err := ReadFrame(bufio.NewReader(bytes.NewReader(b)), &back); err != nil {
+			t.Fatalf("reading back %q: %v", b, err)
+		}
+		if !reflect.DeepEqual(back, req) {
+			t.Fatalf("round trip changed %+v into %+v", req, back)
+		}
+	})
 }
