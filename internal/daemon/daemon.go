@@ -567,6 +567,11 @@ func ExpectedSpend(spec TenantSpec, m cost.Model) fleet.Nanos {
 // core is the single goroutine that owns all mutable daemon state.
 func (s *Server) core() {
 	defer close(s.doneCh)
+	// Each tick is armed from the previous deadline, not from when the
+	// core received it, so a late wake-up does not push back every
+	// later tick; deadlines already passed are dropped, as time.Ticker
+	// drops them, so a stalled core fires no burst of ticks.
+	deadline := s.clock.Now().Add(s.opts.Epoch)
 	timer := s.clock.After(s.opts.Epoch)
 	for {
 		select {
@@ -588,7 +593,9 @@ func (s *Server) core() {
 				return
 			}
 		case <-timer:
-			timer = s.clock.After(s.opts.Epoch)
+			now := s.clock.Now()
+			deadline = deadline.Add((now.Sub(deadline)/s.opts.Epoch + 1) * s.opts.Epoch)
+			timer = s.clock.After(deadline.Sub(now))
 			s.tickEpoch()
 			if s.draining && s.quiesced() {
 				s.finishDrain()

@@ -267,6 +267,47 @@ func TestDaemonPlacesThroughFleetCore(t *testing.T) {
 	}
 }
 
+// TestTicksKeepTheirDeadlines delivers epoch ticks late on a fake
+// clock: the next tick is armed from the missed deadline, not from the
+// late delivery, so lateness does not drift the schedule, and the
+// deadlines that passed while a tick was late are dropped, not fired
+// as a burst.
+func TestTicksKeepTheirDeadlines(t *testing.T) {
+	clock := supervise.NewFakeClock()
+	opts := testOptions(t)
+	opts.Clock, opts.Epoch = clock, time.Second
+	srv, err := Start(opts)
+	if err != nil {
+		t.Fatalf("Start: %v", err)
+	}
+	defer srv.Kill()
+	cl := dialRaw(t, opts.Socket)
+	steps := []struct {
+		advance time.Duration
+		tick    int64
+		rearm   time.Duration
+	}{
+		{1300 * time.Millisecond, 1, 700 * time.Millisecond}, // 300ms late: next due at 2s
+		{700 * time.Millisecond, 2, time.Second},             // on time
+		{3500 * time.Millisecond, 3, 500 * time.Millisecond}, // 2.5s late: 3s and 4s dropped, next at 6s
+		{500 * time.Millisecond, 4, time.Second},
+	}
+	for _, st := range steps {
+		clock.BlockUntil(1)
+		clock.Advance(st.advance)
+		for cl.health().Tick < st.tick {
+			time.Sleep(time.Millisecond)
+		}
+		req := clock.Requested()
+		if got := cl.health().Tick; got != st.tick {
+			t.Fatalf("after advancing %v: tick %d, want %d", st.advance, got, st.tick)
+		}
+		if got := req[len(req)-1]; got != st.rearm {
+			t.Fatalf("tick %d re-armed for %v, want %v", st.tick, got, st.rearm)
+		}
+	}
+}
+
 func TestDaemonRejections(t *testing.T) {
 	opts := testOptions(t)
 	srv, err := Start(opts)
