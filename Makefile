@@ -56,6 +56,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzReqQueue -fuzztime=$(FUZZTIME) ./internal/experiment/
 	$(GO) test -run='^$$' -fuzz=FuzzJournalReopen -fuzztime=$(FUZZTIME) ./internal/supervise/
 	$(GO) test -run='^$$' -fuzz=FuzzReadFrame -fuzztime=$(FUZZTIME) ./internal/daemon/
+	$(GO) test -run='^$$' -fuzz=FuzzSpendDecode -fuzztime=$(FUZZTIME) ./internal/daemon/client/
 
 # chaos runs the chaos soak: every guard, fleet and daemon scenario
 # over the soak's default seed count. CHAOS_FLAGS passes `cashsim chaos`

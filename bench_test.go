@@ -20,6 +20,8 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
+	"runtime/debug"
 	"strconv"
 	"testing"
 	"time"
@@ -442,6 +444,65 @@ func BenchmarkWireCodec(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		roundTrip()
+	}
+}
+
+// BenchmarkSpendDecode measures how the cashd client reads a
+// 1,200-tenant query-spend answer, about the 121 KB frame the
+// cashd-mixed benchmark reads: daemon.ReadPayload, then the client's
+// SpendDecoder into a SpendResult. A decoded answer costs the payload,
+// one row slice and one string for all the names.
+func BenchmarkSpendDecode(b *testing.B) {
+	var answer daemon.SpendResult
+	for i := 0; i < 1200; i++ {
+		t := daemon.TenantSpend{Name: fmt.Sprintf("tenant-%05d", i), Granted: int64(9_000_000 + 7*i),
+			Consumed: int64(6_000_000 + 5*i), Refunded: int64(3 * i), Landed: 3, Cells: 4}
+		t.Outstanding = t.Granted - t.Consumed - t.Refunded
+		answer.Tenants = append(answer.Tenants, t)
+		answer.RootGranted += t.Granted
+		answer.RootConsumed += t.Consumed
+		answer.RootRefunded += t.Refunded
+		answer.RootOutstanding += t.Outstanding
+	}
+	raw, err := json.Marshal(answer)
+	if err != nil {
+		b.Fatal(err)
+	}
+	frame, err := daemon.AppendFrame(nil, daemon.Response{ID: 1, Code: daemon.CodeOK, Result: raw})
+	if err != nil {
+		b.Fatal(err)
+	}
+	src := bytes.NewReader(frame)
+	br := bufio.NewReader(src)
+	var dec daemonclient.SpendDecoder
+	var res daemon.SpendResult
+	read := func() {
+		src.Reset(frame)
+		br.Reset(src)
+		payload, err := daemon.ReadPayload(br)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if !dec.Decode(payload, 1, &res) || len(res.Tenants) != len(answer.Tenants) {
+			b.Fatalf("the decoder declined the daemon's frame or lost rows: %d", len(res.Tenants))
+		}
+	}
+	// One warm-up read grows the decoder's scratch, so B/op counts only
+	// what recurs per read. Two runtime allocations would still land
+	// among the timed reads: the runtime's own after each collection
+	// (at 240 KB per read, the default GOGC collects every 16 reads),
+	// and the state of each OS thread the scheduler starts to run a
+	// woken goroutine. So the timed reads run at a GOGC under which
+	// they collect once per 300 reads or so, and on one processor,
+	// where a woken goroutine waits for it instead of a new thread.
+	// That keeps B/op exact at the default -benchtime and at 2000x.
+	read()
+	defer debug.SetGCPercent(debug.SetGCPercent(2000))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		read()
 	}
 }
 

@@ -155,6 +155,7 @@ var allocGated = []string{
 	"BenchmarkHistogramRecord",
 	"BenchmarkRuntimeDecide",
 	"BenchmarkWireCodec",
+	"BenchmarkSpendDecode",
 }
 
 // readReport loads a BENCH.json.

@@ -117,6 +117,7 @@ func gatedSample(wireAllocs, wireBytes int) string {
 BenchmarkHistogramRecord-8 	100000000	         6.9 ns/op	       0 B/op	       0 allocs/op
 BenchmarkRuntimeDecide-8   	 1000000	      1150 ns/op	      48 B/op	       1 allocs/op
 BenchmarkWireCodec-8       	  100000	     10563 ns/op	    ` + strconv.Itoa(wireBytes) + ` B/op	      ` + strconv.Itoa(wireAllocs) + ` allocs/op
+BenchmarkSpendDecode-8     	    2000	    455123 ns/op	  245760 B/op	       3 allocs/op
 `
 }
 

@@ -86,6 +86,7 @@ type Client struct {
 	br     *bufio.Reader
 	nextID uint64
 	jitter uint64
+	spend  SpendDecoder
 }
 
 // Dial creates a client. The socket is connected lazily on the first
@@ -192,7 +193,7 @@ func (c *Client) do(method, idem string, params, result any) error {
 
 	var lastErr error
 	for attempt := 1; attempt <= c.opts.MaxAttempts; attempt++ {
-		resp, err := c.attemptLocked(method, idem, rawParams)
+		resp, err := c.attemptLocked(method, idem, rawParams, result)
 		switch {
 		case err != nil:
 			c.dropLocked()
@@ -204,15 +205,7 @@ func (c *Client) do(method, idem string, params, result any) error {
 			c.sleepLocked(attempt, 0)
 		case resp.Code == daemon.CodeOK:
 			if result != nil && resp.Result != nil {
-				if spend, ok := result.(*daemon.SpendResult); ok {
-					// Size the tenant rows exactly before decoding: each
-					// opens with `{"name":`, which cannot occur unescaped
-					// inside a JSON string. Grown a row at a time, a
-					// 1200-row answer leaves about as much garbage as it
-					// keeps.
-					spend.Tenants = make([]daemon.TenantSpend, 0, bytes.Count(resp.Result, []byte(`{"name":`)))
-				}
-				if err := json.Unmarshal(resp.Result, result); err != nil {
+				if err := decodeResult(resp.Result, result); err != nil {
 					return fmt.Errorf("client: decoding %s result: %w", method, err)
 				}
 			}
@@ -230,6 +223,18 @@ func (c *Client) do(method, idem string, params, result any) error {
 	return fmt.Errorf("client: %s exhausted %d attempts: %w", method, c.opts.MaxAttempts, lastErr)
 }
 
+// decodeResult decodes an OK reply's result with encoding/json.
+func decodeResult(raw json.RawMessage, result any) error {
+	if spend, ok := result.(*daemon.SpendResult); ok {
+		// Fresh, exactly sized tenant rows: each opens with `{"name":`,
+		// which cannot occur unescaped inside a JSON string. Decoded
+		// into the caller's old rows, a row missing a key would keep
+		// that field from an earlier answer.
+		spend.Tenants = make([]daemon.TenantSpend, 0, bytes.Count(raw, []byte(`{"name":`)))
+	}
+	return json.Unmarshal(raw, result)
+}
+
 // sleepLocked backs off between attempts without holding the
 // connection open past its usefulness.
 func (c *Client) sleepLocked(attempt int, hintMs int64) {
@@ -237,8 +242,10 @@ func (c *Client) sleepLocked(attempt int, hintMs int64) {
 }
 
 // attemptLocked performs one framed request/response exchange under a
-// deadline.
-func (c *Client) attemptLocked(method, idem string, params json.RawMessage) (daemon.Response, error) {
+// deadline. A query-spend answer that the spend decoder reads exactly
+// is decoded straight into result, and the Response returned for it
+// carries no Result; any other reply is decoded with encoding/json.
+func (c *Client) attemptLocked(method, idem string, params json.RawMessage, result any) (daemon.Response, error) {
 	if err := c.ensureLocked(); err != nil {
 		return daemon.Response{}, err
 	}
@@ -250,10 +257,18 @@ func (c *Client) attemptLocked(method, idem string, params json.RawMessage) (dae
 	if err := daemon.WriteFrame(c.conn, req); err != nil {
 		return daemon.Response{}, err
 	}
+	spend, _ := result.(*daemon.SpendResult)
 	for {
-		var resp daemon.Response
-		if err := daemon.ReadFrame(c.br, &resp); err != nil {
+		payload, err := daemon.ReadPayload(c.br)
+		if err != nil {
 			return daemon.Response{}, err
+		}
+		if spend != nil && c.spend.Decode(payload, id, spend) {
+			return daemon.Response{ID: id, Code: daemon.CodeOK}, nil
+		}
+		var resp daemon.Response
+		if err := json.Unmarshal(payload, &resp); err != nil {
+			return daemon.Response{}, fmt.Errorf("client: decoding frame: %w", err)
 		}
 		if resp.ID != id || resp.Event {
 			// A duplicate of an earlier response (wire-fault dup) or a

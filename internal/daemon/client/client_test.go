@@ -2,6 +2,7 @@ package client
 
 import (
 	"bufio"
+	"fmt"
 	"net"
 	"path/filepath"
 	"strings"
@@ -227,25 +228,73 @@ func TestTerminalCodesAreNotRetried(t *testing.T) {
 	}
 }
 
+// TestDuplicateResponsesAreDiscardedByID sends a wire-fault duplicate
+// of a stale response and a stream event before each real reply: the
+// client must decode the reply, whichever decoder reads it. The spend
+// strays carry tenant rows the spend decoder could read, one with its
+// "event" key after them.
 func TestDuplicateResponsesAreDiscardedByID(t *testing.T) {
-	srv := newFakeServer(t, func(conn net.Conn, req daemon.Request) bool {
-		// A wire-fault duplicate of a stale response, then an unrelated
-		// stream event, then the real reply.
-		reply(conn, daemon.Response{ID: req.ID - 1, Code: daemon.CodeOK})
-		reply(conn, daemon.Response{ID: req.ID, Code: daemon.CodeOK, Event: true})
-		return reply(conn, daemon.Response{ID: req.ID, Code: daemon.CodeOK, Result: []byte(`{"tick":5}`)})
-	})
-	cl, err := Dial(Options{Socket: srv.socket, Timeout: time.Second})
-	if err != nil {
-		t.Fatal(err)
+	spend := func(id uint64, name string, extra string) string {
+		return fmt.Sprintf(`{"id":%d,"code":"OK","result":{"root_granted":9,"root_consumed":9,"root_refunded":0,`+
+			`"root_outstanding":0,"tenants":[{"name":%q,"granted":9,"consumed":9,"refunded":0,"outstanding":0,"landed":1,"cells":1}]}%s}`,
+			id, name, extra)
 	}
-	defer cl.Close()
-	var h daemon.HealthResult
-	if err := cl.Call(daemon.MethodHealth, nil, &h); err != nil {
-		t.Fatalf("call: %v", err)
+	cases := []struct {
+		name   string
+		frames func(id uint64) []string
+		check  func(t *testing.T, cl *Client)
+	}{
+		{"health", func(id uint64) []string {
+			return []string{
+				fmt.Sprintf(`{"id":%d,"code":"OK"}`, id-1),
+				fmt.Sprintf(`{"id":%d,"code":"OK","event":true}`, id),
+				fmt.Sprintf(`{"id":%d,"code":"OK","result":{"tick":5}}`, id),
+			}
+		}, func(t *testing.T, cl *Client) {
+			if h, err := cl.Health(); err != nil || h.Tick != 5 {
+				t.Fatalf("client consumed the wrong frame: %+v %v", h, err)
+			}
+		}},
+		{"spend", func(id uint64) []string {
+			return []string{
+				spend(id-1, "stale", ""),
+				spend(id, "event", `,"event":true`),
+				spend(id, "real", ""),
+			}
+		}, func(t *testing.T, cl *Client) {
+			if res, err := cl.Spend(); err != nil || len(res.Tenants) != 1 || res.Tenants[0].Name != "real" {
+				t.Fatalf("client consumed the wrong frame: %+v %v", res, err)
+			}
+		}},
+		{"spend declined by the spend decoder", func(id uint64) []string {
+			return []string{
+				spend(id-1, "stale", ""),
+				spend(id, "event", `,"event":true`),
+				spend(id, "real", `,"error":""`),
+			}
+		}, func(t *testing.T, cl *Client) {
+			if res, err := cl.Spend(); err != nil || len(res.Tenants) != 1 || res.Tenants[0].Name != "real" {
+				t.Fatalf("client consumed the wrong frame: %+v %v", res, err)
+			}
+		}},
 	}
-	if h.Tick != 5 {
-		t.Fatalf("client consumed the wrong frame: %+v", h)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			srv := newFakeServer(t, func(conn net.Conn, req daemon.Request) bool {
+				for _, payload := range tc.frames(req.ID) {
+					if _, err := fmt.Fprintf(conn, "%06x\n%s\n", len(payload)+1, payload); err != nil {
+						return false
+					}
+				}
+				return true
+			})
+			cl, err := Dial(Options{Socket: srv.socket, Timeout: time.Second})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cl.Close()
+			tc.check(t, cl)
+		})
 	}
 }
 

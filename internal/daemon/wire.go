@@ -124,10 +124,21 @@ func AppendFrame(dst []byte, v any) ([]byte, error) {
 	if err := checkFrame(len(payload) + 1); err != nil {
 		return dst, err
 	}
-	dst = append(dst, fmt.Sprintf("%06x\n", len(payload)+1)...)
+	start := len(dst)
+	dst = append(slices.Grow(dst, 7+len(payload)+1), "000000\n"...)
+	putPrefix(dst[start:], len(payload)+1)
 	dst = append(dst, payload...)
 	dst = append(dst, '\n')
 	return dst, nil
+}
+
+// putPrefix writes n as the six hex digits that open a frame.
+func putPrefix(b []byte, n int) {
+	const hex = "0123456789abcdef"
+	for i := 5; i >= 0; i-- {
+		b[i] = hex[n&0xf]
+		n >>= 4
+	}
 }
 
 // checkFrame rejects a frame payload of n bytes that exceeds MaxFrame.
@@ -161,11 +172,7 @@ func appendOKFrame(dst []byte, id uint64, result any) ([]byte, error) {
 	if err := checkFrame(n); err != nil {
 		return dst, err
 	}
-	const hex = "0123456789abcdef"
-	for i := start + 5; i >= start; i-- {
-		b[i] = hex[n&0xf]
-		n >>= 4
-	}
+	putPrefix(b[start:], n)
 	return b, nil
 }
 
@@ -190,41 +197,63 @@ func WriteFrame(w io.Writer, v any) error {
 	return err
 }
 
-// ReadFrame reads one frame payload and unmarshals it into v. Any
-// framing violation — short read, oversized or malformed prefix, a
-// payload that is not a newline-terminated JSON document — is an error;
-// the caller must drop the connection, because after a violation the
-// stream position is meaningless.
-func ReadFrame(r *bufio.Reader, v any) error {
-	var prefix [7]byte
-	if _, err := io.ReadFull(r, prefix[:]); err != nil {
-		return err
+// ReadPayload reads one frame and returns its JSON payload, without
+// the newline that ends it. Any framing violation — short read,
+// oversized or malformed prefix, a payload that is not
+// newline-terminated — is an error; the caller must drop the
+// connection, because after a violation the stream position is
+// meaningless.
+func ReadPayload(r *bufio.Reader) ([]byte, error) {
+	// Peeked, the prefix is read in place, not through a buffer that
+	// would escape to the heap.
+	prefix, err := r.Peek(7)
+	if err != nil {
+		if err == io.EOF && len(prefix) > 0 {
+			err = io.ErrUnexpectedEOF
+		}
+		return nil, err
 	}
 	if prefix[6] != '\n' {
-		return fmt.Errorf("daemon: frame prefix %q lost framing", prefix)
+		return nil, fmt.Errorf("daemon: frame prefix %q lost framing", prefix)
 	}
-	// Six hex digits exactly: Sscanf alone would also take a sign or a
-	// leading space.
+	// Six hex digits exactly: no sign, no space.
+	n := 0
 	for _, c := range prefix[:6] {
-		if !('0' <= c && c <= '9' || 'a' <= c && c <= 'f' || 'A' <= c && c <= 'F') {
-			return fmt.Errorf("daemon: malformed frame prefix %q", prefix)
+		switch {
+		case '0' <= c && c <= '9':
+			c -= '0'
+		case 'a' <= c && c <= 'f':
+			c -= 'a' - 10
+		case 'A' <= c && c <= 'F':
+			c -= 'A' - 10
+		default:
+			return nil, fmt.Errorf("daemon: malformed frame prefix %q", prefix)
 		}
-	}
-	var n int
-	if _, err := fmt.Sscanf(string(prefix[:6]), "%06x", &n); err != nil {
-		return fmt.Errorf("daemon: malformed frame prefix %q", prefix)
+		n = n<<4 | int(c)
 	}
 	if n <= 0 || n > MaxFrame {
-		return fmt.Errorf("daemon: frame length %d outside (0, %d]", n, MaxFrame)
+		return nil, fmt.Errorf("daemon: frame length %d outside (0, %d]", n, MaxFrame)
 	}
+	r.Discard(7) // peeked, so buffered: it cannot fail
 	payload := make([]byte, n)
 	if _, err := io.ReadFull(r, payload); err != nil {
-		return err
+		return nil, err
 	}
 	if payload[n-1] != '\n' {
-		return fmt.Errorf("daemon: frame payload not newline-terminated")
+		return nil, fmt.Errorf("daemon: frame payload not newline-terminated")
 	}
-	if err := json.Unmarshal(payload[:n-1], v); err != nil {
+	return payload[:n-1], nil
+}
+
+// ReadFrame reads one frame with ReadPayload and unmarshals its
+// payload into v; a payload that is not a JSON document is an error
+// too.
+func ReadFrame(r *bufio.Reader, v any) error {
+	payload, err := ReadPayload(r)
+	if err != nil {
+		return err
+	}
+	if err := json.Unmarshal(payload, v); err != nil {
 		return fmt.Errorf("daemon: decoding frame: %w", err)
 	}
 	return nil
