@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"cash/internal/alloc"
@@ -145,6 +146,30 @@ func TestPerfNetAgreesWithDirectReads(t *testing.T) {
 		if err := m.measure(sim, start+1, instrs); err == nil {
 			t.Fatalf("step %d: a wrong start count passed the cross-check", i)
 		}
+	}
+}
+
+// TestCorruptSliceCounterFailsRun: every batch run step holds the
+// committed count read from the live Slices' counters to the count the
+// simulator returned, so a Slice counter corrupted between quanta fails
+// the run at the next run step.
+func TestCorruptSliceCounterFailsRun(t *testing.T) {
+	cfg := vcore.Config{Slices: 2, L2KB: 256}
+	hook := func(sim *ssim.Sim, quantum int) error {
+		if quantum == 1 {
+			sim.VCore().Slices()[1].Counters.Committed += 7
+		}
+		return nil
+	}
+	res, err := Run(tinyApp(), alloc.Static{Cfg: cfg}, Opts{Target: 0.1, Initial: cfg, EpochHook: hook})
+	if err == nil {
+		t.Fatal("a corrupted Slice counter passed the counter check")
+	}
+	if !strings.Contains(err.Error(), "committed instructions at cycle") {
+		t.Fatalf("error %q does not report the counter mismatch", err)
+	}
+	if len(res.Samples) != 1 {
+		t.Fatalf("run stopped after %d quanta, want 1 (the step after the corruption)", len(res.Samples))
 	}
 }
 
