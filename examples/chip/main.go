@@ -43,8 +43,8 @@ func main() {
 			id, spread, len(d), minInt(d))
 	}
 
-	// Tenants 1, 3 and 5 leave; tenant 2's runtime grows it (an EXPAND
-	// command stream over the runtime interface network).
+	// Tenants 1, 3 and 5 leave; tenant 2's runtime grows it (an EXPAND:
+	// the chip adds tiles to those the tenant already holds).
 	chip.Release(ids[0])
 	chip.Release(ids[2])
 	chip.Release(ids[4])

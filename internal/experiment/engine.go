@@ -11,8 +11,6 @@ import (
 	"cash/internal/alloc"
 	"cash/internal/cost"
 	"cash/internal/guard"
-	"cash/internal/noc"
-	"cash/internal/perf"
 	"cash/internal/ssim"
 	"cash/internal/vcore"
 	"cash/internal/workload"
@@ -81,10 +79,9 @@ func Run(app workload.App, policy alloc.Allocator, opts Opts) (Result, error) {
 // app's instruction stream, and a quantum's QoS is its delivered IPC.
 type batch struct {
 	engine
-	app   workload.App
-	src   stream
-	meter *perfMeter
-	res   Result
+	app workload.App
+	src stream
+	res Result
 
 	// The current quantum: instructions committed and cycles run per
 	// configuration.
@@ -114,7 +111,6 @@ func (b *batch) setup() error {
 	} else {
 		b.src = workload.NewGen(b.app, b.opts.Seed)
 	}
-	b.meter = newPerfMeter()
 	b.occupancy = map[vcore.Config]int64{}
 	return nil
 }
@@ -142,10 +138,12 @@ func (b *batch) run(ob alloc.Observation, step alloc.Step, budget int64) (alloc.
 	}
 	startInstr := b.sim.Committed()
 	instrs, cycles := b.sim.RunBudget(b.src, maxInstrs, budget)
-	// Read the step's instructions through the runtime interface network
-	// and hold them to the simulator's own count.
-	if err := b.meter.measure(b.sim, startInstr, instrs); err != nil {
-		return ob, err
+	// Read the step's instructions from the live Slices' counters, the
+	// runtime's monitoring interface (§III-B2), and hold them to the
+	// simulator's own count.
+	if read := b.sim.Counters().Committed - startInstr; read != instrs {
+		return ob, fmt.Errorf("experiment: Slice counters read %d committed instructions at cycle %d, the simulator %d",
+			read, b.sim.Cycle(), instrs)
 	}
 	b.remaining -= cycles
 	ob.Cycles += cycles
@@ -206,52 +204,4 @@ func configLess(a, b vcore.Config) bool {
 		return a.Slices < b.Slices
 	}
 	return a.L2KB < b.L2KB
-}
-
-// perfMeter measures committed instructions through the CASH runtime
-// interface network: a monitor node issues timestamped counter requests
-// to every Slice and synthesizes the virtual-core view from the replies
-// (§III-B2). It exists so the evaluation exercises the paper's
-// hardware-software monitoring interface rather than peeking at
-// simulator internals; a reading that fails or disagrees with the
-// simulator's own count fails the run.
-type perfMeter struct {
-	net     *noc.Network
-	monitor *perf.Monitor
-	nowFn   func() int64
-	now     int64
-}
-
-const monitorNode noc.NodeID = 1000
-
-func newPerfMeter() *perfMeter {
-	m := &perfMeter{net: noc.NewCtrlNetwork()}
-	m.nowFn = func() int64 { return m.now }
-	// The runtime executes on a single-Slice virtual core adjacent to
-	// the client's tiles (§III-B1).
-	m.monitor = perf.NewMonitor(m.net, monitorNode, noc.Coord{X: 2, Y: -1})
-	return m
-}
-
-// measure samples all Slices over the network and checks the committed
-// instructions since startInstr against the simulator's directInstrs.
-func (m *perfMeter) measure(sim *ssim.Sim, startInstr, directInstrs int64) error {
-	m.now = sim.Cycle()
-	slices := sim.VCore().Slices()
-	targets := make([]noc.NodeID, 0, len(slices))
-	for _, sl := range slices {
-		perf.NewResponder(m.net, sl.ID, sl.Pos, sl, m.nowFn)
-		targets = append(targets, sl.ID)
-	}
-	if _, err := m.monitor.RequestAll(targets, m.now); err != nil {
-		return fmt.Errorf("experiment: perf-net counter request at cycle %d: %w", m.now, err)
-	}
-	// Let requests and replies propagate.
-	m.net.DeliverUntil(m.now + 1_000)
-	agg := perf.SynthesizeVCore(m.monitor.Drain())
-	if measured := agg.Committed - startInstr; measured != directInstrs {
-		return fmt.Errorf("experiment: perf-net read %d committed instructions at cycle %d, the simulator %d",
-			measured, m.now, directInstrs)
-	}
-	return nil
 }

@@ -1,12 +1,19 @@
 // Package noc models the CASH chip's switched on-chip networks: the
-// 2-D mesh topology shared by the Slice/cache fabric (Fig 3), hop-based
-// latency for the scalar operand network and the L1/L2 crossbar, and
-// the CASH Runtime Interface Network — the paper's novel
-// request/reply network that lets the runtime read performance counters
-// on, and send EXPAND/SHRINK commands to, remote Slices (§III-B2).
+// 2-D mesh topology shared by the Slice/cache fabric (Fig 3) and the
+// hop-based latency of the scalar operand network (§III-B1).
+//
+// The paper's runtime interface network (§III-B2), which carries
+// performance-counter samples and EXPAND/SHRINK commands, is not
+// modelled: its latency was never charged to a run, so the runtime's
+// counters are synthesized from per-Slice samples read directly (see
+// package perf).
 package noc
 
 import "fmt"
+
+// NodeID names an endpoint in the fabric: a Slice, a cache bank, or the
+// tile running the CASH runtime.
+type NodeID int
 
 // Coord is a tile position in the 2-D fabric.
 type Coord struct {
@@ -29,20 +36,14 @@ func abs(v int) int {
 	return v
 }
 
-// Latency constants for the switched interconnects. The operand network
-// is the fast path (register-to-register forwarding between Slices,
-// §III-B1); the runtime interface network is a narrow control network
-// and pays a router pipeline on top of the hop cost.
+// Latency constants for the scalar operand network, the fast path for
+// register-to-register forwarding between Slices (§III-B1).
 const (
 	// OperandRouterDelay is the per-message fixed cost of the scalar
 	// operand network.
 	OperandRouterDelay = 1
 	// OperandHopDelay is the per-hop cost of the scalar operand network.
 	OperandHopDelay = 1
-	// CtrlRouterDelay is the fixed cost of the runtime interface network.
-	CtrlRouterDelay = 3
-	// CtrlHopDelay is the per-hop cost of the runtime interface network.
-	CtrlHopDelay = 1
 )
 
 // OperandLatency is the scalar-operand-network transfer time across the
@@ -53,13 +54,4 @@ func OperandLatency(hops int) int {
 		return 0
 	}
 	return OperandRouterDelay + hops*OperandHopDelay
-}
-
-// CtrlLatency is the runtime-interface-network transfer time across the
-// given hop distance.
-func CtrlLatency(hops int) int {
-	if hops < 0 {
-		hops = 0
-	}
-	return CtrlRouterDelay + hops*CtrlHopDelay
 }

@@ -1,12 +1,14 @@
-// Package perf implements CASH performance monitoring: the per-Slice
-// hardware counters and the timestamped request/reply sampling protocol
-// the runtime uses over the CASH Runtime Interface Network (§III-B2).
+// Package perf implements CASH performance monitoring (§III-B2): the
+// per-Slice hardware counters and the synthesis of a virtual-core view
+// from timestamped per-Slice samples.
 //
 // The paper's problem: counters are normally read at core level, but
-// CASH has no fixed cores. Its solution — and this package's job — is
-// to expose per-Slice counters on a dedicated network, timestamp every
-// sample, and let the runtime synthesize virtual-core QoS from the
-// per-Slice samples.
+// CASH has no fixed cores. Its solution is to keep counters per Slice,
+// timestamp every sample, and let the runtime synthesize virtual-core
+// QoS from the per-Slice samples. The paper carries the samples over a
+// dedicated runtime interface network; this model reads them directly
+// (slice.(*Slice).ReadCounters), because that network's latency was
+// never charged to a run.
 package perf
 
 // Counters is the per-Slice hardware counter block. All values are
@@ -46,9 +48,9 @@ func (c Counters) IPC() float64 {
 	return float64(c.Committed) / float64(c.Cycles)
 }
 
-// Sample is one timestamped counter reading, as carried in a
-// MsgPerfReply payload. Timestamps let the runtime align samples taken
-// from different Slices of the same virtual core (§III-B2).
+// Sample is one timestamped counter reading of one Slice. Timestamps
+// let the runtime align samples taken from different Slices of the same
+// virtual core (§III-B2).
 type Sample struct {
 	// SliceID identifies the sampled Slice.
 	SliceID int
@@ -57,23 +59,10 @@ type Sample struct {
 	Counters  Counters
 }
 
-// Delta returns the counter movement between two samples of the same
-// Slice, with the elapsed cycles in Counters.Cycles.
-func (s Sample) Delta(prev Sample) Counters {
-	return Counters{
-		Cycles:            s.Timestamp - prev.Timestamp,
-		Committed:         s.Counters.Committed - prev.Counters.Committed,
-		L1DMisses:         s.Counters.L1DMisses - prev.Counters.L1DMisses,
-		L2Misses:          s.Counters.L2Misses - prev.Counters.L2Misses,
-		BranchMispredicts: s.Counters.BranchMispredicts - prev.Counters.BranchMispredicts,
-		OperandMsgs:       s.Counters.OperandMsgs - prev.Counters.OperandMsgs,
-	}
-}
-
 // SynthesizeVCore combines per-Slice samples of one virtual core into
-// an aggregate counter view. Samples may be taken a few cycles apart
-// (they arrive over the network); the aggregate clock is the latest
-// timestamp, which is safe because commit counts are cumulative.
+// an aggregate counter view. Samples may be taken at different cycles;
+// the aggregate clock is the latest timestamp, which is safe because
+// commit counts are cumulative.
 func SynthesizeVCore(samples []Sample) Counters {
 	var agg Counters
 	var latest int64

@@ -1,10 +1,6 @@
 package perf
 
-import (
-	"testing"
-
-	"cash/internal/noc"
-)
+import "testing"
 
 func TestCountersAdd(t *testing.T) {
 	a := Counters{Cycles: 100, Committed: 50, L1DMisses: 5}
@@ -28,15 +24,6 @@ func TestIPC(t *testing.T) {
 	}
 }
 
-func TestSampleDelta(t *testing.T) {
-	prev := Sample{Timestamp: 100, Counters: Counters{Committed: 10, L1DMisses: 1}}
-	cur := Sample{Timestamp: 300, Counters: Counters{Committed: 70, L1DMisses: 4}}
-	d := cur.Delta(prev)
-	if d.Cycles != 200 || d.Committed != 60 || d.L1DMisses != 3 {
-		t.Errorf("delta wrong: %+v", d)
-	}
-}
-
 func TestSynthesizeVCore(t *testing.T) {
 	agg := SynthesizeVCore([]Sample{
 		{SliceID: 0, Timestamp: 105, Counters: Counters{Committed: 40}},
@@ -47,54 +34,5 @@ func TestSynthesizeVCore(t *testing.T) {
 	}
 	if agg.Cycles != 105 {
 		t.Errorf("Cycles should be the latest timestamp, got %d", agg.Cycles)
-	}
-}
-
-// fakeSource answers counter reads with a fixed commit count.
-type fakeSource struct {
-	id        int
-	committed int64
-}
-
-func (f fakeSource) ReadCounters(at int64) Sample {
-	return Sample{SliceID: f.id, Timestamp: at, Counters: Counters{Committed: f.committed}}
-}
-
-func TestMonitorProtocol(t *testing.T) {
-	net := noc.NewCtrlNetwork()
-	now := int64(1000)
-	clock := func() int64 { return now }
-
-	m := NewMonitor(net, 100, noc.Coord{X: 5, Y: 5})
-	NewResponder(net, 0, noc.Coord{X: 0, Y: 0}, fakeSource{0, 11}, clock)
-	NewResponder(net, 1, noc.Coord{X: 0, Y: 1}, fakeSource{1, 22}, clock)
-
-	latest, err := m.RequestAll([]noc.NodeID{0, 1}, now)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if latest <= now {
-		t.Error("requests must take network time")
-	}
-	// Deliver requests (responders reply) and then the replies.
-	net.DeliverUntil(now + 1000)
-	samples := m.Drain()
-	if len(samples) != 2 {
-		t.Fatalf("got %d samples, want 2", len(samples))
-	}
-	agg := SynthesizeVCore(samples)
-	if agg.Committed != 33 {
-		t.Errorf("aggregate Committed = %d, want 33", agg.Committed)
-	}
-	if m.Drain() != nil {
-		t.Error("Drain must clear the sample buffer")
-	}
-}
-
-func TestMonitorUnknownTarget(t *testing.T) {
-	net := noc.NewCtrlNetwork()
-	m := NewMonitor(net, 100, noc.Coord{})
-	if _, err := m.RequestAll([]noc.NodeID{42}, 0); err == nil {
-		t.Error("requesting an unregistered slice must fail")
 	}
 }

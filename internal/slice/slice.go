@@ -124,7 +124,8 @@ func (s *Slice) Reset() {
 	s.Counters = perf.Counters{}
 }
 
-// ReadCounters implements perf.CounterSource.
+// ReadCounters latches the Slice's counters at the given cycle as a
+// timestamped sample.
 func (s *Slice) ReadCounters(atCycle int64) perf.Sample {
 	c := s.Counters
 	c.Cycles = atCycle

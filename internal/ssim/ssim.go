@@ -275,8 +275,8 @@ func (s *Sim) Reset(cfg vcore.Config) error {
 // Config returns the current virtual-core configuration.
 func (s *Sim) Config() vcore.Config { return s.vc.Config() }
 
-// VCore exposes the underlying virtual core (for counters, rename
-// inspection, and the runtime-interface protocol).
+// VCore exposes the underlying virtual core (for per-Slice counters and
+// rename inspection).
 func (s *Sim) VCore() *vcore.VCore { return s.vc }
 
 // Cycle returns the current committed-work clock.
@@ -287,7 +287,8 @@ func (s *Sim) Committed() int64 { return s.committed }
 
 // Counters aggregates per-Slice counters into a virtual-core view.
 func (s *Sim) Counters() perf.Counters {
-	samples := make([]perf.Sample, 0, s.n)
+	var buf [vcore.MaxSlices]perf.Sample
+	samples := buf[:0]
 	for _, sl := range s.vc.Slices() {
 		samples = append(samples, sl.ReadCounters(s.commitCycle))
 	}
