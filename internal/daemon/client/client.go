@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"cash/internal/daemon"
+	"cash/internal/splitmix"
 	"cash/internal/supervise"
 )
 
@@ -85,7 +86,7 @@ type Client struct {
 	conn   net.Conn
 	br     *bufio.Reader
 	nextID uint64
-	jitter uint64
+	jitter splitmix.Rand
 	spend  SpendDecoder
 }
 
@@ -96,7 +97,7 @@ func Dial(opts Options) (*Client, error) {
 	if opts.Socket == "" {
 		return nil, errors.New("client: no socket path")
 	}
-	return &Client{opts: opts, jitter: opts.Seed}, nil
+	return &Client{opts: opts, jitter: splitmix.At(opts.Seed)}, nil
 }
 
 // Close drops the connection.
@@ -129,15 +130,8 @@ func (c *Client) ensureLocked() error {
 	return nil
 }
 
-// nextJitter steps a SplitMix64 and returns a fraction in [0, 1).
-func (c *Client) nextJitter() float64 {
-	c.jitter += 0x9e3779b97f4a7c15
-	z := c.jitter
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	z ^= z >> 31
-	return float64(z>>11) / (1 << 53)
-}
+// nextJitter returns the next jitter fraction in [0, 1).
+func (c *Client) nextJitter() float64 { return c.jitter.Float64() }
 
 // backoff computes the sleep before attempt n (1-based): capped
 // exponential from BaseBackoff, scaled by a jitter in [0.5, 1.0] so

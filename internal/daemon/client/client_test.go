@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"cash/internal/daemon"
+	"cash/internal/splitmix"
 	"cash/internal/supervise"
 )
 
@@ -88,7 +89,7 @@ func TestBackoffIsCappedExponentialWithJitter(t *testing.T) {
 
 func TestBackoffScheduleIsDeterministicPerSeed(t *testing.T) {
 	sched := func(seed uint64) []time.Duration {
-		c := &Client{opts: Options{Seed: seed}.withDefaults(), jitter: seed}
+		c := &Client{opts: Options{Seed: seed}.withDefaults(), jitter: splitmix.At(seed)}
 		out := make([]time.Duration, 6)
 		for i := range out {
 			out[i] = c.backoff(i+1, 0)

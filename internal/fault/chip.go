@@ -3,6 +3,8 @@ package fault
 import (
 	"fmt"
 	"sort"
+
+	"cash/internal/splitmix"
 )
 
 // Chip-level faults. Where Event models a tile strike inside one chip's
@@ -174,27 +176,27 @@ func GenerateChipFaults(spec ChipSpec) (ChipSchedule, error) {
 	if spec.Rate == 0 || spec.Horizon == 0 {
 		return sch, nil
 	}
-	r := newRNG(spec.Seed)
+	r := splitmix.New(spec.Seed)
 	mean := 1000 / (spec.Rate * float64(spec.Chips))
 	tick := int64(0)
 	for {
-		tick += r.expInt64(mean)
+		tick += r.ExpInt64(mean)
 		if tick >= spec.Horizon {
 			break
 		}
-		e := ChipEvent{Tick: tick, Chip: int(r.intn(int64(spec.Chips)))}
-		switch p := r.float64(); {
+		e := ChipEvent{Tick: tick, Chip: int(r.Intn(int64(spec.Chips)))}
+		switch p := r.Float64(); {
 		case p < spec.CrashFrac:
 			e.Kind = ChipCrash
-			if r.float64() < spec.RebootFrac {
-				e.Duration = r.expInt64(float64(spec.MeanReboot))
+			if r.Float64() < spec.RebootFrac {
+				e.Duration = r.ExpInt64(float64(spec.MeanReboot))
 			}
 		case p < spec.CrashFrac+spec.HangFrac:
 			e.Kind = ChipHang
-			e.Duration = r.expInt64(float64(spec.MeanOutage))
+			e.Duration = r.ExpInt64(float64(spec.MeanOutage))
 		default:
 			e.Kind = ChipHBLoss
-			e.Duration = r.expInt64(float64(spec.MeanOutage))
+			e.Duration = r.ExpInt64(float64(spec.MeanOutage))
 		}
 		sch.Events = append(sch.Events, e)
 	}

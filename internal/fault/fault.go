@@ -20,6 +20,7 @@ import (
 	"sort"
 
 	"cash/internal/noc"
+	"cash/internal/splitmix"
 )
 
 // Event is one scheduled tile fault.
@@ -106,24 +107,24 @@ func Generate(spec Spec) (Schedule, error) {
 	if spec.Rate == 0 || spec.Horizon == 0 {
 		return sch, nil
 	}
-	r := newRNG(spec.Seed)
+	r := splitmix.New(spec.Seed)
 	mean := 1e6 / spec.Rate
 	cycle := int64(0)
 	for {
-		cycle += r.expInt64(mean)
+		cycle += r.ExpInt64(mean)
 		if cycle >= spec.Horizon {
 			break
 		}
 		e := Event{
 			Cycle: cycle,
 			Pos: noc.Coord{
-				X: int(r.intn(int64(spec.Width))),
-				Y: int(r.intn(int64(spec.Height))),
+				X: int(r.Intn(int64(spec.Width))),
+				Y: int(r.Intn(int64(spec.Height))),
 			},
 		}
-		if r.float64() < spec.TransientFrac {
+		if r.Float64() < spec.TransientFrac {
 			e.Transient = true
-			e.RepairAfter = r.expInt64(float64(spec.MeanRepair))
+			e.RepairAfter = r.ExpInt64(float64(spec.MeanRepair))
 		}
 		sch.Events = append(sch.Events, e)
 	}

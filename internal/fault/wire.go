@@ -3,6 +3,8 @@ package fault
 import (
 	"fmt"
 	"time"
+
+	"cash/internal/splitmix"
 )
 
 // Wire-level faults. Where Event models tile strikes and ChipEvent
@@ -114,7 +116,7 @@ func DefaultWireSpec(seed uint64) WireSpec {
 // is independent of how other connections interleave.
 type WireFaults struct {
 	spec WireSpec
-	rng  rng
+	rng  splitmix.Rand
 	// Counts tallies the fates dealt so far, indexed by WireOp.
 	Counts [WireReorder + 1]int64
 }
@@ -125,7 +127,7 @@ func NewWireFaults(spec WireSpec) (*WireFaults, error) {
 		return nil, err
 	}
 	spec = spec.withDefaults()
-	return &WireFaults{spec: spec, rng: newRNG(spec.Seed)}, nil
+	return &WireFaults{spec: spec, rng: splitmix.New(spec.Seed)}, nil
 }
 
 // Fork derives an independent generator for one connection: same
@@ -146,7 +148,7 @@ func (f *WireFaults) Delay() time.Duration { return f.spec.Delay }
 // Next deals the next frame's fate.
 func (f *WireFaults) Next() WireOp {
 	op := WirePass
-	r := f.rng.float64()
+	r := f.rng.Float64()
 	s := f.spec
 	switch {
 	case r < s.DropRate:

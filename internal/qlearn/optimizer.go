@@ -34,6 +34,7 @@ import (
 	"math"
 
 	"cash/internal/cost"
+	"cash/internal/splitmix"
 	"cash/internal/vcore"
 )
 
@@ -87,7 +88,7 @@ type Optimizer struct {
 
 	alpha float64
 	eps   float64
-	rng   uint64
+	rng   splitmix.Rand
 }
 
 // New builds an optimizer over the full configuration space. alpha is
@@ -120,7 +121,7 @@ func NewRestricted(model cost.Model, cfgs []vcore.Config, alpha, eps float64, se
 		idxOf: make(map[vcore.Config]int, len(cfgs)),
 		alpha: alpha,
 		eps:   eps,
-		rng:   seed*0x9e3779b97f4a7c15 + 1,
+		rng:   splitmix.At(seed*splitmix.Gamma + 1),
 	}
 	o.rate = make([]float64, len(o.cfgs))
 	o.prior = make([]float64, len(o.cfgs))
@@ -622,14 +623,7 @@ func (o *Optimizer) fastest(base float64) int {
 }
 
 // rand returns a uniform float64 in [0,1) from the internal generator.
-func (o *Optimizer) rand() float64 {
-	o.rng += 0x9e3779b97f4a7c15
-	z := o.rng
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	z ^= z >> 31
-	return float64(z>>11) / (1 << 53)
-}
+func (o *Optimizer) rand() float64 { return o.rng.Float64() }
 
 // Rate returns the pricing rate of config c in $/hr (0 if unknown).
 func (o *Optimizer) Rate(c vcore.Config) float64 {

@@ -11,6 +11,7 @@ import (
 	"cash/internal/fault"
 	"cash/internal/guard"
 	"cash/internal/slice"
+	"cash/internal/splitmix"
 	"cash/internal/ssim"
 	"cash/internal/workload"
 )
@@ -165,14 +166,8 @@ var simPool = ssim.NewSimPool(slice.DefaultConfig(), ssim.SteerEarliest)
 // rng returns a splitmix64-style generator; the harness derives all of
 // its per-seed variation from it, never from a wall clock.
 func rng(seed uint64) func() uint64 {
-	s := seed
-	return func() uint64 {
-		s += 0x9e3779b97f4a7c15
-		z := s
-		z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-		z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-		return z ^ (z >> 31)
-	}
+	r := splitmix.At(seed)
+	return r.Uint64
 }
 
 // runGuard executes one run of a guard scenario; its one counter is

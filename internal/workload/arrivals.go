@@ -3,6 +3,8 @@ package workload
 import (
 	"fmt"
 	"math"
+
+	"cash/internal/splitmix"
 )
 
 // ArrivalStream is an open-loop request arrival process: a deterministic,
@@ -60,7 +62,7 @@ type ShapedStream struct {
 	// Shapes multiply into the rate. Empty = constant BaseRate.
 	Shapes []RateShape
 
-	r           rng
+	r           splitmix.Rand
 	init        bool
 	lastArrival float64
 	count       int64
@@ -114,13 +116,13 @@ func (s *ShapedStream) Reset() {
 // NextArrival returns the next arrival cycle (monotone non-decreasing).
 func (s *ShapedStream) NextArrival() int64 {
 	if !s.init {
-		s.r = newRNG(s.Seed ^ 0xA9A9A9)
+		s.r = splitmix.New(s.Seed ^ 0xA9A9A9)
 		s.init = true
 	}
 	rate := s.RateAt(int64(s.lastArrival))
 	gap := 1e6 / rate
 	if s.Jitter > 0 {
-		gap *= 1 + s.Jitter*(2*s.r.float64()-1)
+		gap *= 1 + s.Jitter*(2*s.r.Float64()-1)
 	}
 	if gap < 1e-6 {
 		gap = 1e-6
@@ -140,11 +142,7 @@ func (s *ShapedStream) Work() int64 { return s.InstrsPerRequest }
 // a splitmix64 finalizer — the pure randomness every event-lattice
 // shape draws from, so Factor needs no mutable cursor.
 func shapeHash(seed, slot, salt uint64) float64 {
-	z := seed + slot*0x9e3779b97f4a7c15 + salt*0xff51afd7ed558ccd
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	z ^= z >> 31
-	return float64(z>>11) / (1 << 53)
+	return splitmix.Unit(splitmix.Mix(seed + slot*splitmix.Gamma + salt*0xff51afd7ed558ccd))
 }
 
 // Diurnal is a smooth daily load cycle, condensed to PeriodMCycles the

@@ -1,6 +1,10 @@
 package workload
 
-import "testing"
+import (
+	"testing"
+
+	"cash/internal/splitmix"
+)
 
 // TestFastModMatchesModulo verifies the three-multiply remainder
 // against the hardware divide on adversarial divisors (powers of two,
@@ -12,15 +16,15 @@ func TestFastModMatchesModulo(t *testing.T) {
 		1 << 20, 1<<20 + 1, 1<<32 - 1, 1 << 32, 1<<32 + 1,
 		1<<40 - 7, 1 << 52, 1<<63 - 1, 1 << 63, 1<<63 + 1, ^uint64(0),
 	}
-	r := newRNG(2024)
+	r := splitmix.New(2024)
 	for i := 0; i < 200; i++ {
-		divisors = append(divisors, 1+r.next()%(1<<45))
+		divisors = append(divisors, 1+r.Uint64()%(1<<45))
 	}
 	for _, d := range divisors {
 		f := newFastMod(d)
 		xs := []uint64{0, 1, d - 1, d, d + 1, 2*d - 1, 2 * d, ^uint64(0), ^uint64(0) - 1}
 		for i := 0; i < 500; i++ {
-			xs = append(xs, r.next())
+			xs = append(xs, r.Uint64())
 		}
 		for _, x := range xs {
 			if got, want := f.mod(x), x%d; got != want {

@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"cash/internal/isa"
+	"cash/internal/splitmix"
 )
 
 // recentWindow is how many recent producer registers a generated
@@ -24,7 +25,7 @@ type Gen struct {
 	phaseInstr int64 // instructions emitted within the current phase
 	total      int64 // instructions emitted overall
 
-	r  rng
+	r  splitmix.Rand
 	pg phaseGen
 }
 
@@ -58,7 +59,7 @@ func (g *Gen) Reset() {
 	g.phase = 0
 	g.phaseInstr = 0
 	g.total = 0
-	g.r = newRNG(g.seed)
+	g.r = splitmix.New(g.seed)
 	g.pg.init(&g.app.Phases[0], 0)
 }
 
@@ -155,7 +156,7 @@ func (g *Gen) PhaseRemaining() int64 {
 // phase forever. The oracle uses it to characterise one (phase, config)
 // point without running the whole application.
 type PhaseGen struct {
-	r   rng
+	r   splitmix.Rand
 	pg  phaseGen
 	p   Phase
 	idx int
@@ -168,7 +169,7 @@ func NewPhaseGen(p Phase, phaseIndex int, seed uint64) *PhaseGen {
 	if err := p.Validate(); err != nil {
 		panic(fmt.Sprintf("workload.NewPhaseGen: %v", err))
 	}
-	g := &PhaseGen{r: newRNG(seed), p: p, idx: phaseIndex}
+	g := &PhaseGen{r: splitmix.New(seed), p: p, idx: phaseIndex}
 	g.pg.init(&g.p, phaseIndex)
 	return g
 }
@@ -181,7 +182,7 @@ func (g *PhaseGen) Reset(p Phase, phaseIndex int, seed uint64) {
 	if err := p.Validate(); err != nil {
 		panic(fmt.Sprintf("workload.PhaseGen.Reset: %v", err))
 	}
-	g.r = newRNG(seed)
+	g.r = splitmix.New(seed)
 	g.p, g.idx = p, phaseIndex
 	g.pg.init(&g.p, phaseIndex)
 }
@@ -235,7 +236,7 @@ type phaseGen struct {
 
 	// Per-phase probability thresholds in 53-bit draw space: comparing
 	// the next draw's top 53 bits against one of these is bit-identical
-	// to the seed's `r.float64() < frac` (see fracThreshold) while
+	// to the seed's `r.Float64() < frac` (see fracThreshold) while
 	// skipping the int→float conversion and division per sample.
 	thrDep, thrSecond, thrMispredict uint64
 	thrHot, thrMid, thrStream        uint64
@@ -285,9 +286,9 @@ const (
 )
 
 // fracThreshold maps a probability f in [0,1] to the threshold t for
-// which `r.next()>>11 < t` decides exactly like the seed generator's
-// `r.float64() < f` on the same draw. rng.float64 is float64(k)/2^53
-// with k = next()>>11 < 2^53; both k and the power-of-two scaling are
+// which `r.Bits53() < t` decides exactly like the seed generator's
+// `r.Float64() < f` on the same draw. splitmix's Float64 is
+// float64(k)/2^53 with k = Bits53() < 2^53; both k and the power-of-two scaling are
 // exact in float64, so `float64(k)/2^53 < f` ⇔ `k < f·2^53` as reals ⇔
 // `k < ceil(f·2^53)` — bit-identical decisions, no float conversion.
 func fracThreshold(f float64) uint64 {
@@ -447,9 +448,9 @@ func (pg *phaseGen) opFor(u uint64) isa.Op {
 // gen produces one instruction in place, overwriting *in entirely.
 // Filling the caller's buffer slot directly keeps the staging-buffer
 // fill loop free of per-instruction struct copies.
-func (pg *phaseGen) gen(r *rng, in *isa.Instr) {
+func (pg *phaseGen) gen(r *splitmix.Rand, in *isa.Instr) {
 	*in = isa.Instr{}
-	u := r.next()
+	u := r.Uint64()
 	if op := pg.opTab[u>>56]; op != opAmbiguous {
 		in.Op = isa.Op(op)
 	} else {
@@ -457,9 +458,9 @@ func (pg *phaseGen) gen(r *rng, in *isa.Instr) {
 	}
 
 	// Source dependences.
-	if r.bits53() < pg.thrDep {
+	if r.Bits53() < pg.thrDep {
 		in.Src1 = pg.depReg(r)
-		if r.bits53() < pg.thrSecond {
+		if r.Bits53() < pg.thrSecond {
 			in.Src2 = pg.depReg(r)
 		}
 	}
@@ -475,20 +476,20 @@ func (pg *phaseGen) gen(r *rng, in *isa.Instr) {
 			in.Src1 = pg.depReg(r)
 		}
 	case isa.OpBranch:
-		in.Mispredict = r.bits53() < pg.thrMispredict
+		in.Mispredict = r.Bits53() < pg.thrMispredict
 	default:
 		in.Dst = pg.allocDst()
 	}
 
 	in.PC = pg.pc
-	if in.Op == isa.OpBranch && r.bits53() < thrTaken {
+	if in.Op == isa.OpBranch && r.Bits53() < thrTaken {
 		in.Taken = true
 		// Taken branch: usually back into the hot loop body, sometimes
 		// across the whole code region (call/return, cold paths).
-		if r.bits53() < thrHotTarget {
-			pg.pc = pg.codeBase + pg.fmHotCode.mod(r.next())&^3
+		if r.Bits53() < thrHotTarget {
+			pg.pc = pg.codeBase + pg.fmHotCode.mod(r.Uint64())&^3
 		} else {
-			pg.pc = pg.codeBase + pg.fmCode.mod(r.next())&^3
+			pg.pc = pg.codeBase + pg.fmCode.mod(r.Uint64())&^3
 		}
 	} else {
 		pg.pc += 4
@@ -499,11 +500,11 @@ func (pg *phaseGen) gen(r *rng, in *isa.Instr) {
 }
 
 // depReg resolves a sampled dependence distance to a recent producer.
-func (pg *phaseGen) depReg(r *rng) isa.Reg {
+func (pg *phaseGen) depReg(r *splitmix.Rand) isa.Reg {
 	if pg.recentLen == 0 {
 		return isa.RegZero
 	}
-	d := 1 + int64(pg.fmDep.mod(r.next()))
+	d := 1 + int64(pg.fmDep.mod(r.Uint64()))
 	if d > int64(pg.recentLen) {
 		d = int64(pg.recentLen)
 	}
@@ -535,19 +536,19 @@ func (pg *phaseGen) allocDst() isa.Reg {
 }
 
 // genAddr produces a data address according to the phase's locality model.
-func (pg *phaseGen) genAddr(r *rng) uint64 {
-	if r.bits53() < pg.thrHot {
-		return pg.hotBase + pg.fmHot.mod(r.next())&^7
+func (pg *phaseGen) genAddr(r *splitmix.Rand) uint64 {
+	if r.Bits53() < pg.thrHot {
+		return pg.hotBase + pg.fmHot.mod(r.Uint64())&^7
 	}
-	if pg.midSize > 0 && r.bits53() < pg.thrMid {
-		return pg.midBase + pg.fmMid.mod(r.next())&^7
+	if pg.midSize > 0 && r.Bits53() < pg.thrMid {
+		return pg.midBase + pg.fmMid.mod(r.Uint64())&^7
 	}
-	if r.bits53() < pg.thrStream {
+	if r.Bits53() < pg.thrStream {
 		pg.streamPos += uint64(pg.p.Stride)
 		if pg.streamPos >= pg.mainSize {
 			pg.streamPos = 0
 		}
 		return pg.mainBase + pg.streamPos&^7
 	}
-	return pg.mainBase + pg.fmMain.mod(r.next())&^7
+	return pg.mainBase + pg.fmMain.mod(r.Uint64())&^7
 }

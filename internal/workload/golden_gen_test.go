@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"cash/internal/isa"
+	"cash/internal/splitmix"
 )
 
 // This file carries a verbatim copy of the seed instruction generator —
@@ -80,9 +81,9 @@ func (pg *refPhaseGen) init(p *Phase, phaseIndex int) {
 	pg.pc = pg.codeBase
 }
 
-func (pg *refPhaseGen) gen(r *rng) isa.Instr {
+func (pg *refPhaseGen) gen(r *splitmix.Rand) isa.Instr {
 	var in isa.Instr
-	u := r.next()
+	u := r.Uint64()
 	switch {
 	case u < pg.thrALU:
 		in.Op = isa.OpALU
@@ -100,9 +101,9 @@ func (pg *refPhaseGen) gen(r *rng) isa.Instr {
 		in.Op = isa.OpBranch
 	}
 
-	if r.float64() < pg.p.DepFrac {
+	if r.Float64() < pg.p.DepFrac {
 		in.Src1 = pg.depReg(r)
-		if r.float64() < pg.p.SecondSrcFrac {
+		if r.Float64() < pg.p.SecondSrcFrac {
 			in.Src2 = pg.depReg(r)
 		}
 	}
@@ -117,18 +118,18 @@ func (pg *refPhaseGen) gen(r *rng) isa.Instr {
 			in.Src1 = pg.depReg(r)
 		}
 	case isa.OpBranch:
-		in.Mispredict = r.float64() < pg.p.MispredictRate
+		in.Mispredict = r.Float64() < pg.p.MispredictRate
 	default:
 		in.Dst = pg.allocDst()
 	}
 
 	in.PC = pg.pc
-	if in.Op == isa.OpBranch && r.float64() < takenFrac {
+	if in.Op == isa.OpBranch && r.Float64() < takenFrac {
 		in.Taken = true
-		if r.float64() < hotTargetFrac {
-			pg.pc = pg.codeBase + (r.next()%pg.hotCode)&^3
+		if r.Float64() < hotTargetFrac {
+			pg.pc = pg.codeBase + (r.Uint64()%pg.hotCode)&^3
 		} else {
-			pg.pc = pg.codeBase + (r.next()%pg.codeSize)&^3
+			pg.pc = pg.codeBase + (r.Uint64()%pg.codeSize)&^3
 		}
 	} else {
 		pg.pc += 4
@@ -139,11 +140,11 @@ func (pg *refPhaseGen) gen(r *rng) isa.Instr {
 	return in
 }
 
-func (pg *refPhaseGen) depReg(r *rng) isa.Reg {
+func (pg *refPhaseGen) depReg(r *splitmix.Rand) isa.Reg {
 	if pg.recentLen == 0 {
 		return isa.RegZero
 	}
-	d := 1 + r.intn(pg.depDistMax)
+	d := 1 + r.Intn(pg.depDistMax)
 	if d > int64(pg.recentLen) {
 		d = int64(pg.recentLen)
 	}
@@ -171,28 +172,28 @@ func (pg *refPhaseGen) allocDst() isa.Reg {
 	return d
 }
 
-func (pg *refPhaseGen) genAddr(r *rng) uint64 {
-	if r.float64() < pg.p.HotFrac {
-		return pg.hotBase + (r.next()%pg.hotSize)&^7
+func (pg *refPhaseGen) genAddr(r *splitmix.Rand) uint64 {
+	if r.Float64() < pg.p.HotFrac {
+		return pg.hotBase + (r.Uint64()%pg.hotSize)&^7
 	}
-	if pg.midSize > 0 && r.float64() < pg.p.MidFrac {
-		return pg.midBase + (r.next()%pg.midSize)&^7
+	if pg.midSize > 0 && r.Float64() < pg.p.MidFrac {
+		return pg.midBase + (r.Uint64()%pg.midSize)&^7
 	}
-	if r.float64() < pg.p.StreamFrac {
+	if r.Float64() < pg.p.StreamFrac {
 		pg.streamPos += uint64(pg.p.Stride)
 		if pg.streamPos >= pg.mainSize {
 			pg.streamPos = 0
 		}
 		return pg.mainBase + pg.streamPos&^7
 	}
-	return pg.mainBase + (r.next()%pg.mainSize)&^7
+	return pg.mainBase + (r.Uint64()%pg.mainSize)&^7
 }
 
 // refStream emits app's full dynamic stream with the seed generator:
 // one rng shared across phases, phaseGen re-initialised per phase —
 // exactly Gen's walk.
 func refStream(app App, seed uint64, limit int) []isa.Instr {
-	r := newRNG(seed)
+	r := splitmix.New(seed)
 	var pg refPhaseGen
 	out := make([]isa.Instr, 0, limit)
 	for pi := range app.Phases {
@@ -254,7 +255,7 @@ func TestGenMatchesSeedGenerator(t *testing.T) {
 func TestPhaseGenMatchesSeedGenerator(t *testing.T) {
 	app := X264()
 	for pi, p := range app.Phases {
-		r := newRNG(7)
+		r := splitmix.New(7)
 		var ref refPhaseGen
 		ref.init(&app.Phases[pi], pi)
 		g := NewPhaseGen(p, pi, 7)
@@ -275,14 +276,14 @@ func TestPhaseGenMatchesSeedGenerator(t *testing.T) {
 // bite, plus a dense random sweep.
 func TestFracThreshold(t *testing.T) {
 	fracs := []float64{0, 1e-18, 0.25, 0.5, 1.0 / 3, 0.55, 0.95, 1 - 1e-16, 1}
-	r := newRNG(99)
+	r := splitmix.New(99)
 	for i := 0; i < 2000; i++ {
-		fracs = append(fracs, r.float64())
+		fracs = append(fracs, r.Float64())
 	}
 	draws := []uint64{0, 1, 1<<53 - 1, 1 << 52}
-	dr := newRNG(123)
+	dr := splitmix.New(123)
 	for i := 0; i < 2000; i++ {
-		draws = append(draws, dr.next()>>11)
+		draws = append(draws, dr.Uint64()>>11)
 	}
 	for _, f := range fracs {
 		thr := fracThreshold(f)

@@ -3,6 +3,8 @@ package workload
 import (
 	"fmt"
 	"math"
+
+	"cash/internal/splitmix"
 )
 
 // RequestStream models an open-loop request arrival process for the
@@ -26,7 +28,7 @@ type RequestStream struct {
 	// as a fraction of the nominal gap (0 = perfectly regular).
 	Jitter float64
 
-	r    rng
+	r    splitmix.Rand
 	init bool
 	// last issued arrival time in cycles.
 	lastArrival float64
@@ -87,13 +89,13 @@ func (s *RequestStream) Reset() {
 // reciprocal of the instantaneous rate, optionally jittered.
 func (s *RequestStream) NextArrival() int64 {
 	if !s.init {
-		s.r = newRNG(0xA9A9A9)
+		s.r = splitmix.New(0xA9A9A9)
 		s.init = true
 	}
 	rate := s.RateAt(int64(s.lastArrival)) // requests per 1e6 cycles
 	gap := 1e6 / rate
 	if s.Jitter > 0 {
-		gap *= 1 + s.Jitter*(2*s.r.float64()-1)
+		gap *= 1 + s.Jitter*(2*s.r.Float64()-1)
 	}
 	s.lastArrival += gap
 	s.count++
