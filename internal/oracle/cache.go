@@ -59,10 +59,11 @@ type cacheEntry struct {
 }
 
 // LoadCache merges entries from the file into the database. A missing
-// file is not an error. A cache with an old or unrecognised format, or
-// whose checksum header does not match its payload, is discarded (the
-// caller should warn and re-characterise) rather than decoded as
-// stale or garbage data.
+// file is not an error. A cache with an old or unrecognised format,
+// whose checksum header does not match its payload, or holding an entry
+// no measurement could have produced (see Char.check), is discarded
+// whole (the caller should warn and re-characterise) rather than
+// decoded as stale or garbage data.
 func (db *DB) LoadCache(path string) error {
 	if err := db.checkCacheSeed(path); err != nil {
 		return err
@@ -108,6 +109,11 @@ func (db *DB) LoadCache(path string) error {
 	} else {
 		if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&m); err != nil {
 			return fmt.Errorf("oracle: decoding cache %s: %w", path, err)
+		}
+	}
+	for k, v := range m {
+		if err := v.check(); err != nil {
+			return fmt.Errorf("oracle: cache %s entry %q %v; discarding it", path, k, err)
 		}
 	}
 	db.mu.Lock()

@@ -41,6 +41,25 @@ type Char struct {
 	MinQ []float64
 }
 
+// check reports why c is not a characterisation a measurement could
+// have produced: Avg and MinQ must cover the same, non-zero number of
+// phases with finite, non-negative IPCs. Whether that number is the
+// application's phase count is checked where the application is known
+// (table, characterize).
+func (c Char) check() error {
+	if len(c.Avg) == 0 || len(c.Avg) != len(c.MinQ) {
+		return fmt.Errorf("has %d Avg and %d MinQ phases", len(c.Avg), len(c.MinQ))
+	}
+	for i := range c.Avg {
+		for _, v := range [2]float64{c.Avg[i], c.MinQ[i]} {
+			if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
+				return fmt.Errorf("holds IPC %v in phase %d", v, i)
+			}
+		}
+	}
+	return nil
+}
+
 // DB is the memoised characterisation database.
 //
 // Every measurement runs the Table I Slice (slice.DefaultConfig) with
@@ -262,7 +281,8 @@ func (db *DB) table(app workload.App) appTable {
 	db.mu.Lock()
 	for i, suffix := range cfgSuffix {
 		k = append(append(k[:n], suffix...), tier...)
-		if c, ok := db.cache[string(k)]; ok {
+		// An entry of another phase count is a miss: at measures it again.
+		if c, ok := db.cache[string(k)]; ok && len(c.Avg) == len(app.Phases) {
 			t.chars[i] = c
 			t.have |= 1 << uint(i)
 		}
@@ -296,7 +316,7 @@ func (db *DB) Characterize(app workload.App, cfg vcore.Config) Char {
 func (db *DB) characterize(app workload.App, cfg vcore.Config, tr *workload.Trace) Char {
 	key := db.key(app, cfg)
 	db.mu.Lock()
-	if v, ok := db.cache[key]; ok {
+	if v, ok := db.cache[key]; ok && len(v.Avg) == len(app.Phases) {
 		db.mu.Unlock()
 		return v
 	}

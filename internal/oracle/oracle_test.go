@@ -2,8 +2,13 @@ package oracle
 
 import (
 	"bytes"
+	"encoding/gob"
+	"fmt"
+	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -362,6 +367,91 @@ func TestLoadCacheRejectsOldFormats(t *testing.T) {
 		if db2.Entries() != 0 {
 			t.Fatalf("case %d: old-format cache must not contribute entries", i)
 		}
+	}
+}
+
+// writeCache writes entries as a cache file with a valid header and
+// checksum.
+func writeCache(t testing.TB, path string, entries []cacheEntry) {
+	t.Helper()
+	var payload bytes.Buffer
+	if err := gob.NewEncoder(&payload).Encode(entries); err != nil {
+		t.Fatal(err)
+	}
+	writeCachePayload(t, path, cacheMagic, payload.Bytes())
+}
+
+// writeCachePayload writes payload behind magic and the payload's
+// checksum.
+func writeCachePayload(t testing.TB, path, magic string, payload []byte) {
+	t.Helper()
+	raw := fmt.Appendf(nil, "%s%08x\n", magic, crc32.ChecksumIEEE(payload))
+	if err := os.WriteFile(path, append(raw, payload...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestLoadCacheRejectsMalformedEntries: a cache file with a valid
+// checksum whose entry no measurement could have produced is discarded
+// whole, with an error naming the entry. The first case once loaded,
+// after which MinQuantumIPC read NaN and IPC on phase 1 panicked.
+func TestLoadCacheRejectsMalformedEntries(t *testing.T) {
+	app := phasedApp("two-phase", 2)
+	db := NewDB()
+	bad, good := db.key(app, vcore.Min()), db.key(app, vcore.Max())
+	nan, inf := math.NaN(), math.Inf(1)
+	for name, ch := range map[string]Char{
+		"one phase, NaN MinQ": {Avg: []float64{1}, MinQ: []float64{nan}},
+		"lengths differ":      {Avg: []float64{1, 1}, MinQ: []float64{1}},
+		"no phases":           {},
+		"NaN Avg":             {Avg: []float64{nan, 1}, MinQ: []float64{1, 1}},
+		"+Inf Avg":            {Avg: []float64{1, inf}, MinQ: []float64{1, 1}},
+		"-Inf MinQ":           {Avg: []float64{1, 1}, MinQ: []float64{1, -inf}},
+		"negative Avg":        {Avg: []float64{-0.5, 1}, MinQ: []float64{0, 1}},
+	} {
+		path := filepath.Join(t.TempDir(), "oracle.gob")
+		writeCache(t, path, []cacheEntry{
+			{Key: bad, Val: ch},
+			{Key: good, Val: Char{Avg: []float64{1, 2}, MinQ: []float64{0.5, 1}}},
+		})
+		db := NewDB()
+		err := db.LoadCache(path)
+		if err == nil {
+			t.Errorf("%s: cache loaded", name)
+			continue
+		}
+		if !strings.Contains(err.Error(), fmt.Sprintf("%q", bad)) {
+			t.Errorf("%s: error %q does not name the entry", name, err)
+		}
+		if db.Entries() != 0 {
+			t.Errorf("%s: %d entries merged from a discarded cache", name, db.Entries())
+		}
+	}
+}
+
+// TestWrongPhaseCountIsMeasuredAgain: a well-formed cached entry that
+// covers fewer phases than the application has is a miss, at
+// Characterize and at the table queries alike.
+func TestWrongPhaseCountIsMeasuredAgain(t *testing.T) {
+	app := phasedApp("two-phase", 2)
+	path := filepath.Join(t.TempDir(), "oracle.gob")
+	writeCache(t, path, []cacheEntry{{Key: NewDB().key(app, vcore.Min()), Val: Char{Avg: []float64{9}, MinQ: []float64{9}}}})
+	fresh := NewDB()
+	want := fresh.Characterize(app, vcore.Min())
+
+	db := NewDB()
+	if err := db.LoadCache(path); err != nil {
+		t.Fatal(err)
+	}
+	if got := db.IPC(app, 1, vcore.Min()); got != want.Avg[1] {
+		t.Errorf("IPC(phase 1) = %v, want the measured %v", got, want.Avg[1])
+	}
+	db = NewDB()
+	if err := db.LoadCache(path); err != nil {
+		t.Fatal(err)
+	}
+	if got := db.Grid(app, 1)[0][0]; got != want.Avg[1] {
+		t.Errorf("Grid(phase 1) at the minimum configuration = %v, want the measured %v", got, want.Avg[1])
 	}
 }
 
