@@ -56,7 +56,9 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzReqQueue -fuzztime=$(FUZZTIME) ./internal/experiment/
 	$(GO) test -run='^$$' -fuzz=FuzzJournalReopen -fuzztime=$(FUZZTIME) ./internal/supervise/
 	$(GO) test -run='^$$' -fuzz=FuzzReadFrame -fuzztime=$(FUZZTIME) ./internal/daemon/
+	$(GO) test -run='^$$' -fuzz=FuzzRebuild -fuzztime=$(FUZZTIME) ./internal/daemon/
 	$(GO) test -run='^$$' -fuzz=FuzzSpendDecode -fuzztime=$(FUZZTIME) ./internal/daemon/client/
+	$(GO) test -run='^$$' -fuzz=FuzzLoadCache -fuzztime=$(FUZZTIME) ./internal/oracle/
 
 # chaos runs the chaos soak: every guard, fleet and daemon scenario
 # over the soak's default seed count. CHAOS_FLAGS passes `cashsim chaos`
