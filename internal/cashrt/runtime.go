@@ -1,11 +1,11 @@
 // Package cashrt is the CASH runtime (§IV, Algorithm 1): the
 // co-designed software half of the system. Once per control quantum it
 //
-//  1. reads the delivered QoS q(t), which the experiment engine hands it
-//     as an alloc.Observation per plan step (synthesized from the live
-//     Slices' performance counters, read directly: the paper's runtime
-//     interface network is not modelled, since its latency was never
-//     charged),
+//  1. reads the delivered QoS q(t) from the experiment engine's
+//     alloc.Observations (in batch runs, instructions per cycle, whose
+//     count the engine checks against the live Slices' performance
+//     counters, read directly: the paper's runtime interface network
+//     is not modelled, since its latency was never charged),
 //  2. updates the Kalman estimate b̂(t) of the application's base speed
 //     (phase detection, §IV-B),
 //  3. runs the deadbeat controller to produce a speedup demand s(t)
