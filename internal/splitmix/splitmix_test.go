@@ -1,6 +1,9 @@
 package splitmix
 
-import "testing"
+import (
+	"math"
+	"testing"
+)
 
 // TestReferenceStream pins the generator to the published SplitMix64
 // outputs for state 0.
@@ -32,8 +35,9 @@ func TestDerivedDraws(t *testing.T) {
 				t.Fatalf("Intn(10) = %d from bits %#x", got, z)
 			}
 		case 3:
-			if got := a.ExpInt64(0.5); got < 1 {
-				t.Fatalf("ExpInt64 = %d, want at least 1", got)
+			want := max(int64(-math.Log(1-float64(z>>11)/(1<<53))*40), 1)
+			if got := a.ExpInt64(40); got != want {
+				t.Fatalf("ExpInt64(40) = %d from bits %#x, want %d", got, z, want)
 			}
 		}
 	}
