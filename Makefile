@@ -55,6 +55,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzArrivalStream -fuzztime=$(FUZZTIME) ./internal/workload/
 	$(GO) test -run='^$$' -fuzz=FuzzReqQueue -fuzztime=$(FUZZTIME) ./internal/experiment/
 	$(GO) test -run='^$$' -fuzz=FuzzJournalReopen -fuzztime=$(FUZZTIME) ./internal/supervise/
+	$(GO) test -run='^$$' -fuzz=FuzzEntryCodec -fuzztime=$(FUZZTIME) ./internal/supervise/
 	$(GO) test -run='^$$' -fuzz=FuzzReadFrame -fuzztime=$(FUZZTIME) ./internal/daemon/
 	$(GO) test -run='^$$' -fuzz=FuzzRebuild -fuzztime=$(FUZZTIME) ./internal/daemon/
 	$(GO) test -run='^$$' -fuzz=FuzzSpendDecode -fuzztime=$(FUZZTIME) ./internal/daemon/client/

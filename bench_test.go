@@ -23,6 +23,7 @@ import (
 	"runtime"
 	"runtime/debug"
 	"strconv"
+	"sync"
 	"testing"
 	"time"
 
@@ -536,4 +537,136 @@ func BenchmarkDaemonSubmit(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkJournalReopen measures a cashd restart on a journal like
+// the one the cashd-mixed benchmark restarts on: 1000 tenants whose 4
+// cells have all landed, compacted by a clean drain (5,001 lines). One
+// operation is daemon.Start, which loads the journal, rebuilds the
+// books from it and binds the socket; killing the daemon is not timed.
+// load-ms and rebuild-ms are the two layers the daemon times itself.
+// The socket bind and the goroutine starts make up the rest of ns/op,
+// and the benchmark fails if the two layers cover less than 90% of it.
+func BenchmarkJournalReopen(b *testing.B) {
+	reopen.once.Do(func() { reopen.raw, reopen.err = writeReopenJournal() })
+	if reopen.err != nil {
+		b.Fatal(reopen.err)
+	}
+	// Relative paths keep the bytes a restart allocates the same
+	// wherever the temporary directory is.
+	b.Chdir(b.TempDir())
+	opts := reopenOptions(".")
+	if err := os.WriteFile(opts.Journal, reopen.raw, 0o644); err != nil {
+		b.Fatal(err)
+	}
+	// A restart allocates about 5 MB. The heap is collected between
+	// restarts, untimed, under a GOGC that starts no collection within
+	// one, and on one processor, so that neither the collector's own
+	// allocations nor a new OS thread's land in a restart: B/op stays
+	// exact. ns/op is therefore a restart's cost without collection.
+	var load, rebuild time.Duration
+	defer debug.SetGCPercent(debug.SetGCPercent(2000))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		srv, err := daemon.Start(opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		r := srv.Restart()
+		load += r.Load
+		rebuild += r.Rebuild
+		srv.Kill()
+		runtime.GC()
+		b.StartTimer()
+	}
+	b.StopTimer()
+	if layers, whole := load+rebuild, b.Elapsed(); layers < whole*9/10 {
+		b.Fatalf("load %v and rebuild %v cover %.0f%% of the %v restarts took", load, rebuild,
+			100*layers.Seconds()/whole.Seconds(), whole)
+	}
+	b.ReportMetric(load.Seconds()*1e3/float64(b.N), "load-ms")
+	b.ReportMetric(rebuild.Seconds()*1e3/float64(b.N), "rebuild-ms")
+}
+
+// reopen holds the journal BenchmarkJournalReopen restarts on, written
+// once per process.
+var reopen struct {
+	once sync.Once
+	raw  []byte
+	err  error
+}
+
+// reopenTenants are the tenants of BenchmarkJournalReopen's journal.
+func reopenTenants() []daemon.TenantSpec {
+	specs := make([]daemon.TenantSpec, 1000)
+	for i := range specs {
+		specs[i] = daemon.TenantSpec{Name: fmt.Sprintf("p%05d", i), Cells: 4, Seed: uint64(i) * 0x9e3779b97f4a7c15}
+	}
+	return specs
+}
+
+// reopenOptions are the daemon options of BenchmarkJournalReopen, in
+// dir: the cashd-mixed fleet and funds that cover every tenant twice.
+func reopenOptions(dir string) daemon.Options {
+	var funds int64
+	for _, s := range reopenTenants() {
+		funds += 2 * daemon.ExpectedSpend(s, cost.Default())
+	}
+	return daemon.Options{
+		Socket: filepath.Join(dir, "cashd.sock"), Journal: filepath.Join(dir, "journal.jsonl"),
+		Chips: 16, SlotsPerChip: 4, Epoch: time.Millisecond, Funds: funds,
+	}
+}
+
+// writeReopenJournal runs a daemon that admits every tenant, lands
+// every cell and drains, and returns the journal it leaves.
+func writeReopenJournal() ([]byte, error) {
+	dir, err := os.MkdirTemp("", "cash-reopen-")
+	if err != nil {
+		return nil, err
+	}
+	defer os.RemoveAll(dir)
+	opts := reopenOptions(dir)
+	srv, err := daemon.Start(opts)
+	if err != nil {
+		return nil, err
+	}
+	cl, err := daemonclient.Dial(daemonclient.Options{Socket: srv.Socket()})
+	if err != nil {
+		srv.Kill()
+		return nil, err
+	}
+	defer cl.Close()
+	for _, s := range reopenTenants() {
+		if _, err := cl.Submit(s.Name, s); err != nil {
+			srv.Kill()
+			return nil, err
+		}
+	}
+	for deadline := time.Now().Add(time.Minute); ; {
+		h, err := cl.Health()
+		if err != nil {
+			srv.Kill()
+			return nil, err
+		}
+		if h.CellsLanded == h.CellsTotal && h.Pending == 0 && h.Running == 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			srv.Kill()
+			return nil, fmt.Errorf("cells still executing after a minute: %+v", h)
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	if err := cl.Drain(); err != nil {
+		srv.Kill()
+		return nil, err
+	}
+	if err := srv.Wait(); err != nil {
+		return nil, err
+	}
+	return os.ReadFile(opts.Journal)
 }

@@ -118,6 +118,7 @@ BenchmarkHistogramRecord-8 	100000000	         6.9 ns/op	       0 B/op	       0 
 BenchmarkRuntimeDecide-8   	 1000000	      1150 ns/op	      48 B/op	       1 allocs/op
 BenchmarkWireCodec-8       	  100000	     10563 ns/op	    ` + strconv.Itoa(wireBytes) + ` B/op	      ` + strconv.Itoa(wireAllocs) + ` allocs/op
 BenchmarkSpendDecode-8     	    2000	    455123 ns/op	  245760 B/op	       3 allocs/op
+BenchmarkJournalReopen-8   	     300	   3666289 ns/op	         1.730 load-ms	         1.838 rebuild-ms	 5270840 B/op	   37220 allocs/op
 `
 }
 

@@ -3,6 +3,7 @@ package daemon
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"os"
 	"reflect"
 	"testing"
@@ -123,5 +124,36 @@ func TestRebuildRejectsUnclaimedCellRecords(t *testing.T) {
 	if srv, err := Start(opts); err == nil {
 		srv.Kill()
 		t.Fatal("restarted on a journal with a cell record outside every admitted tenant")
+	}
+}
+
+// TestStartRefusesDamagedJournalHeader: a flipped byte in the header
+// of the fixture must not cost its acked submits and landed cells.
+// Start fails with the journal's error, and the file is left as it
+// was for an operator to repair.
+func TestStartRefusesDamagedJournalHeader(t *testing.T) {
+	fixture, err := os.ReadFile(cashd1Fixture)
+	if err != nil {
+		t.Fatal(err)
+	}
+	damaged := bytes.Replace(fixture, []byte(`"`+journalMeta+`"`), []byte(`"Cashd/1"`), 1)
+	if bytes.Equal(damaged, fixture) {
+		t.Fatal("test setup: header not found")
+	}
+	opts := testOptions(t)
+	if err := os.WriteFile(opts.Journal, damaged, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	srv, err := Start(opts)
+	if err == nil {
+		srv.Kill()
+		t.Fatal("started on a journal whose header is damaged")
+	}
+	var re *supervise.ResumeError
+	if !errors.As(err, &re) || re.Path != opts.Journal {
+		t.Fatalf("Start: %v, want the journal's ResumeError for %s", err, opts.Journal)
+	}
+	if after, err := os.ReadFile(opts.Journal); err != nil || !bytes.Equal(after, damaged) {
+		t.Fatalf("a refused start changed the journal: %d bytes left of %d (%v)", len(after), len(damaged), err)
 	}
 }

@@ -6,11 +6,13 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
+	"math"
 	"net"
 	"os"
 	"path/filepath"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -260,8 +262,66 @@ type cellRecord struct {
 	Consumed int64  `json:"consumed"`
 }
 
-// cellKey is the journal key of one cell.
-func cellKey(name string, cell int) string { return fmt.Sprintf("cell %s c%04d", name, cell) }
+// encode returns the record as json.Marshal writes it.
+func (r submitRecord) encode() []byte {
+	b := supervise.AppendString([]byte(`{"spec":{"name":`), r.Spec.Name)
+	b = strconv.AppendInt(append(b, `,"cells":`...), int64(r.Spec.Cells), 10)
+	b = strconv.AppendUint(append(b, `,"seed":`...), r.Spec.Seed, 10)
+	return append(b, "}}"...)
+}
+
+// decodeSubmit reads a submit record: the form encode writes by hand,
+// any other with encoding/json.
+func decodeSubmit(v []byte) (submitRecord, error) {
+	c := supervise.NewCanon(v)
+	c.Lit(`{"spec":{"name":`)
+	name := c.Str()
+	c.Lit(`,"cells":`)
+	cells := c.Int()
+	c.Lit(`,"seed":`)
+	seed := c.Uint(math.MaxUint64)
+	c.Lit("}}")
+	if c.Done() {
+		return submitRecord{Spec: TenantSpec{Name: string(name), Cells: int(cells), Seed: seed}}, nil
+	}
+	var rec submitRecord
+	err := json.Unmarshal(v, &rec)
+	return rec, err
+}
+
+// encode returns the record as json.Marshal writes it.
+func (r cellRecord) encode() []byte {
+	b := supervise.AppendString([]byte(`{"value":`), r.Value)
+	b = strconv.AppendInt(append(b, `,"consumed":`...), r.Consumed, 10)
+	return append(b, '}')
+}
+
+// decodeCell reads a cell record: the form encode writes by hand, any
+// other with encoding/json.
+func decodeCell(v []byte) (cellRecord, error) {
+	c := supervise.NewCanon(v)
+	c.Lit(`{"value":`)
+	value := c.Str()
+	c.Lit(`,"consumed":`)
+	consumed := c.Int()
+	c.Lit("}")
+	if c.Done() {
+		return cellRecord{Value: string(value), Consumed: consumed}, nil
+	}
+	var rec cellRecord
+	err := json.Unmarshal(v, &rec)
+	return rec, err
+}
+
+// cellKey is the journal key of one cell, "cell <name> c%04d".
+func cellKey(name string, cell int) string {
+	b := make([]byte, 0, len(cellKeyPrefix)+len(name)+6)
+	b = append(append(append(b, cellKeyPrefix...), name...), " c"...)
+	for n := 1000; n > 1 && cell >= 0 && cell < n; n /= 10 {
+		b = append(b, '0')
+	}
+	return string(strconv.AppendInt(b, int64(cell), 10))
+}
 
 const (
 	submitKeyPrefix = "submit "
@@ -282,6 +342,7 @@ type Server struct {
 	fw    *fault.WireFaults
 
 	journal *supervise.Journal
+	restart Restart
 	reqs    chan coreReq
 	drainCh chan struct{}
 	killCh  chan struct{}
@@ -375,6 +436,7 @@ func open(opts Options) (*Server, error) {
 		s.fw = fw
 	}
 
+	t0 := time.Now()
 	j, err := supervise.OpenJournal(opts.Journal, journalMeta, true)
 	if err != nil {
 		return nil, err
@@ -383,12 +445,32 @@ func open(opts Options) (*Server, error) {
 	if j.Discarded != "" {
 		s.logf("journal %s discarded: %s (starting fresh)", opts.Journal, j.Discarded)
 	}
+	t1 := time.Now()
 	if err := s.rebuild(); err != nil {
 		j.Close()
 		return nil, err
 	}
+	s.restart = Restart{Load: t1.Sub(t0), Rebuild: time.Since(t1)}
+	if n := len(s.tenants); n > 0 {
+		s.logf("resumed %d tenants, %d cells landed, %d pending (journal load %v, rebuild %v)",
+			n, s.fleet.Landed(), s.fleet.Pending(), s.restart.Load, s.restart.Rebuild)
+	}
 	return s, nil
 }
+
+// Restart is the wall time open spent on each layer of a restart.
+type Restart struct {
+	// Load reads the journal: every line decoded and its checksum
+	// checked.
+	Load time.Duration
+	// Rebuild admits the journaled tenants again and re-books their
+	// landed cells.
+	Rebuild time.Duration
+}
+
+// Restart reports how long the daemon took to load its journal and to
+// rebuild its state from it before serving.
+func (s *Server) Restart() Restart { return s.restart }
 
 // listenUnix binds the socket, clearing a stale file left by a killed
 // daemon — but only after proving no live daemon answers on it.
@@ -457,23 +539,20 @@ func (s *Server) logf(format string, args ...any) {
 // tenants from submit records, landed cells (with their settled spend)
 // from cell records, everything else pending re-execution.
 func (s *Server) rebuild() error {
-	finals := s.journal.Finals()
-	var cellRecords, rebooked int
+	var rebooked int
 	var done []fleet.Landing // reused: Admit does not keep it
-	for _, e := range finals {
+	// Tenants are admitted in key order, the order their fleet indices
+	// follow.
+	for _, e := range s.journal.Finals(submitKeyPrefix) {
 		if e.Status != supervise.StatusOK {
 			continue
 		}
-		if strings.HasPrefix(e.Key, cellKeyPrefix) {
-			cellRecords++
-			continue
-		}
-		if !strings.HasPrefix(e.Key, submitKeyPrefix) {
-			continue
-		}
-		var rec submitRecord
-		if err := json.Unmarshal(e.Value, &rec); err != nil {
+		rec, err := decodeSubmit(e.Value)
+		if err != nil {
 			return fmt.Errorf("daemon: corrupt submit record %q: %w", e.Key, err)
+		}
+		if err := rec.Spec.Validate(); err != nil {
+			return err
 		}
 		// The tenant's cells the journal already holds land again with
 		// their recorded charge instead of re-executing.
@@ -483,8 +562,8 @@ func (s *Server) rebuild() error {
 			if !ok || ce.Status != supervise.StatusOK {
 				continue
 			}
-			var cr cellRecord
-			if err := json.Unmarshal(ce.Value, &cr); err != nil {
+			cr, err := decodeCell(ce.Value)
+			if err != nil {
 				return fmt.Errorf("daemon: corrupt cell record %q: %w", ce.Key, err)
 			}
 			done = append(done, fleet.Landing{Cell: i, Value: cr.Value, Consumed: cr.Consumed})
@@ -499,12 +578,8 @@ func (s *Server) rebuild() error {
 			EstimateNanos: ExpectedSpend(rec.Spec, s.opts.Model), Resubmitted: true,
 		}
 	}
-	if rebooked != cellRecords {
+	if cellRecords := s.journal.Completed(cellKeyPrefix); rebooked != cellRecords {
 		return fmt.Errorf("daemon: %d cell records have no admitted tenant", cellRecords-rebooked)
-	}
-	if n := len(s.tenants); n > 0 {
-		s.logf("resumed %d tenants, %d cells landed, %d pending",
-			n, s.fleet.Landed(), s.fleet.Pending())
 	}
 	return nil
 }
@@ -533,14 +608,10 @@ func (s *Server) admit(spec TenantSpec, done []fleet.Landing) error {
 // recordCell is the fleet's landing path: a cell's value and charge are
 // journaled, and synced, before the fleet bills them.
 func (s *Server) recordCell(l fleet.Landing) (bool, error) {
-	rec, err := json.Marshal(cellRecord{Value: l.Value, Consumed: l.Consumed})
-	if err != nil {
-		return false, err
-	}
 	won, err := s.journal.RecordOnce(supervise.Entry{
 		Status: supervise.StatusOK,
 		Key:    cellKey(s.tenants[l.Tenant].Name, l.Cell),
-		Value:  rec,
+		Value:  cellRecord{Value: l.Value, Consumed: l.Consumed}.encode(),
 	})
 	if err != nil {
 		return false, fmt.Errorf("journaling cell: %w", err)
@@ -673,15 +744,10 @@ func (s *Server) handleSubmit(r coreReq) {
 			Error: fmt.Sprintf("tenant %q already admitted under a different idempotency key", spec.Name)})
 		return
 	}
-	value, err := json.Marshal(submitRecord{Spec: spec})
-	if err != nil {
-		r.c.send(Response{ID: r.req.ID, Code: CodeError, Error: err.Error()})
-		return
-	}
 	won, err := s.journal.RecordOnce(supervise.Entry{
 		Status: supervise.StatusOK,
 		Key:    submitKeyPrefix + r.req.Idem,
-		Value:  value,
+		Value:  submitRecord{Spec: spec}.encode(),
 	})
 	if err != nil {
 		s.fatal(fmt.Errorf("journaling submit: %w", err))

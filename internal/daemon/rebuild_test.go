@@ -64,3 +64,76 @@ func FuzzRebuild(f *testing.F) {
 		}
 	})
 }
+
+// TestRecordCodecMatchesEncodingJSON: the daemon's journal records
+// encode to the bytes json.Marshal gives, and decode, in the daemon's
+// own form or any other, to what json.Unmarshal reads.
+func TestRecordCodecMatchesEncodingJSON(t *testing.T) {
+	for _, spec := range []TenantSpec{
+		{Name: "alpha", Cells: 6, Seed: 11},
+		{Name: "", Cells: 0, Seed: 0},
+		{Name: "<b>&\"\\  é\x01\xff", Cells: -4096, Seed: 1<<64 - 1},
+	} {
+		rec := submitRecord{Spec: spec}
+		want, err := json.Marshal(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := rec.encode(); !bytes.Equal(got, want) {
+			t.Errorf("submit record %+v encodes as %s, json.Marshal gives %s", spec, got, want)
+		}
+		var ref submitRecord
+		_ = json.Unmarshal(want, &ref) // invalid UTF-8 reads back as U+FFFD
+		if got, err := decodeSubmit(want); err != nil || got != ref {
+			t.Errorf("submit record %s decodes as %+v (%v), want %+v", want, got, err, ref)
+		}
+	}
+	for _, rec := range []cellRecord{
+		{Value: "synth 136bf7491fa30bc2", Consumed: 37668},
+		{Value: "", Consumed: -1 << 63},
+		{Value: "<\t>", Consumed: 0},
+	} {
+		want, err := json.Marshal(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := rec.encode(); !bytes.Equal(got, want) {
+			t.Errorf("cell record %+v encodes as %s, json.Marshal gives %s", rec, got, want)
+		}
+		if got, err := decodeCell(want); err != nil || got != rec {
+			t.Errorf("cell record %s decodes as %+v (%v)", want, got, err)
+		}
+	}
+	for _, v := range []string{
+		`{"spec":{"seed":3,"cells":2,"name":"b"}}`,
+		`{"spec":{"name":"b","cells":2,"seed":3},"extra":1}`,
+		`{"SPEC":{"Name":"b","cells":2.0e0,"seed":3}}`,
+		`{"spec":{"name":"b","cells":02,"seed":3}}`,
+		`{"spec":{"name":"b","cells":-0,"seed":3}}`,
+		`{"spec":{"name":"b","cells":2,"seed":18446744073709551616}}`,
+		`{"spec":{"name":"b","cells":9223372036854775808,"seed":3}}`,
+		`{"spec":{"name":"b","cells":2,"seed":-3}}`,
+		`{"spec":{"name":"b","cells":2,"seed":3}} `,
+	} {
+		var want submitRecord
+		werr := json.Unmarshal([]byte(v), &want)
+		got, err := decodeSubmit([]byte(v))
+		if (err != nil) != (werr != nil) || (err == nil && got != want) {
+			t.Errorf("submit record %s decodes as %+v (%v), json.Unmarshal reads %+v (%v)", v, got, err, want, werr)
+		}
+	}
+	for _, v := range []string{
+		`{"consumed":5,"value":"x"}`,
+		`{"value":"x","consumed":5.5}`,
+		`{"value":"x\u0041","consumed":5}`,
+		`{"value":"x","consumed":-9223372036854775808}`,
+		`{"value":"x","consumed":-9223372036854775809}`,
+	} {
+		var want cellRecord
+		werr := json.Unmarshal([]byte(v), &want)
+		got, err := decodeCell([]byte(v))
+		if (err != nil) != (werr != nil) || (err == nil && got != want) {
+			t.Errorf("cell record %s decodes as %+v (%v), json.Unmarshal reads %+v (%v)", v, got, err, want, werr)
+		}
+	}
+}

@@ -1,6 +1,7 @@
 package figs
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"strings"
@@ -37,13 +38,21 @@ func (h *Harness) openJournal() {
 			return
 		}
 		j, err := supervise.OpenJournal(h.JournalPath, h.meta(), h.Resume)
+		// The journal caches cells that can be computed again, so one
+		// that cannot be resumed is started afresh.
+		var re *supervise.ResumeError
+		if errors.As(err, &re) {
+			if j, err = supervise.OpenJournal(h.JournalPath, h.meta(), false); err == nil {
+				j.Discarded = re.Reason
+			}
+		}
 		if err != nil {
 			h.logf("# warning: result journal disabled: %v\n", err)
 			return
 		}
 		if j.Discarded != "" {
 			h.logf("# journal %s: discarded previous content: %s\n", j.Path(), j.Discarded)
-		} else if n := j.Completed(); n > 0 {
+		} else if n := j.Completed(""); n > 0 {
 			h.logf("# journal %s: resuming past %d completed cells (%d retries recorded, %d torn lines skipped)\n",
 				j.Path(), n, j.Attempts, j.Skipped)
 		}

@@ -176,7 +176,7 @@ func TestJournalLandsEveryCellOnce(t *testing.T) {
 	opts.Journal = j
 	res := mustRun(t, opts)
 	assertContract(t, res)
-	if got := j.Completed(); got != res.Cells {
+	if got := j.Completed(""); got != res.Cells {
 		t.Fatalf("journal holds %d final records, want %d", got, res.Cells)
 	}
 	if err := j.Close(); err != nil {
@@ -191,7 +191,7 @@ func TestJournalLandsEveryCellOnce(t *testing.T) {
 	if j2.Discarded != "" || j2.Skipped != 0 {
 		t.Fatalf("journal not cleanly resumable: %q, %d skipped", j2.Discarded, j2.Skipped)
 	}
-	if got := j2.Completed(); got != res.Cells {
+	if got := j2.Completed(""); got != res.Cells {
 		t.Fatalf("resumed journal holds %d records, want %d", got, res.Cells)
 	}
 }
@@ -242,7 +242,7 @@ func TestResumedJournalChargesOnlyNewLandings(t *testing.T) {
 	if got := res.Stats.RedundantCancels; got != int64(first.Landed) {
 		t.Fatalf("%d attempts refunded as already journaled, want %d", got, first.Landed)
 	}
-	if got := j2.Completed(); got != res.Cells {
+	if got := j2.Completed(""); got != res.Cells {
 		t.Fatalf("journal holds %d final records, want %d", got, res.Cells)
 	}
 }

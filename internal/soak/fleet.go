@@ -144,9 +144,9 @@ func runFleet(s fleetScenario, sh fleetShape, seed uint64, journal string) (res 
 	if !res.Reconciled {
 		o.Violations = append(o.Violations, "budget unreconciled: granted != consumed + refunded")
 	}
-	if opts.Journal != nil && opts.Journal.Completed() != res.Cells {
+	if opts.Journal != nil && opts.Journal.Completed("") != res.Cells {
 		o.Violations = append(o.Violations,
-			fmt.Sprintf("journal holds %d final records, want %d", opts.Journal.Completed(), res.Cells))
+			fmt.Sprintf("journal holds %d final records, want %d", opts.Journal.Completed(""), res.Cells))
 	}
 	o.Digest = fmt.Sprintf("%016x", res.Digest)
 	o.Counters = []Counter{

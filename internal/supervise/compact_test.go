@@ -61,7 +61,7 @@ func TestCompactKeepsWinningRecords(t *testing.T) {
 	if j2.Skipped != 0 {
 		t.Fatalf("compacted journal has %d corrupt lines", j2.Skipped)
 	}
-	if got := j2.Completed(); got != 6 {
+	if got := j2.Completed(""); got != 6 {
 		t.Fatalf("completed after compact+append = %d, want 6", got)
 	}
 	if j2.Attempts != 0 {

@@ -5,20 +5,22 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"sync"
 )
 
 // The result journal is an append-only JSONL file. Every line is one
 // Entry, self-checksummed with CRC32 so a torn write from a killed
 // process is detected and skipped on reload instead of corrupting the
-// resume state. The first line is a meta record fingerprinting the run
-// parameters (scale, seed, ...); a journal whose fingerprint does not
-// match the current run is discarded rather than resumed, because its
-// cached cell values would silently describe a different experiment.
+// resume state (codec.go writes and reads the lines). The first line
+// is a meta record fingerprinting the run parameters (scale, seed,
+// ...); a journal whose fingerprint does not match the current run is
+// never resumed, because its records would silently describe a
+// different run.
 
 // EntryStatus classifies a journal record.
 const (
@@ -45,16 +47,6 @@ type Entry struct {
 	Sum     string          `json:"sum,omitempty"`
 }
 
-// checksum returns the CRC32 of the entry serialised with an empty Sum.
-func (e Entry) checksum() (string, error) {
-	e.Sum = ""
-	b, err := json.Marshal(e)
-	if err != nil {
-		return "", err
-	}
-	return fmt.Sprintf("%08x", crc32.ChecksumIEEE(b)), nil
-}
-
 // Journal is a crash-safe record of completed work units.
 type Journal struct {
 	mu   sync.Mutex
@@ -70,6 +62,8 @@ type Journal struct {
 	// Discarded explains why pre-existing content was thrown away
 	// ("" when the journal was resumed or empty).
 	Discarded string
+	// buf is reused to encode each line.
+	buf []byte
 }
 
 // DefaultJournalPath returns the journal location: $CASH_JOURNAL if
@@ -85,10 +79,26 @@ func DefaultJournalPath() string {
 	return filepath.Join(os.TempDir(), "cash-journal.jsonl")
 }
 
+// ResumeError reports a journal that a resume cannot use although it
+// holds checksummed lines: a header that is damaged or fingerprints
+// another run. OpenJournal leaves such a file as it found it, because
+// those lines may be records that were acknowledged; the caller
+// decides whether the journal may be thrown away.
+type ResumeError struct {
+	Path, Reason string
+}
+
+func (e *ResumeError) Error() string {
+	return fmt.Sprintf("supervise: journal %s not resumed, file left untouched: %s", e.Path, e.Reason)
+}
+
 // OpenJournal opens (creating if needed) the journal at path. meta
-// fingerprints the run; existing content is loaded for resume only when
-// resume is true AND the stored fingerprint matches, and is otherwise
-// truncated (with the reason in Discarded).
+// fingerprints the run. Without resume, existing content is truncated
+// (with the reason in Discarded). With resume, content whose header
+// carries meta is loaded and appended to; content without a single
+// checksummed line is truncated; and content with checksummed lines
+// but no header of meta is left untouched and reported as a
+// *ResumeError.
 func OpenJournal(path, meta string, resume bool) (*Journal, error) {
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return nil, fmt.Errorf("supervise: creating journal dir: %w", err)
@@ -101,25 +111,24 @@ func OpenJournal(path, meta string, resume bool) (*Journal, error) {
 
 	keep := false
 	if resume {
-		var why string
 		var validEnd int64
-		keep, why, validEnd = j.load(meta)
+		validEnd, j.Discarded, err = j.load(f, meta)
+		if err != nil {
+			f.Close()
+			return nil, err
+		}
 		// A header torn before its newline leaves nothing to keep:
 		// start fresh, so the header is rewritten before any record
 		// and the next resume finds it.
-		keep = keep && validEnd > 0
-		if !keep {
-			j.Discarded = why
-		} else {
-			// Cut the torn tail (a record half-written by a killed
-			// process) before appending, or the next record would be
-			// written onto the torn bytes, merge into one unparseable
-			// line, and be lost on the following load.
-			if st, err := f.Stat(); err == nil && st.Size() > validEnd {
-				if err := f.Truncate(validEnd); err != nil {
-					f.Close()
-					return nil, fmt.Errorf("supervise: trimming torn journal tail: %w", err)
-				}
+		keep = validEnd > 0
+		// Cut the torn tail (a record half-written by a killed
+		// process) before appending, or the next record would be
+		// written onto the torn bytes, merge into one unparseable
+		// line, and be lost on the following load.
+		if st, err := f.Stat(); keep && err == nil && st.Size() > validEnd {
+			if err := f.Truncate(validEnd); err != nil {
+				f.Close()
+				return nil, fmt.Errorf("supervise: trimming torn journal tail: %w", err)
 			}
 		}
 	} else {
@@ -152,20 +161,25 @@ func OpenJournal(path, meta string, resume bool) (*Journal, error) {
 	return j, nil
 }
 
-// load reads existing records; it reports whether the content is
-// resumable and, if not, why, plus the byte offset just past the last
-// valid record — everything after it is a torn or corrupt tail the
-// caller should truncate before appending.
-func (j *Journal) load(meta string) (ok bool, why string, validEnd int64) {
-	if _, err := j.f.Seek(0, 0); err != nil {
-		return false, "unreadable journal", 0
-	}
-	r := bufio.NewReaderSize(j.f, 1<<20)
+// load reads the records in content. It returns the byte offset just past
+// the last valid record, 0 when there is nothing to resume; everything
+// after it is a torn or corrupt tail the caller should truncate before
+// appending. When content without a single checksummed line is
+// discarded, why says so. A read failure, and checksummed content that
+// does not open with the header of meta, is an error: the caller must
+// not truncate what it could not account for.
+func (j *Journal) load(content io.Reader, meta string) (validEnd int64, why string, err error) {
+	// ReadBytes grows past the buffer for a longer line, so its size
+	// bounds only what a short journal costs to open.
+	r := bufio.NewReaderSize(content, 64<<10)
 	first := true
 	any := false
 	var off int64
 	for {
 		line, rerr := r.ReadBytes('\n')
+		if rerr != nil && rerr != io.EOF {
+			return 0, "", fmt.Errorf("supervise: reading journal %s: %w", j.path, rerr)
+		}
 		off += int64(len(line))
 		// A line without its terminating newline is a torn tail by
 		// definition; never extend validEnd over it.
@@ -178,22 +192,20 @@ func (j *Journal) load(meta string) (ok bool, why string, validEnd int64) {
 			continue
 		}
 		any = true
-		valid := false
-		var e Entry
-		if err := json.Unmarshal(trimmed, &e); err != nil {
+		e, valid, ok := decodeLine(trimmed)
+		if !ok {
+			e, valid = decodeAny(trimmed)
+		}
+		if !valid {
 			j.Skipped++
-		} else if sum, err := e.checksum(); err != nil || sum != e.Sum {
-			j.Skipped++
-		} else {
-			valid = true
 		}
 		if valid && first {
 			first = false
 			if e.Status != StatusMeta {
-				return false, "journal missing meta header", 0
+				return 0, "", &ResumeError{j.path, "its first checksummed line is not a header"}
 			}
 			if e.Meta != meta {
-				return false, fmt.Sprintf("journal is for a different run (%s)", e.Meta), 0
+				return 0, "", &ResumeError{j.path, fmt.Sprintf("its header fingerprints another run (%s)", e.Meta)}
 			}
 			if complete {
 				validEnd = off
@@ -223,14 +235,11 @@ func (j *Journal) load(meta string) (ok bool, why string, validEnd int64) {
 			break
 		}
 	}
-	if !any {
-		return false, "", 0
-	}
-	if first {
+	if any && first {
 		// Content existed but no line survived the checksum.
-		return false, "journal entirely corrupt", 0
+		return 0, "journal entirely corrupt", nil
 	}
-	return true, "", validEnd
+	return validEnd, "", nil
 }
 
 // Lookup returns the final record for a key, if any.
@@ -241,27 +250,30 @@ func (j *Journal) Lookup(key string) (Entry, bool) {
 	return e, ok
 }
 
-// Finals returns a copy of every final (ok or failed) record, sorted
-// by key. The cashd daemon rebuilds its admitted-tenant and
-// completed-cell state from this on crash-resume.
-func (j *Journal) Finals() []Entry {
+// Finals returns a copy of every final (ok or failed) record whose key
+// starts with prefix, sorted by key. The cashd daemon rebuilds its
+// admitted tenants from these on crash-resume.
+func (j *Journal) Finals(prefix string) []Entry {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	out := make([]Entry, 0, len(j.final))
-	for _, e := range j.final {
-		out = append(out, e)
+	var out []Entry
+	for k, e := range j.final {
+		if strings.HasPrefix(k, prefix) {
+			out = append(out, e)
+		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
 	return out
 }
 
-// Completed returns how many keys have a final ok record.
-func (j *Journal) Completed() int {
+// Completed returns how many keys that start with prefix have a final
+// ok record.
+func (j *Journal) Completed(prefix string) int {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	n := 0
-	for _, e := range j.final {
-		if e.Status == StatusOK {
+	for k, e := range j.final {
+		if e.Status == StatusOK && strings.HasPrefix(k, prefix) {
 			n++
 		}
 	}
@@ -274,16 +286,11 @@ func (j *Journal) Path() string { return j.path }
 // append checksums and writes one record as a single write syscall, so
 // a crash can tear at most the final line.
 func (j *Journal) append(e Entry) error {
-	sum, err := e.checksum()
+	b, err := appendLine(j.buf[:0], e)
 	if err != nil {
 		return fmt.Errorf("supervise: journal marshal: %w", err)
 	}
-	e.Sum = sum
-	b, err := json.Marshal(e)
-	if err != nil {
-		return fmt.Errorf("supervise: journal marshal: %w", err)
-	}
-	b = append(b, '\n')
+	j.buf = b
 	if _, err := j.f.Write(b); err != nil {
 		return fmt.Errorf("supervise: journal write: %w", err)
 	}
@@ -349,16 +356,12 @@ func (j *Journal) Compact() error {
 	}
 	defer os.Remove(tmp.Name()) // no-op after a successful rename
 	write := func(e Entry) error {
-		sum, err := e.checksum()
+		b, err := appendLine(j.buf[:0], e)
 		if err != nil {
 			return err
 		}
-		e.Sum = sum
-		b, err := json.Marshal(e)
-		if err != nil {
-			return err
-		}
-		_, err = tmp.Write(append(b, '\n'))
+		j.buf = b
+		_, err = tmp.Write(b)
 		return err
 	}
 	werr := write(Entry{Status: StatusMeta, Meta: j.meta})
@@ -371,9 +374,7 @@ func (j *Journal) Compact() error {
 		if werr != nil {
 			break
 		}
-		e := j.final[k]
-		e.Sum = ""
-		werr = write(e)
+		werr = write(j.final[k])
 	}
 	if werr == nil {
 		werr = tmp.Sync()

@@ -1,7 +1,9 @@
 package supervise
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -51,8 +53,8 @@ func TestJournalRoundTrip(t *testing.T) {
 	if !ok || b.Status != StatusFailed || b.Kind != "panic" {
 		t.Fatalf("entry b = %+v, %v", b, ok)
 	}
-	if j.Completed() != 1 {
-		t.Errorf("Completed() = %d, want 1", j.Completed())
+	if j.Completed("") != 1 {
+		t.Errorf("Completed() = %d, want 1", j.Completed(""))
 	}
 }
 
@@ -121,21 +123,92 @@ func TestJournalChecksumMismatchSkipped(t *testing.T) {
 	}
 }
 
+// TestJournalMetaMismatchDiscards: a resume refuses a journal written
+// under another fingerprint and leaves its bytes alone; only a fresh
+// run discards it.
 func TestJournalMetaMismatchDiscards(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "j.jsonl")
 	writeJournal(t, path, "scale=1 seed=7", []Entry{
 		{Status: StatusOK, Key: "a", Attempt: 1, Value: json.RawMessage(`1`)},
 	})
-	j, err := OpenJournal(path, "scale=0.5 seed=7", true)
+	before, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = OpenJournal(path, "scale=0.5 seed=7", true)
+	var re *ResumeError
+	if !errors.As(err, &re) || re.Path != path || !strings.Contains(re.Reason, "scale=1 seed=7") {
+		t.Fatalf("resume on another run's journal: %v, want a ResumeError naming the file and the stored fingerprint", err)
+	}
+	if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, before) {
+		t.Fatalf("a refused resume changed the journal (%v):\n%s", err, after)
+	}
+	j, err := OpenJournal(path, "scale=0.5 seed=7", false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer j.Close()
 	if j.Discarded == "" {
-		t.Fatal("meta mismatch must discard the journal")
+		t.Fatal("a fresh run must discard the other run's journal")
 	}
 	if _, ok := j.Lookup("a"); ok {
 		t.Error("entries from a different run must not resolve")
+	}
+}
+
+// TestJournalDamagedHeaderRefuses: one flipped byte in the header of a
+// journal whose records are intact must not cost the records. The
+// resume fails, naming the file, and the bytes stay as they were.
+func TestJournalDamagedHeaderRefuses(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "j.jsonl")
+	writeJournal(t, path, "cashd/1", []Entry{
+		{Status: StatusOK, Key: "submit a", Value: json.RawMessage(`{"spec":{"name":"a","cells":1,"seed":1}}`)},
+		{Status: StatusOK, Key: "submit b", Value: json.RawMessage(`{"spec":{"name":"b","cells":1,"seed":2}}`)},
+		{Status: StatusOK, Key: "cell a c0000", Value: json.RawMessage(`{"value":"x","consumed":7}`)},
+	})
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	damaged := bytes.Replace(raw, []byte(`"cashd/1"`), []byte(`"Cashd/1"`), 1)
+	if bytes.Equal(damaged, raw) {
+		t.Fatal("test setup: header fingerprint not found")
+	}
+	if err := os.WriteFile(path, damaged, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err = OpenJournal(path, "cashd/1", true)
+	var re *ResumeError
+	if !errors.As(err, &re) || !strings.Contains(err.Error(), path) {
+		t.Fatalf("resume on a journal with a damaged header: %v, want a ResumeError naming %s", err, path)
+	}
+	if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, damaged) {
+		t.Fatalf("a refused resume changed the journal: %d bytes left of %d (%v)", len(after), len(damaged), err)
+	}
+}
+
+// TestJournalLineLongerThanReadBuffer: a value larger than the load
+// buffer is read back whole.
+func TestJournalLineLongerThanReadBuffer(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "j.jsonl")
+	big := json.RawMessage(`"` + strings.Repeat("x", 200_000) + `"`)
+	writeJournal(t, path, "m", []Entry{
+		{Status: StatusOK, Key: "big", Value: big},
+		{Status: StatusOK, Key: "after", Value: json.RawMessage(`2`)},
+	})
+	j, err := OpenJournal(path, "m", true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	if j.Skipped != 0 {
+		t.Fatalf("skipped %d lines", j.Skipped)
+	}
+	if e, ok := j.Lookup("big"); !ok || !bytes.Equal(e.Value, big) {
+		t.Fatalf("the 200 KB value reads back as %d bytes (found %v)", len(e.Value), ok)
+	}
+	if _, ok := j.Lookup("after"); !ok {
+		t.Fatal("the record after the long line was lost")
 	}
 }
 

@@ -1,6 +1,8 @@
 package supervise
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -212,32 +214,42 @@ func TestJournalTornHeaderResumes(t *testing.T) {
 	}
 }
 
-// FuzzJournalReopen: whatever a crash left in the file, records synced
-// after a resume survive the next crash. The target opens a journal
-// with resume on the fuzzed prior content, records three entries,
-// closes it, cuts the file at a fuzzed offset and reopens it: every
-// record whose line ended at or before the cut must be found, with its
-// value. The committed corpus holds a header torn before its newline,
-// the crash that once made the reopen discard everything.
+// FuzzJournalReopen: whatever a crash or a damaged byte left in the
+// file, a synced record is never dropped in silence. The target opens
+// a journal with resume on the fuzzed prior content, records three
+// entries, closes it, and either cuts the file at a fuzzed offset
+// (flip 0) or XORs flip into the byte at that offset. The reopen must
+// then fail, leaving the file as it was, or serve with its value every
+// record whose line is intact: whole before the cut, and with neither
+// its own bytes nor the newline that ends the line before it flipped.
+// A resume that refuses the prior content must leave it as it was too.
+// The committed corpus holds a header torn before its newline, the
+// crash that once made the reopen discard everything, and a header
+// with one flipped byte, the damage that once did.
 func FuzzJournalReopen(f *testing.F) {
 	const meta = "fuzz-reopen v1"
-	f.Fuzz(func(t *testing.T, prior []byte, cut uint16) {
+	f.Fuzz(func(t *testing.T, prior []byte, cut uint16, flip byte) {
 		path := filepath.Join(t.TempDir(), "j.jsonl")
 		if err := os.WriteFile(path, prior, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		j, err := OpenJournal(path, meta, true)
 		if err != nil {
-			t.Fatal(err)
+			refused(t, path, prior, err)
+			return
 		}
-		var ends []int64
+		var starts, ends []int64
 		for i := 0; i < 3; i++ {
+			st, err := os.Stat(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			starts = append(starts, st.Size())
 			e := Entry{Status: StatusOK, Key: fmt.Sprintf("k%d", i), Value: []byte(fmt.Sprintf(`"v%d"`, i))}
 			if err := j.Record(e); err != nil {
 				t.Fatal(err)
 			}
-			st, err := os.Stat(path)
-			if err != nil {
+			if st, err = os.Stat(path); err != nil {
 				t.Fatal(err)
 			}
 			ends = append(ends, st.Size())
@@ -249,24 +261,44 @@ func FuzzJournalReopen(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		n := int64(cut) % int64(len(raw)+1)
+		n, at := int64(len(raw)), int64(-1)
+		if flip == 0 {
+			n = int64(cut) % int64(len(raw)+1)
+		} else {
+			at = int64(cut) % int64(len(raw))
+			raw[at] ^= flip
+		}
 		if err := os.WriteFile(path, raw[:n], 0o644); err != nil {
 			t.Fatal(err)
 		}
 		j2, err := OpenJournal(path, meta, true)
 		if err != nil {
-			t.Fatal(err)
+			refused(t, path, raw[:n], err)
+			return
 		}
 		defer j2.Close()
 		for i, end := range ends {
-			if end > n {
-				break
+			if end > n || (starts[i]-1 <= at && at < end) {
+				continue
 			}
 			e, ok := j2.Lookup(fmt.Sprintf("k%d", i))
 			if want := fmt.Sprintf(`"v%d"`, i); !ok || string(e.Value) != want {
-				t.Fatalf("record k%d (synced through byte %d, cut at %d) reads %q, %v; want %s (discarded: %q)",
-					i, end, n, e.Value, ok, want, j2.Discarded)
+				t.Fatalf("record k%d (synced through byte %d, cut at %d, flip at %d) reads %q, %v; want %s (discarded: %q)",
+					i, end, n, at, e.Value, ok, want, j2.Discarded)
 			}
 		}
 	})
+}
+
+// refused fails t unless err is OpenJournal refusing a resume and the
+// file at path still holds content.
+func refused(t *testing.T, path string, content []byte, err error) {
+	t.Helper()
+	var re *ResumeError
+	if !errors.As(err, &re) {
+		t.Fatal(err)
+	}
+	if raw, rerr := os.ReadFile(path); rerr != nil || !bytes.Equal(raw, content) {
+		t.Fatalf("refused resume (%v) changed the file (%v)", err, rerr)
+	}
 }
