@@ -314,13 +314,15 @@ func decodeCell(v []byte) (cellRecord, error) {
 }
 
 // cellKey is the journal key of one cell, "cell <name> c%04d".
-func cellKey(name string, cell int) string {
-	b := make([]byte, 0, len(cellKeyPrefix)+len(name)+6)
-	b = append(append(append(b, cellKeyPrefix...), name...), " c"...)
+func cellKey(name string, cell int) string { return string(appendCellKey(nil, name, cell)) }
+
+// appendCellKey appends cellKey(name, cell) to dst.
+func appendCellKey(dst []byte, name string, cell int) []byte {
+	dst = append(append(append(dst, cellKeyPrefix...), name...), " c"...)
 	for n := 1000; n > 1 && cell >= 0 && cell < n; n /= 10 {
-		b = append(b, '0')
+		dst = append(dst, '0')
 	}
-	return string(strconv.AppendInt(b, int64(cell), 10))
+	return strconv.AppendInt(dst, int64(cell), 10)
 }
 
 const (
@@ -364,10 +366,12 @@ type Server struct {
 	byName  map[string]int
 	// sorted lists the tenant indices in name order, kept by admit so no
 	// read sorts; segs caches each tenant's digest bytes (digestSeg).
-	sorted    []int
-	segs      []digestSeg
-	segBuf    []byte // reused while building a segment
-	submitted map[string]SubmitResult
+	sorted []int
+	segs   []digestSeg
+	segBuf []byte // reused while building a segment
+	// submitted maps each applied idempotency key to its tenant, whose
+	// spec the ack is computed from again for a retried submit.
+	submitted map[string]int
 	watchers  map[*connState]uint64
 	draining  bool
 	// drainDeadline fires DrainTimeout after draining starts.
@@ -410,16 +414,14 @@ func open(opts Options) (*Server, error) {
 		return nil, err
 	}
 	s := &Server{
-		opts:      opts,
-		clock:     opts.Clock,
-		reqs:      make(chan coreReq, opts.QueueCap),
-		drainCh:   make(chan struct{}),
-		killCh:    make(chan struct{}),
-		doneCh:    make(chan struct{}),
-		conns:     make(map[*connState]struct{}),
-		byName:    make(map[string]int),
-		submitted: make(map[string]SubmitResult),
-		watchers:  make(map[*connState]uint64),
+		opts:     opts,
+		clock:    opts.Clock,
+		reqs:     make(chan coreReq, opts.QueueCap),
+		drainCh:  make(chan struct{}),
+		killCh:   make(chan struct{}),
+		doneCh:   make(chan struct{}),
+		conns:    make(map[*connState]struct{}),
+		watchers: make(map[*connState]uint64),
 	}
 	f, err := fleet.New(fleet.Options{
 		Chips: opts.Chips, SlotsPerChip: opts.SlotsPerChip, Funds: opts.Funds, Model: opts.Model,
@@ -437,7 +439,7 @@ func open(opts Options) (*Server, error) {
 	}
 
 	t0 := time.Now()
-	j, err := supervise.OpenJournal(opts.Journal, journalMeta, true)
+	j, err := supervise.OpenLedger(opts.Journal, journalMeta)
 	if err != nil {
 		return nil, err
 	}
@@ -539,26 +541,47 @@ func (s *Server) logf(format string, args ...any) {
 // tenants from submit records, landed cells (with their settled spend)
 // from cell records, everything else pending re-execution.
 func (s *Server) rebuild() error {
+	// One walk in key order counts the ok cell records and decodes the
+	// ok submit records, in the key order the tenants' fleet indices
+	// follow.
+	type submit struct {
+		idem string
+		spec TenantSpec
+	}
+	var submits []submit
+	var cellRecords int
+	var err error
+	s.journal.Walk("", func(e *supervise.Entry) {
+		switch {
+		case e.Status != supervise.StatusOK || err != nil:
+		case strings.HasPrefix(e.Key, cellKeyPrefix):
+			cellRecords++
+		case strings.HasPrefix(e.Key, submitKeyPrefix):
+			rec, derr := decodeSubmit(e.Value)
+			if derr != nil {
+				err = fmt.Errorf("daemon: corrupt submit record %q: %w", e.Key, derr)
+				return
+			}
+			submits = append(submits, submit{strings.TrimPrefix(e.Key, submitKeyPrefix), rec.Spec})
+		}
+	})
+	if err != nil {
+		return err
+	}
+	s.reserve(len(submits))
 	var rebooked int
 	var done []fleet.Landing // reused: Admit does not keep it
-	// Tenants are admitted in key order, the order their fleet indices
-	// follow.
-	for _, e := range s.journal.Finals(submitKeyPrefix) {
-		if e.Status != supervise.StatusOK {
-			continue
-		}
-		rec, err := decodeSubmit(e.Value)
-		if err != nil {
-			return fmt.Errorf("daemon: corrupt submit record %q: %w", e.Key, err)
-		}
-		if err := rec.Spec.Validate(); err != nil {
+	var key []byte           // reused for each cell key
+	for _, sub := range submits {
+		if err := sub.spec.Validate(); err != nil {
 			return err
 		}
 		// The tenant's cells the journal already holds land again with
 		// their recorded charge instead of re-executing.
 		done = done[:0]
-		for i := 0; i < rec.Spec.Cells; i++ {
-			ce, ok := s.journal.Lookup(cellKey(rec.Spec.Name, i))
+		for i := 0; i < sub.spec.Cells; i++ {
+			key = appendCellKey(key[:0], sub.spec.Name, i)
+			ce, ok := s.journal.LookupBytes(key)
 			if !ok || ce.Status != supervise.StatusOK {
 				continue
 			}
@@ -568,20 +591,25 @@ func (s *Server) rebuild() error {
 			}
 			done = append(done, fleet.Landing{Cell: i, Value: cr.Value, Consumed: cr.Consumed})
 		}
-		if err := s.admit(rec.Spec, done); err != nil {
+		if err := s.admit(sub.spec, done); err != nil {
 			return err
 		}
 		rebooked += len(done)
-		idem := strings.TrimPrefix(e.Key, submitKeyPrefix)
-		s.submitted[idem] = SubmitResult{
-			Name: rec.Spec.Name, Cells: rec.Spec.Cells,
-			EstimateNanos: ExpectedSpend(rec.Spec, s.opts.Model), Resubmitted: true,
-		}
+		s.submitted[sub.idem] = len(s.tenants) - 1
 	}
-	if cellRecords := s.journal.Completed(cellKeyPrefix); rebooked != cellRecords {
+	if rebooked != cellRecords {
 		return fmt.Errorf("daemon: %d cell records have no admitted tenant", cellRecords-rebooked)
 	}
 	return nil
+}
+
+// reserve sizes the per-tenant state for n tenants.
+func (s *Server) reserve(n int) {
+	s.tenants = make([]TenantSpec, 0, n)
+	s.byName = make(map[string]int, n)
+	s.submitted = make(map[string]int, n)
+	s.segs = make([]digestSeg, 0, n)
+	s.sorted = make([]int, 0, n)
 }
 
 // admit hands a tenant to the fleet: its own envelope, its cells
@@ -617,6 +645,11 @@ func (s *Server) recordCell(l fleet.Landing) (bool, error) {
 		return false, fmt.Errorf("journaling cell: %w", err)
 	}
 	return won, nil
+}
+
+// ack is the acknowledgement of spec's submit.
+func (s *Server) ack(spec TenantSpec) SubmitResult {
+	return SubmitResult{Name: spec.Name, Cells: spec.Cells, EstimateNanos: ExpectedSpend(spec, s.opts.Model)}
 }
 
 // specWork is a tenant's grid as fleet work: one tenant whose cells are
@@ -724,8 +757,9 @@ func (s *Server) handleSubmit(r coreReq) {
 			Error: "submit-tenant requires an idempotency key"})
 		return
 	}
-	if ack, ok := s.submitted[r.req.Idem]; ok {
+	if t, ok := s.submitted[r.req.Idem]; ok {
 		// Retried (or duplicated) submit: return the original ack.
+		ack := s.ack(s.tenants[t])
 		ack.Resubmitted = true
 		s.replyOK(r, ack)
 		return
@@ -764,8 +798,8 @@ func (s *Server) handleSubmit(r coreReq) {
 		r.c.send(Response{ID: r.req.ID, Code: CodeError, Error: err.Error()})
 		return
 	}
-	ack := SubmitResult{Name: spec.Name, Cells: spec.Cells, EstimateNanos: ExpectedSpend(spec, s.opts.Model)}
-	s.submitted[r.req.Idem] = ack
+	ack := s.ack(spec)
+	s.submitted[r.req.Idem] = len(s.tenants) - 1
 	s.logf("admitted tenant %q: %d cells, estimate %d nanos", spec.Name, spec.Cells, ack.EstimateNanos)
 	s.replyOK(r, ack)
 }

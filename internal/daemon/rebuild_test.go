@@ -3,39 +3,56 @@ package daemon
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
+	"fmt"
+	"hash/crc32"
+	"os"
 	"testing"
 
 	"cash/internal/supervise"
 )
 
 // FuzzRebuild fuzzes the journal lines behind a valid cashd/1 header.
-// Every line that decodes as a journal entry is recorded with a valid
-// checksum; the rest are dropped. open must then refuse the journal or
-// rebuild books that reconcile: every envelope has granted = consumed
-// + refunded with nothing outstanding, no tenant has more landed cells
-// than cells, and a second open of the same file reports the same
-// health digest.
+// Every line that decodes as a journal entry is written as the journal
+// writes it, with a valid checksum, but for a line that carries a sum
+// that does not hold, which is written as it is; the rest are dropped.
+// With such a line, open must refuse the journal with a ResumeError
+// and leave the file as it was. Otherwise open must refuse the journal
+// or rebuild books that reconcile: every envelope has granted =
+// consumed + refunded with nothing outstanding, no tenant has more
+// landed cells than cells, and a second open of the same file reports
+// the same health digest. The committed corpus holds journals in
+// arrival order, which the loader sorts, and in key order, which it
+// does not.
 func FuzzRebuild(f *testing.F) {
 	f.Fuzz(func(t *testing.T, lines []byte) {
 		opts := testOptions(t)
-		j, err := supervise.OpenJournal(opts.Journal, journalMeta, false)
-		if err != nil {
-			t.Fatal(err)
-		}
+		journal := journalLine(supervise.Entry{Status: supervise.StatusMeta, Meta: journalMeta})
+		corrupt := false
 		for _, line := range bytes.Split(lines, []byte("\n")) {
 			var e supervise.Entry
 			if json.Unmarshal(line, &e) != nil {
 				continue
 			}
-			if err := j.Record(e); err != nil {
-				t.Fatal(err)
+			if sum := e.Sum; sum != "" && sum != checksum(e) {
+				corrupt = true
+				journal = append(append(journal, line...), '\n')
+				continue
 			}
+			journal = append(journal, journalLine(e)...)
 		}
-		if err := j.Close(); err != nil {
+		if err := os.WriteFile(opts.Journal, journal, 0o644); err != nil {
 			t.Fatal(err)
 		}
 
 		s, err := open(opts)
+		if corrupt {
+			var re *supervise.ResumeError
+			if after, rerr := os.ReadFile(opts.Journal); !errors.As(err, &re) || rerr != nil || !bytes.Equal(after, journal) {
+				t.Fatalf("open of a journal with a corrupt line: %v, want a ResumeError and the file untouched", err)
+			}
+			return
+		}
 		if err != nil {
 			return
 		}
@@ -63,6 +80,22 @@ func FuzzRebuild(f *testing.F) {
 			t.Fatalf("second open reports digest %s, the first %s", d, digest)
 		}
 	})
+}
+
+// checksum is the checksum the journal stamps on e: the CRC32 of e
+// marshalled without its Sum.
+func checksum(e supervise.Entry) string {
+	e.Sum = ""
+	b, _ := json.Marshal(e) // an entry json.Unmarshal read marshals
+	return fmt.Sprintf("%08x", crc32.ChecksumIEEE(b))
+}
+
+// journalLine is the line the journal writes for e: e marshalled with
+// its checksum, which the journal's codec writes byte for byte.
+func journalLine(e supervise.Entry) []byte {
+	e.Sum = checksum(e)
+	b, _ := json.Marshal(e)
+	return append(b, '\n')
 }
 
 // TestRecordCodecMatchesEncodingJSON: the daemon's journal records

@@ -2,7 +2,10 @@ package figs
 
 import (
 	"bytes"
+	"flag"
 	"fmt"
+	"os"
+	"os/exec"
 	"testing"
 
 	"cash/internal/alloc"
@@ -187,10 +190,21 @@ func TestColdSweepReclaimsIdleSlots(t *testing.T) {
 // 1 records each of the 13 apps' streams once, its sweep and its three
 // policy runs sharing the recording, and a following Fig 10 (warm
 // oracle) records each once more; the harness holds no trace between
-// figures.
+// figures. The trace store's counters are the process's, and a cell
+// that an earlier test abandoned on its timeout may still be
+// recording, so the test runs alone: in a process of its own, the test
+// binary run again for it alone, unless it already is.
 func TestFigureRecordsEachStreamOnce(t *testing.T) {
 	if testing.Short() {
 		t.Skip("cold characterisation of the suite in -short mode")
+	}
+	const alone = "^TestFigureRecordsEachStreamOnce$"
+	if flag.Lookup("test.run").Value.String() != alone {
+		out, err := exec.Command(os.Args[0], "-test.run="+alone, "-test.count=1", "-test.v").CombinedOutput()
+		if err != nil || !bytes.Contains(out, []byte("--- PASS: TestFigureRecordsEachStreamOnce")) {
+			t.Fatalf("the test run alone: %v\n%s", err, out)
+		}
+		return
 	}
 	var buf bytes.Buffer
 	h := testHarness(&buf)

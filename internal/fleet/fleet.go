@@ -309,6 +309,7 @@ func Nominal(m cost.Model, w Work, t int) Nanos {
 // buildCells validates and prices tenant t's cells in w.
 func buildCells(m cost.Model, w Work, t int) ([]*cellTrack, error) {
 	cells := make([]*cellTrack, w.Cells(t))
+	tracks := make([]cellTrack, len(cells)) // one allocation for the tenant's cells
 	for c := range cells {
 		dur := w.Duration(t, c)
 		if dur <= 0 {
@@ -318,13 +319,14 @@ func buildCells(m cost.Model, w Work, t int) ([]*cellTrack, error) {
 		if err := cfg.Validate(); err != nil {
 			return nil, fmt.Errorf("fleet: cell %s: %w", CellKey(t, c), err)
 		}
-		cells[c] = &cellTrack{
+		tracks[c] = cellTrack{
 			cell:        c,
 			duration:    dur,
 			price:       priceTick(m, cfg) * dur,
 			displacedAt: -1,
 			crashedAt:   -1,
 		}
+		cells[c] = &tracks[c]
 	}
 	return cells, nil
 }

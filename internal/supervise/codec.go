@@ -17,10 +17,10 @@ import (
 // back on encoding/json, so a line's meaning and its checksum verdict
 // never depend on which path read it.
 
-// htmlSafe reports which ASCII bytes encoding/json copies into a
-// string as they are: the printable ones but the quote, the backslash
-// and the three it escapes for HTML.
-var htmlSafe = func() (t [128]bool) {
+// htmlSafe reports which bytes encoding/json copies into a string as
+// they are: the printable ASCII ones but the quote, the backslash and
+// the three it escapes for HTML.
+var htmlSafe = func() (t [256]bool) {
 	for c := 0x20; c < 0x7f; c++ {
 		t[c] = c != '"' && c != '\\' && c != '<' && c != '>' && c != '&'
 	}
@@ -30,7 +30,7 @@ var htmlSafe = func() (t [128]bool) {
 // AppendString appends s as encoding/json encodes a string.
 func AppendString(dst []byte, s string) []byte {
 	for i := 0; i < len(s); i++ {
-		if c := s[i]; c >= 0x80 || !htmlSafe[c] {
+		if !htmlSafe[s[i]] {
 			b, _ := json.Marshal(s) // a string always marshals
 			return append(dst, b...)
 		}
@@ -83,12 +83,13 @@ func appendBody(dst []byte, e Entry) ([]byte, error) {
 	return dst, nil
 }
 
-var closeBrace = []byte{'}'}
-
 // bodySum is the checksum of a body appendBody wrote: the CRC32 of the
 // body and its closing brace, as %08x.
 func bodySum(body []byte) [8]byte {
-	crc := crc32.Update(crc32.ChecksumIEEE(body), crc32.IEEETable, closeBrace)
+	// The brace is one more step of the table-driven CRC, which is
+	// cheaper than a second call.
+	crc := ^crc32.ChecksumIEEE(body)
+	crc = ^(crc32.IEEETable[byte(crc)^'}'] ^ crc>>8)
 	const hex = "0123456789abcdef"
 	var s [8]byte
 	for i := range s {
@@ -113,7 +114,8 @@ func appendLine(dst []byte, e Entry) ([]byte, error) {
 
 // decodeLine reads a line appendLine wrote, without its newline. It
 // reports whether the line is in that form (ok) and, if so, the entry
-// json.Unmarshal would read from it and whether its Sum holds.
+// json.Unmarshal would read from it, less its Sum, and whether that
+// Sum holds. The entry's Value aliases line.
 func decodeLine(line []byte) (e Entry, sumOK, ok bool) {
 	c := Canon{b: line}
 	str := func() string {
@@ -164,22 +166,24 @@ func decodeLine(line []byte) (e Entry, sumOK, ok bool) {
 		return Entry{}, false, false
 	}
 	want := bodySum(line[:body])
-	e.Sum = string(sum)
-	return e, e.Sum == string(want[:]), true
+	return e, string(sum) == string(want[:]), true
 }
 
 // decodeAny reads any line json.Unmarshal accepts as an Entry and
-// checks its Sum against the entry's encoding.
+// checks its Sum against the entry's encoding. Like decodeLine, it
+// returns the entry less its Sum.
 func decodeAny(line []byte) (e Entry, sumOK bool) {
 	if err := json.Unmarshal(line, &e); err != nil {
 		return Entry{}, false
 	}
+	sum := e.Sum
+	e.Sum = ""
 	body, err := appendBody(nil, e)
 	if err != nil {
 		return e, false
 	}
 	want := bodySum(body)
-	return e, e.Sum == string(want[:])
+	return e, sum == string(want[:])
 }
 
 // Canon reads JSON in the form encoding/json writes: no whitespace,
@@ -221,19 +225,17 @@ func (c *Canon) Str() []byte {
 		c.bad = true
 		return nil
 	}
-	for j := c.i + 1; j < len(c.b); j++ {
-		switch ch := c.b[j]; {
-		case ch == '"':
-			s := c.b[c.i+1 : j]
-			c.i = j + 1
-			return s
-		case ch >= 0x80 || !htmlSafe[ch]:
-			c.bad = true
-			return nil
-		}
+	j := c.i + 1
+	for j < len(c.b) && htmlSafe[c.b[j]] {
+		j++
 	}
-	c.bad = true
-	return nil
+	if j == len(c.b) || c.b[j] != '"' {
+		c.bad = true
+		return nil
+	}
+	s := c.b[c.i+1 : j]
+	c.i = j + 1
+	return s
 }
 
 // Uint consumes an unsigned integer no larger than max.
@@ -356,6 +358,15 @@ func scanLit(b []byte, lit string) int {
 	return len(lit)
 }
 
+// scanPlain reports which bytes scanString steps over without a
+// second look.
+var scanPlain = func() (t [256]bool) {
+	for c := 0x20; c < 0x100; c++ {
+		t[c] = c != '"' && c != '\\' && c != '<' && c != '>' && c != '&' && c != 0xe2
+	}
+	return t
+}()
+
 // scanString returns the length of the string at the start of b, or -1
 // (see scanValue).
 func scanString(b []byte) int {
@@ -363,6 +374,9 @@ func scanString(b []byte) int {
 		return -1
 	}
 	for i := 1; i < len(b); i++ {
+		if scanPlain[b[i]] {
+			continue
+		}
 		switch c := b[i]; {
 		case c == '"':
 			return i + 1

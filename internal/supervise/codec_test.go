@@ -8,6 +8,8 @@ import (
 	"fmt"
 	"hash/crc32"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 )
 
@@ -44,7 +46,7 @@ func refLine(e Entry) ([]byte, error) {
 type refLoaded struct {
 	final             map[string]Entry
 	attempts, skipped int
-	validEnd          int64
+	validEnd, corrupt int64
 	why               string
 	err               error
 }
@@ -52,12 +54,13 @@ type refLoaded struct {
 // refLoad loads content as Journal.load does, reading each line with
 // the reference codec.
 func refLoad(content []byte, meta string) refLoaded {
-	l := refLoaded{final: map[string]Entry{}}
+	l := refLoaded{final: map[string]Entry{}, corrupt: -1}
 	r := bufio.NewReader(bytes.NewReader(content))
 	first, any := true, false
 	var off int64
 	for {
 		line, rerr := r.ReadBytes('\n')
+		start := off
 		off += int64(len(line))
 		complete := rerr == nil
 		trimmed := bytes.TrimSpace(line)
@@ -76,7 +79,12 @@ func refLoad(content []byte, meta string) refLoaded {
 		}
 		if !valid {
 			l.skipped++
+			if complete && l.corrupt < 0 {
+				l.corrupt = start
+			}
 		}
+		// A loaded record keeps no checksum.
+		e.Sum = ""
 		switch {
 		case valid && first:
 			first = false
@@ -110,9 +118,9 @@ func refLoad(content []byte, meta string) refLoaded {
 
 // ownLoad loads content with the journal's own codec.
 func ownLoad(t *testing.T, content []byte, meta string) refLoaded {
-	j := &Journal{path: "fuzz.jsonl", final: map[string]Entry{}}
+	j := &Journal{path: "fuzz.jsonl"}
 	var l refLoaded
-	l.validEnd, l.why, l.err = j.load(bytes.NewReader(content), meta)
+	l.validEnd, l.corrupt, l.why, l.err = j.load(content, meta)
 	var re *ResumeError
 	if l.err != nil && !errors.As(l.err, &re) {
 		t.Fatal(l.err)
@@ -120,7 +128,25 @@ func ownLoad(t *testing.T, content []byte, meta string) refLoaded {
 	if l.err != nil {
 		return refLoaded{err: errors.New("not resumable")}
 	}
-	l.final, l.attempts, l.skipped = j.final, j.Attempts, j.Skipped
+	l.final = map[string]Entry{}
+	for _, e := range j.finals {
+		if _, dup := l.final[e.Key]; dup {
+			t.Fatalf("key %q is loaded twice", e.Key)
+		}
+		l.final[e.Key] = e
+	}
+	for k, i := range j.index {
+		if i < 0 || i >= len(j.finals) || j.finals[i].Key != k {
+			t.Fatalf("key %q is indexed at %d of %d finals", k, i, len(j.finals))
+		}
+	}
+	if len(j.index) != len(j.finals) {
+		t.Fatalf("%d keys indexed for %d finals", len(j.index), len(j.finals))
+	}
+	if j.sorted && !slices.IsSortedFunc(j.finals, func(a, b Entry) int { return strings.Compare(a.Key, b.Key) }) {
+		t.Fatal("finals marked sorted out of key order")
+	}
+	l.attempts, l.skipped = j.Attempts, j.Skipped
 	return l
 }
 
@@ -174,7 +200,8 @@ func FuzzEntryCodec(f *testing.F) {
 		} {
 			ref, own := refLoad(content, "fuzz"), ownLoad(t, content, "fuzz")
 			if (ref.err != nil) != (own.err != nil) || ref.attempts != own.attempts || ref.skipped != own.skipped ||
-				ref.validEnd != own.validEnd || ref.why != own.why || !sameEntries(ref.final, own.final) {
+				ref.validEnd != own.validEnd || ref.corrupt != own.corrupt || ref.why != own.why ||
+				!sameEntries(ref.final, own.final) {
 				t.Fatalf("journal %q\nloads as %+v\nreference %+v", content, own, ref)
 			}
 		}

@@ -1,13 +1,12 @@
 package supervise
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -44,7 +43,9 @@ type Entry struct {
 	Error   string          `json:"error,omitempty"`
 	Value   json.RawMessage `json:"value,omitempty"`
 	Meta    string          `json:"meta,omitempty"`
-	Sum     string          `json:"sum,omitempty"`
+	// Sum is the line's checksum, stamped when the line is written and
+	// checked when it is read; a loaded record does not keep it.
+	Sum string `json:"sum,omitempty"`
 }
 
 // Journal is a crash-safe record of completed work units.
@@ -53,8 +54,13 @@ type Journal struct {
 	f    *os.File
 	path string
 	meta string
-	// final holds the latest ok/failed record per key.
-	final map[string]Entry
+	// finals holds the latest ok/failed record of each key, in the
+	// order the keys first appeared; index maps a key to its position.
+	// sorted reports that finals is in increasing key order, as it is
+	// after loading a compacted journal or any written in key order.
+	finals []Entry
+	index  map[string]int
+	sorted bool
 	// Attempts counts attempt records loaded from disk.
 	Attempts int
 	// Skipped counts corrupt or torn lines ignored on load.
@@ -81,9 +87,10 @@ func DefaultJournalPath() string {
 
 // ResumeError reports a journal that a resume cannot use although it
 // holds checksummed lines: a header that is damaged or fingerprints
-// another run. OpenJournal leaves such a file as it found it, because
-// those lines may be records that were acknowledged; the caller
-// decides whether the journal may be thrown away.
+// another run, or, resuming a ledger, a line that fails its checksum.
+// The file is left as it was found, because those lines may be
+// records that were acknowledged; the caller decides whether the
+// journal may be thrown away.
 type ResumeError struct {
 	Path, Reason string
 }
@@ -95,11 +102,26 @@ func (e *ResumeError) Error() string {
 // OpenJournal opens (creating if needed) the journal at path. meta
 // fingerprints the run. Without resume, existing content is truncated
 // (with the reason in Discarded). With resume, content whose header
-// carries meta is loaded and appended to; content without a single
+// carries meta is loaded and appended to, skipping (and counting in
+// Skipped) any line that fails its checksum; content without a single
 // checksummed line is truncated; and content with checksummed lines
 // but no header of meta is left untouched and reported as a
 // *ResumeError.
 func OpenJournal(path, meta string, resume bool) (*Journal, error) {
+	return openJournal(path, meta, resume, false)
+}
+
+// OpenLedger resumes the journal at path as OpenJournal(path, meta,
+// true) does, but refuses content with a complete line that fails its
+// checksum as it refuses a damaged header: with a *ResumeError naming
+// the line's byte offset, and the file untouched. A ledger's records
+// were acknowledged, so none may be skipped in silence; only a torn
+// final line, whose sync never completed, is dropped.
+func OpenLedger(path, meta string) (*Journal, error) {
+	return openJournal(path, meta, true, true)
+}
+
+func openJournal(path, meta string, resume, ledger bool) (*Journal, error) {
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return nil, fmt.Errorf("supervise: creating journal dir: %w", err)
 	}
@@ -107,16 +129,24 @@ func OpenJournal(path, meta string, resume bool) (*Journal, error) {
 	if err != nil {
 		return nil, fmt.Errorf("supervise: opening journal: %w", err)
 	}
-	j := &Journal{f: f, path: path, meta: meta, final: make(map[string]Entry)}
+	j := &Journal{f: f, path: path, meta: meta}
 
 	keep := false
 	if resume {
-		var validEnd int64
-		validEnd, j.Discarded, err = j.load(f, meta)
+		data, err := readAll(f)
+		if err != nil {
+			f.Close()
+			return nil, fmt.Errorf("supervise: reading journal %s: %w", path, err)
+		}
+		validEnd, corrupt, why, err := j.load(data, meta)
+		if err == nil && ledger && corrupt >= 0 {
+			err = &ResumeError{path, fmt.Sprintf("the line at byte %d fails its checksum", corrupt)}
+		}
 		if err != nil {
 			f.Close()
 			return nil, err
 		}
+		j.Discarded = why
 		// A header torn before its newline leaves nothing to keep:
 		// start fresh, so the header is rewritten before any record
 		// and the next resume finds it.
@@ -125,7 +155,7 @@ func OpenJournal(path, meta string, resume bool) (*Journal, error) {
 		// process) before appending, or the next record would be
 		// written onto the torn bytes, merge into one unparseable
 		// line, and be lost on the following load.
-		if st, err := f.Stat(); keep && err == nil && st.Size() > validEnd {
+		if keep && int64(len(data)) > validEnd {
 			if err := f.Truncate(validEnd); err != nil {
 				f.Close()
 				return nil, fmt.Errorf("supervise: trimming torn journal tail: %w", err)
@@ -137,7 +167,7 @@ func OpenJournal(path, meta string, resume bool) (*Journal, error) {
 		}
 	}
 	if !keep {
-		j.final = make(map[string]Entry)
+		j.finals, j.index, j.sorted = nil, make(map[string]int), true
 		j.Attempts, j.Skipped = 0, 0
 		if err := f.Truncate(0); err != nil {
 			f.Close()
@@ -161,34 +191,46 @@ func OpenJournal(path, meta string, resume bool) (*Journal, error) {
 	return j, nil
 }
 
-// load reads the records in content. It returns the byte offset just past
-// the last valid record, 0 when there is nothing to resume; everything
-// after it is a torn or corrupt tail the caller should truncate before
-// appending. When content without a single checksummed line is
-// discarded, why says so. A read failure, and checksummed content that
-// does not open with the header of meta, is an error: the caller must
+// readAll reads f from where it stands to its end into one buffer
+// sized from its length.
+func readAll(f *os.File) ([]byte, error) {
+	var b bytes.Buffer
+	if st, err := f.Stat(); err == nil {
+		b.Grow(int(st.Size()) + bytes.MinRead)
+	}
+	_, err := b.ReadFrom(f)
+	return b.Bytes(), err
+}
+
+// load indexes the records in data, a journal's whole content, slicing
+// each line out of it. It returns the byte offset just past the last
+// valid record, 0 when there is nothing to resume; everything after it
+// is a torn or corrupt tail the caller should truncate before
+// appending. corrupt is the offset of the first complete line that
+// fails its checksum, -1 if none does. When content without a single
+// checksummed line is discarded, why says so. Checksummed content that
+// does not open with the header of meta is an error: the caller must
 // not truncate what it could not account for.
-func (j *Journal) load(content io.Reader, meta string) (validEnd int64, why string, err error) {
-	// ReadBytes grows past the buffer for a longer line, so its size
-	// bounds only what a short journal costs to open.
-	r := bufio.NewReaderSize(content, 64<<10)
+func (j *Journal) load(data []byte, meta string) (validEnd, corrupt int64, why string, err error) {
+	// No journal holds more final records than lines, so the index is
+	// sized once.
+	lines := bytes.Count(data, []byte{'\n'}) + 1
+	j.finals, j.index, j.sorted = make([]Entry, 0, lines), make(map[string]int, lines), true
+	corrupt = -1
 	first := true
 	any := false
-	var off int64
-	for {
-		line, rerr := r.ReadBytes('\n')
-		if rerr != nil && rerr != io.EOF {
-			return 0, "", fmt.Errorf("supervise: reading journal %s: %w", j.path, rerr)
-		}
-		off += int64(len(line))
+	for off := 0; off < len(data); {
+		start := off
+		line := data[off:]
 		// A line without its terminating newline is a torn tail by
 		// definition; never extend validEnd over it.
-		complete := rerr == nil
+		complete := false
+		if i := bytes.IndexByte(line, '\n'); i >= 0 {
+			line, complete = line[:i+1], true
+		}
+		off += len(line)
 		trimmed := bytes.TrimSpace(line)
 		if len(trimmed) == 0 {
-			if rerr != nil {
-				break
-			}
 			continue
 		}
 		any = true
@@ -196,34 +238,32 @@ func (j *Journal) load(content io.Reader, meta string) (validEnd int64, why stri
 		if !ok {
 			e, valid = decodeAny(trimmed)
 		}
-		if !valid {
+		switch {
+		case !valid:
 			j.Skipped++
-		}
-		if valid && first {
+			if complete && corrupt < 0 {
+				corrupt = int64(start)
+			}
+		case first:
 			first = false
 			if e.Status != StatusMeta {
-				return 0, "", &ResumeError{j.path, "its first checksummed line is not a header"}
+				return 0, -1, "", &ResumeError{j.path, "its first checksummed line is not a header"}
 			}
 			if e.Meta != meta {
-				return 0, "", &ResumeError{j.path, fmt.Sprintf("its header fingerprints another run (%s)", e.Meta)}
+				return 0, -1, "", &ResumeError{j.path, fmt.Sprintf("its header fingerprints another run (%s)", e.Meta)}
 			}
 			if complete {
-				validEnd = off
+				validEnd = int64(off)
 			}
-			if rerr != nil {
-				break
-			}
-			continue
-		}
-		if valid && complete {
-			validEnd = off
+		case complete:
+			validEnd = int64(off)
 			switch e.Status {
 			case StatusAttempt:
 				j.Attempts++
 			case StatusOK, StatusFailed:
-				j.final[e.Key] = e
+				j.put(e)
 			}
-		} else if valid {
+		default:
 			// A checksummed record missing its trailing newline was cut
 			// off mid-write: the sync that would have acknowledged it
 			// never completed, so dropping it with the rest of the torn
@@ -231,53 +271,119 @@ func (j *Journal) load(content io.Reader, meta string) (validEnd int64, why stri
 			// corrupt the next record.
 			j.Skipped++
 		}
-		if rerr != nil {
-			break
-		}
 	}
 	if any && first {
 		// Content existed but no line survived the checksum.
-		return 0, "journal entirely corrupt", nil
+		return 0, corrupt, "journal entirely corrupt", nil
 	}
-	return validEnd, "", nil
+	j.detach()
+	return validEnd, corrupt, "", nil
+}
+
+// detach copies the loaded finals' values, which alias the content
+// they were read from, into one block of their own, so that neither
+// the content nor its attempt lines and superseded records stay alive.
+func (j *Journal) detach() {
+	n := 0
+	for i := range j.finals {
+		n += len(j.finals[i].Value)
+	}
+	block := make([]byte, 0, n)
+	for i := range j.finals {
+		if v := j.finals[i].Value; len(v) > 0 {
+			block = append(block, v...)
+			j.finals[i].Value = block[len(block)-len(v) : len(block) : len(block)]
+		}
+	}
+}
+
+// put enters a final record: in place of its key's earlier record, or
+// after every other.
+func (j *Journal) put(e Entry) {
+	// While the finals are in key order, a key after the last is new.
+	if n := len(j.finals); n > 0 && (!j.sorted || e.Key <= j.finals[n-1].Key) {
+		if i, ok := j.index[e.Key]; ok {
+			j.finals[i] = e
+			return
+		}
+		j.sorted = false
+	}
+	j.index[e.Key] = len(j.finals)
+	j.finals = append(j.finals, e)
 }
 
 // Lookup returns the final record for a key, if any.
 func (j *Journal) Lookup(key string) (Entry, bool) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	e, ok := j.final[key]
-	return e, ok
+	if i, ok := j.index[key]; ok {
+		return j.finals[i], true
+	}
+	return Entry{}, false
+}
+
+// LookupBytes is Lookup for a key held as bytes; it does not allocate.
+func (j *Journal) LookupBytes(key []byte) (Entry, bool) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if i, ok := j.index[string(key)]; ok {
+		return j.finals[i], true
+	}
+	return Entry{}, false
 }
 
 // Finals returns a copy of every final (ok or failed) record whose key
-// starts with prefix, sorted by key. The cashd daemon rebuilds its
-// admitted tenants from these on crash-resume.
+// starts with prefix, sorted by key.
 func (j *Journal) Finals(prefix string) []Entry {
-	j.mu.Lock()
-	defer j.mu.Unlock()
 	var out []Entry
-	for k, e := range j.final {
-		if strings.HasPrefix(k, prefix) {
-			out = append(out, e)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
+	j.Walk(prefix, func(e *Entry) { out = append(out, *e) })
 	return out
 }
 
 // Completed returns how many keys that start with prefix have a final
 // ok record.
 func (j *Journal) Completed(prefix string) int {
-	j.mu.Lock()
-	defer j.mu.Unlock()
 	n := 0
-	for k, e := range j.final {
-		if e.Status == StatusOK && strings.HasPrefix(k, prefix) {
+	j.Walk(prefix, func(e *Entry) {
+		if e.Status == StatusOK {
 			n++
 		}
-	}
+	})
 	return n
+}
+
+// Walk calls fn with every final (ok or failed) record whose key starts
+// with prefix, in key order. The cashd daemon rebuilds its books in
+// one walk on crash-resume. Walk holds the journal while it runs, so fn
+// must not call it; e is fn's to read during the call only.
+func (j *Journal) Walk(prefix string, fn func(e *Entry)) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	j.walk(prefix, fn)
+}
+
+// walk is Walk under the lock. In key order, the keys that start with
+// prefix are one run, found by a search; out of it, the finals that
+// match are sorted first.
+func (j *Journal) walk(prefix string, fn func(e *Entry)) {
+	f := j.finals
+	if j.sorted {
+		i := sort.Search(len(f), func(i int) bool { return f[i].Key >= prefix })
+		for ; i < len(f) && strings.HasPrefix(f[i].Key, prefix); i++ {
+			fn(&f[i])
+		}
+		return
+	}
+	var match []int
+	for i := range f {
+		if strings.HasPrefix(f[i].Key, prefix) {
+			match = append(match, i)
+		}
+	}
+	slices.SortFunc(match, func(a, b int) int { return strings.Compare(f[a].Key, f[b].Key) })
+	for _, i := range match {
+		fn(&f[i])
+	}
 }
 
 // Path returns the journal's file path.
@@ -307,7 +413,7 @@ func (j *Journal) Record(e Entry) error {
 	}
 	switch e.Status {
 	case StatusOK, StatusFailed:
-		j.final[e.Key] = e
+		j.put(e)
 		if err := j.f.Sync(); err != nil {
 			return fmt.Errorf("supervise: journal sync: %w", err)
 		}
@@ -324,13 +430,13 @@ func (j *Journal) Record(e Entry) error {
 func (j *Journal) RecordOnce(e Entry) (won bool, err error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if _, ok := j.final[e.Key]; ok {
+	if _, ok := j.index[e.Key]; ok {
 		return false, nil
 	}
 	if err := j.append(e); err != nil {
 		return false, err
 	}
-	j.final[e.Key] = e
+	j.put(e)
 	if err := j.f.Sync(); err != nil {
 		return false, fmt.Errorf("supervise: journal sync: %w", err)
 	}
@@ -365,17 +471,11 @@ func (j *Journal) Compact() error {
 		return err
 	}
 	werr := write(Entry{Status: StatusMeta, Meta: j.meta})
-	keys := make([]string, 0, len(j.final))
-	for k := range j.final {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		if werr != nil {
-			break
+	j.walk("", func(e *Entry) {
+		if werr == nil {
+			werr = write(*e)
 		}
-		werr = write(j.final[k])
-	}
+	})
 	if werr == nil {
 		werr = tmp.Sync()
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -234,5 +235,101 @@ func TestDefaultJournalPathEnvOverride(t *testing.T) {
 	t.Setenv("CASH_JOURNAL", "/tmp/custom.jsonl")
 	if p := DefaultJournalPath(); p != "/tmp/custom.jsonl" {
 		t.Errorf("DefaultJournalPath() = %q", p)
+	}
+}
+
+// TestFinalsInKeyOrder: however the finals arrived, a journal loaded
+// through OpenJournal or OpenLedger walks them in key order, one per
+// key, the latest record standing for its key. LookupBytes reads what
+// Lookup reads without allocating.
+func TestFinalsInKeyOrder(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "j.jsonl")
+	writeJournal(t, path, "run1", []Entry{
+		{Status: StatusOK, Key: "p/b", Value: json.RawMessage(`1`)},
+		{Status: StatusOK, Key: "q/z", Value: json.RawMessage(`2`)},
+		{Status: StatusAttempt, Key: "p/a", Attempt: 1, Kind: "error", Error: "x"},
+		{Status: StatusFailed, Key: "p/a", Attempt: 2, Kind: "error", Error: "y"},
+		{Status: StatusOK, Key: "p/b", Value: json.RawMessage(`3`)},
+		{Status: StatusOK, Key: "p/c", Value: json.RawMessage(`4`)},
+	})
+	want := []string{"p/a failed ", "p/b ok 3", "p/c ok 4"}
+	for _, open := range []func() (*Journal, error){
+		func() (*Journal, error) { return OpenJournal(path, "run1", true) },
+		func() (*Journal, error) { return OpenLedger(path, "run1") },
+	} {
+		j, err := open()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var walked []string
+		j.Walk("p/", func(e *Entry) { walked = append(walked, e.Key+" "+e.Status+" "+string(e.Value)) })
+		var got []string
+		for _, e := range j.Finals("p/") {
+			got = append(got, e.Key+" "+e.Status+" "+string(e.Value))
+		}
+		if strings.Join(got, ",") != strings.Join(want, ",") || strings.Join(walked, ",") != strings.Join(want, ",") {
+			t.Errorf("Finals(p/) = %q, Walk visits %q; want %q", got, walked, want)
+		}
+		if all := j.Finals(""); len(all) != 4 || all[3].Key != "q/z" {
+			t.Errorf("Finals() = %+v, want p/a, p/b, p/c, q/z", all)
+		}
+		key := []byte("p/b")
+		if e, ok := j.LookupBytes(key); !ok || string(e.Value) != "3" || e.Sum != "" {
+			t.Errorf("LookupBytes(p/b) = %+v, %v", e, ok)
+		}
+		if n := testing.AllocsPerRun(10, func() { j.LookupBytes(key) }); n != 0 {
+			t.Errorf("LookupBytes allocates %v times", n)
+		}
+		j.Close()
+	}
+}
+
+// TestLedgerRefusesCorruptLine: a complete line that fails its checksum
+// is skipped and counted by OpenJournal, and refused by OpenLedger with
+// its offset, leaving the file as it was; a torn final line is dropped
+// by both.
+func TestLedgerRefusesCorruptLine(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "j.jsonl")
+	writeJournal(t, path, "run1", []Entry{
+		{Status: StatusOK, Key: "a", Value: json.RawMessage(`"alpha"`)},
+		{Status: StatusOK, Key: "b", Value: json.RawMessage(`"beta"`)},
+	})
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	torn := append(bytes.Clone(raw), `{"status":"ok","key":"c"`...)
+	if err := os.WriteFile(path, torn, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	j, err := OpenLedger(path, "run1")
+	if err != nil {
+		t.Fatalf("ledger open over a torn tail: %v", err)
+	}
+	j.Close()
+
+	at := bytes.Index(raw, []byte(`"alpha"`))
+	damaged := bytes.Replace(raw, []byte(`"alpha"`), []byte(`"alphA"`), 1)
+	line := bytes.LastIndexByte(damaged[:at], '\n') + 1
+	if err := os.WriteFile(path, damaged, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var re *ResumeError
+	if _, err := OpenLedger(path, "run1"); !errors.As(err, &re) || !strings.Contains(re.Reason, fmt.Sprintf("line at byte %d ", line)) {
+		t.Fatalf("ledger open over a corrupt line: %v, want a ResumeError naming byte %d", err, line)
+	}
+	if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, damaged) {
+		t.Fatalf("a refused ledger open changed the file (%v)", err)
+	}
+	j, err = OpenJournal(path, "run1", true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	if _, ok := j.Lookup("a"); ok || j.Skipped != 1 {
+		t.Fatalf("journal open over a corrupt line: a found %v, skipped %d; want skipped and counted", ok, j.Skipped)
+	}
+	if _, ok := j.Lookup("b"); !ok {
+		t.Fatal("journal open over a corrupt line lost the record after it")
 	}
 }
