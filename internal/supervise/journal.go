@@ -362,9 +362,9 @@ func (j *Journal) Walk(prefix string, fn func(e *Entry)) {
 	j.walk(prefix, fn)
 }
 
-// walk is Walk under the lock. In key order, the keys that start with
-// prefix are one run, found by a search; out of it, the finals that
-// match are sorted first.
+// walk is Walk under the lock. While the finals are in key order, the
+// keys that start with prefix are one run, found by a search; once
+// they are not, the finals that match are sorted first.
 func (j *Journal) walk(prefix string, fn func(e *Entry)) {
 	f := j.finals
 	if j.sorted {
