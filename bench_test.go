@@ -548,6 +548,19 @@ func BenchmarkDaemonSubmit(b *testing.B) {
 // The socket bind and the goroutine starts make up the rest of ns/op,
 // and the benchmark fails if the two layers cover less than 90% of it.
 func BenchmarkJournalReopen(b *testing.B) {
+	benchRestart(b, func(raw []byte) []byte { return raw })
+}
+
+// BenchmarkJournalReopenCrash is BenchmarkJournalReopen after a kill -9
+// instead of a drain: the same records, never compacted, in the order a
+// daemon serving them wrote them (arrivalOrder), ending in a torn line.
+func BenchmarkJournalReopenCrash(b *testing.B) {
+	benchRestart(b, arrivalOrder)
+}
+
+// benchRestart times daemon.Start on the journal that order makes of
+// BenchmarkJournalReopen's compacted one.
+func benchRestart(b *testing.B, order func(raw []byte) []byte) {
 	reopen.once.Do(func() { reopen.raw, reopen.err = writeReopenJournal() })
 	if reopen.err != nil {
 		b.Fatal(reopen.err)
@@ -556,10 +569,10 @@ func BenchmarkJournalReopen(b *testing.B) {
 	// wherever the temporary directory is.
 	b.Chdir(b.TempDir())
 	opts := reopenOptions(".")
-	if err := os.WriteFile(opts.Journal, reopen.raw, 0o644); err != nil {
+	if err := os.WriteFile(opts.Journal, order(reopen.raw), 0o644); err != nil {
 		b.Fatal(err)
 	}
-	// A restart allocates about 5 MB. The heap is collected between
+	// A restart allocates a few MB. The heap is collected between
 	// restarts, untimed, under a GOGC that starts no collection within
 	// one, and on one processor, so that neither the collector's own
 	// allocations nor a new OS thread's land in a restart: B/op stays
@@ -579,6 +592,11 @@ func BenchmarkJournalReopen(b *testing.B) {
 		load += r.Load
 		rebuild += r.Rebuild
 		srv.Kill()
+		// A killed daemon's journal keeps its torn tail only until the
+		// next start cuts it; put it back.
+		if err := os.WriteFile(opts.Journal, order(reopen.raw), 0o644); err != nil {
+			b.Fatal(err)
+		}
 		runtime.GC()
 		b.StartTimer()
 	}
@@ -589,6 +607,41 @@ func BenchmarkJournalReopen(b *testing.B) {
 	}
 	b.ReportMetric(load.Seconds()*1e3/float64(b.N), "load-ms")
 	b.ReportMetric(rebuild.Seconds()*1e3/float64(b.N), "rebuild-ms")
+}
+
+// arrivalOrder rewrites a compacted cashd journal (header, cells, then
+// submits, each in key order) in an order a daemon could have written
+// it: the submits in a fixed shuffled order, each tenant's cells
+// landing eight submits after its own, and the last cell torn in half
+// by the kill, so that it runs again. Every other line keeps its
+// checksum and the records are the same.
+func arrivalOrder(raw []byte) []byte {
+	lines := bytes.SplitAfter(raw, []byte("\n"))
+	header, recs := lines[0], lines[1:len(lines)-1]
+	tenants := len(recs) / 5
+	cells, submits := recs[:4*tenants], recs[4*tenants:]
+	perm := make([]int, tenants)
+	for i := range perm {
+		perm[i] = i
+	}
+	for i := len(perm) - 1; i > 0; i-- {
+		j := int(uint64(i) * 0x9e3779b97f4a7c15 % uint64(i+1))
+		perm[i], perm[j] = perm[j], perm[i]
+	}
+	const lag = 8
+	out := append([]byte(nil), header...)
+	for i := 0; i < tenants+lag; i++ {
+		if i < tenants {
+			out = append(out, submits[perm[i]]...)
+		}
+		if k := i - lag; k >= 0 {
+			for _, c := range cells[4*perm[k] : 4*perm[k]+4] {
+				out = append(out, c...)
+			}
+		}
+	}
+	last := bytes.LastIndexByte(out[:len(out)-1], '\n') + 1
+	return out[:last+(len(out)-last)/2]
 }
 
 // reopen holds the journal BenchmarkJournalReopen restarts on, written

@@ -541,29 +541,24 @@ func (s *Server) logf(format string, args ...any) {
 // tenants from submit records, landed cells (with their settled spend)
 // from cell records, everything else pending re-execution.
 func (s *Server) rebuild() error {
-	// One walk in key order counts the ok cell records and decodes the
-	// ok submit records, in the key order the tenants' fleet indices
-	// follow.
+	// The ok submit records, decoded in key order, the order the
+	// tenants' fleet indices follow.
 	type submit struct {
 		idem string
 		spec TenantSpec
 	}
 	var submits []submit
-	var cellRecords int
 	var err error
-	s.journal.Walk("", func(e *supervise.Entry) {
-		switch {
-		case e.Status != supervise.StatusOK || err != nil:
-		case strings.HasPrefix(e.Key, cellKeyPrefix):
-			cellRecords++
-		case strings.HasPrefix(e.Key, submitKeyPrefix):
-			rec, derr := decodeSubmit(e.Value)
-			if derr != nil {
-				err = fmt.Errorf("daemon: corrupt submit record %q: %w", e.Key, derr)
-				return
-			}
-			submits = append(submits, submit{strings.TrimPrefix(e.Key, submitKeyPrefix), rec.Spec})
+	s.journal.Walk(submitKeyPrefix, func(e *supervise.Entry) {
+		if e.Status != supervise.StatusOK || err != nil {
+			return
 		}
+		rec, derr := decodeSubmit(e.Value)
+		if derr != nil {
+			err = fmt.Errorf("daemon: corrupt submit record %q: %w", e.Key, derr)
+			return
+		}
+		submits = append(submits, submit{strings.TrimPrefix(e.Key, submitKeyPrefix), rec.Spec})
 	})
 	if err != nil {
 		return err
@@ -597,7 +592,7 @@ func (s *Server) rebuild() error {
 		rebooked += len(done)
 		s.submitted[sub.idem] = len(s.tenants) - 1
 	}
-	if rebooked != cellRecords {
+	if cellRecords := s.journal.Completed(cellKeyPrefix); rebooked != cellRecords {
 		return fmt.Errorf("daemon: %d cell records have no admitted tenant", cellRecords-rebooked)
 	}
 	return nil

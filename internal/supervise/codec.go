@@ -83,13 +83,12 @@ func appendBody(dst []byte, e Entry) ([]byte, error) {
 	return dst, nil
 }
 
+var closeBrace = []byte{'}'}
+
 // bodySum is the checksum of a body appendBody wrote: the CRC32 of the
 // body and its closing brace, as %08x.
 func bodySum(body []byte) [8]byte {
-	// The brace is one more step of the table-driven CRC, which is
-	// cheaper than a second call.
-	crc := ^crc32.ChecksumIEEE(body)
-	crc = ^(crc32.IEEETable[byte(crc)^'}'] ^ crc>>8)
+	crc := crc32.Update(crc32.ChecksumIEEE(body), crc32.IEEETable, closeBrace)
 	const hex = "0123456789abcdef"
 	var s [8]byte
 	for i := range s {
@@ -358,15 +357,6 @@ func scanLit(b []byte, lit string) int {
 	return len(lit)
 }
 
-// scanPlain reports which bytes scanString steps over without a
-// second look.
-var scanPlain = func() (t [256]bool) {
-	for c := 0x20; c < 0x100; c++ {
-		t[c] = c != '"' && c != '\\' && c != '<' && c != '>' && c != '&' && c != 0xe2
-	}
-	return t
-}()
-
 // scanString returns the length of the string at the start of b, or -1
 // (see scanValue).
 func scanString(b []byte) int {
@@ -374,9 +364,6 @@ func scanString(b []byte) int {
 		return -1
 	}
 	for i := 1; i < len(b); i++ {
-		if scanPlain[b[i]] {
-			continue
-		}
 		switch c := b[i]; {
 		case c == '"':
 			return i + 1

@@ -332,23 +332,17 @@ func (j *Journal) LookupBytes(key []byte) (Entry, bool) {
 	return Entry{}, false
 }
 
-// Finals returns a copy of every final (ok or failed) record whose key
-// starts with prefix, sorted by key.
-func (j *Journal) Finals(prefix string) []Entry {
-	var out []Entry
-	j.Walk(prefix, func(e *Entry) { out = append(out, *e) })
-	return out
-}
-
 // Completed returns how many keys that start with prefix have a final
-// ok record.
+// ok record. It only counts, so it reads the finals in any order.
 func (j *Journal) Completed(prefix string) int {
+	j.mu.Lock()
+	defer j.mu.Unlock()
 	n := 0
-	j.Walk(prefix, func(e *Entry) {
-		if e.Status == StatusOK {
+	for i := range j.finals {
+		if e := &j.finals[i]; e.Status == StatusOK && strings.HasPrefix(e.Key, prefix) {
 			n++
 		}
-	})
+	}
 	return n
 }
 
