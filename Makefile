@@ -58,6 +58,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzEntryCodec -fuzztime=$(FUZZTIME) ./internal/supervise/
 	$(GO) test -run='^$$' -fuzz=FuzzReadFrame -fuzztime=$(FUZZTIME) ./internal/daemon/
 	$(GO) test -run='^$$' -fuzz=FuzzRebuild -fuzztime=$(FUZZTIME) ./internal/daemon/
+	$(GO) test -run='^$$' -fuzz=FuzzSpendFrame -fuzztime=$(FUZZTIME) ./internal/daemon/
 	$(GO) test -run='^$$' -fuzz=FuzzSpendDecode -fuzztime=$(FUZZTIME) ./internal/daemon/client/
 	$(GO) test -run='^$$' -fuzz=FuzzLoadCache -fuzztime=$(FUZZTIME) ./internal/oracle/
 
@@ -99,7 +100,8 @@ calib: build
 	fi
 	$(GO) run ./cmd/cashsim calib -gate $(CALIB_GOLDEN) -out calib-report.txt
 
-# bench runs the throughput-critical benchmarks and refreshes
+# bench runs the throughput-critical benchmarks (the root package's,
+# then cashd's read answers in internal/daemon) and refreshes
 # BENCH.json (headline: best Minstr/s from
 # BenchmarkAblation_SimThroughput across BENCH_COUNT repetitions).
 # BENCH_BASELINE is the seed commit's Minstr/s measured on the same
@@ -118,6 +120,6 @@ BENCH_COMPARE ?=
 
 bench:
 	CASH_ORACLE_CACHE=$${CASH_ORACLE_CACHE:-/tmp/cash-bench-oracle.gob} \
-		$(GO) test -run '^$$' -bench . -benchmem -count $(BENCH_COUNT) . \
+		$(GO) test -run '^$$' -bench . -benchmem -count $(BENCH_COUNT) . ./internal/daemon \
 		| $(GO) run ./cmd/benchjson -o BENCH.json -baseline $(BENCH_BASELINE) \
 			$(if $(BENCH_COMPARE),-compare $(BENCH_COMPARE))

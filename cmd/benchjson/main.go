@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	go test -run '^$' -bench . -benchmem . | benchjson -o BENCH.json \
+//	go test -run '^$' -bench . -benchmem . ./internal/daemon | benchjson -o BENCH.json \
 //	    [-headline BenchmarkAblation_SimThroughput] [-baseline 0]
 //
 // With -count N, go test prints each benchmark N times; benchjson
@@ -216,7 +216,7 @@ func compare(ref, rep report) error {
 func build(r io.Reader, head string, baseline float64) (report, error) {
 	rep := report{
 		Schema:  "cash-bench/2",
-		Command: "go test -run '^$' -bench . -benchmem . | benchjson",
+		Command: "go test -run '^$' -bench . -benchmem . ./internal/daemon | benchjson",
 	}
 	var runs []run
 	sc := bufio.NewScanner(r)
@@ -230,7 +230,9 @@ func build(r io.Reader, head string, baseline float64) (report, error) {
 			rep.Goarch = strings.TrimPrefix(line, "goarch: ")
 		case strings.HasPrefix(line, "cpu: "):
 			rep.CPU = strings.TrimPrefix(line, "cpu: ")
-		case strings.HasPrefix(line, "pkg: "):
+		case strings.HasPrefix(line, "pkg: ") && rep.Package == "":
+			// The first package's: the root one, whose benchmarks are
+			// the paper's artifacts and the headline.
 			rep.Package = strings.TrimPrefix(line, "pkg: ")
 		case strings.HasPrefix(line, "Benchmark"):
 			if r, ok := parseBench(line); ok {

@@ -186,3 +186,17 @@ func TestCommittedBenchGated(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// `make bench` pipes in two packages' output, the root package's
+// first; the report names that one.
+func TestBuildKeepsFirstPackage(t *testing.T) {
+	two := sample + "goos: linux\ngoarch: amd64\npkg: cash/internal/daemon\ncpu: test-cpu\n" +
+		"BenchmarkSpendAnswer-8   	   17212	     66437 ns/op	  139264 B/op	       1 allocs/op\n"
+	rep, err := build(strings.NewReader(two), "BenchmarkAblation_SimThroughput", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Package != "cash" || len(rep.Benchmarks) != 3 {
+		t.Fatalf("pkg %q with %d entries, want cash with 3", rep.Package, len(rep.Benchmarks))
+	}
+}

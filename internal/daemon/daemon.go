@@ -369,6 +369,10 @@ type Server struct {
 	sorted []int
 	segs   []digestSeg
 	segBuf []byte // reused while building a segment
+	// spendSize is the capacity the next query-spend answer starts
+	// with: the last answer's size and an eighth more, so that one
+	// allocation holds it while the books grow.
+	spendSize int
 	// submitted maps each applied idempotency key to its tenant, whose
 	// spec the ack is computed from again for a retried submit.
 	submitted map[string]int
@@ -710,11 +714,16 @@ func (s *Server) handle(r coreReq) {
 	case MethodSubmit:
 		s.handleSubmit(r)
 	case MethodSpend:
-		s.replyOK(r, s.spendResult())
+		b, err := s.spendFrame(r.req.ID)
+		if err != nil {
+			r.c.send(Response{ID: r.req.ID, Code: CodeError, Error: err.Error()})
+			return
+		}
+		r.c.sendFrame(b)
 	case MethodAlloc:
 		s.replyOK(r, s.allocResult())
 	case MethodHealth:
-		s.replyOK(r, s.healthResult())
+		r.c.queue(reply{health: s.healthSnap(r.req.ID)})
 	case MethodWatch:
 		s.watchers[r.c] = r.req.ID
 		s.replyOK(r, s.epochEvent(0, 0))
@@ -876,28 +885,41 @@ func (s *Server) emit(ev Epoch) {
 	}
 }
 
-func (s *Server) spendResult() SpendResult {
+// spendFrame is the frame of the query-spend answer to request id: the
+// frame appendOKFrame encodes for the books as a SpendResult, root
+// totals and then one row per tenant in name order, written field by
+// field instead of through reflection.
+func (s *Server) spendFrame(id uint64) ([]byte, error) {
+	b := make([]byte, 0, s.spendSize)
+	b = strconv.AppendUint(append(b, "000000\n{\"id\":"...), id, 10)
 	root := s.fleet.Root()
-	res := SpendResult{
-		RootGranted:     root.Granted(),
-		RootConsumed:    root.Consumed(),
-		RootRefunded:    root.Refunded(),
-		RootOutstanding: root.Outstanding(),
-	}
-	res.Tenants = make([]TenantSpend, 0, len(s.sorted))
-	for _, t := range s.sorted {
+	b = strconv.AppendInt(append(b, `,"code":"OK","result":{"root_granted":`...), root.Granted(), 10)
+	b = strconv.AppendInt(append(b, `,"root_consumed":`...), root.Consumed(), 10)
+	b = strconv.AppendInt(append(b, `,"root_refunded":`...), root.Refunded(), 10)
+	b = strconv.AppendInt(append(b, `,"root_outstanding":`...), root.Outstanding(), 10)
+	b = append(b, `,"tenants":[`...)
+	for i, t := range s.sorted {
+		if i > 0 {
+			b = append(b, ',')
+		}
 		env, landed := s.fleet.Tenant(t)
-		res.Tenants = append(res.Tenants, TenantSpend{
-			Name:        s.tenants[t].Name,
-			Granted:     env.Granted(),
-			Consumed:    env.Consumed(),
-			Refunded:    env.Refunded(),
-			Outstanding: env.Outstanding(),
-			Landed:      landed,
-			Cells:       s.tenants[t].Cells,
-		})
+		spec := s.tenants[t]
+		b = supervise.AppendString(append(b, `{"name":`...), spec.Name)
+		b = strconv.AppendInt(append(b, `,"granted":`...), env.Granted(), 10)
+		b = strconv.AppendInt(append(b, `,"consumed":`...), env.Consumed(), 10)
+		b = strconv.AppendInt(append(b, `,"refunded":`...), env.Refunded(), 10)
+		b = strconv.AppendInt(append(b, `,"outstanding":`...), env.Outstanding(), 10)
+		b = strconv.AppendInt(append(b, `,"landed":`...), int64(landed), 10)
+		b = strconv.AppendInt(append(b, `,"cells":`...), int64(spec.Cells), 10)
+		b = append(b, '}')
 	}
-	return res
+	b = append(b, "]}}\n"...)
+	if err := checkFrame(len(b) - 7); err != nil {
+		return nil, err
+	}
+	putPrefix(b, len(b)-7)
+	s.spendSize = len(b) + len(b)/8
+	return b, nil
 }
 
 func (s *Server) allocResult() AllocResult {
@@ -923,8 +945,21 @@ func (s *Server) allocResult() AllocResult {
 	return res
 }
 
-func (s *Server) healthResult() HealthResult {
-	return HealthResult{
+// healthSnap is a health answer as the core hands it to the
+// connection's writer, which finishes it: every field but the digest,
+// and the bytes the digest hashes. Those are the tenants' segments in
+// name order, which nothing writes once built (segment replaces a stale
+// segment, never edits it), and the settled spend.
+type healthSnap struct {
+	id   uint64
+	res  HealthResult
+	segs [][]byte
+}
+
+// healthSnap rebuilds the stale segments and snapshots the health
+// answer to request id.
+func (s *Server) healthSnap(id uint64) *healthSnap {
+	h := &healthSnap{id: id, segs: make([][]byte, len(s.sorted)), res: HealthResult{
 		Tick:          s.fleet.Tick(),
 		Tenants:       len(s.tenants),
 		CellsLanded:   s.fleet.Landed(),
@@ -933,9 +968,34 @@ func (s *Server) healthResult() HealthResult {
 		Running:       s.fleet.Running(),
 		Draining:      s.draining,
 		ConsumedNanos: s.fleet.Root().Consumed(),
-		Digest:        fmt.Sprintf("%016x", s.digest()),
 		Shed:          s.shed.Load(),
+	}}
+	for i, t := range s.sorted {
+		h.segs[i] = s.segment(t)
 	}
+	return h
+}
+
+// digest fingerprints the daemon's durable state: admitted tenant
+// specs plus every landed cell's value and charge, in tenant-name
+// order, then the settled spend. It is a pure function of what was
+// submitted — independent of epoch timing, restart count and wire
+// faults — so a chaos run and its replay must agree bit for bit once
+// both complete.
+func (h *healthSnap) digest() uint64 {
+	f := fnv.New64a()
+	for _, b := range h.segs {
+		f.Write(b)
+	}
+	fmt.Fprintf(f, "consumed=%d", h.res.ConsumedNanos)
+	return f.Sum64()
+}
+
+// result is the finished answer, its digest hashed.
+func (h *healthSnap) result() HealthResult {
+	res := h.res
+	res.Digest = fmt.Sprintf("%016x", h.digest())
+	return res
 }
 
 // digestSeg is one tenant's share of the digest: the bytes
@@ -971,21 +1031,6 @@ func (s *Server) segment(t int) []byte {
 	return seg.b
 }
 
-// digest fingerprints the daemon's durable state: admitted tenant
-// specs plus every landed cell's value and charge, in tenant-name
-// order, then the settled spend. It is a pure function of what was
-// submitted — independent of epoch timing, restart count and wire
-// faults — so a chaos run and its replay must agree bit for bit once
-// both complete. Each tenant's bytes come from its cached segment.
-func (s *Server) digest() uint64 {
-	h := fnv.New64a()
-	for _, t := range s.sorted {
-		h.Write(s.segment(t))
-	}
-	fmt.Fprintf(h, "consumed=%d", s.fleet.Root().Consumed())
-	return h.Sum64()
-}
-
 // replyOK answers r with result. The frame is encoded in one pass into
 // one buffer; it is byte-identical to
 // AppendFrame(Response{ID: r.req.ID, Code: CodeOK, Result: <result's JSON>}).
@@ -998,35 +1043,66 @@ func (s *Server) replyOK(r coreReq, result any) {
 	r.c.sendFrame(b)
 }
 
+// reply is one answer queued for a connection's writer: a finished
+// frame, or a health answer the writer finishes from the core's
+// snapshot, so that hashing the digest is not the core's work.
+type reply struct {
+	frame  []byte
+	health *healthSnap
+}
+
+// bytes returns the reply's frame.
+func (r reply) bytes() []byte {
+	if r.health == nil {
+		return r.frame
+	}
+	b, err := appendOKFrame(nil, r.health.id, r.health.result())
+	if err != nil {
+		return frameOf(Response{ID: r.health.id, Code: CodeError, Error: err.Error()})
+	}
+	return b
+}
+
 // connState is one accepted connection: a reader goroutine feeding the
 // core's bounded queue and a writer goroutine draining an outbound
-// buffer, so a slow or dead client can never block the core.
+// buffer of replies in order, so a slow or dead client can never block
+// the core.
 type connState struct {
 	srv    *Server
 	conn   net.Conn
-	out    chan []byte
+	out    chan reply
 	quit   chan struct{}
 	closed atomic.Bool
 }
 
-// send frames resp for the writer. A response that cannot be framed,
-// such as one over MaxFrame, is answered with CodeError naming the
-// reason, so the client fails at once instead of timing out and
-// retrying.
+// send frames resp for the writer.
 func (c *connState) send(resp Response) {
+	if b := frameOf(resp); b != nil {
+		c.sendFrame(b)
+	}
+}
+
+// frameOf frames resp. A response that cannot be framed, such as one
+// over MaxFrame, becomes a CodeError frame naming the reason, so the
+// client fails at once instead of timing out and retrying; nil if even
+// that cannot be framed.
+func frameOf(resp Response) []byte {
 	b, err := AppendFrame(nil, resp)
 	if err != nil {
 		if b, err = AppendFrame(nil, Response{ID: resp.ID, Code: CodeError, Error: err.Error()}); err != nil {
-			return
+			return nil
 		}
 	}
-	c.sendFrame(b)
+	return b
 }
 
 // sendFrame queues one encoded frame for the writer.
-func (c *connState) sendFrame(b []byte) {
+func (c *connState) sendFrame(b []byte) { c.queue(reply{frame: b}) }
+
+// queue hands r to the writer.
+func (c *connState) queue(r reply) {
 	select {
-	case c.out <- b:
+	case c.out <- r:
 	default:
 		// A consumer too slow to drain its buffer is cut off; clients
 		// reconnect and retry.
@@ -1054,7 +1130,7 @@ func (s *Server) acceptLoop() {
 		if s.fw != nil {
 			conn = newFaultConn(conn, s.fw.Fork(idx), s.clock)
 		}
-		c := &connState{srv: s, conn: conn, out: make(chan []byte, 64), quit: make(chan struct{})}
+		c := &connState{srv: s, conn: conn, out: make(chan reply, 64), quit: make(chan struct{})}
 		s.connMu.Lock()
 		s.conns[c] = struct{}{}
 		s.connMu.Unlock()
@@ -1078,8 +1154,8 @@ func (s *Server) closeConns() {
 func (c *connState) writeLoop() {
 	for {
 		select {
-		case b := <-c.out:
-			if _, err := c.conn.Write(b); err != nil {
+		case r := <-c.out:
+			if _, err := c.conn.Write(r.bytes()); err != nil {
 				c.close()
 				return
 			}

@@ -356,7 +356,7 @@ func TestDaemonShedsAtQueueCapacity(t *testing.T) {
 	server, client := net.Pipe()
 	defer server.Close()
 	defer client.Close()
-	c := &connState{srv: s, conn: server, out: make(chan []byte, 64), quit: make(chan struct{})}
+	c := &connState{srv: s, conn: server, out: make(chan reply, 64), quit: make(chan struct{})}
 	s.conns[c] = struct{}{}
 	go c.writeLoop()
 	go c.readLoop()
@@ -394,12 +394,12 @@ func TestDaemonShedsAtQueueCapacity(t *testing.T) {
 func TestDaemonRefusesSubmitAfterDrainAck(t *testing.T) {
 	opts := Options{Epoch: time.Millisecond}.withDefaults()
 	s := &Server{opts: opts, clock: opts.Clock, drainCh: make(chan struct{})}
-	c := &connState{srv: s, out: make(chan []byte, 2), quit: make(chan struct{})}
+	c := &connState{srv: s, out: make(chan reply, 2), quit: make(chan struct{})}
 	s.handle(coreReq{req: Request{ID: 1, Method: MethodDrain}, c: c})
 	s.handle(coreReq{req: Request{ID: 2, Method: MethodSubmit}, c: c})
 	for _, want := range []string{CodeOK, CodeDraining} {
 		var resp Response
-		if err := ReadFrame(bufio.NewReader(bytes.NewReader(<-c.out)), &resp); err != nil {
+		if err := ReadFrame(bufio.NewReader(bytes.NewReader((<-c.out).bytes())), &resp); err != nil {
 			t.Fatal(err)
 		}
 		if resp.Code != want {
