@@ -148,9 +148,10 @@ func main() {
 
 // allocGated are the benchmarks -compare holds to the reference's
 // allocs/op and B/op exactly: paths that allocate nothing or next to
-// nothing per operation, and a cashd restart on a fixed journal, where
-// any extra allocation or byte is a regression. Their B/op holds at
-// CI's reduced CASH_BENCH_SCALE too.
+// nothing per operation, a cashd restart on a fixed journal, and the
+// cashd core's share of a spend and a health answer, where any extra
+// allocation or byte is a regression. Their B/op holds at CI's reduced
+// CASH_BENCH_SCALE too.
 var allocGated = []string{
 	"BenchmarkOracleQueries",
 	"BenchmarkHistogramRecord",
@@ -158,6 +159,8 @@ var allocGated = []string{
 	"BenchmarkWireCodec",
 	"BenchmarkSpendDecode",
 	"BenchmarkJournalReopen",
+	"BenchmarkSpendAnswer",
+	"BenchmarkHealthAnswer",
 }
 
 // readReport loads a BENCH.json.
