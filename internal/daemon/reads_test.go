@@ -315,7 +315,7 @@ func TestOversizedSpendAnswersAtOnce(t *testing.T) {
 // writes as U+FFFD.
 func spendName(rng *rand.Rand) string {
 	if rng.Intn(3) == 0 {
-		return oddName(rng) + "\xff" + oddName(rng)[:1]
+		return oddName(rng) + "\xff"
 	}
 	return oddName(rng)
 }
