@@ -178,7 +178,7 @@ func BenchmarkAblations(b *testing.B) {
 // (instructions per second) — the quantity that makes the brute-force
 // oracle affordable.
 func BenchmarkAblation_SimThroughput(b *testing.B) {
-	app := workload.X264()
+	app := x264()
 	sim := ssim.MustNew(vcore.Config{Slices: 4, L2KB: 1024}, DefaultSliceConfig(), ssim.SteerEarliest)
 	gen := workload.NewGen(app, 42)
 	b.ResetTimer()
@@ -239,7 +239,7 @@ func BenchmarkOracle_ColdSweep(b *testing.B) {
 // Query cost depends on the phase count, not the scale, so the app is
 // swept small; only the queries are timed.
 func BenchmarkOracleQueries(b *testing.B) {
-	app := workload.X264().Scale(0.05 * benchScale())
+	app := x264().Scale(0.05 * benchScale())
 	db := oracle.NewDB()
 	db.CharacterizeApp(app)
 	m := cost.Default()
@@ -278,7 +278,7 @@ func BenchmarkIntervalSweep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		db := oracle.NewDB()
 		db.Tier = isim.TierInterval
-		db.Pool = par.Serial()
+		db.Pool = par.New(1)
 		db.CharacterizeApp(app)
 	}
 	b.ReportMetric(float64(covered)*float64(b.N)/b.Elapsed().Seconds()/1e6, "Minstr/s")
@@ -287,7 +287,7 @@ func BenchmarkIntervalSweep(b *testing.B) {
 // BenchmarkAblation_Steering compares the dependence-aware steering
 // policy against blind round-robin on a high-ILP phase.
 func BenchmarkAblation_Steering(b *testing.B) {
-	p := workload.X264().Phases[3]
+	p := x264().Phases[3]
 	for _, pol := range []struct {
 		name string
 		p    ssim.SteeringPolicy
@@ -389,7 +389,7 @@ func BenchmarkRuntimeDecide(b *testing.B) {
 // (register flush protocol + L2 flush) between two configurations.
 func BenchmarkReconfigure(b *testing.B) {
 	sim := ssim.MustNew(vcore.Config{Slices: 2, L2KB: 256}, DefaultSliceConfig(), ssim.SteerEarliest)
-	gen := workload.NewGen(workload.X264(), 42)
+	gen := workload.NewGen(x264(), 42)
 	small := vcore.Config{Slices: 2, L2KB: 256}
 	big := vcore.Config{Slices: 6, L2KB: 1024}
 	b.ResetTimer()
@@ -722,4 +722,13 @@ func writeReopenJournal() ([]byte, error) {
 		return nil, err
 	}
 	return os.ReadFile(opts.Journal)
+}
+
+// x264 is the paper's motivating application.
+func x264() workload.App {
+	app, ok := workload.ByName("x264")
+	if !ok {
+		panic("workload: no x264 app")
+	}
+	return app
 }

@@ -254,8 +254,9 @@ func TestConvexModelIsConcaveAlongCost(t *testing.T) {
 
 func TestDefaultsApplied(t *testing.T) {
 	r := MustNew(1, cost.Default(), Options{})
-	if r.Optimizer().Epsilon() != qlearn.DefaultEpsilon {
-		t.Errorf("exploration rate = %v, want %v", r.Optimizer().Epsilon(), qlearn.DefaultEpsilon)
+	// SetEpsilon returns the exploration rate it replaces.
+	if eps := r.Optimizer().SetEpsilon(0); eps != qlearn.DefaultEpsilon {
+		t.Errorf("exploration rate = %v, want %v", eps, qlearn.DefaultEpsilon)
 	}
 	if got, want := r.String(), "CASH(alpha=0.35 eps=0.03 learn=true kalman=true twoCfg=true)"; got != want {
 		t.Errorf("String() = %q, want %q", got, want)

@@ -139,16 +139,12 @@ const guardAfterMisses = 2
 
 // New builds a runtime for the given QoS target and pricing model.
 // Nonsensical inputs — NaN or non-positive targets, a NaN margin,
-// negative probe periods, invalid price vectors — are rejected here:
-// every one of them would otherwise disappear into the control loop
-// (NaN fails all comparisons) and surface quanta later as an
-// inexplicable scheduling pathology.
+// negative probe periods — are rejected here: every one of them would
+// otherwise disappear into the control loop (NaN fails all comparisons)
+// and surface quanta later as an inexplicable scheduling pathology.
 func New(target float64, model cost.Model, opts Options) (*Runtime, error) {
 	if !(target > 0) || math.IsInf(target, 0) {
 		return nil, fmt.Errorf("cashrt: QoS target %v must be positive and finite", target)
-	}
-	if err := model.Validate(); err != nil {
-		return nil, err
 	}
 	if math.IsNaN(opts.Margin) || math.IsInf(opts.Margin, 0) {
 		return nil, fmt.Errorf("cashrt: margin %v must be finite", opts.Margin)
@@ -229,10 +225,6 @@ func (r *Runtime) GuardStats() guard.Stats {
 	}
 	return r.guard.Stats()
 }
-
-// GuardPinned reports whether the QoS circuit breaker currently pins
-// the safe configuration.
-func (r *Runtime) GuardPinned() bool { return r.guard != nil && r.guard.Pinned() }
 
 // StateCheck scans every piece of mutable control-loop state for
 // non-finite values and reports the first violation found. The chaos

@@ -58,10 +58,6 @@ func (e *Estimator) Estimate() float64 { return e.est }
 // ErrVar returns the current a-posteriori error variance E(t).
 func (e *Estimator) ErrVar() float64 { return e.errVar }
 
-// Started reports whether the filter has consumed an observation since
-// construction or the last Reset.
-func (e *Estimator) Started() bool { return e.started }
-
 // Update consumes one (appliedSpeedup, measuredQoS) observation and
 // returns the new estimate. appliedSpeedup is s(t−1), the speedup the
 // system was actually configured for while measuredQoS accumulated.

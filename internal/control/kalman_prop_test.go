@@ -20,7 +20,7 @@ func finiteState(t *testing.T, e *Estimator, step int, applied, measured float64
 		t.Fatalf("step %d (s=%g q=%g): error variance %v not finite/non-negative",
 			step, applied, measured, e.ErrVar())
 	}
-	if e.Started() && e.ErrVar() == 0 {
+	if e.started && e.ErrVar() == 0 {
 		t.Fatalf("step %d: started filter collapsed to zero variance", step)
 	}
 }

@@ -10,8 +10,9 @@
 package cost
 
 import (
+	"cmp"
 	"fmt"
-	"math"
+	"slices"
 
 	"cash/internal/mem"
 	"cash/internal/vcore"
@@ -23,58 +24,22 @@ const (
 	PerSliceHour = 0.0098
 	// PerBankHour is the rental price of one 64KB L2 bank.
 	PerBankHour = 0.0032
-	// MinConfigHour is the anchor price of the minimal configuration,
-	// matching EC2 t2.micro on-demand pricing.
-	MinConfigHour = PerSliceHour + PerBankHour
 )
 
 // CyclesPerHour converts simulated cycles to rental time. We model the
 // fabric's clock at 1GHz; again, only ratios matter.
 const CyclesPerHour = 3600.0 * 1e9
 
-// Model prices virtual-core configurations. The zero value uses the
-// paper's constants; custom models support ablations (e.g. slice-heavy
-// or cache-heavy pricing).
-type Model struct {
-	// SliceHour and BankHour are $/hour per Slice and per 64KB bank.
-	// Zero values default to the paper's constants.
-	SliceHour, BankHour float64
-}
+// Model is the paper's price list; its methods price virtual-core
+// configurations at PerSliceHour and PerBankHour.
+type Model struct{}
 
 // Default returns the paper's pricing model.
-func Default() Model { return Model{SliceHour: PerSliceHour, BankHour: PerBankHour} }
-
-func (m Model) normalized() Model {
-	if m.SliceHour == 0 {
-		m.SliceHour = PerSliceHour
-	}
-	if m.BankHour == 0 {
-		m.BankHour = PerBankHour
-	}
-	return m
-}
-
-// Validate rejects nonsensical price vectors: negative or non-finite
-// rates. A cost-minimizing optimizer fed a negative or NaN rate would
-// silently chase garbage (every comparison against NaN is false), so
-// constructors surface the error instead. Zero fields are legal — they
-// select the paper's defaults.
-func (m Model) Validate() error {
-	for _, f := range []struct {
-		name string
-		v    float64
-	}{{"SliceHour", m.SliceHour}, {"BankHour", m.BankHour}} {
-		if math.IsNaN(f.v) || math.IsInf(f.v, 0) || f.v < 0 {
-			return fmt.Errorf("cost: %s rate %v must be a non-negative finite price", f.name, f.v)
-		}
-	}
-	return nil
-}
+func Default() Model { return Model{} }
 
 // Rate returns the configuration's rental rate in $/hour.
-func (m Model) Rate(c vcore.Config) float64 {
-	n := m.normalized()
-	return float64(c.Slices)*n.SliceHour + float64(c.L2KB/mem.L2BankKB)*n.BankHour
+func (Model) Rate(c vcore.Config) float64 {
+	return float64(c.Slices)*PerSliceHour + float64(c.L2KB/mem.L2BankKB)*PerBankHour
 }
 
 // Charge returns the dollars charged for occupying configuration c for
@@ -84,26 +49,17 @@ func (m Model) Charge(c vcore.Config, cycles int64) float64 {
 }
 
 // CheapestFirst returns the configuration space sorted by ascending
-// rate (ties broken toward fewer Slices). This is the search order used
-// by allocators that scan for the cheapest feasible configuration.
+// rate. This is the search order used by allocators that scan for the
+// cheapest feasible configuration. No two configurations share a rate:
+// 9800s + 3200b = 9800s' + 3200b' means 49(s-s') = 16(b'-b), and with
+// s in 1..8 that forces s = s'.
 func (m Model) CheapestFirst() []vcore.Config {
 	space := vcore.Space()
-	// Insertion sort keeps this dependency-free and the space is tiny.
-	for i := 1; i < len(space); i++ {
-		for j := i; j > 0; j-- {
-			ri, rj := m.Rate(space[j]), m.Rate(space[j-1])
-			if ri < rj || (ri == rj && space[j].Slices < space[j-1].Slices) {
-				space[j], space[j-1] = space[j-1], space[j]
-			} else {
-				break
-			}
-		}
-	}
+	slices.SortFunc(space, func(a, b vcore.Config) int { return cmp.Compare(m.Rate(a), m.Rate(b)) })
 	return space
 }
 
 // String renders the model for reports.
-func (m Model) String() string {
-	n := m.normalized()
-	return fmt.Sprintf("$%.4f/Slice/hr + $%.4f/64KB/hr", n.SliceHour, n.BankHour)
+func (Model) String() string {
+	return fmt.Sprintf("$%.4f/Slice/hr + $%.4f/64KB/hr", PerSliceHour, PerBankHour)
 }

@@ -16,9 +16,6 @@ func TestAnchorPrice(t *testing.T) {
 	if math.Abs(got-0.013) > 1e-9 {
 		t.Errorf("minimal configuration rate = $%.4f/hr, want $0.0130 (t2.micro)", got)
 	}
-	if math.Abs(MinConfigHour-0.013) > 1e-9 {
-		t.Errorf("MinConfigHour = %v", MinConfigHour)
-	}
 }
 
 func TestRateLinearity(t *testing.T) {
@@ -71,14 +68,23 @@ func TestCheapestFirstSorted(t *testing.T) {
 	}
 }
 
-func TestCustomModel(t *testing.T) {
-	m := Model{SliceHour: 1, BankHour: 0.001}
-	a := m.Rate(vcore.Config{Slices: 8, L2KB: 64})
-	b := m.Rate(vcore.Config{Slices: 1, L2KB: 8192})
-	if a < b {
-		t.Error("slice-heavy pricing should make slices dominate")
+// TestRatesDistinct pins that no two configurations share a rate, so
+// CheapestFirst's order (checked by TestCheapestFirstSorted) needs no
+// tie-break.
+func TestRatesDistinct(t *testing.T) {
+	m := Default()
+	seen := map[float64]vcore.Config{}
+	for _, c := range vcore.Space() {
+		r := m.Rate(c)
+		if prev, dup := seen[r]; dup {
+			t.Fatalf("%s and %s share rate $%v/hr", prev, c, r)
+		}
+		seen[r] = c
 	}
-	if m.String() == "" || Default().String() == "" {
-		t.Error("String must render")
+}
+
+func TestString(t *testing.T) {
+	if got, want := Default().String(), "$0.0098/Slice/hr + $0.0032/64KB/hr"; got != want {
+		t.Errorf("String() = %q, want %q", got, want)
 	}
 }

@@ -76,8 +76,6 @@ type Options struct {
 	// Funds is the root budget envelope in nanodollars (default $50);
 	// it also caps each tenant envelope.
 	Funds fleet.Nanos
-	// Model prices configurations (default cost.Default()).
-	Model cost.Model
 	// DrainTimeout bounds a graceful drain; work still running when it
 	// expires is refunded and abandoned to the next restart
 	// (default 10s).
@@ -108,9 +106,6 @@ func (o Options) withDefaults() Options {
 	if o.Funds == 0 {
 		o.Funds = 50_000_000_000
 	}
-	if o.Model == (cost.Model{}) {
-		o.Model = cost.Default()
-	}
 	if o.DrainTimeout == 0 {
 		o.DrainTimeout = 10 * time.Second
 	}
@@ -138,9 +133,6 @@ func (o Options) validate() error {
 	}
 	if o.DrainTimeout <= 0 {
 		return fmt.Errorf("daemon: invalid drain timeout %v", o.DrainTimeout)
-	}
-	if err := o.Model.Validate(); err != nil {
-		return err
 	}
 	return o.WireFaults.Validate()
 }
@@ -428,7 +420,7 @@ func open(opts Options) (*Server, error) {
 		watchers: make(map[*connState]uint64),
 	}
 	f, err := fleet.New(fleet.Options{
-		Chips: opts.Chips, SlotsPerChip: opts.SlotsPerChip, Funds: opts.Funds, Model: opts.Model,
+		Chips: opts.Chips, SlotsPerChip: opts.SlotsPerChip, Funds: opts.Funds,
 	}, s.recordCell)
 	if err != nil {
 		return nil, err
@@ -648,7 +640,7 @@ func (s *Server) recordCell(l fleet.Landing) (bool, error) {
 
 // ack is the acknowledgement of spec's submit.
 func (s *Server) ack(spec TenantSpec) SubmitResult {
-	return SubmitResult{Name: spec.Name, Cells: spec.Cells, EstimateNanos: ExpectedSpend(spec, s.opts.Model)}
+	return SubmitResult{Name: spec.Name, Cells: spec.Cells, EstimateNanos: ExpectedSpend(spec, cost.Default())}
 }
 
 // specWork is a tenant's grid as fleet work: one tenant whose cells are
@@ -658,13 +650,10 @@ func specWork(spec TenantSpec) fleet.SyntheticWork {
 }
 
 // ExpectedSpend computes, without a daemon, what executing a spec costs
-// in nanodollars — the reconciliation target the chaos soak checks
-// observed spend against.
-func ExpectedSpend(spec TenantSpec, m cost.Model) fleet.Nanos {
-	if m == (cost.Model{}) {
-		m = cost.Default()
-	}
-	return fleet.Nominal(m, specWork(spec), 0)
+// in nanodollars at the paper's prices — the reconciliation target the
+// chaos soak checks observed spend against.
+func ExpectedSpend(spec TenantSpec, _ cost.Model) fleet.Nanos {
+	return fleet.Nominal(specWork(spec), 0)
 }
 
 // core is the single goroutine that owns all mutable daemon state.

@@ -127,7 +127,7 @@ func TestDaemonSubmitExecuteDrain(t *testing.T) {
 	if ack.Name != "acme" || ack.Cells != 5 || ack.Resubmitted {
 		t.Fatalf("bad ack: %+v", ack)
 	}
-	if want := int64(ExpectedSpend(spec, cost.Model{})); ack.EstimateNanos != want {
+	if want := int64(ExpectedSpend(spec, cost.Default())); ack.EstimateNanos != want {
 		t.Fatalf("estimate %d, want %d", ack.EstimateNanos, want)
 	}
 
@@ -144,7 +144,7 @@ func TestDaemonSubmitExecuteDrain(t *testing.T) {
 	if h.Tenants != 1 || h.CellsTotal != 5 {
 		t.Fatalf("health after dedup: %+v", h)
 	}
-	if want := int64(ExpectedSpend(spec, cost.Model{})); h.ConsumedNanos != want {
+	if want := int64(ExpectedSpend(spec, cost.Default())); h.ConsumedNanos != want {
 		t.Fatalf("consumed %d nanos, want %d", h.ConsumedNanos, want)
 	}
 
@@ -209,7 +209,7 @@ func TestDaemonCrashResumeMatchesCleanRun(t *testing.T) {
 	}
 
 	h := cl2.waitLanded(spec.Cells)
-	if want := int64(ExpectedSpend(spec, cost.Model{})); h.ConsumedNanos != want {
+	if want := int64(ExpectedSpend(spec, cost.Default())); h.ConsumedNanos != want {
 		t.Fatalf("spend after crash %d nanos, want %d (double execution?)", h.ConsumedNanos, want)
 	}
 
@@ -458,7 +458,7 @@ func TestListenUnixRefusesLiveDaemon(t *testing.T) {
 func TestExpectedSpendMatchesEstimate(t *testing.T) {
 	for seed := uint64(1); seed < 5; seed++ {
 		spec := TenantSpec{Name: fmt.Sprintf("t%d", seed), Cells: 7, Seed: seed}
-		if ExpectedSpend(spec, cost.Model{}) <= 0 {
+		if ExpectedSpend(spec, cost.Default()) <= 0 {
 			t.Fatalf("seed %d: nonpositive expected spend", seed)
 		}
 	}

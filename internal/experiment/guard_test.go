@@ -23,7 +23,6 @@ func TestOptsValidation(t *testing.T) {
 		{Target: 0.5, Tolerance: 1.5},
 		{Target: 0.5, MaxQuanta: -1},
 		{Target: 0.5, FabricWidth: -1},
-		{Target: 0.5, Model: cost.Model{SliceHour: math.NaN()}},
 	}
 	for i, o := range bad {
 		if _, err := Run(tinyApp(), alloc.Static{Cfg: vcore.Min()}, o); err == nil {

@@ -99,7 +99,7 @@ func (o Opts) validate() error {
 	if o.FabricWidth < 0 || o.FabricHeight < 0 {
 		return fmt.Errorf("experiment: fabric dimensions %dx%d must be non-negative", o.FabricWidth, o.FabricHeight)
 	}
-	return o.Model.Validate()
+	return nil
 }
 
 // DefaultSeed is the workload seed of a run that sets none.
@@ -108,9 +108,6 @@ const DefaultSeed = 42
 func (o Opts) withDefaults() Opts {
 	if o.Tau == 0 {
 		o.Tau = 100_000
-	}
-	if o.Model == (cost.Model{}) {
-		o.Model = cost.Default()
 	}
 	if o.Initial == (vcore.Config{}) {
 		o.Initial = vcore.Min()

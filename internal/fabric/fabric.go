@@ -111,9 +111,6 @@ func MustChip(width, height int) *Chip {
 	return c
 }
 
-// Dims returns the chip dimensions.
-func (c *Chip) Dims() (w, h int) { return c.width, c.height }
-
 func (c *Chip) at(p noc.Coord) *Tile {
 	return &c.tiles[p.Y*c.width+p.X]
 }
@@ -132,25 +129,6 @@ func (c *Chip) countFree(k TileKind) int {
 		}
 	}
 	return n
-}
-
-// FailedTiles counts tiles currently out of service.
-func (c *Chip) FailedTiles() int {
-	n := 0
-	for i := range c.tiles {
-		if c.tiles[i].Failed {
-			n++
-		}
-	}
-	return n
-}
-
-// TileAt returns the tile at a position (for inspection and tests).
-func (c *Chip) TileAt(p noc.Coord) (Tile, error) {
-	if p.X < 0 || p.X >= c.width || p.Y < 0 || p.Y >= c.height {
-		return Tile{}, fmt.Errorf("fabric: position %v outside %dx%d chip", p, c.width, c.height)
-	}
-	return *c.at(p), nil
 }
 
 // Tenants returns the live tenant ids, sorted.
@@ -464,8 +442,8 @@ func centroid(ps []noc.Coord) noc.Coord {
 }
 
 // Distances returns the per-bank Manhattan distances from the
-// allocation's Slice centroid — what mem.BankedL2.SetDistances consumes
-// to price L2 hits for this placement.
+// allocation's Slice centroid. The L2 timing model prices hits at the
+// canonical layout's distances (mem.DefaultDistances), not these.
 func (c *Chip) Distances(id TenantID) ([]int, error) {
 	a, ok := c.tenants[id]
 	if !ok {

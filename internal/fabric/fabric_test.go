@@ -16,8 +16,8 @@ func TestNewChipValidation(t *testing.T) {
 		t.Error("zero width must fail")
 	}
 	c := MustChip(8, 8)
-	if w, h := c.Dims(); w != 8 || h != 8 {
-		t.Errorf("Dims = %dx%d", w, h)
+	if c.width != 8 || c.height != 8 {
+		t.Errorf("chip is %dx%d, want 8x8", c.width, c.height)
 	}
 	if c.FreeSlices() != 32 || c.FreeBanks() != 32 {
 		t.Errorf("free tiles %d/%d, want 32/32 on a checkerboard", c.FreeSlices(), c.FreeBanks())

@@ -39,7 +39,7 @@ func TestResizeRollsBackOnBankFailure(t *testing.T) {
 		if after.Slices[i] != p {
 			t.Errorf("slice %d moved: %v -> %v", i, p, after.Slices[i])
 		}
-		if tile, _ := c.TileAt(p); tile.Owner != a {
+		if tile := *c.at(p); tile.Owner != a {
 			t.Errorf("slice tile %v owner %d, want %d", p, tile.Owner, a)
 		}
 	}
@@ -63,8 +63,8 @@ func TestFailFreeTileShrinksPool(t *testing.T) {
 	if out.Tenant != 0 || out.Remapped || out.Degraded || out.Evicted {
 		t.Errorf("failing a free tile should be silent: %+v", out)
 	}
-	if c.FreeSlices() != 3 || c.FailedTiles() != 1 {
-		t.Errorf("free=%d failed=%d, want 3/1", c.FreeSlices(), c.FailedTiles())
+	if c.FreeSlices() != 3 || failedTiles(c) != 1 {
+		t.Errorf("free=%d failed=%d, want 3/1", c.FreeSlices(), failedTiles(c))
 	}
 	// The failed tile must never be allocated.
 	if _, err := c.Allocate(vcore.Config{Slices: 4, L2KB: 64}); err == nil {
@@ -108,10 +108,10 @@ func TestFailOwnedTileRemaps(t *testing.T) {
 	if cfg, err := a.Config(); err != nil || cfg != (vcore.Config{Slices: 2, L2KB: 128}) {
 		t.Errorf("remap must preserve the configuration, got %v (%v)", cfg, err)
 	}
-	if tile, _ := c.TileAt(victim); tile.Owner != 0 || !tile.Failed {
+	if tile := *c.at(victim); tile.Owner != 0 || !tile.Failed {
 		t.Errorf("failed tile should be disowned and failed: %+v", tile)
 	}
-	if tile, _ := c.TileAt(out.NewPos); tile.Owner != id {
+	if tile := *c.at(out.NewPos); tile.Owner != id {
 		t.Errorf("replacement tile at %v not owned by tenant", out.NewPos)
 	}
 	// Failing the same tile again is a no-op.
@@ -195,7 +195,7 @@ func TestRepairReturnsTileToService(t *testing.T) {
 	if err := c.Repair(victim); err != nil {
 		t.Fatal(err)
 	}
-	if c.FailedTiles() != 0 {
+	if failedTiles(c) != 0 {
 		t.Error("repair did not clear the failure")
 	}
 	if err := c.Resize(id, vcore.Config{Slices: 4, L2KB: 256}); err != nil {
@@ -214,7 +214,7 @@ func TestRepairReturnsTileToService(t *testing.T) {
 // accounting covers the whole chip.
 func checkOwnership(t *testing.T, c *Chip) {
 	t.Helper()
-	w, h := c.Dims()
+	w, h := c.width, c.height
 	claimed := map[noc.Coord]TenantID{}
 	for _, id := range c.Tenants() {
 		a, ok := c.Allocation(id)
@@ -232,10 +232,7 @@ func checkOwnership(t *testing.T, c *Chip) {
 	for y := 0; y < h; y++ {
 		for x := 0; x < w; x++ {
 			p := noc.Coord{X: x, Y: y}
-			tile, err := c.TileAt(p)
-			if err != nil {
-				t.Fatal(err)
-			}
+			tile := *c.at(p)
 			if tile.Failed {
 				failed++
 				if tile.Owner != 0 {
@@ -319,7 +316,7 @@ func TestChurnInvariantsQuick(t *testing.T) {
 // quietCheck is checkOwnership without the testing.T plumbing, for use
 // inside quick.Check predicates. It returns "" when invariants hold.
 func quietCheck(c *Chip) string {
-	w, h := c.Dims()
+	w, h := c.width, c.height
 	claimed := map[noc.Coord]TenantID{}
 	for _, id := range c.Tenants() {
 		a, ok := c.Allocation(id)
@@ -340,7 +337,7 @@ func quietCheck(c *Chip) string {
 	for y := 0; y < h; y++ {
 		for x := 0; x < w; x++ {
 			p := noc.Coord{X: x, Y: y}
-			tile, _ := c.TileAt(p)
+			tile := *c.at(p)
 			if tile.Failed {
 				failed++
 				if tile.Owner != 0 {
@@ -364,4 +361,15 @@ func quietCheck(c *Chip) string {
 		return "tile accounting does not cover the chip"
 	}
 	return ""
+}
+
+// failedTiles counts c's tiles currently out of service.
+func failedTiles(c *Chip) int {
+	n := 0
+	for i := range c.tiles {
+		if c.tiles[i].Failed {
+			n++
+		}
+	}
+	return n
 }

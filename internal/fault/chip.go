@@ -64,9 +64,6 @@ type ChipSchedule struct {
 	Events []ChipEvent
 }
 
-// Empty reports whether the schedule contains no events.
-func (s ChipSchedule) Empty() bool { return len(s.Events) == 0 }
-
 // Validate rejects events with negative times or durations, chip
 // indices outside [0, chips), and unknown kinds. Hang and heartbeat-
 // loss events must have a positive duration (a zero-length outage is

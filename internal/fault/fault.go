@@ -42,9 +42,6 @@ type Schedule struct {
 	Events []Event
 }
 
-// Empty reports whether the schedule contains no events.
-func (s Schedule) Empty() bool { return len(s.Events) == 0 }
-
 // Validate rejects events with negative times or repair delays.
 func (s Schedule) Validate() error {
 	for i, e := range s.Events {
@@ -190,15 +187,6 @@ func NewInjector(s Schedule) (*Injector, error) {
 		return tickLess(inj.strikes[i].Cycle, inj.strikes[i].Pos, inj.strikes[j].Cycle, inj.strikes[j].Pos)
 	})
 	return inj, nil
-}
-
-// MustInjector is NewInjector for statically-valid schedules.
-func MustInjector(s Schedule) *Injector {
-	inj, err := NewInjector(s)
-	if err != nil {
-		panic(err)
-	}
-	return inj
 }
 
 func tickLess(c1 int64, p1 noc.Coord, c2 int64, p2 noc.Coord) bool {

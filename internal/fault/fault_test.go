@@ -14,7 +14,7 @@ func TestGenerateDeterministic(t *testing.T) {
 	if !reflect.DeepEqual(a, b) {
 		t.Fatal("same spec must generate identical schedules")
 	}
-	if a.Empty() {
+	if len(a.Events) == 0 {
 		t.Fatal("a 2/Mcycle rate over 10M cycles should produce strikes")
 	}
 	spec.Seed = 12
@@ -42,7 +42,7 @@ func TestGenerateRateScales(t *testing.T) {
 		t.Errorf("10x the rate should strike more often: %d vs %d", len(hi.Events), len(lo.Events))
 	}
 	empty := MustGenerate(Spec{Rate: 0, Horizon: 40_000_000, Width: 8, Height: 8})
-	if !empty.Empty() {
+	if len(empty.Events) != 0 {
 		t.Error("zero rate must yield an empty schedule")
 	}
 }
@@ -79,7 +79,7 @@ func TestInjectorOrderAndRepairs(t *testing.T) {
 		{Cycle: 100, Pos: noc.Coord{X: 0, Y: 0}, Transient: true, RepairAfter: 250},
 		{Cycle: 100, Pos: noc.Coord{X: 2, Y: 0}},
 	}}
-	inj := MustInjector(sch)
+	inj := mustInjector(sch)
 	if !inj.Pending() {
 		t.Fatal("injector should have pending events")
 	}
@@ -117,7 +117,7 @@ func TestInjectorRepairBeforeStrikeOnTie(t *testing.T) {
 		{Cycle: 100, Pos: noc.Coord{X: 0, Y: 0}, Transient: true, RepairAfter: 100},
 		{Cycle: 200, Pos: noc.Coord{X: 0, Y: 0}},
 	}}
-	inj := MustInjector(sch)
+	inj := mustInjector(sch)
 	due := inj.Advance(200)
 	if len(due) != 3 {
 		t.Fatalf("want 3 actions, got %v", due)
@@ -130,7 +130,7 @@ func TestInjectorRepairBeforeStrikeOnTie(t *testing.T) {
 func TestInjectorDeterministicReplay(t *testing.T) {
 	sch := MustGenerate(Spec{Rate: 3, Horizon: 20_000_000, Width: 16, Height: 16, Seed: 9})
 	replay := func() []Tick {
-		inj := MustInjector(sch)
+		inj := mustInjector(sch)
 		var all []Tick
 		for now := int64(0); now <= 25_000_000; now += 100_000 {
 			all = append(all, inj.Advance(now)...)
@@ -144,4 +144,13 @@ func TestInjectorDeterministicReplay(t *testing.T) {
 	if len(a) == 0 {
 		t.Fatal("replay produced no actions")
 	}
+}
+
+// mustInjector is NewInjector for statically-valid schedules.
+func mustInjector(s Schedule) *Injector {
+	inj, err := NewInjector(s)
+	if err != nil {
+		panic(err)
+	}
+	return inj
 }

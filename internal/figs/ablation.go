@@ -62,7 +62,6 @@ func (h *Harness) Ablations() error {
 			}
 			res, err := h.runShared("ablations", s.App, h.cash(s.Target, v.opts), experiment.Opts{
 				Target:    s.Target,
-				Model:     h.Model,
 				Tolerance: 0.10,
 				Policy:    v.steer,
 				Sims:      h.sims(v.steer),

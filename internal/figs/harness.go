@@ -24,9 +24,8 @@ import (
 // Harness runs the evaluation under its Options.
 type Harness struct {
 	Options
-	DB    *oracle.DB
-	Model cost.Model
-	Out   io.Writer
+	DB  *oracle.DB
+	Out io.Writer
 	// Seed drives the CASH runtime's exploration.
 	Seed uint64
 	// CachePath persists the oracle characterisation ("" = default
@@ -50,7 +49,6 @@ func New(out io.Writer) *Harness {
 	h := &Harness{
 		Options:   Options{Scale: 1.0},
 		DB:        oracle.NewDB(),
-		Model:     cost.Default(),
 		Out:       out,
 		Seed:      7,
 		CachePath: oracle.DefaultCachePath(),
@@ -168,15 +166,15 @@ type appSetup struct {
 func (h *Harness) setup(app workload.App) (appSetup, error) {
 	h.characterize(app)
 	target := h.DB.QoSTarget(app)
-	optCost, err := h.DB.OptimalCost(app, target, h.Model)
+	optCost, err := h.DB.OptimalCost(app, target, cost.Default())
 	if err != nil {
 		return appSetup{}, err
 	}
-	wc, err := h.DB.WorstCaseConfig(app, target, h.Model)
+	wc, err := h.DB.WorstCaseConfig(app, target, cost.Default())
 	if err != nil {
 		return appSetup{}, err
 	}
-	perPhase, phaseQoS, err := h.DB.BestPerPhase(app, target, h.Model)
+	perPhase, phaseQoS, err := h.DB.BestPerPhase(app, target, cost.Default())
 	if err != nil {
 		return appSetup{}, err
 	}
@@ -203,7 +201,6 @@ func (h *Harness) setupNamed(name string) (appSetup, error) {
 func (h *Harness) run(artifact string, s appSetup, p policy) (experiment.Result, error) {
 	return h.runShared(artifact, s.App, p, experiment.Opts{
 		Target:    s.Target,
-		Model:     h.Model,
 		Tolerance: 0.10,
 		Sims:      h.sims(ssim.SteerEarliest),
 	})

@@ -46,11 +46,6 @@ type policy struct {
 	spec string
 }
 
-// modelSpec names a pricing model exactly (cost.Model's String rounds).
-func modelSpec(m cost.Model) string {
-	return fmt.Sprintf("slice=%v bank=%v", m.SliceHour, m.BankHour)
-}
-
 // raceToIdle is the race-to-idle baseline r.
 func raceToIdle(r alloc.RaceToIdle) policy {
 	return policy{r, fmt.Sprintf("race-to-idle cfg=%v target=%v margin=%v", r.WorstCase, r.TargetQoS, r.Margin)}
@@ -65,8 +60,8 @@ func oraclePolicy(o *alloc.OraclePolicy) policy {
 // field of o, so an option added to cashrt.Options joins the key
 // without a change here.
 func (h *Harness) cash(target float64, o cashrt.Options) policy {
-	return policy{cashrt.MustNew(target, h.Model, o),
-		fmt.Sprintf("cash target=%v model=%s opts=%+v", target, modelSpec(h.Model), o)}
+	return policy{cashrt.MustNew(target, cost.Default(), o),
+		fmt.Sprintf("cash target=%v opts=%+v", target, o)}
 }
 
 // cashDefault is the default CASH runtime for target.
@@ -76,8 +71,8 @@ func (h *Harness) cashDefault(target float64) policy {
 
 // coarseAdaptive is Fig 10's CoarseGrain,adaptive runtime for target.
 func (h *Harness) coarseAdaptive(target float64) (policy, error) {
-	rt, err := cashrt.NewCoarseAdaptive(target, h.Model, h.Seed)
-	return policy{rt, fmt.Sprintf("coarse-adaptive target=%v model=%s seed=%d", target, modelSpec(h.Model), h.Seed)}, err
+	rt, err := cashrt.NewCoarseAdaptive(target, cost.Default(), h.Seed)
+	return policy{rt, fmt.Sprintf("coarse-adaptive target=%v seed=%d", target, h.Seed)}, err
 }
 
 // convex is the convex baseline for an app. Its spec spells out the
@@ -85,9 +80,9 @@ func (h *Harness) coarseAdaptive(target float64) (policy, error) {
 // every configuration.
 func (h *Harness) convex(s appSetup) (policy, error) {
 	avg := h.DB.AvgSpeedup(s.App)
-	rt, err := cashrt.NewConvex(s.Target, h.Model, avg)
+	rt, err := cashrt.NewConvex(s.Target, cost.Default(), avg)
 	var b strings.Builder
-	fmt.Fprintf(&b, "convex target=%v model=%s speedup=", s.Target, modelSpec(h.Model))
+	fmt.Fprintf(&b, "convex target=%v speedup=", s.Target)
 	for _, c := range vcore.Space() {
 		fmt.Fprintf(&b, "%v,", avg(c))
 	}
@@ -103,8 +98,8 @@ func optsSpec(o experiment.Opts) string {
 	if o.Faults != nil {
 		faults = fmt.Sprintf("%+v", o.Faults.Events)
 	}
-	return fmt.Sprintf("tau=%d target=%v model=%s steer=%d initial=%v tol=%v seed=%d quanta=%d fabric=%dx%d faults=%s",
-		o.Tau, o.Target, modelSpec(o.Model), o.Policy, o.Initial, o.Tolerance,
+	return fmt.Sprintf("tau=%d target=%v steer=%d initial=%v tol=%v seed=%d quanta=%d fabric=%dx%d faults=%s",
+		o.Tau, o.Target, o.Policy, o.Initial, o.Tolerance,
 		cmp.Or(o.Seed, experiment.DefaultSeed), o.MaxQuanta, o.FabricWidth, o.FabricHeight, faults)
 }
 

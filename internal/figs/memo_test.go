@@ -204,7 +204,7 @@ func TestMemoKeySound(t *testing.T) {
 	}
 	delta := counts(h)
 	opts := func(seed uint64) experiment.Opts {
-		return experiment.Opts{Target: s.Target, Model: h.Model, Tolerance: 0.10, Seed: seed}
+		return experiment.Opts{Target: s.Target, Tolerance: 0.10, Seed: seed}
 	}
 	for i, r := range []struct {
 		p    policy

@@ -7,6 +7,7 @@ import (
 
 	"cash/internal/alloc"
 	"cash/internal/cashrt"
+	"cash/internal/cost"
 	"cash/internal/isa"
 	"cash/internal/mem"
 	"cash/internal/slice"
@@ -106,7 +107,7 @@ func (h *Harness) overheadRender(w io.Writer) error {
 	// --- Runtime overhead --------------------------------------------
 	// Wall time of Algorithm 1 on the host — diagnostics only.
 	target := 0.5
-	rt := cashrt.MustNew(target, h.Model, cashrt.Options{Seed: h.Seed})
+	rt := cashrt.MustNew(target, cost.Default(), cashrt.Options{Seed: h.Seed})
 	obs := []alloc.Observation{{
 		Config: vcore.Min(), Cycles: 100_000, Instrs: 45_000, QoS: 0.45,
 	}}

@@ -5,6 +5,7 @@ import (
 
 	"cash/internal/alloc"
 	"cash/internal/cashrt"
+	"cash/internal/cost"
 	"cash/internal/experiment"
 	"cash/internal/fault"
 	"cash/internal/guard"
@@ -69,13 +70,13 @@ func (h *Harness) Reliability() ([]ReliabilityRow, error) {
 		build func() alloc.Allocator
 	}{
 		{"CASH", func() alloc.Allocator {
-			return cashrt.MustNew(target, h.Model, cashrt.Options{Seed: h.Seed})
+			return cashrt.MustNew(target, cost.Default(), cashrt.Options{Seed: h.Seed})
 		}},
 		// The same runtime with the guardrail subsystem armed: the fault
 		// storm exercises the watchdogs, and the trips column shows what
 		// they caught.
 		{"CASH+guard", func() alloc.Allocator {
-			return cashrt.MustNew(target, h.Model, cashrt.Options{Seed: h.Seed, Guardrails: true})
+			return cashrt.MustNew(target, cost.Default(), cashrt.Options{Seed: h.Seed, Guardrails: true})
 		}},
 		// Fully provisioned: the tenant owns every tile, so each strike
 		// must degrade it — the worst case for static allocation.
@@ -100,7 +101,7 @@ func (h *Harness) Reliability() ([]ReliabilityRow, error) {
 					}
 					app = app.Scale(0.5 * h.Scale)
 					opts := experiment.Opts{
-						Target: target, Model: h.Model, Tolerance: 0.10,
+						Target: target, Tolerance: 0.10,
 						MaxQuanta:   reliabilityQuanta,
 						FabricWidth: reliabilityDim, FabricHeight: reliabilityDim,
 						Initial: vcore.Config{Slices: 2, L2KB: 128},

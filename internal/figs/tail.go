@@ -2,6 +2,7 @@ package figs
 
 import (
 	"cash/internal/cashrt"
+	"cash/internal/cost"
 	"cash/internal/experiment"
 	"cash/internal/ssim"
 	"cash/internal/stats"
@@ -95,12 +96,11 @@ func (h *Harness) TailStudy() error {
 					Shed:                v.shed,
 				}
 				opts.Opts.Tolerance = 0.10
-				opts.Opts.Model = h.Model
 				opts.Opts.Sims = h.sims(ssim.SteerEarliest)
 				if h.Scale != 1.0 {
 					opts.Horizon = int64(240_000_000 * h.Scale)
 				}
-				policy := cashrt.MustNew(1.0, h.Model, cashrt.Options{
+				policy := cashrt.MustNew(1.0, cost.Default(), cashrt.Options{
 					Seed: h.Seed, SingleConfig: true,
 					GuardStyle: cashrt.GuardCommitted, Margin: 0.15,
 					Guardrails: true,

@@ -7,6 +7,7 @@ import (
 
 	"cash/internal/alloc"
 	"cash/internal/cashrt"
+	"cash/internal/cost"
 	"cash/internal/experiment"
 	"cash/internal/qlearn"
 	"cash/internal/ssim"
@@ -19,7 +20,7 @@ import (
 // worst-case provision race-to-idle is granted.
 func (h *Harness) calibrateServerProvision(mkOpts func() experiment.ServerOpts) (vcore.Config, error) {
 	var lastErr error
-	for _, cfg := range h.Model.CheapestFirst() {
+	for _, cfg := range cost.Default().CheapestFirst() {
 		// Skip clearly-undersized configurations to bound calibration
 		// time: a single request must at least fit the latency budget.
 		if cfg.Slices < 2 {
@@ -191,7 +192,6 @@ func (h *Harness) Fig9() error {
 	serverOpts := func() experiment.ServerOpts {
 		o := experiment.ServerOpts{TargetLatencyCycles: 110_000}
 		o.Opts.Tolerance = 0.10
-		o.Opts.Model = h.Model
 		o.Opts.Sims = h.sims(ssim.SteerEarliest)
 		if h.Scale != 1.0 {
 			o.Horizon = int64(240_000_000 * h.Scale)
@@ -221,9 +221,9 @@ func (h *Harness) Fig9() error {
 			}
 			return alloc.RaceToIdle{WorstCase: cal.val, TargetQoS: 1.0}, nil
 		case "ConvexOptimization":
-			return cashrt.NewConvex(1.0, h.Model, qlearn.Prior)
+			return cashrt.NewConvex(1.0, cost.Default(), qlearn.Prior)
 		default:
-			return cashrt.MustNew(1.0, h.Model, cashrt.Options{
+			return cashrt.MustNew(1.0, cost.Default(), cashrt.Options{
 				Seed: h.Seed, SingleConfig: true, GuardStyle: cashrt.GuardCommitted, Margin: 0.15,
 			}), nil
 		}

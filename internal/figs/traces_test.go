@@ -36,7 +36,7 @@ func batchCell(h *Harness, app workload.App, seed uint64) supervise.Unit {
 		Key: fmt.Sprintf("trace/%s/%d", app.Name, seed),
 		Run: func() (any, error) {
 			res, err := h.runBatch(app, alloc.Static{Cfg: vcore.Config{Slices: 2, L2KB: 128}},
-				experiment.Opts{Target: 0.3, Model: h.Model, Seed: seed})
+				experiment.Opts{Target: 0.3, Seed: seed})
 			return res.TotalCost, err
 		},
 	}

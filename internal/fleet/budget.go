@@ -49,9 +49,6 @@ func (e *Envelope) Child(name string, limit Nanos) *Envelope {
 	return c
 }
 
-// Limit returns the envelope's current funding cap.
-func (e *Envelope) Limit() Nanos { return e.limit }
-
 // Granted, Consumed and Refunded return the cumulative totals.
 func (e *Envelope) Granted() Nanos  { return e.granted }
 func (e *Envelope) Consumed() Nanos { return e.consumed }

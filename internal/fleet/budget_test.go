@@ -66,15 +66,15 @@ func TestCutToFitResolvesOversubscription(t *testing.T) {
 	}
 	var sum Nanos
 	for _, c := range root.children {
-		sum += c.Limit()
+		sum += c.limit
 	}
 	if sum != 1000 {
 		t.Fatalf("child limits sum to %d after cut, want 1000", sum)
 	}
 	// Proportionality: a and b were equal, so they stay equal.
-	if root.children[0].Limit() != root.children[1].Limit() {
+	if root.children[0].limit != root.children[1].limit {
 		t.Fatalf("equal children cut unequally: %d vs %d",
-			root.children[0].Limit(), root.children[1].Limit())
+			root.children[0].limit, root.children[1].limit)
 	}
 	// Deterministic: rebuilding the same tree yields the same cuts.
 	root2 := NewRootEnvelope("root", 1000)
@@ -100,13 +100,13 @@ func TestCutToFitRespectsCommitments(t *testing.T) {
 		t.Fatal(err)
 	}
 	root.CutToFit()
-	if a.Limit() < 80 {
-		t.Fatalf("cut below a's committed 80: limit %d", a.Limit())
+	if a.limit < 80 {
+		t.Fatalf("cut below a's committed 80: limit %d", a.limit)
 	}
-	if a.Limit()+root.children[1].Limit() > 100+80 {
+	if a.limit+root.children[1].limit > 100+80 {
 		// The floor can keep the tree infeasible, but b must have been cut
 		// as far as the calculus allows.
-		t.Fatalf("b not cut: limits %d + %d", a.Limit(), root.children[1].Limit())
+		t.Fatalf("b not cut: limits %d + %d", a.limit, root.children[1].limit)
 	}
 }
 
@@ -117,12 +117,12 @@ func TestCutToFitNestedTree(t *testing.T) {
 	team.Child("y", 900)
 	cuts := root.CutToFit()
 	// team is cut to 1000, then x+y (1800) must be cut to fit 1000.
-	if team.Limit() != 1000 {
-		t.Fatalf("team limit = %d, want 1000", team.Limit())
+	if team.limit != 1000 {
+		t.Fatalf("team limit = %d, want 1000", team.limit)
 	}
 	var sum Nanos
 	for _, c := range team.children {
-		sum += c.Limit()
+		sum += c.limit
 	}
 	if sum != 1000 {
 		t.Fatalf("nested children sum to %d, want 1000", sum)

@@ -54,8 +54,6 @@ type Options struct {
 	// TenantFunds caps each tenant's envelope (default Funds: tenants
 	// oversubscribe the root on paper and CutToFit trims them).
 	TenantFunds Nanos
-	// Model prices configurations (default cost.Default()).
-	Model cost.Model
 	// Detector tunes failure detection.
 	Detector DetectorConfig
 	// Faults is the chip-fault schedule to inject.
@@ -72,9 +70,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.SlotsPerChip == 0 {
 		o.SlotsPerChip = 2
-	}
-	if o.Model == (cost.Model{}) {
-		o.Model = cost.Default()
 	}
 	if o.MaxTicks == 0 {
 		o.MaxTicks = 10_000
@@ -251,10 +246,10 @@ type Fleet struct {
 }
 
 // New builds an empty fleet of opts.Chips chips with opts.SlotsPerChip
-// slots each, a root envelope holding opts.Funds, opts.Model pricing,
-// opts.Detector failure detection and opts.Faults injected. Work,
-// TenantFunds, MaxTicks and Journal belong to Run and are ignored.
-// Every landing goes through record.
+// slots each, a root envelope holding opts.Funds, opts.Detector failure
+// detection and opts.Faults injected. Work, TenantFunds, MaxTicks and
+// Journal belong to Run and are ignored. Every landing goes through
+// record.
 func New(opts Options, record Recorder) (*Fleet, error) {
 	opts = opts.withDefaults()
 	if opts.Chips <= 0 {
@@ -265,9 +260,6 @@ func New(opts Options, record Recorder) (*Fleet, error) {
 	}
 	if record == nil {
 		return nil, fmt.Errorf("fleet: no recorder")
-	}
-	if err := opts.Model.Validate(); err != nil {
-		return nil, err
 	}
 	inj, err := fault.NewChipInjector(opts.Faults, opts.Chips)
 	if err != nil {
@@ -290,24 +282,24 @@ func New(opts Options, record Recorder) (*Fleet, error) {
 	return f, nil
 }
 
-// priceTick converts the model's $/cycle pricing into nanodollars per
-// fleet tick for a configuration.
-func priceTick(m cost.Model, cfg vcore.Config) Nanos {
-	return Nanos(math.Round(m.Charge(cfg, TickCycles) * 1e9))
+// priceTick converts the $/cycle price list into nanodollars per fleet
+// tick for a configuration.
+func priceTick(cfg vcore.Config) Nanos {
+	return Nanos(math.Round(cost.Default().Charge(cfg, TickCycles) * 1e9))
 }
 
 // Nominal is the execution price of tenant t's grid in w: what the
 // tenant is charged once every cell has landed once.
-func Nominal(m cost.Model, w Work, t int) Nanos {
+func Nominal(w Work, t int) Nanos {
 	var sum Nanos
 	for c := 0; c < w.Cells(t); c++ {
-		sum += priceTick(m, w.Config(t, c)) * w.Duration(t, c)
+		sum += priceTick(w.Config(t, c)) * w.Duration(t, c)
 	}
 	return sum
 }
 
 // buildCells validates and prices tenant t's cells in w.
-func buildCells(m cost.Model, w Work, t int) ([]*cellTrack, error) {
+func buildCells(w Work, t int) ([]*cellTrack, error) {
 	cells := make([]*cellTrack, w.Cells(t))
 	tracks := make([]cellTrack, len(cells)) // one allocation for the tenant's cells
 	for c := range cells {
@@ -322,7 +314,7 @@ func buildCells(m cost.Model, w Work, t int) ([]*cellTrack, error) {
 		tracks[c] = cellTrack{
 			cell:        c,
 			duration:    dur,
-			price:       priceTick(m, cfg) * dur,
+			price:       priceTick(cfg) * dur,
 			displacedAt: -1,
 			crashedAt:   -1,
 		}
@@ -356,7 +348,7 @@ func Run(opts Options) (Result, error) {
 	if opts.Funds == 0 {
 		for t := 0; t < w.Tenants(); t++ {
 			for cell := 0; cell < w.Cells(t); cell++ {
-				opts.Funds += 4 * grantFor(priceTick(opts.Model, w.Config(t, cell))*w.Duration(t, cell))
+				opts.Funds += 4 * grantFor(priceTick(w.Config(t, cell))*w.Duration(t, cell))
 			}
 		}
 	}
@@ -414,7 +406,7 @@ func journalRecorder(j *supervise.Journal) Recorder {
 // spend is re-booked as granted and consumed so the books reconcile in
 // this process too.
 func (f *Fleet) Admit(name string, limit Nanos, w Work, src int, done []Landing) (int, error) {
-	cells, err := buildCells(f.opts.Model, w, src)
+	cells, err := buildCells(w, src)
 	if err != nil {
 		return 0, err
 	}

@@ -5,7 +5,6 @@ import (
 	"path/filepath"
 	"testing"
 
-	"cash/internal/cost"
 	"cash/internal/fault"
 	"cash/internal/supervise"
 	"cash/internal/vcore"
@@ -227,7 +226,7 @@ func TestResumedJournalChargesOnlyNewLandings(t *testing.T) {
 	for tn := 0; tn < w.Tenants(); tn++ {
 		for c := 0; c < w.Cells(tn); c++ {
 			if _, final := j2.Lookup(CellKey(tn, c)); !final {
-				want += priceTick(cost.Default(), w.Config(tn, c)) * w.Duration(tn, c)
+				want += priceTick(w.Config(tn, c)) * w.Duration(tn, c)
 			}
 		}
 	}
@@ -271,7 +270,7 @@ func TestTightBudgetStallsThenRecovers(t *testing.T) {
 	// then proceeds, and the run still completes for exactly the nominal
 	// price.
 	work := uniformWork{tenants: 6, cells: 4, dur: 4}
-	nominal := priceTick(cost.Default(), work.Config(0, 0)) * work.dur
+	nominal := priceTick(work.Config(0, 0)) * work.dur
 	opts := Options{
 		Chips:       6,
 		Work:        work,

@@ -188,10 +188,6 @@ func New() *Guard { return &Guard{} }
 // Stats returns a snapshot of the trip counters.
 func (g *Guard) Stats() Stats { return g.stats }
 
-// Pinned reports whether either breaker (mean QoS or tail latency)
-// currently pins the safe configuration.
-func (g *Guard) Pinned() bool { return g.pinned || g.tailPinned }
-
 // BeginEpoch advances the epoch counter. Call once per Decide.
 func (g *Guard) BeginEpoch() { g.stats.Epochs++ }
 

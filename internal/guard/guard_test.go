@@ -19,8 +19,8 @@ func TestKalmanWatchdogNaN(t *testing.T) {
 	if !g.CheckKalman(e, 0.4, 2, 0.8, true) {
 		t.Fatal("NaN estimate must trip the watchdog")
 	}
-	if e.Started() {
-		t.Fatal("reset filter must be back to the fresh prior")
+	if e.Estimate() != 0 || e.ErrVar() != 0 {
+		t.Fatalf("reset filter must be back to the fresh prior, got estimate %v variance %v", e.Estimate(), e.ErrVar())
 	}
 	if s := g.Stats(); s.KalmanNaNResets != 1 {
 		t.Fatalf("KalmanNaNResets = %d, want 1", s.KalmanNaNResets)
@@ -158,19 +158,19 @@ func TestQTableValidatorQuarantinesAndSuspendsExploration(t *testing.T) {
 	if n := g.CheckQTable(o); n != 1 {
 		t.Fatalf("quarantined %d, want 1", n)
 	}
-	if o.Epsilon() != 0 {
-		t.Fatalf("exploration not suspended: ε=%v", o.Epsilon())
+	if epsilon(o) != 0 {
+		t.Fatalf("exploration not suspended: ε=%v", epsilon(o))
 	}
 	// Clean epochs tick the cooldown; ε is restored when it expires.
 	for i := 0; i < quarantineCooldown-1; i++ {
 		g.CheckQTable(o)
-		if o.Epsilon() != 0 {
+		if epsilon(o) != 0 {
 			t.Fatalf("ε restored too early at tick %d", i)
 		}
 	}
 	g.CheckQTable(o)
-	if o.Epsilon() != 0.25 {
-		t.Fatalf("ε not restored after cooldown: %v", o.Epsilon())
+	if epsilon(o) != 0.25 {
+		t.Fatalf("ε not restored after cooldown: %v", epsilon(o))
 	}
 	s := g.Stats()
 	if s.QTableQuarantined != 1 || s.QTableScrubs != 1 {
@@ -188,13 +188,13 @@ func TestQTableValidatorReQuarantineExtendsCooldown(t *testing.T) {
 	g.CheckQTable(o) // re-quarantine: the full cooldown again, ε stays saved
 	for i := 0; i < quarantineCooldown-1; i++ {
 		g.CheckQTable(o)
-		if o.Epsilon() != 0 {
+		if epsilon(o) != 0 {
 			t.Fatalf("ε restored %d epochs into the renewed cooldown", i+1)
 		}
 	}
 	g.CheckQTable(o)
-	if o.Epsilon() != 0.25 {
-		t.Fatalf("ε not restored to original after re-quarantine: %v", o.Epsilon())
+	if epsilon(o) != 0.25 {
+		t.Fatalf("ε not restored to original after re-quarantine: %v", epsilon(o))
 	}
 }
 
@@ -300,8 +300,8 @@ func TestBreakerTripAndRecovery(t *testing.T) {
 	// K consecutive misses trip on exactly the Kth.
 	tick(t, g.BreakerTick, BreakerK-1, miss, false, "misses below K")
 	tick(t, g.BreakerTick, 1, miss, true, "Kth consecutive miss")
-	if !g.Pinned() {
-		t.Fatal("Pinned() false after trip")
+	if !pinned(g) {
+		t.Fatal("not pinned after trip")
 	}
 	// While pinned, a miss resets the recovery cooldown.
 	tick(t, g.BreakerTick, BreakerCooldown-1, met, true, "met epochs below the cooldown")
@@ -309,7 +309,7 @@ func TestBreakerTripAndRecovery(t *testing.T) {
 	tick(t, g.BreakerTick, BreakerCooldown-1, met, true, "met epochs below the cooldown")
 	// The cooldown-th consecutive met epoch closes the breaker.
 	tick(t, g.BreakerTick, 1, met, false, "last cooldown epoch")
-	if g.Pinned() {
+	if pinned(g) {
 		t.Fatal("still pinned after recovery")
 	}
 	s := g.Stats()
@@ -376,8 +376,8 @@ func TestTailBreakerWindowedTrip(t *testing.T) {
 		tick(t, g.TailTick, 1, met, false, "met epoch")
 	}
 	tick(t, g.TailTick, 1, miss, true, "Kth violation in the window")
-	if !g.Pinned() {
-		t.Fatal("Pinned() false while tail-pinned")
+	if !pinned(g) {
+		t.Fatal("not pinned while tail-pinned")
 	}
 	if got := g.Stats().TailTrips; got != 1 {
 		t.Fatalf("TailTrips = %d, want 1", got)
@@ -392,7 +392,7 @@ func TestTailBreakerRecoveryClearsWindow(t *testing.T) {
 	tick(t, g.TailTick, 1, miss, true, "violation while pinned")
 	tick(t, g.TailTick, tailCooldown-1, met, true, "met epochs below the cooldown")
 	tick(t, g.TailTick, 1, met, false, "last cooldown epoch")
-	if g.Pinned() {
+	if pinned(g) {
 		t.Fatal("still pinned after tail recovery")
 	}
 	// The window was cleared on recovery: K−1 fresh violations must not
@@ -431,7 +431,19 @@ func TestTailBreakerIndependentOfMeanBreaker(t *testing.T) {
 	if s.BreakerTrips != 0 || s.TailTrips != 1 {
 		t.Fatalf("stats = %+v", s)
 	}
-	if !g.Pinned() {
-		t.Fatal("Pinned() must reflect the tail breaker alone")
+	if !pinned(g) {
+		t.Fatal("the tail breaker alone must pin")
 	}
+}
+
+// pinned reports whether either breaker (mean QoS or tail latency)
+// currently pins the safe configuration.
+func pinned(g *Guard) bool { return g.pinned || g.tailPinned }
+
+// epsilon reads o's exploration probability: SetEpsilon returns the
+// value it replaces, and puts back any value in [0,1) exactly.
+func epsilon(o *qlearn.Optimizer) float64 {
+	e := o.SetEpsilon(0)
+	o.SetEpsilon(e)
+	return e
 }

@@ -117,9 +117,6 @@ type Instr struct {
 	PC uint64
 }
 
-// HasDst reports whether the instruction produces a register value.
-func (in Instr) HasDst() bool { return in.Dst != RegZero }
-
 // String renders a short human-readable form, for debugging and tests.
 func (in Instr) String() string {
 	switch in.Op {
@@ -148,9 +145,3 @@ type Block struct {
 
 // Reset truncates the block for reuse, keeping capacity.
 func (b *Block) Reset() { b.Instrs = b.Instrs[:0] }
-
-// Append adds one instruction.
-func (b *Block) Append(in Instr) { b.Instrs = append(b.Instrs, in) }
-
-// Len returns the number of buffered instructions.
-func (b *Block) Len() int { return len(b.Instrs) }

@@ -91,14 +91,11 @@ func TestInstrString(t *testing.T) {
 func TestBlockReuse(t *testing.T) {
 	var b Block
 	for i := 0; i < 10; i++ {
-		b.Append(Instr{Op: OpALU})
-	}
-	if b.Len() != 10 {
-		t.Fatalf("Len = %d, want 10", b.Len())
+		b.Instrs = append(b.Instrs, Instr{Op: OpALU})
 	}
 	b.Reset()
-	if b.Len() != 0 {
-		t.Fatalf("Len after Reset = %d, want 0", b.Len())
+	if len(b.Instrs) != 0 {
+		t.Fatalf("%d instructions after Reset, want 0", len(b.Instrs))
 	}
 	if cap(b.Instrs) < 10 {
 		t.Error("Reset should keep capacity")

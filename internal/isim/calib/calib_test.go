@@ -94,7 +94,7 @@ func TestFastTierDeterminism(t *testing.T) {
 			apps = append(apps, a.Scale(CorpusScale/10))
 		}
 	}
-	serial := characterise(apps, isim.TierInterval, par.Serial())
+	serial := characterise(apps, isim.TierInterval, par.New(1))
 	wide := characterise(apps, isim.TierInterval, par.New(4))
 	for app, byCfg := range serial {
 		for cfg, want := range byCfg {

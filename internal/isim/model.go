@@ -33,7 +33,7 @@ import (
 //     slow-decaying channels real statistics (a 20k-instruction pilot
 //     half sees ~3 cold-code fetches at low branch rates; the probe
 //     sees 3-5x that).
-//  3. ssim.WarmPhase then prefills the caches. The lines the prefill
+//  3. ssim.WarmPhaseStats then prefills the caches. The lines the prefill
 //     installs that were not already resident are precisely the
 //     compulsory misses the cycle-level run still has ahead of it at
 //     this point of the stream: its residency deficit. A short warm

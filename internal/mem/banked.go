@@ -62,15 +62,6 @@ func (l *BankedL2) setGeometry() {
 	}
 }
 
-// MustBankedL2 is NewBankedL2 for statically-valid bank counts.
-func MustBankedL2(banks int) *BankedL2 {
-	l2, err := NewBankedL2(banks)
-	if err != nil {
-		panic(err)
-	}
-	return l2
-}
-
 // DefaultDistances returns the bank distances of the canonical
 // placement: banks pack the 2-D fabric around the virtual core's
 // Slices (Fig 3), so roughly 4d tiles are available at Manhattan
@@ -104,22 +95,6 @@ func (l *BankedL2) Banks() int { return len(l.banks) }
 
 // SizeKB returns the total capacity.
 func (l *BankedL2) SizeKB() int { return len(l.banks) * L2BankKB }
-
-// SetDistances overrides the per-bank distances (used by the fabric
-// when placement differs from the canonical layout). The slice length
-// must match the bank count.
-func (l *BankedL2) SetDistances(d []int) error {
-	if len(d) != len(l.banks) {
-		return fmt.Errorf("mem: %d distances for %d banks", len(d), len(l.banks))
-	}
-	for i, v := range d {
-		if v < 0 {
-			return fmt.Errorf("mem: negative distance %d for bank %d", v, i)
-		}
-	}
-	l.distance = append(l.distance[:0], d...)
-	return nil
-}
 
 // locate maps an address to its home bank and the bank-local address.
 // Banks interleave at block granularity (block mod banks), and the bank

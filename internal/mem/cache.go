@@ -134,12 +134,6 @@ func blockShift() uint {
 // SizeKB returns the cache capacity.
 func (c *Cache) SizeKB() int { return c.sizeKB }
 
-// Assoc returns the associativity.
-func (c *Cache) Assoc() int { return c.assoc }
-
-// Sets returns the number of sets.
-func (c *Cache) Sets() int { return c.sets }
-
 // Stats returns a copy of the event counters.
 func (c *Cache) Stats() Stats { return c.stats }
 

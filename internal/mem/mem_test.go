@@ -12,8 +12,8 @@ func TestCacheGeometryErrors(t *testing.T) {
 		}
 	}
 	c := MustCache(16, 2)
-	if c.Sets() != 128 || c.SizeKB() != 16 || c.Assoc() != 2 {
-		t.Errorf("16KB/2-way: sets=%d size=%d assoc=%d", c.Sets(), c.SizeKB(), c.Assoc())
+	if c.sets != 128 || c.SizeKB() != 16 || c.assoc != 2 {
+		t.Errorf("16KB/2-way: sets=%d size=%d assoc=%d", c.sets, c.SizeKB(), c.assoc)
 	}
 }
 
@@ -39,7 +39,7 @@ func TestCacheHitMiss(t *testing.T) {
 
 func TestCacheLRU(t *testing.T) {
 	c := MustCache(16, 2) // 128 sets
-	setStride := uint64(c.Sets() * BlockBytes)
+	setStride := uint64(c.sets * BlockBytes)
 	// Three blocks mapping to the same set in a 2-way cache.
 	a, b, d := uint64(0), setStride, 2*setStride
 	c.Access(a, false)
@@ -59,7 +59,7 @@ func TestCacheLRU(t *testing.T) {
 
 func TestCacheDirtyWriteback(t *testing.T) {
 	c := MustCache(16, 2)
-	setStride := uint64(c.Sets() * BlockBytes)
+	setStride := uint64(c.sets * BlockBytes)
 	c.Access(0, true) // dirty
 	if c.DirtyLines() != 1 {
 		t.Fatalf("DirtyLines = %d, want 1", c.DirtyLines())
@@ -123,7 +123,7 @@ func TestBankedLocateBijective(t *testing.T) {
 	// a bijection of the block address so no two blocks collide and
 	// every set is usable.
 	for _, banks := range []int{1, 2, 4, 16, 128} {
-		l2 := MustBankedL2(banks)
+		l2 := mustBankedL2(banks)
 		seen := map[[2]uint64]uint64{}
 		for block := uint64(0); block < 4096; block++ {
 			addr := block * BlockBytes
@@ -140,7 +140,7 @@ func TestBankedLocateBijective(t *testing.T) {
 
 func TestBankedCapacityUsable(t *testing.T) {
 	// Regression: a 1MB L2 must actually retain ~1MB of blocks.
-	l2 := MustBankedL2(16) // 1MB
+	l2 := mustBankedL2(16) // 1MB
 	blocks := 16 * 1024 * 1024 / 64 / 64
 	footprint := uint64(512 * 1024) // 512KB working set fits comfortably
 	for a := uint64(0); a < footprint; a += BlockBytes {
@@ -156,8 +156,8 @@ func TestBankedCapacityUsable(t *testing.T) {
 }
 
 func TestBankedHitDelayGrowsWithDistance(t *testing.T) {
-	small := MustBankedL2(1)
-	big := MustBankedL2(128)
+	small := mustBankedL2(1)
+	big := mustBankedL2(128)
 	if small.MeanHitDelay() >= big.MeanHitDelay() {
 		t.Errorf("hit delay should grow with capacity: %f vs %f",
 			small.MeanHitDelay(), big.MeanHitDelay())
@@ -180,7 +180,7 @@ func TestDefaultDistancesMonotone(t *testing.T) {
 }
 
 func TestBankedReconfigure(t *testing.T) {
-	l2 := MustBankedL2(2)
+	l2 := mustBankedL2(2)
 	var want int
 	for a := uint64(0); a < 64*1024; a += BlockBytes {
 		l2.Access(a, true)
@@ -205,7 +205,7 @@ func TestBankedReconfigure(t *testing.T) {
 }
 
 func TestBankedReconfigureKeepsStats(t *testing.T) {
-	l2 := MustBankedL2(2)
+	l2 := mustBankedL2(2)
 	for a := uint64(0); a < 32*1024; a += BlockBytes {
 		l2.Access(a, true)
 	}
@@ -247,7 +247,7 @@ func TestCacheResetMatchesFresh(t *testing.T) {
 // bank deactivated with dirty lines must come back cold when Reset
 // re-activates it.
 func TestBankedResetMatchesFresh(t *testing.T) {
-	used := MustBankedL2(8)
+	used := mustBankedL2(8)
 	for a := uint64(0); a < 512*uint64(BlockBytes); a += BlockBytes {
 		used.Access(a, true) // dirty every touched line
 	}
@@ -257,7 +257,7 @@ func TestBankedResetMatchesFresh(t *testing.T) {
 	if err := used.Reset(8); err != nil { // ...and regrow, re-activating old banks
 		t.Fatal(err)
 	}
-	fresh := MustBankedL2(8)
+	fresh := mustBankedL2(8)
 	for a := uint64(0); a < 256*uint64(BlockBytes); a += BlockBytes {
 		hu, du, wu := used.Access(a, false)
 		hf, df, wf := fresh.Access(a, false)
@@ -271,7 +271,7 @@ func TestBankedResetMatchesFresh(t *testing.T) {
 }
 
 func TestSetDistances(t *testing.T) {
-	l2 := MustBankedL2(4)
+	l2 := mustBankedL2(4)
 	if err := l2.SetDistances([]int{1, 2}); err == nil {
 		t.Error("wrong length must fail")
 	}
@@ -284,4 +284,13 @@ func TestSetDistances(t *testing.T) {
 	if l2.MeanHitDelay() != float64(L2HitDelay(5)) {
 		t.Errorf("MeanHitDelay = %f, want %d", l2.MeanHitDelay(), L2HitDelay(5))
 	}
+}
+
+// mustBankedL2 is NewBankedL2 for statically-valid bank counts.
+func mustBankedL2(banks int) *BankedL2 {
+	l2, err := NewBankedL2(banks)
+	if err != nil {
+		panic(err)
+	}
+	return l2
 }

@@ -47,8 +47,8 @@ func TestTouchMatchesAccess(t *testing.T) {
 // banked L2's address hash, including a non-power-of-two bank count.
 func TestBankedTouchMatchesAccess(t *testing.T) {
 	for _, banks := range []int{4, 3} {
-		a := MustBankedL2(banks)
-		b := MustBankedL2(banks)
+		a := mustBankedL2(banks)
+		b := mustBankedL2(banks)
 		rng := rand.New(rand.NewSource(11))
 		for i := 0; i < 50_000; i++ {
 			addr := uint64(rng.Intn(16*1024)) * BlockBytes

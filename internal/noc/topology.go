@@ -6,14 +6,10 @@
 // performance-counter samples and EXPAND/SHRINK commands, is not
 // modelled: its latency was never charged to a run, so the runtime's
 // counters are synthesized from per-Slice samples read directly (see
-// package perf).
+// slice.SynthesizeVCore).
 package noc
 
 import "fmt"
-
-// NodeID names an endpoint in the fabric: a Slice, a cache bank, or the
-// tile running the CASH runtime.
-type NodeID int
 
 // Coord is a tile position in the 2-D fabric.
 type Coord struct {

@@ -34,16 +34,6 @@ func refQoSTarget(db *DB, app workload.App) float64 {
 	return best * QoSTargetSlack
 }
 
-func refCheapestFeasible(db *DB, app workload.App, phaseIdx int, target float64, m cost.Model) (vcore.Config, error) {
-	for _, cfg := range m.CheapestFirst() {
-		if db.MinQuantumIPC(app, phaseIdx, cfg) >= target {
-			return cfg, nil
-		}
-	}
-	return vcore.Config{}, fmt.Errorf("oracle: no configuration reaches IPC %.3f in phase %d of %s",
-		target, phaseIdx, app.Name)
-}
-
 func refBestPerPhase(db *DB, app workload.App, target float64, m cost.Model) ([]vcore.Config, []float64, error) {
 	cfgs := make([]vcore.Config, len(app.Phases))
 	qos := make([]float64, len(app.Phases))
@@ -120,16 +110,6 @@ func refAvgSpeedup(db *DB, app workload.App) func(vcore.Config) float64 {
 	return func(c vcore.Config) float64 { return avg[c] }
 }
 
-func refMaxIPC(db *DB, app workload.App, phaseIdx int) (float64, vcore.Config) {
-	best, bestCfg := -1.0, vcore.Config{}
-	for _, cfg := range vcore.Space() {
-		if v := db.IPC(app, phaseIdx, cfg); v > best {
-			best, bestCfg = v, cfg
-		}
-	}
-	return best, bestCfg
-}
-
 func refGrid(db *DB, app workload.App, phaseIdx int) [][]float64 {
 	steps := vcore.L2Steps()
 	grid := make([][]float64, vcore.MaxSlices)
@@ -189,7 +169,7 @@ func sameFloat(a, b float64) bool { return math.Float64bits(a) == math.Float64bi
 // per-cell reference.
 func TestTableQueriesMatchReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	models := []cost.Model{cost.Default(), {SliceHour: 1, BankHour: 0.5}}
+	m := cost.Default()
 	for trial := 0; trial < 40; trial++ {
 		db := NewDB()
 		tier := []isim.Tier{isim.TierCycle, isim.TierInterval}[trial%2]
@@ -208,35 +188,26 @@ func TestTableQueriesMatchReference(t *testing.T) {
 			t.Fatalf("%s: QoSTarget = %v, want %v", name, got, want)
 		}
 		targets := []float64{0, 0.25, 0.5, db.QoSTarget(app), 1.25, 100}
-		for _, m := range models {
-			for _, target := range targets {
-				gc, gq, gerr := db.BestPerPhase(app, target, m)
-				wc, wq, werr := refBestPerPhase(db, app, target, m)
-				if !sameErr(gerr, werr) || len(gc) != len(wc) || len(gq) != len(wq) {
-					t.Fatalf("%s target %v: BestPerPhase err %v / %v, lens %d %d", name, target, gerr, werr, len(gc), len(wc))
+		for _, target := range targets {
+			gc, gq, gerr := db.BestPerPhase(app, target, m)
+			wc, wq, werr := refBestPerPhase(db, app, target, m)
+			if !sameErr(gerr, werr) || len(gc) != len(wc) || len(gq) != len(wq) {
+				t.Fatalf("%s target %v: BestPerPhase err %v / %v, lens %d %d", name, target, gerr, werr, len(gc), len(wc))
+			}
+			for i := range gc {
+				if gc[i] != wc[i] || !sameFloat(gq[i], wq[i]) {
+					t.Fatalf("%s target %v phase %d: BestPerPhase %v/%v, want %v/%v", name, target, i, gc[i], gq[i], wc[i], wq[i])
 				}
-				for i := range gc {
-					if gc[i] != wc[i] || !sameFloat(gq[i], wq[i]) {
-						t.Fatalf("%s target %v phase %d: BestPerPhase %v/%v, want %v/%v", name, target, i, gc[i], gq[i], wc[i], wq[i])
-					}
-				}
-				gcost, gerr := db.OptimalCost(app, target, m)
-				wcost, werr := refOptimalCost(db, app, target, m)
-				if !sameErr(gerr, werr) || !sameFloat(gcost, wcost) {
-					t.Fatalf("%s target %v: OptimalCost %v (%v), want %v (%v)", name, target, gcost, gerr, wcost, werr)
-				}
-				gw, gerr := db.WorstCaseConfig(app, target, m)
-				ww, werr := refWorstCaseConfig(db, app, target, m)
-				if !sameErr(gerr, werr) || gw != ww {
-					t.Fatalf("%s target %v: WorstCaseConfig %v (%v), want %v (%v)", name, target, gw, gerr, ww, werr)
-				}
-				for pi := range app.Phases {
-					gf, gerr := db.CheapestFeasible(app, pi, target, m)
-					wf, werr := refCheapestFeasible(db, app, pi, target, m)
-					if !sameErr(gerr, werr) || gf != wf {
-						t.Fatalf("%s target %v phase %d: CheapestFeasible %v (%v), want %v (%v)", name, target, pi, gf, gerr, wf, werr)
-					}
-				}
+			}
+			gcost, gerr := db.OptimalCost(app, target, m)
+			wcost, werr := refOptimalCost(db, app, target, m)
+			if !sameErr(gerr, werr) || !sameFloat(gcost, wcost) {
+				t.Fatalf("%s target %v: OptimalCost %v (%v), want %v (%v)", name, target, gcost, gerr, wcost, werr)
+			}
+			gw, gerr := db.WorstCaseConfig(app, target, m)
+			ww, werr := refWorstCaseConfig(db, app, target, m)
+			if !sameErr(gerr, werr) || gw != ww {
+				t.Fatalf("%s target %v: WorstCaseConfig %v (%v), want %v (%v)", name, target, gw, gerr, ww, werr)
 			}
 		}
 		gs, ws := db.AvgSpeedup(app), refAvgSpeedup(db, app)
@@ -246,11 +217,6 @@ func TestTableQueriesMatchReference(t *testing.T) {
 			}
 		}
 		for pi := range app.Phases {
-			gv, gcfg := db.MaxIPC(app, pi)
-			wv, wcfg := refMaxIPC(db, app, pi)
-			if !sameFloat(gv, wv) || gcfg != wcfg {
-				t.Fatalf("%s phase %d: MaxIPC %v@%v, want %v@%v", name, pi, gv, gcfg, wv, wcfg)
-			}
 			gg, wg := db.Grid(app, pi), refGrid(db, app, pi)
 			for si := range wg {
 				for li := range wg[si] {

@@ -81,7 +81,7 @@ type DB struct {
 
 	// Pool bounds the worker budget of the parallel configuration sweep
 	// (CharacterizeApp). nil means the process-wide shared pool
-	// (GOMAXPROCS workers); set par.Serial() for a serial sweep. Every
+	// (GOMAXPROCS workers); set par.New(1) for a serial sweep. Every
 	// measurement is keyed and deterministic, so the pool affects only
 	// wall-clock, never results.
 	Pool *par.Pool
@@ -376,12 +376,6 @@ func (db *DB) IPC(app workload.App, phaseIdx int, cfg vcore.Config) float64 {
 	return db.Characterize(app, cfg).Avg[phaseIdx]
 }
 
-// MinQuantumIPC returns the minimum control-quantum IPC of one phase on
-// one configuration — the level the configuration can guarantee.
-func (db *DB) MinQuantumIPC(app workload.App, phaseIdx int, cfg vcore.Config) float64 {
-	return db.Characterize(app, cfg).MinQ[phaseIdx]
-}
-
 // measureApp executes the whole application once on cfg, quantum window
 // by quantum window, reading its instructions from src (nil: a pooled
 // generator at db.Seed). Simulator and generator state is recycled
@@ -521,19 +515,6 @@ func (db *DB) Grid(app workload.App, phaseIdx int) [][]float64 {
 	return grid
 }
 
-// MaxIPC returns the best achievable IPC for a phase and the achieving
-// configuration.
-func (db *DB) MaxIPC(app workload.App, phaseIdx int) (float64, vcore.Config) {
-	t := db.table(app)
-	best, bestCfg := -1.0, vcore.Config{}
-	for i, cfg := range space {
-		if v := t.at(i).Avg[phaseIdx]; v > best {
-			best, bestCfg = v, cfg
-		}
-	}
-	return best, bestCfg
-}
-
 // QoSTargetSlack is the feasibility headroom applied when deriving a
 // QoS requirement from the worst-case phase: the paper sets the target
 // to the "highest worst case IPC seen" for the application; we back off
@@ -559,19 +540,6 @@ func (db *DB) QoSTarget(app workload.App) float64 {
 		}
 	}
 	return best * QoSTargetSlack
-}
-
-// CheapestFeasible returns the lowest-rate configuration whose IPC
-// meets the target in the given phase, or an error when none does.
-func (db *DB) CheapestFeasible(app workload.App, phaseIdx int, target float64, m cost.Model) (vcore.Config, error) {
-	t := db.table(app)
-	for _, cfg := range m.CheapestFirst() {
-		if t.at(cfg.Index()).MinQ[phaseIdx] >= target {
-			return cfg, nil
-		}
-	}
-	return vcore.Config{}, fmt.Errorf("oracle: no configuration reaches IPC %.3f in phase %d of %s",
-		target, phaseIdx, app.Name)
 }
 
 // BestPerPhase returns, for each phase, the minimum-cost-per-work

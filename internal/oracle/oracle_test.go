@@ -98,7 +98,7 @@ func TestBestPerPhaseFeasibility(t *testing.T) {
 		t.Fatal(err)
 	}
 	for pi := range app.Phases {
-		if db.MinQuantumIPC(app, pi, cfgs[pi]) < target {
+		if db.Characterize(app, cfgs[pi]).MinQ[pi] < target {
 			t.Errorf("phase %d: chosen %s cannot guarantee the target", pi, cfgs[pi])
 		}
 		if qos[pi] < target {
@@ -137,10 +137,6 @@ func TestGridShape(t *testing.T) {
 	g := db.Grid(app, 0)
 	if len(g) != 8 || len(g[0]) != 8 {
 		t.Fatalf("grid is %dx%d, want 8x8", len(g), len(g[0]))
-	}
-	best, bestCfg := db.MaxIPC(app, 0)
-	if best <= 0 || !bestCfg.Valid() {
-		t.Errorf("MaxIPC = %f at %s", best, bestCfg)
 	}
 }
 
@@ -288,23 +284,6 @@ func TestAvgSpeedupBaseIsOne(t *testing.T) {
 	}
 }
 
-func TestCheapestFeasible(t *testing.T) {
-	db := NewDB()
-	app := tinyApp()
-	m := cost.Default()
-	target := db.QoSTarget(app)
-	cfg, err := db.CheapestFeasible(app, 0, target, m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if db.MinQuantumIPC(app, 0, cfg) < target {
-		t.Error("cheapest feasible does not meet the target")
-	}
-	if _, err := db.CheapestFeasible(app, 0, 100, m); err == nil {
-		t.Error("absurd target must fail")
-	}
-}
-
 func TestLoadCacheChecksumMismatch(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "oracle.gob")
 	db := NewDB()
@@ -394,7 +373,7 @@ func writeCachePayload(t testing.TB, path, magic string, payload []byte) {
 // TestLoadCacheRejectsMalformedEntries: a cache file with a valid
 // checksum whose entry no measurement could have produced is discarded
 // whole, with an error naming the entry. The first case once loaded,
-// after which MinQuantumIPC read NaN and IPC on phase 1 panicked.
+// after which a phase-1 MinQ read NaN and IPC on phase 1 panicked.
 func TestLoadCacheRejectsMalformedEntries(t *testing.T) {
 	app := phasedApp("two-phase", 2)
 	db := NewDB()
@@ -464,7 +443,7 @@ func TestParallelSweepMatchesSerial(t *testing.T) {
 	app := tinyApp()
 
 	serial := NewDB()
-	serial.Pool = par.Serial()
+	serial.Pool = par.New(1)
 	serial.CharacterizeApp(app)
 
 	parallel := NewDB()

@@ -109,7 +109,7 @@ func TestReplaySweepMatchesGeneration(t *testing.T) {
 func TestSweepRecordsOnlyCold(t *testing.T) {
 	app := tinyApp()
 	db := NewDB()
-	db.Pool = par.Serial()
+	db.Pool = par.New(1)
 	recorded := recordings()
 	db.Characterize(app, vcore.Min())
 	if recorded() != 0 {
@@ -134,7 +134,7 @@ func TestSweepRecordsOnlyCold(t *testing.T) {
 
 	iv := NewDB()
 	iv.Tier = isim.TierInterval
-	iv.Pool = par.Serial()
+	iv.Pool = par.New(1)
 	iv.CharacterizeApp(app)
 	if recorded() != 1 {
 		t.Fatalf("interval-tier sweep recorded %d traces", recorded()-1)

@@ -33,7 +33,8 @@ type Pool struct {
 
 // New returns a pool allowing up to workers simultaneous executors per
 // ForEach call (the caller plus workers-1 helpers). workers <= 0 means
-// runtime.GOMAXPROCS(0).
+// runtime.GOMAXPROCS(0); New(1) runs ForEach entirely on the calling
+// goroutine, in index order.
 func New(workers int) *Pool {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -47,9 +48,6 @@ func New(workers int) *Pool {
 	}
 	return p
 }
-
-// Workers returns the pool's configured budget.
-func (p *Pool) Workers() int { return p.workers }
 
 // shared is the process-default pool, sized to GOMAXPROCS. It is what
 // a nil *Pool resolves to, so "no pool configured" still saturates the
@@ -73,10 +71,6 @@ func Resolve(p *Pool) *Pool {
 	}
 	return p
 }
-
-// Serial is a 1-worker pool: ForEach runs entirely on the calling
-// goroutine, in index order. Useful for byte-identity baselines.
-func Serial() *Pool { return New(1) }
 
 // ForEach runs fn(i) for every i in [0, n). The calling goroutine
 // always works; helper goroutines join only while a budget token is

@@ -33,7 +33,7 @@ func TestForEachZeroAndNegative(t *testing.T) {
 }
 
 func TestSerialRunsInIndexOrderOnCaller(t *testing.T) {
-	p := Serial()
+	p := New(1)
 	var order []int
 	caller := goroutineID(t)
 	p.ForEach(50, func(i int) {
@@ -152,10 +152,10 @@ func TestResolveAndDefaults(t *testing.T) {
 	if got := Resolve(own); got != own {
 		t.Fatal("Resolve must pass explicit pools through")
 	}
-	if w := New(0).Workers(); w != runtime.GOMAXPROCS(0) {
-		t.Fatalf("New(0).Workers() = %d, want GOMAXPROCS", w)
+	if w := New(0).workers; w != runtime.GOMAXPROCS(0) {
+		t.Fatalf("New(0) has %d workers, want GOMAXPROCS", w)
 	}
-	if w := Serial().Workers(); w != 1 {
-		t.Fatalf("Serial().Workers() = %d", w)
+	if w := New(1).workers; w != 1 {
+		t.Fatalf("New(1) has %d workers", w)
 	}
 }

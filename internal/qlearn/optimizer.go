@@ -109,9 +109,6 @@ func NewRestricted(model cost.Model, cfgs []vcore.Config, alpha, eps float64, se
 	if !(eps >= 0) || !(eps < 1) {
 		return nil, fmt.Errorf("qlearn: epsilon %v outside [0,1)", eps)
 	}
-	if err := model.Validate(); err != nil {
-		return nil, err
-	}
 	if len(cfgs) == 0 {
 		return nil, fmt.Errorf("qlearn: empty configuration set")
 	}
@@ -231,14 +228,6 @@ func (o *Optimizer) effQ(i int, base float64) float64 {
 		q *= unvisitedPessimism
 	}
 	return q
-}
-
-// Visits returns how many observations config c has received.
-func (o *Optimizer) Visits(c vcore.Config) int64 {
-	if i, ok := o.idxOf[c]; ok {
-		return o.visits[i]
-	}
-	return 0
 }
 
 // snapRatio bounds how far an observation may disagree with the stored
@@ -632,9 +621,6 @@ func (o *Optimizer) Rate(c vcore.Config) float64 {
 	}
 	return 0
 }
-
-// Epsilon returns the current exploration probability.
-func (o *Optimizer) Epsilon() float64 { return o.eps }
 
 // SetEpsilon overrides the exploration probability and returns the
 // previous value. The guard uses it to fall back to ε-free greedy

@@ -59,8 +59,8 @@ func TestObserveLearns(t *testing.T) {
 	if got := o.QoSEstimate(c, 0.1); math.Abs(got-want) > 1e-12 {
 		t.Errorf("EWMA: got %v, want %v", got, want)
 	}
-	if o.Visits(c) != 2 {
-		t.Errorf("Visits = %d, want 2", o.Visits(c))
+	if visits(o, c) != 2 {
+		t.Errorf("Visits = %d, want 2", visits(o, c))
 	}
 }
 
@@ -228,7 +228,7 @@ func TestRestrictedSet(t *testing.T) {
 	}
 	// Observations of foreign configs are ignored gracefully.
 	o.Observe(vcore.Config{Slices: 4, L2KB: 256}, 1)
-	if o.Visits(vcore.Config{Slices: 4, L2KB: 256}) != 0 {
+	if visits(o, vcore.Config{Slices: 4, L2KB: 256}) != 0 {
 		t.Error("foreign config must not be tracked")
 	}
 }
@@ -280,4 +280,12 @@ func TestExplorationBounded(t *testing.T) {
 			t.Fatalf("exploration broke the quantum: %+v", s)
 		}
 	}
+}
+
+// visits returns how many observations config c has received.
+func visits(o *Optimizer, c vcore.Config) int64 {
+	if i, ok := o.idxOf[c]; ok {
+		return o.visits[i]
+	}
+	return 0
 }

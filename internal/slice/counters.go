@@ -1,18 +1,17 @@
-// Package perf implements CASH performance monitoring (§III-B2): the
-// per-Slice hardware counters and the synthesis of a virtual-core view
-// from timestamped per-Slice samples.
+package slice
+
+// Counters is the per-Slice hardware counter block of CASH performance
+// monitoring (§III-B2). All values are cumulative since the Slice was
+// last reset; SynthesizeVCore combines timestamped samples of them into
+// a virtual-core view.
 //
 // The paper's problem: counters are normally read at core level, but
 // CASH has no fixed cores. Its solution is to keep counters per Slice,
 // timestamp every sample, and let the runtime synthesize virtual-core
 // QoS from the per-Slice samples. The paper carries the samples over a
 // dedicated runtime interface network; this model reads them directly
-// (slice.(*Slice).ReadCounters), because that network's latency was
-// never charged to a run.
-package perf
-
-// Counters is the per-Slice hardware counter block. All values are
-// cumulative since the Slice was last reset.
+// ((*Slice).ReadCounters), because that network's latency was never
+// charged to a run.
 type Counters struct {
 	// Cycles is the Slice's cycle counter.
 	Cycles int64
@@ -31,7 +30,7 @@ type Counters struct {
 
 // Add accumulates other into c.
 func (c *Counters) Add(other Counters) {
-	c.Cycles = max64(c.Cycles, other.Cycles) // cycles are a shared clock, not additive
+	c.Cycles = max(c.Cycles, other.Cycles) // cycles are a shared clock, not additive
 	c.Committed += other.Committed
 	c.L1DMisses += other.L1DMisses
 	c.L2Misses += other.L2Misses
@@ -78,11 +77,4 @@ func SynthesizeVCore(samples []Sample) Counters {
 	}
 	agg.Cycles = latest
 	return agg
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

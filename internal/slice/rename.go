@@ -83,17 +83,6 @@ func (t *RenameTable) Lookup(g isa.Reg) (primary bool, version uint64, ok bool) 
 	return lr.primary, lr.version, true
 }
 
-// Mapped returns the number of globals currently mapped.
-func (t *RenameTable) Mapped() int {
-	n := 0
-	for _, lr := range t.local {
-		if lr.valid {
-			n++
-		}
-	}
-	return n
-}
-
 // Write records that this Slice executed a write of global g producing
 // the given version, making it the primary holder. It returns true if
 // a new local register had to be allocated (i.e. g was not mapped).
@@ -112,32 +101,13 @@ func (t *RenameTable) Write(g isa.Reg, version uint64) (allocated bool) {
 	return true
 }
 
-// CopyIn records a reader copy of global g at the given version
-// (forwarded over the operand network). A Slice that already holds g
-// keeps its state; in particular a primary copy is never demoted by a
-// read.
-func (t *RenameTable) CopyIn(g isa.Reg, version uint64) {
-	if g == isa.RegZero {
-		return
-	}
-	if s := t.slotOf[g]; s >= 0 {
-		if !t.local[s].primary && version > t.local[s].version {
-			t.local[s].version = version
-		}
-		return
-	}
-	s := t.alloc()
-	t.local[s] = localReg{global: g, valid: true, primary: false, version: version}
-	t.slotOf[g] = int16(s)
-}
-
 // ReadIn records that this Slice consumed global g as a source
 // operand: a Slice that already maps g keeps its state untouched (a
 // read never demotes a primary or moves a version), otherwise a reader
 // copy at the given version is allocated. It reports whether g was
 // already mapped — the caller uses that to decide whether the value had
-// to travel. This is Lookup+CopyIn fused into a single map probe for
-// the simulator's per-source hot path.
+// to travel. It takes a single map probe, for the simulator's
+// per-source hot path.
 func (t *RenameTable) ReadIn(g isa.Reg, version uint64) (held bool) {
 	if g == isa.RegZero {
 		return true
@@ -156,14 +126,6 @@ func (t *RenameTable) ReadIn(g isa.Reg, version uint64) (held bool) {
 func (t *RenameTable) Demote(g isa.Reg) {
 	if s := t.slotOf[g]; s >= 0 {
 		t.local[s].primary = false
-	}
-}
-
-// Drop removes the mapping for g entirely.
-func (t *RenameTable) Drop(g isa.Reg) {
-	if s := t.slotOf[g]; s >= 0 {
-		t.local[s] = localReg{}
-		t.slotOf[g] = -1
 	}
 }
 

@@ -10,7 +10,6 @@ import (
 
 	"cash/internal/mem"
 	"cash/internal/noc"
-	"cash/internal/perf"
 )
 
 // Config is the base Slice configuration of Table I.
@@ -73,7 +72,7 @@ func (c Config) Validate() error {
 // the fabric, its private L1 caches, its local rename state, and its
 // performance counters.
 type Slice struct {
-	ID  noc.NodeID
+	ID  int
 	Pos noc.Coord
 	Cfg Config
 
@@ -82,11 +81,11 @@ type Slice struct {
 
 	Rename RenameTable
 
-	Counters perf.Counters
+	Counters Counters
 }
 
 // New builds a Slice with fresh L1s and rename state.
-func New(id noc.NodeID, pos noc.Coord, cfg Config) (*Slice, error) {
+func New(id int, pos noc.Coord, cfg Config) (*Slice, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -103,7 +102,7 @@ func New(id noc.NodeID, pos noc.Coord, cfg Config) (*Slice, error) {
 }
 
 // MustNew is New for statically-valid configurations.
-func MustNew(id noc.NodeID, pos noc.Coord, cfg Config) *Slice {
+func MustNew(id int, pos noc.Coord, cfg Config) *Slice {
 	s, err := New(id, pos, cfg)
 	if err != nil {
 		panic(err)
@@ -121,20 +120,16 @@ func (s *Slice) Reset() {
 	s.L1D.Reset()
 	s.Rename.Reset()
 	s.Rename.Spills = 0
-	s.Counters = perf.Counters{}
+	s.Counters = Counters{}
 }
 
 // ReadCounters latches the Slice's counters at the given cycle as a
 // timestamped sample.
-func (s *Slice) ReadCounters(atCycle int64) perf.Sample {
+func (s *Slice) ReadCounters(atCycle int64) Sample {
 	c := s.Counters
 	c.Cycles = atCycle
-	return perf.Sample{SliceID: int(s.ID), Timestamp: atCycle, Counters: c}
+	return Sample{SliceID: s.ID, Timestamp: atCycle, Counters: c}
 }
-
-// PipelineFlush models joining a virtual core (EXPAND): the in-flight
-// window is squashed. It returns the stall in cycles (§VI-A: ~15).
-func (s *Slice) PipelineFlush() int64 { return ExpandCycles }
 
 // Reconfiguration overheads from §VI-A.
 const (

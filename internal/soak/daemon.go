@@ -103,7 +103,7 @@ func runDaemon(sh daemonShape, seed uint64, dir string, chaos bool) (health daem
 			Cells: sh.cells,
 			Seed:  seed + uint64(t)*101,
 		}
-		want += daemon.ExpectedSpend(specs[t], cost.Model{})
+		want += daemon.ExpectedSpend(specs[t], cost.Default())
 		idem := fmt.Sprintf("seed-%d-tenant-%d", seed, t)
 		if _, err := cl.Submit(idem, specs[t]); err != nil {
 			return health, 0, fmt.Errorf("submit %s: %w", specs[t].Name, err)
@@ -193,7 +193,7 @@ func runDaemon(sh daemonShape, seed uint64, dir string, chaos bool) (health daem
 	}
 	var total fleet.Nanos
 	for i, ts := range spend.Tenants {
-		exp := daemon.ExpectedSpend(specs[i], cost.Model{})
+		exp := daemon.ExpectedSpend(specs[i], cost.Default())
 		if fleet.Nanos(ts.Consumed) != exp {
 			return health, kills, fmt.Errorf("tenant %s consumed %d nanos, want %d", ts.Name, ts.Consumed, exp)
 		}

@@ -39,7 +39,7 @@ type FuncStats struct {
 	// L1DMisses/L2Misses are load-side misses; StoreL1Misses /
 	// StoreL2Misses the store-side ones (stores are write-through, so a
 	// store L1D miss lengthens the store-buffer drain but never stalls
-	// commit directly). The detailed model's perf.Counters aggregate both
+	// commit directly). The detailed model's slice.Counters aggregate both
 	// sides: Counters.L1DMisses = L1DMisses + StoreL1Misses and
 	// Counters.L2Misses = L2Misses + StoreL2Misses, which
 	// TestFuncRunCountsMatchStream pins.

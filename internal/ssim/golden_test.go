@@ -547,7 +547,7 @@ func TestSimMatchesSeedTimingModel(t *testing.T) {
 					}
 					compareState(t, tag("run"), opt, ref)
 					// ...then a cycle-bounded chunk, which stops mid-batch.
-					io, co = opt.RunCycles(gOpt, 3_000)
+					io, co = opt.RunBudget(gOpt, 1<<62, 3_000)
 					ir, cr = ref.RunCycles(gRef, 3_000)
 					if io != ir || co != cr {
 						t.Fatalf("%s: RunCycles (%d,%d) != ref (%d,%d)", tag("cyc"), io, co, ir, cr)

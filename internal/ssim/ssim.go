@@ -29,7 +29,6 @@ import (
 	"cash/internal/isa"
 	"cash/internal/mem"
 	"cash/internal/noc"
-	"cash/internal/perf"
 	"cash/internal/slice"
 	"cash/internal/vcore"
 )
@@ -286,13 +285,13 @@ func (s *Sim) Cycle() int64 { return s.commitCycle }
 func (s *Sim) Committed() int64 { return s.committed }
 
 // Counters aggregates per-Slice counters into a virtual-core view.
-func (s *Sim) Counters() perf.Counters {
-	var buf [vcore.MaxSlices]perf.Sample
+func (s *Sim) Counters() slice.Counters {
+	var buf [vcore.MaxSlices]slice.Sample
 	samples := buf[:0]
 	for _, sl := range s.vc.Slices() {
 		samples = append(samples, sl.ReadCounters(s.commitCycle))
 	}
-	return perf.SynthesizeVCore(samples)
+	return slice.SynthesizeVCore(samples)
 }
 
 // CheckInvariants verifies the simulator's structural consistency: the
@@ -407,13 +406,6 @@ func (s *Sim) Run(src InstrSource, maxInstrs int64) (instrs, cycles int64) {
 		s.bufI += len(batch)
 	}
 	return instrs, s.commitCycle - start
-}
-
-// RunCycles executes instructions until the committed-work clock
-// advances by at least budget cycles, or the source is exhausted.
-// It returns the instructions committed and cycles consumed.
-func (s *Sim) RunCycles(src InstrSource, budget int64) (instrs, cycles int64) {
-	return s.RunBudget(src, 1<<62, budget)
 }
 
 // RunBudget executes instructions until either maxInstrs commit or the
@@ -979,16 +971,4 @@ func (s *Sim) steer(dispatch, r1, r2 int64, p1, p2 int, op isa.Op) int {
 		}
 	}
 	return best
-}
-
-// Describe returns a human-readable summary of the simulated
-// microarchitecture (Tables I and II), for the harness output.
-func Describe(cfg slice.Config) string {
-	return fmt.Sprintf(
-		"Slice: %d FUs, %d phys regs, %d local regs, IW=%d, ROB=%d, SB=%d, loads<=%d, mem=%d cyc, bp penalty=%d\n"+
-			"L1: %dKB %d-way %dB blocks, %d-cycle hit; L2: %dKB %d-way banks, hit=distance*2+4; memory: %d cycles",
-		cfg.FunctionalUnits, cfg.PhysRegs, cfg.LocalRegs, cfg.IssueWindow, cfg.ROBSize,
-		cfg.StoreBufferSize, cfg.MaxInflightLoads, cfg.MemDelay, cfg.MispredictPenalty,
-		mem.L1SizeKB, mem.L1Assoc, mem.BlockBytes, mem.L1HitDelay,
-		mem.L2BankKB, mem.L2Assoc, mem.MemDelay)
 }

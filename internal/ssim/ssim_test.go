@@ -104,7 +104,7 @@ func TestFetchWidthBound(t *testing.T) {
 }
 
 func TestDeterminism(t *testing.T) {
-	app := workload.X264().Scale(0.005)
+	app := x264().Scale(0.005)
 	run := func() (int64, int64) {
 		s := newSim(t, vcore.Config{Slices: 3, L2KB: 512})
 		g := workload.NewGen(app, 42)
@@ -137,7 +137,7 @@ func TestRunBudgetStopsAtCycles(t *testing.T) {
 func TestRunCyclesAdvancesClock(t *testing.T) {
 	s := newSim(t, vcore.Config{Slices: 1, L2KB: 64})
 	before := s.Cycle()
-	_, cycles := s.RunCycles(&wideSource{}, 3000)
+	_, cycles := s.RunBudget(&wideSource{}, 1<<62, 3000)
 	if s.Cycle()-before != cycles {
 		t.Error("returned cycles must match the clock advance")
 	}
@@ -182,7 +182,7 @@ func TestReconfigureChargesStall(t *testing.T) {
 
 func TestCountersMatchCommitted(t *testing.T) {
 	s := newSim(t, vcore.Config{Slices: 4, L2KB: 256})
-	app := workload.X264().Scale(0.002)
+	app := x264().Scale(0.002)
 	g := workload.NewGen(app, 9)
 	instrs, _ := s.Run(g, 1<<40)
 	agg := s.Counters()
@@ -245,7 +245,7 @@ func TestMispredictsHurt(t *testing.T) {
 }
 
 func TestSteeringPoliciesDiffer(t *testing.T) {
-	p := workload.X264().Phases[3] // high-ILP transform phase
+	p := x264().Phases[3] // high-ILP transform phase
 	measure := func(pol SteeringPolicy) float64 {
 		s := MustNew(vcore.Config{Slices: 4, L2KB: 512}, slice.DefaultConfig(), pol)
 		g := workload.NewPhaseGen(p, 0, 5)
@@ -262,7 +262,7 @@ func TestSteeringPoliciesDiffer(t *testing.T) {
 
 func TestSourceExhaustion(t *testing.T) {
 	s := newSim(t, vcore.Config{Slices: 1, L2KB: 64})
-	app := workload.X264().Scale(0.0001)
+	app := x264().Scale(0.0001)
 	g := workload.NewGen(app, 1)
 	instrs, _ := s.Run(g, 1<<40)
 	if instrs != app.TotalInstrs() {
@@ -336,4 +336,13 @@ func TestForceShrinkRejectsGrowth(t *testing.T) {
 	if stall, err := s.ForceShrink(vcore.Config{Slices: 2, L2KB: 128}); err != nil || stall != 0 {
 		t.Errorf("no-op forced shrink: stall=%d err=%v", stall, err)
 	}
+}
+
+// x264 is the paper's motivating application.
+func x264() workload.App {
+	app, ok := workload.ByName("x264")
+	if !ok {
+		panic("workload: no x264 app")
+	}
+	return app
 }

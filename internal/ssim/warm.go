@@ -20,10 +20,10 @@ import (
 // region B after region A leaves B most-recent regardless of which one
 // the phase re-references, and a sweep of a region that aliases a
 // hotter one (HotCode is the head of Code) can evict the hot lines it
-// just loaded. WarmPhase below orders the sweeps so no later, colder
-// sweep evicts a hotter earlier one; the residual recency error is
-// washed out by a short FuncRun burn-in of the real stream, which the
-// warm-up pinning tests hold against a long detailed warm.
+// just loaded. WarmPhaseStats below orders the sweeps so no later,
+// colder sweep evicts a hotter earlier one; the residual recency error
+// is washed out by a short FuncRun burn-in of the real stream, which
+// the warm-up pinning tests hold against a long detailed warm.
 
 // PrefillL2 touches every block of [base, base+size) in the banked L2
 // without recording statistics, and returns how many touches missed —
@@ -76,7 +76,22 @@ func (s *Sim) PrefillL1I(base, size uint64) (missed, missedL1I int) {
 	return missed, missedL1I
 }
 
-// WarmPhase is the canonical phase warm-up recipe: it prefills every
+// WarmStats breaks a WarmPhaseStats prefill's installed-line count down by
+// region, so a consumer that knows the regions' re-reference behaviour
+// (the interval tier's cold-start model) can weigh each region's compulsory
+// misses separately. CodeI is the L1I-side deficit: instruction blocks
+// the prefill installed into the composed L1I that the fetch path had
+// not yet pulled in. It is tracked separately from the L2 counts
+// because code warms on a different timescale — cold-path fetches
+// trickle in via the occasional non-hot branch target, so an L1I
+// compulsory transition can outlive the L2 one by hundreds of
+// thousands of instructions.
+type WarmStats struct {
+	Main, Code, Mid, Hot int
+	CodeI                int
+}
+
+// WarmPhaseStats is the canonical phase warm-up recipe: it prefills every
 // cache level with the phase's address regions, ordered so each sweep
 // is at least as re-referenced as the one before it — a later sweep may
 // evict part of an earlier one, never the reverse.
@@ -96,37 +111,16 @@ func (s *Sim) PrefillL1I(base, size uint64) (missed, missedL1I int) {
 //
 // Prefill alone still cannot reproduce a warmed cache's recency
 // interleaving; callers that need the first measured window to match a
-// long-warmed run follow WarmPhase with a short FuncRun of the real
+// long-warmed run follow WarmPhaseStats with a short FuncRun of the real
 // stream (the interval tier's recency burn). The combination is pinned
 // against a long detailed warm by TestWarmPhaseMatchesLongWarmedRun.
 //
-// The returned count is the number of L2 lines the prefill installed
-// that were not already resident — the phase's residency deficit at the
-// moment of the call, which is what the interval tier's cold-start model
-// charges for. (Measuring the deficit as the change in L2 ValidLines is
+// The returned counts are the L2 lines, per region, that the prefill
+// installed and that were not already resident — the phase's residency
+// deficit at the moment of the call, which is what the interval tier's
+// cold-start model charges for. (Measuring the deficit as the change in L2 ValidLines is
 // wrong for every phase but the first: once earlier phases have filled
 // the L2, prefill replaces stale lines and ValidLines never moves.)
-func (s *Sim) WarmPhase(rg workload.Regions) (missed int) {
-	st := s.WarmPhaseStats(rg)
-	return st.Main + st.Code + st.Mid + st.Hot
-}
-
-// WarmStats breaks a WarmPhase prefill's installed-line count down by
-// region, so a consumer that knows the regions' re-reference behaviour
-// (the interval tier's cold-start model) can weigh each region's compulsory
-// misses separately. CodeI is the L1I-side deficit: instruction blocks
-// the prefill installed into the composed L1I that the fetch path had
-// not yet pulled in. It is tracked separately from the L2 counts
-// because code warms on a different timescale — cold-path fetches
-// trickle in via the occasional non-hot branch target, so an L1I
-// compulsory transition can outlive the L2 one by hundreds of
-// thousands of instructions.
-type WarmStats struct {
-	Main, Code, Mid, Hot int
-	CodeI                int
-}
-
-// WarmPhaseStats is WarmPhase with the per-region breakdown.
 func (s *Sim) WarmPhaseStats(rg workload.Regions) WarmStats {
 	var st WarmStats
 	// L2, least re-referenced first: bulk working set, then code (the

@@ -39,7 +39,7 @@ func winProfile(s *Sim, src InstrSource, n int64) (ipc float64, i1, d1, l2m int6
 // state is bit-identical; only pipeline occupancy differs, which shifts
 // IPC by at most a fraction of a percent).
 func TestFuncRunMatchesDetailedCacheState(t *testing.T) {
-	app := workload.X264()
+	app := x264()
 	for _, tc := range []struct {
 		pidx   int
 		slices int
@@ -86,7 +86,7 @@ func TestFuncRunMatchesDetailedCacheState(t *testing.T) {
 // cold-start span (both probe the same sequence from the same initial
 // state).
 func TestFuncRunCountsMatchStream(t *testing.T) {
-	p := workload.X264().Phases[1]
+	p := x264().Phases[1]
 	cfg := vcore.Config{Slices: 4, L2KB: 1024}
 	const span = 300_000
 
@@ -123,9 +123,10 @@ func TestFuncRunCountsMatchStream(t *testing.T) {
 	}
 }
 
-// TestWarmPhaseMatchesLongWarmedRun pins the warm-up recipe: WarmPhase
-// prefill followed by a short functional burn-in must land the first
-// measured window within a few percent of a long detailed warm. The old
+// TestWarmPhaseMatchesLongWarmedRun pins the warm-up recipe: a
+// WarmPhaseStats prefill followed by a short functional burn-in must
+// land the first measured window within a few percent of a long
+// detailed warm. The old
 // recipe failed this by ~10% IPC (38% excess L2 misses) on mid-size L2
 // configurations because its final Code sweep evicted the mid set, and
 // left hundreds of first-window L1I misses on wide cores where a warmed
@@ -143,7 +144,7 @@ func TestWarmPhaseMatchesLongWarmedRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-million-instruction warm runs")
 	}
-	app := workload.X264()
+	app := x264()
 	for _, tc := range []struct {
 		pidx   int
 		slices int
@@ -160,7 +161,7 @@ func TestWarmPhaseMatchesLongWarmedRun(t *testing.T) {
 
 		ws := MustNew(cfg, slice.DefaultConfig(), SteerEarliest)
 		wg := workload.NewPhaseGen(p, tc.pidx, 42)
-		ws.WarmPhase(rg)
+		ws.WarmPhaseStats(rg)
 		ws.FuncRun(wg, 300_000)
 		wIPC, wI, _, wL2 := winProfile(ws, wg, span)
 

@@ -98,20 +98,6 @@ func bestSplit(s []float64, opts PhaseDetectOptions) (int, bool) {
 	return bestIdx, true
 }
 
-// PhaseMeans returns the per-phase mean values given boundaries from
-// DetectPhases.
-func PhaseMeans(series []float64, boundaries []int) []float64 {
-	out := make([]float64, 0, len(boundaries)+1)
-	start := 0
-	for _, b := range append(append([]int{}, boundaries...), len(series)) {
-		if b > start {
-			out = append(out, Mean(series[start:b]))
-		}
-		start = b
-	}
-	return out
-}
-
 func abs(v float64) float64 {
 	if v < 0 {
 		return -v

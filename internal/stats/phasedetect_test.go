@@ -38,7 +38,7 @@ func TestDetectMultipleSteps(t *testing.T) {
 			t.Errorf("boundary %d at %d, want ~%d", i, b[i], want)
 		}
 	}
-	means := PhaseMeans(s, b)
+	means := phaseMeans(s, b)
 	if len(means) != 4 {
 		t.Fatalf("got %d phase means, want 4", len(means))
 	}
@@ -94,9 +94,23 @@ func TestDetectInvariantsQuick(t *testing.T) {
 			}
 			prev = x
 		}
-		return len(PhaseMeans(s, b)) <= len(b)+1
+		return len(phaseMeans(s, b)) <= len(b)+1
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
 	}
+}
+
+// phaseMeans returns the per-phase mean values given boundaries from
+// DetectPhases.
+func phaseMeans(series []float64, boundaries []int) []float64 {
+	out := make([]float64, 0, len(boundaries)+1)
+	start := 0
+	for _, b := range append(append([]int{}, boundaries...), len(series)) {
+		if b > start {
+			out = append(out, Mean(series[start:b]))
+		}
+		start = b
+	}
+	return out
 }

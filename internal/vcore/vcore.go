@@ -59,7 +59,7 @@ func New(cfg Config, sliceCfg slice.Config) (*VCore, error) {
 	}
 	v := &VCore{cfg: cfg, sliceC: sliceCfg}
 	for i := 0; i < cfg.Slices; i++ {
-		s, err := slice.New(noc.NodeID(i), noc.Coord{X: 0, Y: i}, sliceCfg)
+		s, err := slice.New(i, noc.Coord{X: 0, Y: i}, sliceCfg)
 		if err != nil {
 			return nil, err
 		}
@@ -101,7 +101,7 @@ func (v *VCore) Reset(cfg Config) error {
 		if i < len(v.all) {
 			v.all[i].Reset()
 		} else {
-			s, err := slice.New(noc.NodeID(i), noc.Coord{X: 0, Y: i}, v.sliceC)
+			s, err := slice.New(i, noc.Coord{X: 0, Y: i}, v.sliceC)
 			if err != nil {
 				return err
 			}
@@ -251,7 +251,7 @@ func (v *VCore) expandSlices(n int) int64 {
 			// a freshly-built tile would join with.
 			v.all[i].Reset()
 		} else {
-			s := slice.MustNew(noc.NodeID(i), noc.Coord{X: 0, Y: i}, v.sliceC)
+			s := slice.MustNew(i, noc.Coord{X: 0, Y: i}, v.sliceC)
 			v.attachSpillHandler(s, i)
 			v.all = append(v.all, s)
 		}

@@ -237,6 +237,3 @@ func ByName(name string) (App, bool) {
 	}
 	return App{}, false
 }
-
-// X264 returns the motivating application's model.
-func X264() App { return x264App }

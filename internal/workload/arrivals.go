@@ -389,6 +389,3 @@ func StreamByName(name string, seed uint64) (ArrivalStream, error) {
 		return nil, fmt.Errorf("workload: unknown stream shape %q (have sine, diurnal, flash, bursts)", name)
 	}
 }
-
-// StreamNames lists the named arrival shapes StreamByName accepts.
-func StreamNames() []string { return []string{"sine", "diurnal", "flash", "bursts"} }

@@ -17,7 +17,7 @@ func drain(s ArrivalStream, n int) []int64 {
 // validate, produce monotone non-decreasing arrivals, and replay the
 // identical sequence after Reset.
 func TestStreamByNameAllShapesValidateAndReplay(t *testing.T) {
-	for _, name := range StreamNames() {
+	for _, name := range []string{"sine", "diurnal", "flash", "bursts"} {
 		s, err := StreamByName(name, 7)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)

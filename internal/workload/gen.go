@@ -70,9 +70,6 @@ func (g *Gen) App() App { return g.app }
 // belongs to, or len(phases)-1 once the stream is exhausted.
 func (g *Gen) PhaseIndex() int { return g.phase }
 
-// Emitted returns the number of instructions generated so far.
-func (g *Gen) Emitted() int64 { return g.total }
-
 // Remaining returns how many instructions are left in the stream.
 func (g *Gen) Remaining() int64 { return g.app.TotalInstrs() - g.total }
 

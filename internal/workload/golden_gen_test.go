@@ -253,7 +253,7 @@ func TestGenMatchesSeedGenerator(t *testing.T) {
 // TestPhaseGenMatchesSeedGenerator covers the steady-state PhaseGen
 // wrapper the oracle uses for single-phase characterisation.
 func TestPhaseGenMatchesSeedGenerator(t *testing.T) {
-	app := X264()
+	app := x264App
 	for pi, p := range app.Phases {
 		r := splitmix.New(7)
 		var ref refPhaseGen

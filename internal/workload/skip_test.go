@@ -7,26 +7,26 @@ import (
 )
 
 // TestGenSkipBookkeeping checks that Skip advances position exactly as
-// generating would — same phase boundaries, same Emitted/Remaining — and
+// generating would — same phase boundaries, same emitted and remaining counts — and
 // that the post-skip stream stays within the phase it lands in.
 func TestGenSkipBookkeeping(t *testing.T) {
-	app := X264()
+	app := x264App
 	g := NewGen(app, 42)
 	p0 := app.Phases[0].Instrs
 
 	if got := g.Skip(p0 / 2); got != p0/2 {
 		t.Fatalf("Skip(%d) = %d", p0/2, got)
 	}
-	if g.PhaseIndex() != 0 || g.Emitted() != p0/2 {
-		t.Fatalf("after half-phase skip: phase=%d emitted=%d", g.PhaseIndex(), g.Emitted())
+	if g.PhaseIndex() != 0 || g.total != p0/2 {
+		t.Fatalf("after half-phase skip: phase=%d emitted=%d", g.PhaseIndex(), g.total)
 	}
 	// Skip never crosses a phase boundary: asking for more than the
 	// phase's remainder clamps to it and advances to the next phase.
 	if got := g.Skip(p0); got != p0-p0/2 {
 		t.Fatalf("boundary skip = %d, want %d", got, p0-p0/2)
 	}
-	if g.PhaseIndex() != 1 || g.Emitted() != p0 {
-		t.Fatalf("after boundary skip: phase=%d emitted=%d", g.PhaseIndex(), g.Emitted())
+	if g.PhaseIndex() != 1 || g.total != p0 {
+		t.Fatalf("after boundary skip: phase=%d emitted=%d", g.PhaseIndex(), g.total)
 	}
 
 	// Generated instructions after the skip draw from phase 1's regions.
@@ -50,8 +50,8 @@ func TestGenSkipBookkeeping(t *testing.T) {
 			t.Fatal("Skip returned 0 before Done")
 		}
 	}
-	if g.Emitted() != app.TotalInstrs() || g.Remaining() != 0 {
-		t.Fatalf("exhausted: emitted=%d remaining=%d", g.Emitted(), g.Remaining())
+	if g.total != app.TotalInstrs() || g.Remaining() != 0 {
+		t.Fatalf("exhausted: emitted=%d remaining=%d", g.total, g.Remaining())
 	}
 	if g.Skip(1) != 0 || g.Next(buf[:]) != 0 {
 		t.Fatal("exhausted generator must refuse to skip or generate")
@@ -62,7 +62,7 @@ func TestGenSkipBookkeeping(t *testing.T) {
 // application, one skipping spans the other generates, and checks their
 // position bookkeeping stays in lockstep at every step.
 func TestGenSkipMatchesNextPositions(t *testing.T) {
-	app := X264()
+	app := x264App
 	a := NewGen(app, 42)
 	b := NewGen(app, 42)
 	var buf [512]isa.Instr
@@ -81,9 +81,9 @@ func TestGenSkipMatchesNextPositions(t *testing.T) {
 			}
 			gen += int64(n)
 		}
-		if a.PhaseIndex() != b.PhaseIndex() || a.Emitted() != b.Emitted() {
+		if a.PhaseIndex() != b.PhaseIndex() || a.total != b.total {
 			t.Fatalf("step %d: skip at phase=%d emitted=%d, next at phase=%d emitted=%d",
-				step, a.PhaseIndex(), a.Emitted(), b.PhaseIndex(), b.Emitted())
+				step, a.PhaseIndex(), a.total, b.PhaseIndex(), b.total)
 		}
 	}
 	if !b.Done() {
@@ -95,7 +95,7 @@ func TestGenSkipMatchesNextPositions(t *testing.T) {
 // that Gen and PhaseGen expose the same region/phase accessors the fast
 // tiers consume.
 func TestPhaseGenSkip(t *testing.T) {
-	p := X264().Phases[3]
+	p := x264App.Phases[3]
 	g := NewPhaseGen(p, 3, 42)
 	if g.Skip(1000) != 1000 || g.Skip(0) != 0 || g.Skip(-5) != 0 {
 		t.Fatal("PhaseGen.Skip must accept any positive span and refuse the rest")
@@ -106,8 +106,8 @@ func TestPhaseGenSkip(t *testing.T) {
 	if got, want := g.CurrentRegions(), p.Regions(3); got != want {
 		t.Fatalf("CurrentRegions = %+v, want %+v", got, want)
 	}
-	full := NewGen(X264(), 42)
-	if got, want := full.CurrentRegions(), X264().Phases[0].Regions(0); got != want {
+	full := NewGen(x264App, 42)
+	if got, want := full.CurrentRegions(), x264App.Phases[0].Regions(0); got != want {
 		t.Fatalf("Gen.CurrentRegions = %+v, want %+v", got, want)
 	}
 }

@@ -144,7 +144,7 @@ func TestHoldTraceOverBudget(t *testing.T) {
 	}
 	releaseA()
 
-	x264 := X264()
+	x264 := x264App
 	if TraceBytes(x264) <= TraceBudget {
 		t.Fatalf("full-scale x264's trace (%d bytes) fits the budget", TraceBytes(x264))
 	}

@@ -21,7 +21,7 @@ func TestAllBenchmarksValidate(t *testing.T) {
 }
 
 func TestX264HasTenPhases(t *testing.T) {
-	x := X264()
+	x := x264App
 	if len(x.Phases) != 10 {
 		t.Fatalf("x264 has %d phases, want 10 (Fig 1)", len(x.Phases))
 	}
@@ -87,7 +87,7 @@ func TestPhaseValidate(t *testing.T) {
 }
 
 func TestAppScale(t *testing.T) {
-	app := X264()
+	app := x264App
 	half := app.Scale(0.5)
 	if half.TotalInstrs() < app.TotalInstrs()/3 || half.TotalInstrs() > app.TotalInstrs()*2/3 {
 		t.Errorf("Scale(0.5): %d -> %d", app.TotalInstrs(), half.TotalInstrs())
@@ -114,7 +114,7 @@ func TestPhaseAt(t *testing.T) {
 }
 
 func TestGenDeterminism(t *testing.T) {
-	app := X264().Scale(0.01)
+	app := x264App.Scale(0.01)
 	a, b := NewGen(app, 42), NewGen(app, 42)
 	bufA := make([]isa.Instr, 257)
 	bufB := make([]isa.Instr, 257)
@@ -176,13 +176,13 @@ func TestGenPhaseBoundaries(t *testing.T) {
 		t.Error("generator should be done")
 	}
 	g.Reset()
-	if g.Done() || g.Emitted() != 0 {
+	if g.Done() || g.total != 0 {
 		t.Error("Reset should rewind")
 	}
 }
 
 func TestGenAddressesWithinRegions(t *testing.T) {
-	app := X264().Scale(0.01)
+	app := x264App.Scale(0.01)
 	g := NewGen(app, 9)
 	buf := make([]isa.Instr, 512)
 	for {
@@ -209,7 +209,7 @@ func TestGenAddressesWithinRegions(t *testing.T) {
 }
 
 func TestRegionsDisjointAcrossPhases(t *testing.T) {
-	app := X264()
+	app := x264App
 	type span struct{ lo, hi uint64 }
 	var spans []span
 	for pi, p := range app.Phases {
@@ -232,7 +232,7 @@ func TestRegionsDisjointAcrossPhases(t *testing.T) {
 }
 
 func TestSharedRegionAliases(t *testing.T) {
-	app := X264()
+	app := x264App
 	// p2-me-wide shares p3-refload's region (owner index 2).
 	rgShared := app.Phases[1].Regions(1)
 	rgOwner := app.Phases[2].Regions(2)
