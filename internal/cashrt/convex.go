@@ -18,13 +18,13 @@ import (
 // configuration (relative to the minimal configuration); it typically
 // comes from the oracle's characterisation, which is the most generous
 // possible calibration for this baseline.
-func NewConvex(target float64, model cost.Model, avgSpeedup func(vcore.Config) float64) (*Runtime, error) {
-	r, err := New(target, model, Options{})
+func NewConvex(target float64, _ cost.Model, avgSpeedup func(vcore.Config) float64) (*Runtime, error) {
+	r, err := New(target, cost.Default(), Options{})
 	if err != nil {
 		return nil, err
 	}
 	r.SetName("ConvexOptimization")
-	r.opt.SetRelativeModel(concaveEnvelope(r.opt.Configs(), model, avgSpeedup))
+	r.opt.SetRelativeModel(concaveEnvelope(r.opt.Configs(), avgSpeedup))
 	return r, nil
 }
 
@@ -33,13 +33,13 @@ func NewConvex(target float64, model cost.Model, avgSpeedup func(vcore.Config) f
 // envelope inherit the envelope's value at their cost, so the
 // optimizer's over/under search behaves exactly like a convex method:
 // it can only ever trade along the hull.
-func concaveEnvelope(cfgs []vcore.Config, model cost.Model, avgSpeedup func(vcore.Config) float64) func(vcore.Config) float64 {
+func concaveEnvelope(cfgs []vcore.Config, avgSpeedup func(vcore.Config) float64) func(vcore.Config) float64 {
 	type pt struct {
 		rate, s float64
 	}
 	pts := make([]pt, 0, len(cfgs))
 	for _, c := range cfgs {
-		pts = append(pts, pt{rate: model.Rate(c), s: avgSpeedup(c)})
+		pts = append(pts, pt{rate: cost.Default().Rate(c), s: avgSpeedup(c)})
 	}
 	sort.Slice(pts, func(i, j int) bool { return pts[i].rate < pts[j].rate })
 
@@ -77,7 +77,7 @@ func concaveEnvelope(cfgs []vcore.Config, model cost.Model, avgSpeedup func(vcor
 		}
 		return hull[len(hull)-1].s
 	}
-	return func(c vcore.Config) float64 { return eval(model.Rate(c)) }
+	return func(c vcore.Config) float64 { return eval(cost.Default().Rate(c)) }
 }
 
 // BigLittle returns the coarse-grain heterogeneous machine of §VI-E:
@@ -91,9 +91,9 @@ func BigLittle() (big, little vcore.Config) {
 // NewCoarseAdaptive builds the CoarseGrain,adaptive point of §VI-E:
 // the full CASH runtime, but restricted to shifting between the big
 // and little core types.
-func NewCoarseAdaptive(target float64, model cost.Model, seed uint64) (*Runtime, error) {
+func NewCoarseAdaptive(target float64, _ cost.Model, seed uint64) (*Runtime, error) {
 	big, little := BigLittle()
-	r, err := New(target, model, Options{Configs: []vcore.Config{little, big}, Seed: seed})
+	r, err := New(target, cost.Default(), Options{Configs: []vcore.Config{little, big}, Seed: seed})
 	if err != nil {
 		return nil, err
 	}

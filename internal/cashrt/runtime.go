@@ -137,12 +137,13 @@ const (
 // through configurations whose estimates are stale for the new phase.
 const guardAfterMisses = 2
 
-// New builds a runtime for the given QoS target and pricing model.
+// New builds a runtime for the given QoS target, priced at the paper's
+// constants: the cost.Model holds no prices and is not read.
 // Nonsensical inputs — NaN or non-positive targets, a NaN margin,
 // negative probe periods — are rejected here: every one of them would
 // otherwise disappear into the control loop (NaN fails all comparisons)
 // and surface quanta later as an inexplicable scheduling pathology.
-func New(target float64, model cost.Model, opts Options) (*Runtime, error) {
+func New(target float64, _ cost.Model, opts Options) (*Runtime, error) {
 	if !(target > 0) || math.IsInf(target, 0) {
 		return nil, fmt.Errorf("cashrt: QoS target %v must be positive and finite", target)
 	}
@@ -173,7 +174,7 @@ func New(target float64, model cost.Model, opts Options) (*Runtime, error) {
 	if cfgs == nil {
 		cfgs = vcore.Space()
 	}
-	opt, err := qlearn.NewRestricted(model, cfgs, qlearn.DefaultAlpha, qlearn.DefaultEpsilon, opts.Seed)
+	opt, err := qlearn.NewRestricted(cfgs, qlearn.DefaultAlpha, qlearn.DefaultEpsilon, opts.Seed)
 	if err != nil {
 		return nil, err
 	}
@@ -191,8 +192,8 @@ func New(target float64, model cost.Model, opts Options) (*Runtime, error) {
 }
 
 // MustNew is New for statically-valid arguments.
-func MustNew(target float64, model cost.Model, opts Options) *Runtime {
-	r, err := New(target, model, opts)
+func MustNew(target float64, _ cost.Model, opts Options) *Runtime {
+	r, err := New(target, cost.Default(), opts)
 	if err != nil {
 		panic(err)
 	}

@@ -2,9 +2,13 @@ package client
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
+	"math"
+	"net"
 	"reflect"
 	"testing"
+	"time"
 
 	"cash/internal/daemon"
 )
@@ -25,18 +29,28 @@ func spendAnswer(n int) daemon.SpendResult {
 // spendPayload is the payload of the frame the daemon writes for res:
 // TestReplyFramesMatchAppendFrame pins the daemon's reply bytes to
 // AppendFrame's.
-func spendPayload(t testing.TB, id uint64, res daemon.SpendResult) []byte {
-	t.Helper()
+func spendPayload(id uint64, res daemon.SpendResult) []byte {
 	raw, err := json.Marshal(res)
 	if err != nil {
-		t.Fatal(err)
+		panic(err)
 	}
 	frame, err := daemon.AppendFrame(nil, daemon.Response{ID: id, Code: daemon.CodeOK, Result: raw})
 	if err != nil {
-		t.Fatal(err)
+		panic(err)
 	}
 	return frame[7 : len(frame)-1]
 }
+
+// oddAnswer is a spend answer at the int64 extremes whose names hold
+// what TestSpendFrameMatchesReference names tenants with: the quote,
+// the backslash, <>&, U+2028/2029, invalid UTF-8 and other non-ASCII.
+var oddAnswer = daemon.SpendResult{RootGranted: math.MaxInt64, RootConsumed: math.MinInt64, Tenants: []daemon.TenantSpend{
+	{Name: `q"uote\`, Granted: 1, Landed: 1, Cells: 2},
+	{Name: "<b>&amp;</b>", Consumed: -1, Landed: 2, Cells: 2},
+	{Name: "line\u2028sep\u2029", Refunded: 3, Cells: 1},
+	{Name: "\xff\xfe", Outstanding: 4, Cells: 1},
+	{Name: "é世\u00a0z0", Granted: 5, Consumed: 5, Landed: 1, Cells: 1},
+}}
 
 // decodeJSON is the client's encoding/json path for a reply payload,
 // which defines what the spend decoder must produce.
@@ -61,17 +75,18 @@ var spendCases = []struct {
 	want    bool
 }{
 	{"canonical", `{"id":7,"code":"OK","result":{"root_granted":30,"root_consumed":20,"root_refunded":4,"root_outstanding":6,"tenants":[{"name":"a","granted":10,"consumed":8,"refunded":0,"outstanding":2,"landed":1,"cells":2},{"name":"b","granted":20,"consumed":12,"refunded":4,"outstanding":4,"landed":2,"cells":3}]}}`, true},
-	{"whitespace", " {\n \"id\" : 7 ,\t\"code\":\"OK\",\r\n\"result\":{ \"root_granted\":1,\"root_consumed\":1,\"root_refunded\":0,\"root_outstanding\":0,\"tenants\":[ { \"name\" : \"a\" , \"granted\":1,\"consumed\":1,\"refunded\":0,\"outstanding\":0,\"landed\":1,\"cells\":1 } ] } }\n", true},
-	{"reordered keys", `{"result":{"tenants":[{"cells":2,"landed":1,"outstanding":2,"refunded":0,"consumed":8,"granted":10,"name":"a"}],"root_outstanding":2,"root_refunded":0,"root_consumed":8,"root_granted":10},"code":"OK","id":7}`, true},
+	{"daemon frame, odd names", string(spendPayload(7, oddAnswer)), true},
+	{"whitespace", " {\n \"id\" : 7 ,\t\"code\":\"OK\",\r\n\"result\":{ \"root_granted\":1,\"root_consumed\":1,\"root_refunded\":0,\"root_outstanding\":0,\"tenants\":[ { \"name\" : \"a\" , \"granted\":1,\"consumed\":1,\"refunded\":0,\"outstanding\":0,\"landed\":1,\"cells\":1 } ] } }\n", false},
+	{"reordered keys", `{"result":{"tenants":[{"cells":2,"landed":1,"outstanding":2,"refunded":0,"consumed":8,"granted":10,"name":"a"}],"root_outstanding":2,"root_refunded":0,"root_consumed":8,"root_granted":10},"code":"OK","id":7}`, false},
 	{"no tenants", `{"id":7,"code":"OK","result":{"root_granted":0,"root_consumed":0,"root_refunded":0,"root_outstanding":0,"tenants":[]}}`, true},
-	{"integer bounds", `{"id":7,"code":"OK","result":{"root_granted":9223372036854775807,"root_consumed":-9223372036854775808,"root_refunded":-0,"root_outstanding":0,"tenants":[]}}`, true},
+	{"integer bounds", `{"id":7,"code":"OK","result":{"root_granted":9223372036854775807,"root_consumed":-9223372036854775808,"root_refunded":-0,"root_outstanding":0,"tenants":[]}}`, false},
 	{"largest id", `{"id":18446744073709551615,"code":"OK","result":{"root_granted":1,"root_consumed":1,"root_refunded":0,"root_outstanding":0,"tenants":[]}}`, false},
 	{"escaped name", `{"id":7,"code":"OK","result":{"root_granted":1,"root_consumed":1,"root_refunded":0,"root_outstanding":0,"tenants":[{"name":"q\"\\é😀","granted":1,"consumed":1,"refunded":0,"outstanding":0,"landed":1,"cells":1}]}}`, true},
-	{"U+2028 name", "{\"id\":7,\"code\":\"OK\",\"result\":{\"root_granted\":1,\"root_consumed\":1,\"root_refunded\":0,\"root_outstanding\":0,\"tenants\":[{\"name\":\"a\u2028b\",\"granted\":1,\"consumed\":1,\"refunded\":0,\"outstanding\":0,\"landed\":1,\"cells\":1}]}}", true},
+	{"U+2028 name", "{\"id\":7,\"code\":\"OK\",\"result\":{\"root_granted\":1,\"root_consumed\":1,\"root_refunded\":0,\"root_outstanding\":0,\"tenants\":[{\"name\":\"a\u2028b\",\"granted\":1,\"consumed\":1,\"refunded\":0,\"outstanding\":0,\"landed\":1,\"cells\":1}]}}", false},
 	{"invalid UTF-8 name", "{\"id\":7,\"code\":\"OK\",\"result\":{\"root_granted\":1,\"root_consumed\":1,\"root_refunded\":0,\"root_outstanding\":0,\"tenants\":[{\"name\":\"a\xff\xc3b\",\"granted\":1,\"consumed\":1,\"refunded\":0,\"outstanding\":0,\"landed\":1,\"cells\":1}]}}", true},
 	{"stale id", `{"id":6,"code":"OK","result":{"root_granted":30,"root_consumed":20,"root_refunded":4,"root_outstanding":6,"tenants":[{"name":"stale","granted":10,"consumed":8,"refunded":0,"outstanding":2,"landed":1,"cells":2}]}}`, false},
 	{"event", `{"id":7,"code":"OK","result":{"root_granted":1,"root_consumed":1,"root_refunded":0,"root_outstanding":0,"tenants":[{"name":"event","granted":1,"consumed":1,"refunded":0,"outstanding":0,"landed":1,"cells":1}]},"event":true}`, false},
-	{"event false", `{"id":7,"event":false,"code":"OK","result":{"root_granted":1,"root_consumed":1,"root_refunded":0,"root_outstanding":0,"tenants":[]}}`, true},
+	{"event false", `{"id":7,"event":false,"code":"OK","result":{"root_granted":1,"root_consumed":1,"root_refunded":0,"root_outstanding":0,"tenants":[]}}`, false},
 	{"duplicate key", `{"id":7,"code":"OK","result":{"root_granted":1,"root_consumed":1,"root_refunded":0,"root_outstanding":0,"tenants":[{"name":"a","granted":1,"granted":5,"consumed":1,"refunded":0,"outstanding":0,"landed":1,"cells":1}]}}`, false},
 	{"duplicate id", `{"id":7,"code":"OK","result":{"root_granted":1,"root_consumed":1,"root_refunded":0,"root_outstanding":0,"tenants":[]},"id":8}`, false},
 	{"case-variant key", `{"id":7,"code":"OK","result":{"root_granted":1,"root_consumed":1,"root_refunded":0,"root_outstanding":0,"tenants":[{"Name":"a","granted":1,"consumed":1,"refunded":0,"outstanding":0,"landed":1,"cells":1}]}}`, false},
@@ -93,16 +108,47 @@ var spendCases = []struct {
 }
 
 // TestSpendDecodeDeclines pins what the spend decoder reads: the
-// daemon's frames in any key order and whitespace, and nothing else.
+// daemon's frames, whatever their names, and nothing else. Whichever
+// path reads a payload, Client.Spend yields what encoding/json reads
+// from it: behind each payload the fake server sends an error reply,
+// which the client reads only if it discards the payload as a stray.
 func TestSpendDecodeDeclines(t *testing.T) {
 	var d SpendDecoder
 	for _, tc := range spendCases {
 		if got := d.Decode([]byte(tc.payload), 7, new(daemon.SpendResult)); got != tc.want {
 			t.Errorf("%s: decoded %v, want %v", tc.name, got, tc.want)
 		}
+		srv := newFakeServer(t, func(conn net.Conn, req daemon.Request) bool {
+			_, err := fmt.Fprintf(conn, "%06x\n%s\n", len(tc.payload)+1, tc.payload)
+			return err == nil && reply(conn, daemon.Response{ID: req.ID, Code: daemon.CodeError, Error: "next"})
+		})
+		cl, err := Dial(Options{Socket: srv.socket, Timeout: time.Second, MaxAttempts: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cl.nextID = 6 // the payloads answer request 7
+		got, err := cl.Spend()
+		cl.Close()
+		var te *TerminalError
+		switch resp, want, jerr := decodeJSON([]byte(tc.payload)); {
+		case jerr != nil:
+			if err == nil {
+				t.Errorf("%s: Client.Spend read %+v, encoding/json fails: %v", tc.name, got, jerr)
+			}
+		case resp.ID != 7 || resp.Event:
+			if !errors.As(err, &te) || te.Detail != "next" {
+				t.Errorf("%s: Client.Spend kept a stray frame: %+v, %v", tc.name, got, err)
+			}
+		case resp.Code != daemon.CodeOK:
+			if !errors.As(err, &te) || te.Code != resp.Code {
+				t.Errorf("%s: Client.Spend read %+v, %v, want code %s", tc.name, got, err, resp.Code)
+			}
+		case err != nil || !reflect.DeepEqual(got, want):
+			t.Errorf("%s: Client.Spend read %+v, %v; encoding/json reads %+v", tc.name, got, err, want)
+		}
 	}
 	var got daemon.SpendResult
-	if !d.Decode(spendPayload(t, 7, spendAnswer(1200)), 7, &got) {
+	if !d.Decode(spendPayload(7, spendAnswer(1200)), 7, &got) {
 		t.Fatal("declined the daemon's 1200-row frame")
 	}
 	if want := spendAnswer(1200); !reflect.DeepEqual(got, want) {

@@ -6,7 +6,6 @@ import (
 
 	"cash/internal/alloc"
 	"cash/internal/control"
-	"cash/internal/cost"
 	"cash/internal/qlearn"
 	"cash/internal/vcore"
 )
@@ -140,7 +139,7 @@ func TestControllerSanity(t *testing.T) {
 
 func newOptimizer(t *testing.T) *qlearn.Optimizer {
 	t.Helper()
-	o, err := qlearn.New(cost.Default(), qlearn.DefaultAlpha, 0.25, 1)
+	o, err := qlearn.New(qlearn.DefaultAlpha, 0.25, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

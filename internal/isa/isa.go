@@ -135,13 +135,3 @@ func (in Instr) String() string {
 		return fmt.Sprintf("%s r%d <- r%d,r%d", in.Op, in.Dst, in.Src1, in.Src2)
 	}
 }
-
-// Block is a reusable buffer of dynamic instructions. Generators fill
-// Blocks and the simulator consumes them, avoiding per-instruction
-// allocation on the hot path.
-type Block struct {
-	Instrs []Instr
-}
-
-// Reset truncates the block for reuse, keeping capacity.
-func (b *Block) Reset() { b.Instrs = b.Instrs[:0] }

@@ -88,20 +88,6 @@ func TestInstrString(t *testing.T) {
 	}
 }
 
-func TestBlockReuse(t *testing.T) {
-	var b Block
-	for i := 0; i < 10; i++ {
-		b.Instrs = append(b.Instrs, Instr{Op: OpALU})
-	}
-	b.Reset()
-	if len(b.Instrs) != 0 {
-		t.Fatalf("%d instructions after Reset, want 0", len(b.Instrs))
-	}
-	if cap(b.Instrs) < 10 {
-		t.Error("Reset should keep capacity")
-	}
-}
-
 func TestLatencyPositiveQuick(t *testing.T) {
 	f := func(op uint8) bool {
 		return Op(op%uint8(numOps)).Latency() >= 1

@@ -66,7 +66,6 @@ type Schedule struct {
 
 // Optimizer learns per-configuration QoS and emits schedules.
 type Optimizer struct {
-	model cost.Model
 	cfgs  []vcore.Config
 	idxOf map[vcore.Config]int
 	rate  []float64 // $/hr per config, aligned with cfgs
@@ -94,15 +93,15 @@ type Optimizer struct {
 // New builds an optimizer over the full configuration space. alpha is
 // the EWMA learning rate; eps the exploration probability; seed makes
 // exploration deterministic.
-func New(model cost.Model, alpha, eps float64, seed uint64) (*Optimizer, error) {
-	return NewRestricted(model, vcore.Space(), alpha, eps, seed)
+func New(alpha, eps float64, seed uint64) (*Optimizer, error) {
+	return NewRestricted(vcore.Space(), alpha, eps, seed)
 }
 
 // NewRestricted builds an optimizer limited to a subset of the
 // configuration space — how the coarse-grain heterogeneous comparison
 // of §VI-E models a big.LITTLE machine (only a big and a little core
 // type exist).
-func NewRestricted(model cost.Model, cfgs []vcore.Config, alpha, eps float64, seed uint64) (*Optimizer, error) {
+func NewRestricted(cfgs []vcore.Config, alpha, eps float64, seed uint64) (*Optimizer, error) {
 	if !(alpha > 0) || !(alpha <= 1) {
 		return nil, fmt.Errorf("qlearn: alpha %v outside (0,1]", alpha)
 	}
@@ -113,7 +112,6 @@ func NewRestricted(model cost.Model, cfgs []vcore.Config, alpha, eps float64, se
 		return nil, fmt.Errorf("qlearn: empty configuration set")
 	}
 	o := &Optimizer{
-		model: model,
 		cfgs:  append([]vcore.Config(nil), cfgs...),
 		idxOf: make(map[vcore.Config]int, len(cfgs)),
 		alpha: alpha,
@@ -132,19 +130,10 @@ func NewRestricted(model cost.Model, cfgs []vcore.Config, alpha, eps float64, se
 			return nil, fmt.Errorf("qlearn: duplicate configuration %s", c)
 		}
 		o.idxOf[c] = i
-		o.rate[i] = model.Rate(c)
+		o.rate[i] = cost.Default().Rate(c)
 		o.prior[i] = Prior(c)
 	}
 	return o, nil
-}
-
-// MustNew is New with default hyper-parameters.
-func MustNew(model cost.Model, seed uint64) *Optimizer {
-	o, err := New(model, DefaultAlpha, DefaultEpsilon, seed)
-	if err != nil {
-		panic(err)
-	}
-	return o
 }
 
 // Configs returns the optimizer's configuration set (not a copy; do not

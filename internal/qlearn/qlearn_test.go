@@ -11,7 +11,7 @@ import (
 
 func newOpt(t *testing.T) *Optimizer {
 	t.Helper()
-	o, err := New(cost.Default(), DefaultAlpha, 0, 1) // no exploration: deterministic
+	o, err := New(DefaultAlpha, 0, 1) // no exploration: deterministic
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -19,17 +19,17 @@ func newOpt(t *testing.T) *Optimizer {
 }
 
 func TestNewValidation(t *testing.T) {
-	if _, err := New(cost.Default(), 0, 0, 1); err == nil {
+	if _, err := New(0, 0, 1); err == nil {
 		t.Error("alpha 0 must fail")
 	}
-	if _, err := New(cost.Default(), 0.5, 1, 1); err == nil {
+	if _, err := New(0.5, 1, 1); err == nil {
 		t.Error("eps 1 must fail")
 	}
-	if _, err := NewRestricted(cost.Default(), nil, 0.5, 0, 1); err == nil {
+	if _, err := NewRestricted(nil, 0.5, 0, 1); err == nil {
 		t.Error("empty config set must fail")
 	}
 	dup := []vcore.Config{vcore.Min(), vcore.Min()}
-	if _, err := NewRestricted(cost.Default(), dup, 0.5, 0, 1); err == nil {
+	if _, err := NewRestricted(dup, 0.5, 0, 1); err == nil {
 		t.Error("duplicate configs must fail")
 	}
 }
@@ -210,7 +210,7 @@ func TestFrozenModelIgnoresObservations(t *testing.T) {
 func TestRestrictedSet(t *testing.T) {
 	big := vcore.Config{Slices: 8, L2KB: 4096}
 	little := vcore.Config{Slices: 1, L2KB: 128}
-	o, err := NewRestricted(cost.Default(), []vcore.Config{little, big}, 0.5, 0, 1)
+	o, err := NewRestricted([]vcore.Config{little, big}, 0.5, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +253,7 @@ func TestRate(t *testing.T) {
 
 func TestScheduleTimesSumToTauQuick(t *testing.T) {
 	f := func(demandRaw, baseRaw uint8, tauRaw uint16) bool {
-		o, _ := New(cost.Default(), 0.5, 0, 3)
+		o, _ := New(0.5, 0, 3)
 		o.Observe(vcore.Config{Slices: 2, L2KB: 128}, 0.4)
 		o.Observe(vcore.Config{Slices: 6, L2KB: 1024}, 0.9)
 		demand := 0.05 + float64(demandRaw)/200
@@ -268,7 +268,7 @@ func TestScheduleTimesSumToTauQuick(t *testing.T) {
 }
 
 func TestExplorationBounded(t *testing.T) {
-	o, err := New(cost.Default(), 0.5, 0.8, 7) // heavy exploration
+	o, err := New(0.5, 0.8, 7) // heavy exploration
 	if err != nil {
 		t.Fatal(err)
 	}

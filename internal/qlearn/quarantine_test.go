@@ -4,15 +4,14 @@ import (
 	"math"
 	"testing"
 
-	"cash/internal/cost"
 	"cash/internal/vcore"
 )
 
 func TestNewValidationRejectsNaN(t *testing.T) {
-	if _, err := New(cost.Default(), math.NaN(), 0, 1); err == nil {
+	if _, err := New(math.NaN(), 0, 1); err == nil {
 		t.Error("NaN alpha must fail")
 	}
-	if _, err := New(cost.Default(), 0.5, math.NaN(), 1); err == nil {
+	if _, err := New(0.5, math.NaN(), 1); err == nil {
 		t.Error("NaN epsilon must fail")
 	}
 }
@@ -85,7 +84,7 @@ func TestObserveDropsNonFinite(t *testing.T) {
 }
 
 func TestSetEpsilon(t *testing.T) {
-	o, err := New(cost.Default(), DefaultAlpha, 0.25, 1)
+	o, err := New(DefaultAlpha, 0.25, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

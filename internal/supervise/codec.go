@@ -185,13 +185,15 @@ func decodeAny(line []byte) (e Entry, sumOK bool) {
 	return e, sum == string(want[:])
 }
 
-// Canon reads JSON in the form encoding/json writes: no whitespace,
-// strings of printable ASCII with nothing escaped, integers in their
-// shortest form. Each read consumes its token or marks the reader
-// failed; once it has failed, reads return zero values and Done
-// reports false. What Canon accepts, it reads as json.Unmarshal reads
-// it; a caller that meets a failed reader decodes the same bytes with
-// encoding/json instead, which decides the rest.
+// Canon reads JSON in the form encoding/json writes, token by token in
+// the order its caller asks for them: no whitespace, integers in their
+// shortest form, strings as Str or Text reads them. Each read consumes
+// its token or marks the reader failed; once it has failed, reads
+// return zero values and Done reports false. What Canon accepts, it
+// reads as json.Unmarshal reads it; a caller that meets a failed reader
+// decodes the same bytes with encoding/json instead, which decides the
+// rest. Its users are the journal line codec (decodeLine), the daemon's
+// submit and cell records, and the cashd client's query-spend decoder.
 type Canon struct {
 	b   []byte
 	i   int
@@ -218,23 +220,50 @@ func (c *Canon) Opt(s string) bool {
 	return true
 }
 
-// Str consumes a string and returns its bytes, which alias the input.
+// Str consumes a string of printable ASCII with nothing escaped and
+// returns its bytes, which alias the input.
 func (c *Canon) Str() []byte {
-	if c.bad || c.i >= len(c.b) || c.b[c.i] != '"' {
+	s, ok := c.plain()
+	if !ok {
 		c.bad = true
-		return nil
+	}
+	return s
+}
+
+// plain consumes a string of bytes that encoding/json copies as they
+// are, if one comes next, and returns its bytes, which alias the input.
+func (c *Canon) plain() ([]byte, bool) {
+	if c.bad || c.i >= len(c.b) || c.b[c.i] != '"' {
+		return nil, false
 	}
 	j := c.i + 1
 	for j < len(c.b) && htmlSafe[c.b[j]] {
 		j++
 	}
 	if j == len(c.b) || c.b[j] != '"' {
-		c.bad = true
-		return nil
+		return nil, false
 	}
 	s := c.b[c.i+1 : j]
 	c.i = j + 1
-	return s
+	return s, true
+}
+
+// Text consumes a string in any form json.Marshal writes one and
+// returns the bytes json.Unmarshal reads from it. They alias the input
+// when Str would read the string; otherwise encoding/json unquotes it,
+// escapes, non-ASCII and invalid UTF-8 (read as U+FFFD) included.
+func (c *Canon) Text() []byte {
+	if s, ok := c.plain(); ok || c.bad {
+		return s
+	}
+	n := scanString(c.b[c.i:])
+	var s string
+	if n < 0 || json.Unmarshal(c.b[c.i:c.i+n], &s) != nil {
+		c.bad = true
+		return nil
+	}
+	c.i += n
+	return []byte(s)
 }
 
 // Uint consumes an unsigned integer no larger than max.
@@ -243,10 +272,11 @@ func (c *Canon) Uint(max uint64) uint64 {
 		return 0
 	}
 	var v uint64
+	lim, last := max/10, max%10 // v*10+d fits if v < lim, or v == lim and d <= last
 	j := c.i
 	for ; j < len(c.b) && c.b[j] >= '0' && c.b[j] <= '9'; j++ {
 		d := uint64(c.b[j] - '0')
-		if v > (max-d)/10 {
+		if v > lim || v == lim && d > last {
 			c.bad = true
 			return 0
 		}
