@@ -10,7 +10,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: build test vet race check bench lint fuzz-smoke chaos daemon-smoke calib report-golden
+.PHONY: build test vet race check bench lint fuzz-smoke chaos daemon-smoke calib report-golden linedelta
 
 build:
 	$(GO) build ./...
@@ -32,6 +32,15 @@ check: vet race
 # compares against.
 report-golden:
 	$(GO) test ./internal/figs -run '^TestReportGolden$$' -count=1 -update
+
+# linedelta prints the non-test Go lines inserted and deleted outside
+# perfbench/ between BASE and the working tree (tracked files; `git add`
+# new ones first): the net line delta a change description states.
+BASE ?= HEAD
+
+linedelta:
+	@git diff --numstat $(BASE) -- '*.go' ':(exclude)*_test.go' ':(exclude)perfbench/' \
+		| awk '{ins += $$1; del += $$2} END {printf "non-test Go outside perfbench/: +%d -%d, net %+d\n", ins, del, ins - del}'
 
 # lint prefers golangci-lint (.golangci.yml) but degrades to vet + a
 # gofmt diff check where the binary is not installed, so the target is

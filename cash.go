@@ -105,6 +105,11 @@ type (
 	PricingModel = cost.Model
 )
 
+// GuardCommitted is the RuntimeOptions.GuardStyle that parks the
+// runtime at the largest configuration after two consecutive QoS misses
+// until the target is met twice in a row (the zero style is off).
+const GuardCommitted = cashrt.GuardCommitted
+
 // Experiment types.
 type (
 	// RunOptions configure an experiment run.

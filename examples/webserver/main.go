@@ -29,7 +29,7 @@ func main() {
 	// Latency QoS is a ratio, not a throughput, so the server variant
 	// runs whole-quantum configurations with the committed QoS guard
 	// and extra headroom (see internal/figs.Fig9).
-	runtime, err := cash.NewRuntime(1.0, cash.RuntimeOptions{Seed: 3, SingleConfig: true, GuardStyle: 1, Margin: 0.15})
+	runtime, err := cash.NewRuntime(1.0, cash.RuntimeOptions{Seed: 3, SingleConfig: true, GuardStyle: cash.GuardCommitted, Margin: 0.15})
 	if err != nil {
 		log.Fatal(err)
 	}

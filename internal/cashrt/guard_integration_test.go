@@ -209,3 +209,76 @@ func TestGuardedRunStaysDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// TestCommittedGuardHysteresis pins the committed QoS guard's
+// hysteresis: it parks at the largest configuration on the second
+// consecutive miss, leaves on the second consecutive met epoch, ignores
+// idle epochs, and stays frozen while a guardrail breaker pins.
+func TestCommittedGuardHysteresis(t *testing.T) {
+	const tau = 100_000
+	const miss, met, idle = 0.05, 2.0, 0
+	type epoch struct {
+		qos        float64 // the quantum's measured QoS; idle = no sample
+		parked     bool
+		recoveries int64
+		what       string
+	}
+	// check reports each epoch's QoS as one whole-quantum observation of
+	// the previous plan's first configuration and decides the next plan.
+	// Parking shows as a plan of the largest configuration for the whole
+	// quantum; on a miss the optimizer may pick that plan by itself, so
+	// there only the escalation count tells the guard's state.
+	check := func(r *Runtime, epochs []epoch) {
+		t.Helper()
+		plan := r.Decide(nil, tau)
+		for i, e := range epochs {
+			var obs []alloc.Observation
+			if e.qos != idle {
+				obs = []alloc.Observation{{Config: plan.Steps[0].Config, Cycles: tau, Instrs: int64(e.qos * tau), QoS: e.qos}}
+			}
+			plan = r.Decide(obs, tau)
+			parked := len(plan.Steps) == 1 &&
+				plan.Steps[0] == alloc.Step{Config: r.Optimizer().Largest(), MaxCycles: tau}
+			if (parked != e.parked && (e.parked || e.qos != miss)) || r.Recoveries != e.recoveries {
+				t.Fatalf("epoch %d (%s): parked %v after %d escalations, want %v after %d",
+					i+1, e.what, parked, r.Recoveries, e.parked, e.recoveries)
+			}
+		}
+	}
+	r := MustNew(0.5, cost.Default(), Options{Seed: 1, GuardStyle: GuardCommitted})
+	check(r, []epoch{
+		{met, false, 0, "met"},
+		{miss, false, 0, "first miss"},
+		{met, false, 0, "met clears the miss"},
+		{miss, false, 0, "first miss"},
+		{idle, false, 0, "idle epoch"},
+		{miss, true, 1, "second consecutive miss"},
+		{met, true, 1, "first met"},
+		{miss, true, 1, "miss restarts the cooldown"},
+		{met, true, 1, "first met"},
+		{idle, true, 1, "idle epoch"},
+		{met, false, 1, "second consecutive met"},
+		{met, false, 1, "met"},
+	})
+
+	// With guardrails armed the mean breaker pins on its BreakerK-th
+	// miss and releases on its BreakerCooldown-th met. Meanwhile the
+	// committed guard, parked since the second miss, does not count the
+	// mets: it is still parked when the breaker lets go, and leaves one
+	// met later.
+	r = MustNew(0.5, cost.Default(), Options{Seed: 1, GuardStyle: GuardCommitted, Guardrails: true})
+	var epochs []epoch
+	for i := 1; i <= guard.BreakerK; i++ {
+		epochs = append(epochs, epoch{miss, i >= 2, min(int64(i-1), 1), "miss"})
+	}
+	for i := 1; i < guard.BreakerCooldown; i++ {
+		epochs = append(epochs, epoch{met, true, 1, "met while the mean breaker pins"})
+	}
+	epochs = append(epochs,
+		epoch{met, true, 1, "mean breaker releases, committed guard counts its first met"},
+		epoch{met, false, 1, "committed guard's second met"})
+	check(r, epochs)
+	if s := r.GuardStats(); s.BreakerTrips != 1 || s.BreakerRecoveries != 1 {
+		t.Fatalf("mean breaker: %+v, want one trip and one recovery", s)
+	}
+}

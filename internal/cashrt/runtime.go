@@ -89,12 +89,12 @@ type Runtime struct {
 	iterations  int64
 	frozenBase  float64
 
-	// QoS guard state: consecutive quanta below/above the raw target,
-	// whether the guard holds the largest configuration, and how many
-	// escalations have fired.
-	misses     int
-	guardMode  bool
-	guardHits  int
+	// committed is the GuardCommitted QoS guard: two under-target quanta
+	// in a row park the runtime at the largest configuration instead of
+	// edging up through configurations whose estimates are stale for the
+	// new phase, and two met quanta in a row release it. Recoveries
+	// counts its escalations (not its releases).
+	committed  guard.Breaker
 	Recoveries int64
 
 	// probeTick schedules idle-tail probes of cheaper configurations.
@@ -130,12 +130,6 @@ const (
 	processVar = 0.02
 	measureVar = 0.01
 )
-
-// guardAfterMisses is how many consecutive under-target quanta trigger
-// the QoS guard: the next quantum runs the best-estimate configuration
-// outright, re-learning its QoS, instead of continuing to edge up
-// through configurations whose estimates are stale for the new phase.
-const guardAfterMisses = 2
 
 // New builds a runtime for the given QoS target, priced at the paper's
 // constants: the cost.Model holds no prices and is not read.
@@ -184,7 +178,8 @@ func New(target float64, _ cost.Model, opts Options) (*Runtime, error) {
 		opt.SetRelativeModel(qlearn.Prior)
 	}
 	opt.NoSnap = opts.NoSnap
-	r := &Runtime{ctrl: ctrl, est: est, opt: opt, opts: opts, name: "CASH"}
+	r := &Runtime{ctrl: ctrl, est: est, opt: opt, opts: opts, name: "CASH",
+		committed: guard.Breaker{K: 2, Window: 2, Cooldown: 2}}
 	if opts.Guardrails {
 		r.guard = guard.New()
 	}
@@ -392,63 +387,32 @@ func (r *Runtime) Decide(prev []alloc.Observation, tau int64) alloc.Plan {
 	}
 	r.lastSpeedup = speedup
 
-	// QoS guard: persistent shortfall means the learned estimates are
-	// stale for the current phase. Escalate to the largest
-	// configuration and *stay there* until the target is met for two
-	// consecutive quanta — a big configuration's worth only shows once
-	// its cache warms, so single-quantum visits would measure cold
-	// performance, falsify the estimate, and wander off. While parked,
-	// observations (including the warm ones that matter) keep flowing
-	// into the optimizer, so on exit the estimates are current.
+	// Guardrails, stage 4, then the committed QoS guard: each pins the
+	// largest configuration, a safe statically-provisioned one, when QoS
+	// keeps failing, and lets go after a cooldown of met epochs. The
+	// mean breaker opens on BreakerK violating epochs in a row, the tail
+	// breaker on a windowed count of tail-SLO-violating epochs (serving
+	// runs publish TailQoS, latency budget over p99, which catches
+	// overload where per-quantum means look fine or are absent because
+	// nothing completes); both tick every epoch. The committed guard
+	// parks after two misses and stays until two mets, since a big
+	// configuration's worth only shows once its cache warms, and ticks
+	// only on epochs neither breaker pins. While pinned, observations
+	// keep flowing into the optimizer, so on release its estimates are
+	// current. The pinned plan bypasses the thrash limiter (safety
+	// outranks smoothness) but respects fabric capacity backoff.
 	rawTarget := r.ctrl.Target / (1 + r.opts.Margin)
-
-	// Guardrails, stage 4: the top-level circuit breakers. The mean
-	// breaker opens after K consecutive epochs of violating mean QoS;
-	// the tail breaker opens on a windowed count of tail-SLO-violating
-	// epochs (serving runs publish a TailQoS signal — latency budget
-	// over p99 — which catches overload regimes where per-quantum means
-	// look fine or are absent entirely because nothing completes). With
-	// either breaker open, optimization is abandoned outright and a
-	// safe statically-provisioned configuration (the largest) is
-	// pinned; optimization re-enters only after that breaker's cooldown
-	// of met epochs. Both state machines tick every epoch so they trip
-	// and recover independently. The pinned plan bypasses the thrash
-	// limiter — safety outranks smoothness — but still respects fabric
-	// capacity backoff.
+	pin := false
 	if r.guard != nil {
 		meanPinned := r.guard.BreakerTick(measured, rawTarget, cycles > 0)
 		tailMeasured, haveTail := lastTailQoS(prev)
-		tailPinned := r.guard.TailTick(tailMeasured, 1, haveTail)
-		if meanPinned || tailPinned {
-			big := r.opt.Largest()
-			if base > 0 {
-				r.lastPlanned = r.opt.QoSEstimate(big, base) / base
-			} else {
-				r.lastPlanned = 1
-			}
-			r.lastSpeedup = r.lastPlanned
-			return r.applyBackoff(alloc.Plan{Steps: []alloc.Step{{Config: big, MaxCycles: tau}}})
-		}
+		pin = r.guard.TailTick(tailMeasured, 1, haveTail) || meanPinned
 	}
-
-	if cycles > 0 {
-		if measured < rawTarget {
-			r.misses++
-			r.guardHits = 0
-		} else {
-			r.misses = 0
-			r.guardHits++
-		}
+	if !pin && r.opts.GuardStyle == GuardCommitted {
+		pin = r.committed.Tick(measured < rawTarget, cycles > 0)
+		r.Recoveries = r.committed.Trips()
 	}
-	if r.guardMode && r.guardHits >= 2 {
-		r.guardMode = false
-	}
-	if !r.guardMode && r.misses >= guardAfterMisses && r.opts.GuardStyle != GuardOff {
-		r.guardMode = true
-		r.misses = 0
-		r.Recoveries++
-	}
-	if r.guardMode {
+	if pin {
 		big := r.opt.Largest()
 		if base > 0 {
 			r.lastPlanned = r.opt.QoSEstimate(big, base) / base

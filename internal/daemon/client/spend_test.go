@@ -6,7 +6,10 @@ import (
 	"fmt"
 	"math"
 	"net"
+	"os"
+	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -68,7 +71,8 @@ func decodeJSON(payload []byte) (daemon.Response, daemon.SpendResult, error) {
 
 // spendCases are the payloads the seed corpus of FuzzSpendDecode holds,
 // each with whether the spend decoder must read it as the answer to
-// request 7.
+// request 7. TestSpendCorpusMatchesTable keeps the corpus files and this
+// table one list.
 var spendCases = []struct {
 	name    string
 	payload string
@@ -153,6 +157,29 @@ func TestSpendDecodeDeclines(t *testing.T) {
 	}
 	if want := spendAnswer(1200); !reflect.DeepEqual(got, want) {
 		t.Fatalf("decoded %+v, want %+v", got.Tenants[:2], want.Tenants[:2])
+	}
+}
+
+// TestSpendCorpusMatchesTable requires one seed file under
+// testdata/fuzz/FuzzSpendDecode per spendCases entry, named after the
+// case and holding request 7 and its payload, and no other file: a
+// case added to the table reaches the fuzzer only through its file.
+func TestSpendCorpusMatchesTable(t *testing.T) {
+	dir := filepath.Join("testdata", "fuzz", "FuzzSpendDecode")
+	files, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(files) != len(spendCases) {
+		t.Errorf("%d seed files, %d table cases", len(files), len(spendCases))
+	}
+	fileName := strings.NewReplacer(" ", "-", ",", "", "+", "")
+	for _, tc := range spendCases {
+		name := fileName.Replace(tc.name)
+		got, err := os.ReadFile(filepath.Join(dir, name))
+		if want := fmt.Sprintf("go test fuzz v1\nuint64(7)\n[]byte(%q)\n", tc.payload); err != nil || string(got) != want {
+			t.Errorf("%s: seed file %s must read\n%s(%v)", tc.name, name, want, err)
+		}
 	}
 }
 

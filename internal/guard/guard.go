@@ -20,11 +20,14 @@
 //     back to ε-free greedy over the validated entries for a cooldown,
 //     so exploration does not immediately steer back into the entries
 //     whose state was just discarded.
-//   - QoS circuit breaker — after K consecutive QoS-violating epochs
-//     the runtime abandons optimization and pins a safe statically-
-//     provisioned configuration; optimization re-opens only after a
-//     cooldown of met-QoS epochs (classic breaker hysteresis, the
-//     fallback discipline Qiu et al. argue ML-driven controllers need).
+//   - QoS circuit breakers — after K QoS-violating epochs (mean QoS:
+//     K in a row; tail latency: K in a window) the runtime abandons
+//     optimization and pins a safe statically-provisioned
+//     configuration; optimization re-opens only after a cooldown of
+//     met-QoS epochs (classic breaker hysteresis, the fallback
+//     discipline Qiu et al. argue ML-driven controllers need). Both are
+//     one Breaker with different parameters, as is the runtime's
+//     committed QoS guard.
 //
 // Everything is deterministic — pure functions of the observation
 // stream, no wall clock, no randomness — so guarded runs replay
@@ -33,6 +36,7 @@ package guard
 
 import (
 	"math"
+	"math/bits"
 
 	"cash/internal/alloc"
 	"cash/internal/control"
@@ -163,30 +167,94 @@ type Guard struct {
 	// Thrash limiter state.
 	lastCfg     vcore.Config
 	haveLastCfg bool
-	changes     [thrashWindow]bool // ring of "plan changed config"
-	changePos   int
-	changeCount int
+	changes     window // "plan changed config", last thrashWindow epochs
 	limitLeft   int
 	holdLeft    int
 
-	// Breaker state.
-	violStreak int64
-	pinned     bool
-	metStreak  int
-
-	// Tail breaker state.
-	tailViol      [tailWindow]bool // ring of "epoch violated the tail SLO"
-	tailPos       int
-	tailCount     int
-	tailPinned    bool
-	tailMetStreak int
+	mean, tail Breaker
 }
 
 // New builds a guard with every breaker closed.
-func New() *Guard { return &Guard{} }
+func New() *Guard {
+	return &Guard{
+		mean: Breaker{K: BreakerK, Window: BreakerK, Cooldown: BreakerCooldown},
+		tail: Breaker{K: tailK, Window: tailWindow, Cooldown: tailCooldown},
+	}
+}
 
 // Stats returns a snapshot of the trip counters.
-func (g *Guard) Stats() Stats { return g.stats }
+func (g *Guard) Stats() Stats {
+	s := g.stats
+	s.BreakerTrips, s.BreakerRecoveries, s.PinnedEpochs = g.mean.trips, g.mean.recoveries, g.mean.pinnedEpochs
+	s.MaxViolationStreak = g.mean.maxRun
+	s.TailTrips, s.TailRecoveries, s.TailPinnedEpochs = g.tail.trips, g.tail.recoveries, g.tail.pinnedEpochs
+	s.MaxTailWindowCount = g.tail.maxCount
+	return s
+}
+
+// window holds the last n epochs' verdicts (n ≤ 32), newest in bit 0.
+type window uint32
+
+func (w *window) push(violated bool, n int) {
+	*w <<= 1
+	if violated {
+		*w |= 1
+	}
+	*w &= 1<<n - 1
+}
+
+func (w window) count() int { return bits.OnesCount32(uint32(w)) }
+
+// Breaker is the hysteresis every pin-the-largest rule shares. It pins
+// once K of the last Window sample-bearing epochs violated (Window == K
+// is "K in a row") and releases after Cooldown consecutive met epochs,
+// clearing its window: the violations that pinned it belong to the
+// pre-pin regime and must not instantly re-pin it. While pinned the
+// window is frozen.
+type Breaker struct {
+	K, Window, Cooldown int
+
+	window window
+	pinned bool
+	met    int // consecutive met epochs while pinned
+
+	trips, recoveries, pinnedEpochs int64
+
+	maxRun   int64 // longest violating run while closed
+	maxCount int64 // most violations in one window while closed
+}
+
+// Tick feeds the breaker one epoch's verdict and returns whether the
+// largest configuration is pinned this epoch. Epochs without a sample
+// carry no verdict and leave the state unchanged.
+func (b *Breaker) Tick(violated, haveSample bool) bool {
+	switch {
+	case !haveSample:
+	case b.pinned && violated:
+		b.met = 0
+	case b.pinned:
+		if b.met++; b.met >= b.Cooldown {
+			b.pinned, b.met, b.window = false, 0, 0
+			b.recoveries++
+		}
+	default:
+		b.window.push(violated, b.Window)
+		b.maxRun = max(b.maxRun, int64(bits.TrailingZeros32(^uint32(b.window))))
+		n := b.window.count()
+		b.maxCount = max(b.maxCount, int64(n))
+		if n >= b.K {
+			b.pinned = true
+			b.trips++
+		}
+	}
+	if b.pinned {
+		b.pinnedEpochs++
+	}
+	return b.pinned
+}
+
+// Trips counts how often the breaker has pinned.
+func (b *Breaker) Trips() int64 { return b.trips }
 
 // BeginEpoch advances the epoch counter. Call once per Decide.
 func (g *Guard) BeginEpoch() { g.stats.Epochs++ }
@@ -266,98 +334,24 @@ func (g *Guard) CheckQTable(opt *qlearn.Optimizer) int {
 	return 0
 }
 
-// BreakerTick feeds the QoS breaker one epoch's delivered QoS against
-// the raw target and returns whether the runtime must pin the safe
-// configuration this epoch. Epochs without a sample (pure idle) carry
-// no QoS verdict and leave the breaker state unchanged.
+// BreakerTick feeds the mean-QoS breaker (BreakerK violating epochs in
+// a row) one epoch's delivered QoS against the raw target and returns
+// whether the runtime must pin the safe configuration this epoch.
+// Epochs without a sample (pure idle) carry no QoS verdict.
 func (g *Guard) BreakerTick(measured, target float64, haveSample bool) bool {
-	if haveSample && target > 0 {
-		violated := !(measured >= target) // NaN counts as violating
-		if g.pinned {
-			if violated {
-				g.metStreak = 0
-			} else {
-				g.metStreak++
-				if g.metStreak >= BreakerCooldown {
-					g.pinned = false
-					g.metStreak = 0
-					g.violStreak = 0
-					g.stats.BreakerRecoveries++
-				}
-			}
-		} else {
-			if violated {
-				g.violStreak++
-				if g.violStreak > g.stats.MaxViolationStreak {
-					g.stats.MaxViolationStreak = g.violStreak
-				}
-				if g.violStreak >= BreakerK {
-					g.pinned = true
-					g.metStreak = 0
-					g.stats.BreakerTrips++
-				}
-			} else {
-				g.violStreak = 0
-			}
-		}
-	}
-	if g.pinned {
-		g.stats.PinnedEpochs++
-	}
-	return g.pinned
+	return g.mean.Tick(!(measured >= target), haveSample && target > 0) // NaN violates
 }
 
 // TailTick feeds the tail-latency breaker one epoch's tail QoS signal
 // (latency budget over p99, so 1.0 = tail exactly on target, below 1 =
 // tail violating) and returns whether the runtime must pin the safe
 // configuration this epoch. The trip condition is windowed, not
-// consecutive: tailK or more violating epochs within the last
-// tailWindow epochs open the breaker, so bursty tails that never
-// violate K times in a row still trip it. Epochs without a tail signal
-// (batch runs, pure-idle quanta) leave the state unchanged.
+// consecutive: tailK violating epochs within the last tailWindow open
+// the breaker, so bursty tails that never violate K times in a row
+// still trip it. Epochs without a tail signal (batch runs, pure-idle
+// quanta) carry no verdict.
 func (g *Guard) TailTick(measured, target float64, haveSample bool) bool {
-	if haveSample && target > 0 {
-		violated := !(measured >= target) // NaN counts as violating
-		if g.tailPinned {
-			if violated {
-				g.tailMetStreak = 0
-			} else {
-				g.tailMetStreak++
-				if g.tailMetStreak >= tailCooldown {
-					g.tailPinned = false
-					g.tailMetStreak = 0
-					// Clear the window on recovery: the violations that
-					// tripped the breaker belong to the pre-pin regime
-					// and must not instantly re-trip it.
-					g.tailViol = [tailWindow]bool{}
-					g.tailCount = 0
-					g.stats.TailRecoveries++
-				}
-			}
-		} else {
-			// Slide the window.
-			if g.tailViol[g.tailPos] {
-				g.tailCount--
-			}
-			g.tailViol[g.tailPos] = violated
-			if violated {
-				g.tailCount++
-			}
-			g.tailPos = (g.tailPos + 1) % tailWindow
-			if int64(g.tailCount) > g.stats.MaxTailWindowCount {
-				g.stats.MaxTailWindowCount = int64(g.tailCount)
-			}
-			if g.tailCount >= tailK {
-				g.tailPinned = true
-				g.tailMetStreak = 0
-				g.stats.TailTrips++
-			}
-		}
-	}
-	if g.tailPinned {
-		g.stats.TailPinnedEpochs++
-	}
-	return g.tailPinned
+	return g.tail.Tick(!(measured >= target), haveSample && target > 0) // NaN violates
 }
 
 // LimitPlan runs thrash detection over the planned configuration stream
@@ -367,18 +361,12 @@ func (g *Guard) TailTick(measured, target float64, haveSample bool) bool {
 func (g *Guard) LimitPlan(plan alloc.Plan, planned vcore.Config) alloc.Plan {
 	changed := g.haveLastCfg && planned != g.lastCfg
 
-	// Slide the window.
-	if g.changes[g.changePos] {
-		g.changeCount--
-	}
-	g.changes[g.changePos] = changed
+	g.changes.push(changed, thrashWindow)
 	if changed {
-		g.changeCount++
 		g.stats.ReconfigsObserved++
 	}
-	g.changePos = (g.changePos + 1) % thrashWindow
 
-	if g.limitLeft == 0 && g.changeCount > thrashLimit {
+	if g.limitLeft == 0 && g.changes.count() > thrashLimit {
 		// The change that pushed the window over the limit is itself the
 		// thrash; start the hold immediately so it is suppressed too.
 		g.stats.ThrashTrips++
@@ -400,8 +388,7 @@ func (g *Guard) LimitPlan(plan alloc.Plan, planned vcore.Config) alloc.Plan {
 				}
 				// Undo this epoch's window entry: the rewritten plan
 				// does not change configuration.
-				g.changes[(g.changePos+thrashWindow-1)%thrashWindow] = false
-				g.changeCount--
+				g.changes &^= 1
 				g.stats.ReconfigsObserved--
 				g.holdLeft--
 				return alloc.Plan{Steps: []alloc.Step{{Config: hold, MaxCycles: tau}}}

@@ -437,7 +437,7 @@ func TestTailBreakerIndependentOfMeanBreaker(t *testing.T) {
 
 // pinned reports whether either breaker (mean QoS or tail latency)
 // currently pins the safe configuration.
-func pinned(g *Guard) bool { return g.pinned || g.tailPinned }
+func pinned(g *Guard) bool { return g.mean.pinned || g.tail.pinned }
 
 // epsilon reads o's exploration probability: SetEpsilon returns the
 // value it replaces, and puts back any value in [0,1) exactly.
